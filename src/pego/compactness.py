@@ -339,31 +339,25 @@ def equicontinuity_profile(
         pts = sample_ball(family.group, NeighborhoodSpec(delta, ball_samples), seed)
         pool.extend(pts)
     dists = np.array([distance(e, y) for y in pool])
-    per_point = np.zeros((m, len(pool)))
     if path == "spectral":
         band = fourier.safe_band(family.rule)
         coeffs = fourier.forward_batch(
             family.members, irreps.enumerate_dual(family.group, band)
         )
-        labels = coeffs[0].labels
-        stacked = {
-            lab: np.stack([c[lab] for c in coeffs]) for lab in labels
-        }
         resid2 = np.array(
-            [
-                norms.beyond_cutoff_mass(f, c)
-                for f, c in zip(family.members, coeffs)
-            ]
+            [norms.beyond_cutoff_mass(f, c) for f, c in zip(family.members, coeffs)]
         )
-        for t, y in enumerate(pool):
-            acc = np.zeros(m)
-            for lab in labels:
-                act = irreps.irrep_matrix(lab, y) - np.eye(lab.dim)
-                moved = np.einsum("ij,mjk->mik", act, stacked[lab])
-                acc += lab.dim * np.sum(np.abs(moved) ** 2, axis=(1, 2))
-            # mass beyond the cutoff moves by at most a factor 2 in norm
-            per_point[:, t] = np.sqrt(acc + 4.0 * resid2)
+        acc = np.zeros((m, len(pool)))
+        for lab in coeffs[0].labels:
+            # (pi(y) - I) coeff(pi) for every pooled y and every member at once
+            act = irreps.irrep_matrices(lab, pool) - np.eye(lab.dim)
+            members = np.stack([c[lab] for c in coeffs])
+            moved = np.einsum("pij,mjk->mpik", act, members)
+            acc += lab.dim * np.sum(np.abs(moved) ** 2, axis=(2, 3))
+        # mass beyond the cutoff moves by at most a factor 2 in norm
+        per_point = np.sqrt(acc + 4.0 * resid2[:, None])
     else:
+        per_point = np.zeros((m, len(pool)))
         for t, y in enumerate(pool):
             for j, f in enumerate(family.members):
                 per_point[j, t] = norms.lp_function_norm(

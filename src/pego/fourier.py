@@ -202,20 +202,9 @@ def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
     return out
 
 
-def _weighted(f):
-    return f.rule.weights * f.values
-
-
 def forward(f, dual):
-    """Fourier coefficients of f on an explicit list (or subset) of labels."""
-    labels = tuple(dual)
-    wf = _weighted(f)
-    entries = {}
-    for lab in labels:
-        stack = irreps.irrep_stack(lab, f.rule)
-        entries[lab] = np.einsum("t,tji->ij", wf, stack.conj())
-    mass = float(np.sum(f.rule.weights * np.abs(f.values) ** 2))
-    return FourierCoefficients(f.group, labels, entries, None, mass)
+    """Fourier coefficients of f on a list of labels: ``forward_batch([f], dual)[0]``."""
+    return forward_batch([f], dual)[0]
 
 
 def forward_to_cutoff(f, cutoff=None):
@@ -237,22 +226,25 @@ def forward_to_cutoff(f, cutoff=None):
 
 
 def forward_batch(fs, dual):
-    """Transform many functions on one rule against one dual (one GEMM per label)."""
+    """Transform many functions on one rule against one dual.
+
+    The one forward kernel.  coeff(pi)[i, j] = sum_t w_t f(t) conj(pi(t)[j, i])
+    is, per label, one GEMM of conj(w * f) against the cached stack viewed as
+    (N, d*d), conjugated and transposed back on the small (m, d*d) result, so
+    no conjugated copy of a stack is made.
+    """
     if not fs:
         return []
     rule = fs[0].rule
     for f in fs:
-        if f.rule.rule_id != rule.rule_id:
-            raise GroupMismatchError("batch members sampled on different rules")
+        _check_same_rule(fs[0], f)
     labels = tuple(dual)
-    wf = np.stack([_weighted(f) for f in fs])  # (m, t)
+    cwf = np.stack([f.rule.weights * f.values for f in fs]).conj()  # (m, N)
     masses = [float(np.sum(f.rule.weights * np.abs(f.values) ** 2)) for f in fs]
     per_label = {}
     for lab in labels:
-        stack = irreps.irrep_stack(lab, rule)
         d = lab.dim
-        # block[m, j*d+i] = sum_t wf[m,t] conj(pi(t))[j,i]; coeff[i,j] wants (j,i)
-        block = wf @ stack.conj().reshape(len(rule), d * d)
+        block = (cwf @ irreps.irrep_stack(lab, rule).reshape(len(rule), d * d)).conj()
         per_label[lab] = block.reshape(len(fs), d, d).transpose(0, 2, 1)
     out = []
     for k in range(len(fs)):
@@ -261,22 +253,33 @@ def forward_batch(fs, dual):
     return out
 
 
-def inverse(coeffs, rule):
-    """Synthesize the function on a rule from its coefficients."""
-    vals = np.zeros(len(rule), dtype=complex)
+def _synthesize(coeffs, n, matrices_of):
+    """The one synthesis kernel: sum over pi of dim(pi) tr(coeff(pi) pi(x)).
+
+    ``matrices_of(lab)`` gives pi at the n evaluation points, shape (n, d, d).
+    tr(C P) = sum_ij C[i, j] P[j, i], so each label is one matrix-vector
+    product of the (n, d*d) view with dim(pi) * C transposed and flattened.
+    """
+    vals = np.zeros(n, dtype=complex)
     for lab in coeffs.labels:
-        stack = irreps.irrep_stack(lab, rule)
-        vals += lab.dim * np.einsum("ij,tji->t", coeffs[lab], stack)
+        d = lab.dim
+        vals += matrices_of(lab).reshape(n, d * d) @ (d * coeffs[lab].T.ravel())
+    return vals
+
+
+def inverse(coeffs, rule):
+    """Synthesize the function on a rule's nodes, against its cached stacks."""
+    vals = _synthesize(coeffs, len(rule), lambda lab: irreps.irrep_stack(lab, rule))
     return SampledFunction(rule, vals)
 
 
 def evaluate_at(coeffs, points):
-    """Evaluate the synthesized function at arbitrary group points."""
-    vals = np.zeros(len(points), dtype=complex)
-    for lab in coeffs.labels:
-        mats = irreps.irrep_matrices(lab, list(points))
-        vals += lab.dim * np.einsum("ij,tji->t", coeffs[lab], mats)
-    return vals
+    """Evaluate the synthesized function at arbitrary group points.
+
+    The synthesis kernel of ``inverse``, fed ``irrep_matrices`` at the points.
+    """
+    points = list(points)
+    return _synthesize(coeffs, len(points), lambda lab: irreps.irrep_matrices(lab, points))
 
 
 def _reindex_plan(rule, y):

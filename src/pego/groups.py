@@ -13,6 +13,7 @@ every serialized report.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -390,8 +391,10 @@ class QuadratureRule:
         max |k| on the torus, 2*l on SU(2).  None on finite groups (the full
         group average is exact at every band).
     resolution : int
-        The requested resolution parameter; rules with equal (group,
-        resolution) are interchangeable and share a rule_id.
+        The requested resolution parameter; the canonical rules of
+        ``haar_quadrature`` with equal (group, resolution) share the rule_id
+        ``group|resN``.  A rule built directly appends a digest of its nodes
+        and weights, so it shares stacks and arithmetic only with its equals.
     """
 
     def __init__(self, group, nodes, weights, exactness_degree, resolution, meta=None):
@@ -404,9 +407,17 @@ class QuadratureRule:
         self.weights = w
         self.exactness_degree = exactness_degree
         self.resolution = resolution
-        self.rule_id = f"{group.name}|res{resolution}"
         self.meta = dict(meta or {})
         self._node_index = None
+        self._rule_id = None
+
+    @property
+    def rule_id(self):
+        if self._rule_id is None:
+            data = repr([p.coords for p in self.nodes]).encode() + self.weights.tobytes()
+            digest = hashlib.sha1(data).hexdigest()[:12]
+            self._rule_id = f"{self.group.name}|res{self.resolution}|{digest}"
+        return self._rule_id
 
     def __len__(self):
         return len(self.nodes)
@@ -537,19 +548,18 @@ def haar_quadrature(group, resolution=1):
     if resolution < 1:
         raise ResolutionError("resolution must be >= 1")
     fam = group.family
-    if fam in ("cyclic", "dihedral"):
-        return _haar_finite(group, resolution)
-    if fam == "torus":
-        return _haar_torus(group, resolution)
-    if fam == "su2":
-        return _haar_su2(group, resolution)
-    if fam == "product":
-        if group.is_finite:
-            rule = _haar_finite(group, resolution)
-            rule.meta["kind"] = "finite"
-            return rule
-        return _haar_product(group, resolution)
-    raise ValueError(f"unknown family {fam!r}")
+    if fam in ("cyclic", "dihedral") or (fam == "product" and group.is_finite):
+        rule = _haar_finite(group, resolution)
+    elif fam == "torus":
+        rule = _haar_torus(group, resolution)
+    elif fam == "su2":
+        rule = _haar_su2(group, resolution)
+    elif fam == "product":
+        rule = _haar_product(group, resolution)
+    else:
+        raise ValueError(f"unknown family {fam!r}")
+    rule._rule_id = f"{group.name}|res{resolution}"
+    return rule
 
 
 def _ball_point_at(group, radius, direction_rng):

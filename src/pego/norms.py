@@ -127,14 +127,16 @@ class ResidualReport:
 def plancherel_residual_report(f, coeffs, subset):
     """sqrt of ||f||_2^2 minus the head mass on ``subset``, with clamp info.
 
-    Negative radicands (pure roundoff: the head can exceed the total by
-    ~1e-15 relative) are clamped to zero; the clamp magnitude is recorded so
-    anything beyond 1e-12 is visible to the caller.
+    The one roundoff floor: a difference within 1e-12 * max(||f||_2^2, 1) of
+    zero is cancellation noise, not spectrum, and reads as a zero tail (at
+    full coverage the raw root would read ~1e-8).  ``clamp`` records how far
+    a negative difference went below zero, so larger roundoff stays visible.
     """
     mass = lp_function_norm(f, 2) ** 2
-    head = coeffs.head_mass(subset)
-    diff = mass - head
+    diff = mass - coeffs.head_mass(subset)
     clamp = max(0.0, -diff)
+    if abs(diff) <= 1e-12 * max(mass, 1.0):
+        diff = 0.0
     return ResidualReport(
         math.sqrt(max(diff, 0.0)), clamp, tuple(lab.name for lab in subset)
     )
@@ -145,19 +147,13 @@ def plancherel_residual(f, coeffs, subset):
     return plancherel_residual_report(f, coeffs, subset).value
 
 
-def beyond_cutoff_mass(f, coeffs, floor=1e-12):
+def beyond_cutoff_mass(f, coeffs):
     """Squared l2 mass of f beyond the labels held in ``coeffs``.
 
-    Computed as ||f||_2^2 minus the full head mass.  A difference within
-    ``floor * max(mass, 1)`` of zero is float cancellation noise, not
-    spectrum, and is returned as exactly 0; without that floor the square
-    root of the difference never drops below ~1e-8 even for band-limited f.
+    The squared Plancherel residual over the full coverage, under the same
+    roundoff floor, so a band-limited f has exactly 0 mass beyond it.
     """
-    mass = lp_function_norm(f, 2) ** 2
-    diff = mass - coeffs.head_mass(coeffs.labels)
-    if abs(diff) <= floor * max(mass, 1.0):
-        return 0.0
-    return max(diff, 0.0)
+    return plancherel_residual(f, coeffs, coeffs.labels) ** 2
 
 
 @dataclass(frozen=True)

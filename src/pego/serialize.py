@@ -186,15 +186,12 @@ def decay_profile_to_json(profile):
     }
 
 
-def decay_profile_csv(profile, family_column=False):
+def decay_profile_csv(profile):
     head = "step,shell,sup_tail"
     lines = []
     for k, s in enumerate(profile.steps):
         shell = int(max(lab.shell for lab in s.subset))
         lines.append(f"{k},{shell},{s.sup_tail!r}")
-    if family_column:
-        head = "family," + head
-        lines = [f"{profile.family_name},{ln}" for ln in lines]
     return head + "\n" + "\n".join(lines) + "\n"
 
 
@@ -213,12 +210,9 @@ def continuity_profile_to_json(profile):
     }
 
 
-def continuity_profile_csv(profile, family_column=False):
+def continuity_profile_csv(profile):
     head = "delta,omega"
     lines = [f"{float(d)!r},{float(w)!r}" for d, w in zip(profile.deltas, profile.omegas)]
-    if family_column:
-        head = "family," + head
-        lines = [f"{profile.family_name},{ln}" for ln in lines]
     return head + "\n" + "\n".join(lines) + "\n"
 
 

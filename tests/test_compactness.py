@@ -35,6 +35,7 @@ from pego import (
     parse_label,
     pego_verdict,
     point,
+    product,
     random_band_limited_function,
     sample,
     shell_subset,
@@ -118,10 +119,17 @@ def test_equicontinuity_mesh_validation():
         equicontinuity_profile(fam, mesh=[1.0, 0.5], p=1.0, path="spectral")
 
 
-def test_equicontinuity_direct_matches_spectral_at_p2():
-    rule = haar_quadrature(torus(1), 17)
+@pytest.mark.parametrize(
+    "group,res,band",
+    [(torus(1), 17, 3), (su2(), 4, 2), (product(torus(1), su2()), 4, 1)],
+    ids=lambda x: str(x),
+)
+def test_equicontinuity_direct_matches_spectral_at_p2(group, res, band):
+    """The coefficient-side action (pi(y) - I) coeff(pi) matches translating
+    the samples, also where irreps are matrices (d > 1)."""
+    rule = haar_quadrature(group, res)
     fam = FamilySpec(
-        [random_band_limited_function(rule, 3, seed=s) for s in range(3)],
+        [random_band_limited_function(rule, band, seed=s) for s in range(3)],
         name="rand3",
     )
     mesh = np.array([0.8, 0.3, 0.1])

@@ -107,19 +107,31 @@ def test_round_trip_and_plancherel(group, res, cutoff, band):
     assert abs(mass - head) < 1e-11 * max(mass, 1.0)
 
 
-def test_evaluate_at_matches_synthesis():
-    rule = haar_quadrature(torus(1), 17)
-    f = random_band_limited_function(rule, 3, seed=1)
-    fc = forward_to_cutoff(f, 5)
+EVALUATE_CASES = [
+    (torus(1), 17, 3, 5),
+    (product(torus(1), su2()), 4, 1, 1),
+    (product(su2(), cyclic(3)), 3, 2, 3),
+]
+
+
+@pytest.mark.parametrize("group,res,band,cutoff", EVALUATE_CASES, ids=lambda x: str(x))
+def test_evaluate_at_matches_synthesis(group, res, band, cutoff):
+    """Point-based synthesis at the nodes reproduces stack-based synthesis,
+    also on the Kronecker irreps of product groups."""
+    rule = haar_quadrature(group, res)
+    f = random_band_limited_function(rule, band, seed=1)
+    fc = forward_to_cutoff(f, cutoff)
     vals = evaluate_at(fc, rule.nodes)
     npt.assert_allclose(vals, f.values, atol=1e-12)
-    # off-grid point agrees with the trig-polynomial sum done by hand
-    theta = 0.321
-    hand = sum(
-        complex(fc[lab][0, 0]) * np.exp(1j * lab.index[0] * theta) for lab in fc.labels
-    )
-    got = evaluate_at(fc, [point(torus(1), (theta,))])[0]
-    assert abs(got - hand) < 1e-12
+    if group == torus(1):
+        # off-grid point agrees with the trig-polynomial sum done by hand
+        theta = 0.321
+        hand = sum(
+            complex(fc[lab][0, 0]) * np.exp(1j * lab.index[0] * theta)
+            for lab in fc.labels
+        )
+        got = evaluate_at(fc, [point(torus(1), (theta,))])[0]
+        assert abs(got - hand) < 1e-12
 
 
 def _double_sum_convolution(f, g, points):

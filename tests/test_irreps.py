@@ -273,3 +273,31 @@ def test_basis_twist_does_not_nest():
         with pytest.raises(RuntimeError):
             with basis_twist(g, seed=1):
                 pass
+
+
+def test_hand_built_rule_gets_its_own_stack_and_identity():
+    """A rule built directly with the canonical group and resolution but
+    shifted nodes must not reuse the canonical rule's cached stack, nor pass
+    as the same rule in function arithmetic."""
+    from pego import GroupMismatchError, QuadratureRule, SampledFunction
+    from pego.irreps import irrep_matrices
+
+    g = torus(1)
+    canon = haar_quadrature(g, 8)
+    shifted = QuadratureRule(
+        g,
+        [point(g, (p.coords[0] + 0.2,)) for p in canon.nodes],
+        canon.weights,
+        canon.exactness_degree,
+        canon.resolution,
+    )
+    lab = parse_label(g, "torus:[1]")
+    irrep_stack(lab, canon)  # warm the cache on the canonical rule
+    npt.assert_allclose(
+        irrep_stack(lab, shifted), irrep_matrices(lab, shifted.nodes), atol=1e-14
+    )
+    assert canon.rule_id == "torus:1|res8"
+    assert shifted.rule_id != canon.rule_id
+    ones = np.ones(len(canon))
+    with pytest.raises(GroupMismatchError):
+        SampledFunction(canon, ones) + SampledFunction(shifted, ones)

@@ -163,11 +163,12 @@ def test_plancherel_residual_monotone_in_subset():
     ]
     for lo, hi in zip(vals, vals[1:]):
         assert hi <= lo + 1e-12
-    assert vals[-1] < 3e-8  # full band captured, sqrt floors the roundoff
+    assert vals[-1] < 3e-8  # full band captured; the roundoff floor zeroes it
 
 
 def test_beyond_cutoff_mass_floors_roundoff():
-    """Raw sqrt residual floors near 1.5e-8; the floored mass is exactly 0."""
+    """At full coverage the roundoff floor makes both the residual and the
+    mass beyond the cutoff exactly 0."""
     rule = haar_quadrature(dihedral(3))
     f = random_band_limited_function(rule, 3, seed=2)
     fc = forward_to_cutoff(f)
