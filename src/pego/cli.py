@@ -50,6 +50,7 @@ from .norms import (
 
 _IDENTITY_TOL = 1e-10
 _LEMMA_SLACK = 1e-8
+_SCHUR_BLOCK_NODES = 1024  # bounds the Schur suite's entry copies to 1024 x sum(dim^2)
 
 _DEFAULT_CUTOFF = {"torus": 8, "su2": 4}
 
@@ -265,19 +266,17 @@ def _suite_lemma32(rule, cutoff, samples, seed, p_values):
 
 def _suite_schur(rule, cutoff, samples, seed):
     labels = enumerate_dual(rule.group, cutoff)
-    w = rule.weights
-    stacks = {lab: irrep_stack(lab, rule) for lab in labels}
-    worst = 0.0
-    for a in labels:
-        for b in labels:
-            gram = np.einsum("t,tij,tkl->ijkl", w, stacks[a],
-                             np.conj(stacks[b]))
-            if a == b:
-                d = a.dim
-                want = np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d)) / d
-            else:
-                want = np.zeros(gram.shape)
-            worst = max(worst, float(np.max(np.abs(gram - want))))
+    stacks = [irrep_stack(lab, rule) for lab in labels]
+    # Every matrix entry of every label is one column of E, and Schur says
+    # E^T W conj(E) = diag(1/dim).  E is built and multiplied a block of
+    # nodes at a time, so no full copy of the stacks is ever made.
+    want = np.concatenate([np.full(lab.dim ** 2, 1.0 / lab.dim) for lab in labels])
+    gram = np.zeros((len(want), len(want)), dtype=complex)
+    for lo in range(0, len(rule), _SCHUR_BLOCK_NODES):
+        rows = slice(lo, lo + _SCHUR_BLOCK_NODES)
+        block = np.concatenate([s[rows].reshape(-1, s.shape[1] ** 2) for s in stacks], axis=1)
+        gram += (block.T * rule.weights[rows]) @ block.conj()
+    worst = float(np.max(np.abs(gram - np.diag(want))))
     single = 0.0
     for lab in labels:
         d = lab.dim

@@ -34,6 +34,7 @@ from .groups import (
     identity,
     multiply,
 )
+from .groups import inverse as group_inverse
 
 __all__ = [
     "SampledFunction",
@@ -283,19 +284,14 @@ def evaluate_at(coeffs, points):
 
 
 def _reindex_plan(rule, y):
-    """Index arrays realizing x -> x*y on the rule's node grid, or None.
+    """Node permutation realizing x -> x*y on the rule's node grid, or None.
 
-    Returns (shape, axis_maps) such that translated values are
-    ``vals.reshape(shape)[np.ix_(*axis_maps)].ravel()``: exact re-indexing,
-    available on finite groups and on torus grids when y lies on the grid.
+    Translated values are ``vals[perm]``: exact re-indexing, available on
+    finite groups and on torus grids when y lies on the grid.
     """
     kind = rule.meta.get("kind")
     if kind == "finite":
-        n = len(rule)
-        perm = np.empty(n, dtype=int)
-        for i, node in enumerate(rule.nodes):
-            perm[i] = rule.node_index(multiply(node, y))
-        return (n,), [perm]
+        return np.array([rule.node_index(multiply(node, y)) for node in rule.nodes])
     if kind == "torus-grid":
         shape = rule.meta["shape"]
         r = shape[0]
@@ -306,17 +302,15 @@ def _reindex_plan(rule, y):
             if abs(k - kr) > 1e-9:
                 return None
             axis_maps.append((np.arange(r) + int(kr)) % r)
-        return shape, axis_maps
+        return np.arange(len(rule)).reshape(shape)[np.ix_(*axis_maps)].ravel()
     if kind == "product":
-        shape = ()
-        axis_maps = []
+        perm = np.zeros(1, dtype=int)
         for frule, ycomp in zip(rule.meta["factor_rules"], y.coords):
             sub = _reindex_plan(frule, ycomp)
             if sub is None:
                 return None
-            shape += sub[0]
-            axis_maps += sub[1]
-        return shape, axis_maps
+            perm = (perm[:, None] * len(frule) + sub).ravel()
+        return perm
     return None
 
 
@@ -330,11 +324,9 @@ def translate(f, y):
     """
     if y.group != f.group:
         raise GroupMismatchError("translation element from a different group")
-    plan = _reindex_plan(f.rule, y)
-    if plan is not None:
-        shape, axis_maps = plan
-        vals = f.values.reshape(shape)[np.ix_(*axis_maps)].ravel()
-        return SampledFunction(f.rule, vals.copy())
+    perm = _reindex_plan(f.rule, y)
+    if perm is not None:
+        return SampledFunction(f.rule, f.values[perm])
     coeffs = forward_to_cutoff(f)
     return inverse(translate_spectral(coeffs, y), f.rule)
 
@@ -350,34 +342,17 @@ def translate_spectral(coeffs, y):
 
 
 def _convolve_reindex(f, g):
-    """Direct quadrature convolution via node re-indexing (finite / grid)."""
-    rule = f.rule
-    kind = rule.meta.get("kind")
-    if kind == "finite":
-        idx = rule.meta.get("_conv_index")
-        if idx is None:
-            n = len(rule)
-            idx = np.empty((n, n), dtype=int)
-            from .groups import inverse as g_inverse
+    """Direct quadrature convolution on node grids (finite groups, torus grids).
 
-            inv_nodes = [g_inverse(node) for node in rule.nodes]
-            for jy, yinv in enumerate(inv_nodes):
-                for jx, x in enumerate(rule.nodes):
-                    idx[jx, jy] = rule.node_index(multiply(x, yinv))
-            rule.meta["_conv_index"] = idx
-        wg = rule.weights * g.values
-        return SampledFunction(rule, f.values[idx] @ wg)
-    if kind == "torus-grid":
-        shape = rule.meta["shape"]
-        fa = f.values.reshape(shape)
-        ga = g.values.reshape(shape)
-        wg = ga * rule.weights.reshape(shape)
-        out = np.zeros(shape, dtype=complex)
-        it = np.ndindex(shape)
-        for jy in it:
-            out += wg[jy] * np.roll(fa, shift=jy, axis=tuple(range(len(shape))))
-        return SampledFunction(rule, out.ravel())
-    raise ValueError("re-index convolution unavailable on this rule")
+    (f*g)(x) = sum_j w_j g(y_j) f(x y_j^-1); column j of the cached index is
+    the node permutation x -> x y_j^-1 from ``_reindex_plan``.
+    """
+    rule = f.rule
+    idx = rule.meta.get("_conv_index")
+    if idx is None:
+        idx = np.stack([_reindex_plan(rule, group_inverse(y)) for y in rule.nodes], axis=1)
+        rule.meta["_conv_index"] = idx
+    return SampledFunction(rule, f.values[idx] @ (rule.weights * g.values))
 
 
 def _convolve_fft(f, g):

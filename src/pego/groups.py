@@ -13,6 +13,7 @@ every serialized report.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -391,10 +392,13 @@ class QuadratureRule:
         max |k| on the torus, 2*l on SU(2).  None on finite groups (the full
         group average is exact at every band).
     resolution : int
-        The requested resolution parameter; the canonical rules of
-        ``haar_quadrature`` with equal (group, resolution) share the rule_id
-        ``group|resN``.  A rule built directly appends a digest of its nodes
-        and weights, so it shares stacks and arithmetic only with its equals.
+        The requested resolution parameter.  ``haar_quadrature`` returns one
+        shared rule per (group, resolution), with the rule_id ``group|resN``.
+        A rule built directly appends a digest of its nodes and weights, so
+        function arithmetic accepts it only together with its equals.
+
+    The irrep stacks computed on a rule (``irreps.irrep_stack``) are stored on
+    it and live exactly as long as the rule does.
     """
 
     def __init__(self, group, nodes, weights, exactness_degree, resolution, meta=None):
@@ -410,6 +414,7 @@ class QuadratureRule:
         self.meta = dict(meta or {})
         self._node_index = None
         self._rule_id = None
+        self._stacks = {}
 
     @property
     def rule_id(self):
@@ -543,10 +548,16 @@ def haar_quadrature(group, resolution=1):
     not change the rule).  The torus uses the R-point uniform grid per axis
     (exact for bands |k| <= R-1).  SU(2) uses an Euler-angle rule exact for
     matrix entries with 2l <= 2*resolution.  Products combine factor rules at
-    the same resolution.
+    the same resolution.  Every call with the same (group, resolution)
+    returns the same rule object, so callers share the stacks stored on it.
     """
     if resolution < 1:
         raise ResolutionError("resolution must be >= 1")
+    return _canonical_rule(group, resolution)
+
+
+@functools.cache
+def _canonical_rule(group, resolution):
     fam = group.family
     if fam in ("cyclic", "dihedral") or (fam == "product" and group.is_finite):
         rule = _haar_finite(group, resolution)

@@ -319,9 +319,11 @@ def parse_label(group, text):
 # ---------------------------------------------------------------------------
 # Matrix evaluation.  A module-level "basis twist" can conjugate every irrep
 # by a fixed unitary; it exists so tests can certify basis independence of
-# all reported quantities.
+# all reported quantities.  While a twist is active, ``stacks`` holds the
+# stacks built under it, keyed by (rule, label); they are dropped when the
+# twist exits, so the untwisted stacks stored on rules never go stale.
 
-_TWIST = {"token": 0, "table": None}
+_TWIST = {"table": None, "stacks": None}
 
 
 def random_unitary(dim, rng):
@@ -340,7 +342,9 @@ def basis_twist(group, cutoff=None, seed=0):
     Inside the context, ``irrep_matrix(pi, g)`` returns ``U* pi(g) U`` with a
     per-label unitary drawn from ``seed``.  The twisted family is again a
     concrete realization of the same dual, so any basis-independent quantity
-    must be unchanged.  Twists do not nest.
+    must be unchanged.  ``irrep_stack`` builds and keeps twisted stacks for
+    the duration of the context only; the stacks stored on rules are neither
+    used nor touched.  Twists do not nest.
     """
     if _TWIST["table"] is not None:
         raise RuntimeError("basis_twist does not nest")
@@ -348,13 +352,11 @@ def basis_twist(group, cutoff=None, seed=0):
     table = {}
     for lab in enumerate_dual(group, cutoff):
         table[lab] = random_unitary(lab.dim, rng)
-    _TWIST["table"] = table
-    _TWIST["token"] += 1
+    _TWIST.update(table=table, stacks={})
     try:
         yield table
     finally:
-        _TWIST["table"] = None
-        _TWIST["token"] += 1
+        _TWIST.update(table=None, stacks=None)
 
 
 def _apply_twist(label, mats):
@@ -443,12 +445,6 @@ def character(label, g):
     return complex(np.trace(irrep_matrix(label, g)))
 
 
-# Cache of per-rule stacks of irrep matrices, keyed by rule identity, label
-# and the active twist token.  Entries are immutable once built.
-_STACK_CACHE = {}
-_STACK_CACHE_LIMIT = 256
-
-
 def _su2_stack_from_grid(label, rule):
     """Separable evaluation on the Euler product grid (fast path)."""
     alphas = rule.meta["alphas"]
@@ -465,12 +461,15 @@ def _su2_stack_from_grid(label, rule):
 
 
 def irrep_stack(label, rule):
-    """Matrices of an irrep at every node of a rule, cached, shape (n, d, d).
+    """Matrices of an irrep at every node of a rule, shape (n, d, d).
 
-    The returned array is shared and must not be written to.
+    Built once and stored on the rule, so it lives as long as the rule does;
+    inside ``basis_twist`` the twisted stack is kept by the twist instead.
+    The returned array is shared and read-only.
     """
-    key = (rule.rule_id, label, _TWIST["token"])
-    hit = _STACK_CACHE.get(key)
+    twisted = _TWIST["stacks"]
+    cache, key = (rule._stacks, label) if twisted is None else (twisted, (rule, label))
+    hit = cache.get(key)
     if hit is not None:
         return hit
     if label.group != rule.group:
@@ -495,7 +494,5 @@ def irrep_stack(label, rule):
     else:
         stack = irrep_matrices(label, rule.nodes)
     stack.setflags(write=False)
-    if len(_STACK_CACHE) >= _STACK_CACHE_LIMIT:
-        _STACK_CACHE.clear()
-    _STACK_CACHE[key] = stack
+    cache[key] = stack
     return stack

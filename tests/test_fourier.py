@@ -149,7 +149,9 @@ def _double_sum_convolution(f, g, points):
 
 
 @pytest.mark.parametrize(
-    "group,res", [(cyclic(8), 1), (dihedral(3), 1), (torus(1), 9)], ids=lambda x: str(x)
+    "group,res",
+    [(cyclic(8), 1), (dihedral(3), 1), (torus(1), 9), (torus(2), 5)],
+    ids=lambda x: str(x),
 )
 def test_convolve_direct_matches_double_sum(group, res):
     rule = haar_quadrature(group, res)
@@ -233,6 +235,16 @@ def test_translate_spectral_identity():
         fc = forward_to_cutoff(f, cutoff)
         for lab in lhs.labels:
             npt.assert_allclose(lhs[lab], irrep_matrix(lab, y) @ fc[lab], atol=1e-11)
+
+
+def test_grid_translation_matches_spectral_identity():
+    """Re-indexed translation by a node of a torus grid or a product of grids."""
+    for group, res in [(torus(2), 9), (product(torus(1), cyclic(3)), 9)]:
+        rule = haar_quadrature(group, res)
+        f = random_band_limited_function(rule, 2, seed=13)
+        y = rule.nodes[len(rule) // 3 + 1]
+        spectral = inverse_transform(translate_spectral(forward_to_cutoff(f), y), rule)
+        npt.assert_allclose(translate(f, y).values, spectral.values, atol=1e-11)
 
 
 def test_translate_torus_character_is_eigenfunction():

@@ -254,17 +254,26 @@ def test_dual_subset_order_and_complement():
 
 
 def test_basis_twist_changes_entries_but_not_traces():
+    from pego.irreps import irrep_matrices
+
     g = su2()
     lab = parse_label(g, "wigner:2")
     q = point(g, tuple(np.array([0.2, 0.4, -0.5, 0.3]) / math.sqrt(0.54)))
     plain = irrep_matrix(lab, q)
+    rule = haar_quadrature(g, 2)
+    plain_stack = irrep_stack(lab, rule)
     with basis_twist(g, cutoff=3, seed=1):
         twisted = irrep_matrix(lab, q)
         # still a unitary homomorphism with the same trace
         npt.assert_allclose(twisted @ twisted.conj().T, np.eye(3), atol=1e-12)
         assert abs(np.trace(twisted) - np.trace(plain)) < 1e-12
         assert np.abs(twisted - plain).max() > 1e-3
+        npt.assert_allclose(
+            irrep_stack(lab, rule), irrep_matrices(lab, rule.nodes), atol=1e-14
+        )
     npt.assert_allclose(irrep_matrix(lab, q), plain, atol=0)
+    # the untwisted stack stored on the rule outlives the twist untouched
+    assert irrep_stack(lab, rule) is plain_stack
 
 
 def test_basis_twist_does_not_nest():
@@ -301,3 +310,35 @@ def test_hand_built_rule_gets_its_own_stack_and_identity():
     ones = np.ones(len(canon))
     with pytest.raises(GroupMismatchError):
         SampledFunction(canon, ones) + SampledFunction(shifted, ones)
+
+
+def test_haar_quadrature_returns_one_rule_per_group_and_resolution():
+    g = cyclic(6)
+    rule = haar_quadrature(g)
+    assert haar_quadrature(g, 1) is rule
+    assert haar_quadrature(g, resolution=1) is rule
+    assert haar_quadrature(cyclic(6), 1) is rule
+    assert haar_quadrature(g, 2) is not rule
+    prod_rule = haar_quadrature(product(torus(1), su2()), 2)
+    assert prod_rule.meta["factor_rules"][1] is haar_quadrature(su2(), 2)
+
+
+def test_forward_pass_reuses_every_stack_of_a_289_label_dual(monkeypatch):
+    """torus:2 at cutoff 8 has 289 labels; a second transform must find every
+    stack the first one built, however many labels the dual has."""
+    from pego import constant_function, forward_to_cutoff, irreps
+
+    passes = []
+
+    def recording_stack(lab, rule):
+        passes[-1][lab] = irrep_stack(lab, rule)
+        return passes[-1][lab]
+
+    monkeypatch.setattr(irreps, "irrep_stack", recording_stack)
+    f = constant_function(haar_quadrature(torus(2), 17))
+    for _ in range(2):
+        passes.append({})
+        forward_to_cutoff(f, 8)
+    first, second = passes
+    assert len(first) == 289 and first.keys() == second.keys()
+    assert all(second[lab] is first[lab] for lab in first)
