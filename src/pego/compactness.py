@@ -248,13 +248,24 @@ def tail_decay_profile(family, filtration=None, p=2.0):
         )
     top = filtration.top
     coeffs = fourier.forward_batch(family.members, top.labels)
+    if p == 2.0:
+        # per member: ||f||_2^2 and dim ||coeff||_F^2 per label, computed once;
+        # heads are summed in subset order, as FourierCoefficients.head_mass does
+        mass = [norms.lp_function_norm(f, 2) ** 2 for f in family.members]
+        label_mass = [
+            {lab: lab.dim * float(np.sum(np.abs(c[lab]) ** 2)) for lab in top.labels}
+            for c in coeffs
+        ]
     steps = []
     truncated = False
     for subset in filtration:
         per = np.empty(len(family))
         if p == 2.0:
-            for i, (f, c) in enumerate(zip(family.members, coeffs)):
-                per[i] = norms.plancherel_residual(f, c, subset)
+            for i, table in enumerate(label_mass):
+                head = 0.0
+                for lab in subset:
+                    head += table[lab]
+                per[i] = norms.floored_tail(mass[i], head)[0]
         else:
             comp = subset.complement_within(top.labels)
             for i, c in enumerate(coeffs):

@@ -398,7 +398,11 @@ class QuadratureRule:
         function arithmetic accepts it only together with its equals.
 
     The irrep stacks computed on a rule (``irreps.irrep_stack``) are stored on
-    it and live exactly as long as the rule does.
+    it and live exactly as long as the rule does.  An su2 Euler rule
+    (``meta["kind"] == "su2-euler"``) keeps its grid axes in ``meta`` and the
+    Wigner d-matrices at its betas in ``meta["_wigner_d"]``
+    (``irreps.euler_grid_d``); its transforms contract over those axes and
+    build no stacks.
     """
 
     def __init__(self, group, nodes, weights, exactness_degree, resolution, meta=None):

@@ -21,6 +21,7 @@ Label serialization: ``triv`` (any group), ``chi:k``, ``torus:[k1,...,kn]``,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -41,6 +42,8 @@ __all__ = [
     "irrep_matrix",
     "irrep_matrices",
     "irrep_stack",
+    "euler_grid_d",
+    "twist_unitary",
     "character",
     "random_unitary",
     "basis_twist",
@@ -165,8 +168,14 @@ def enumerate_dual(group, cutoff=None):
     torus and SU(2) require a cutoff: frequency vectors with max|k| <= cutoff,
     respectively spins with 2l <= cutoff.  Products enumerate factor duals and
     keep tuples whose shell sum is <= cutoff (full dual when every factor is
-    finite and no cutoff is given).
+    finite and no cutoff is given).  Each call returns a fresh list; the
+    sorted enumeration itself is built once per (group, cutoff).
     """
+    return list(_sorted_dual(group, cutoff))
+
+
+@functools.cache
+def _sorted_dual(group, cutoff):
     fam = group.family
     if fam == "cyclic":
         labels = _dual_cyclic(group)
@@ -187,7 +196,7 @@ def enumerate_dual(group, cutoff=None):
     elif fam == "product":
         if cutoff is None and not group.is_finite:
             raise ValueError("infinite product dual requires a cutoff")
-        factor_duals = [enumerate_dual(f, cutoff) for f in group.factors]
+        factor_duals = [_sorted_dual(f, cutoff) for f in group.factors]
         labels = [
             IrrepLabel(group, combo, math.prod(c.dim for c in combo))
             for combo in itertools.product(*factor_duals)
@@ -196,7 +205,7 @@ def enumerate_dual(group, cutoff=None):
             labels = [lab for lab in labels if lab.shell <= cutoff]
     else:
         raise ValueError(f"unknown family {fam!r}")
-    return sorted(labels, key=lambda lab: lab.sort_key)
+    return tuple(sorted(labels, key=lambda lab: lab.sort_key))
 
 
 @dataclass(frozen=True)
@@ -359,14 +368,16 @@ def basis_twist(group, cutoff=None, seed=0):
         _TWIST.update(table=None, stacks=None)
 
 
-def _apply_twist(label, mats):
+def twist_unitary(label):
+    """The unitary U with which the active ``basis_twist`` realizes ``label``
+    as ``U* pi U``; None outside a twist or for a label it does not cover."""
     table = _TWIST["table"]
-    if table is None:
-        return mats
-    u = table.get(label)
-    if u is None:
-        return mats
-    return u.conj().T @ mats @ u
+    return None if table is None else table.get(label)
+
+
+def _apply_twist(label, mats):
+    u = twist_unitary(label)
+    return mats if u is None else u.conj().T @ mats @ u
 
 
 def _dihedral_matrix_arrays(label, rs, ss):
@@ -445,8 +456,25 @@ def character(label, g):
     return complex(np.trace(irrep_matrix(label, g)))
 
 
+def euler_grid_d(label, rule):
+    """Wigner d-matrices of an su2 label at the betas of an Euler rule.
+
+    Shape (n_beta, d, d), real and read-only.  Computed once per (rule, spin)
+    and kept on the rule, in ``rule.meta["_wigner_d"]``: the one source of the
+    grid d-matrices for the separable transforms and for grid stacks.
+    """
+    cache = rule.meta.setdefault("_wigner_d", {})
+    two_l = label.index[0]
+    dmat = cache.get(two_l)
+    if dmat is None:
+        dmat = _wigner.wigner_d(two_l, rule.meta["betas"])
+        dmat.setflags(write=False)
+        cache[two_l] = dmat
+    return dmat
+
+
 def _su2_stack_from_grid(label, rule):
-    """Separable evaluation on the Euler product grid (fast path)."""
+    """Separable evaluation on the Euler product grid."""
     alphas = rule.meta["alphas"]
     betas = rule.meta["betas"]
     gammas = rule.meta["gammas"]
@@ -454,7 +482,7 @@ def _su2_stack_from_grid(label, rule):
     half_m = _wigner.two_m_values(two_l) / 2.0
     ph_a = np.exp(-1j * np.outer(alphas, half_m))
     ph_c = np.exp(-1j * np.outer(gammas, half_m))
-    dmat = _wigner.wigner_d(two_l, betas)
+    dmat = euler_grid_d(label, rule)
     stack = np.einsum("ap,bpq,cq->abcpq", ph_a, dmat.astype(complex), ph_c)
     d = two_l + 1
     return stack.reshape(len(alphas) * len(betas) * len(gammas), d, d)
@@ -465,7 +493,10 @@ def irrep_stack(label, rule):
 
     Built once and stored on the rule, so it lives as long as the rule does;
     inside ``basis_twist`` the twisted stack is kept by the twist instead.
-    The returned array is shared and read-only.
+    The returned array is shared and read-only.  The transforms use stacks on
+    torus, finite and product rules only (su2 Euler rules transform through
+    ``euler_grid_d``); stacks on an su2 rule serve the callers that need
+    every matrix entry at every node, such as matrix-entry functions.
     """
     twisted = _TWIST["stacks"]
     cache, key = (rule._stacks, label) if twisted is None else (twisted, (rule, label))

@@ -26,6 +26,7 @@ __all__ = [
     "schatten_norm",
     "lp_oplus_norm",
     "lp_function_norm",
+    "floored_tail",
     "plancherel_residual",
     "plancherel_residual_report",
     "hausdorff_young_check",
@@ -124,22 +125,26 @@ class ResidualReport:
     subset_names: tuple
 
 
-def plancherel_residual_report(f, coeffs, subset):
-    """sqrt of ||f||_2^2 minus the head mass on ``subset``, with clamp info.
+def floored_tail(mass, head):
+    """sqrt(mass - head) under the one roundoff floor, and the clamp applied.
 
-    The one roundoff floor: a difference within 1e-12 * max(||f||_2^2, 1) of
-    zero is cancellation noise, not spectrum, and reads as a zero tail (at
-    full coverage the raw root would read ~1e-8).  ``clamp`` records how far
-    a negative difference went below zero, so larger roundoff stays visible.
+    A difference within 1e-12 * max(mass, 1) of zero is cancellation noise,
+    not spectrum, and reads as a zero tail (at full coverage the raw root
+    would read ~1e-8).  The clamp records how far a negative difference went
+    below zero, so larger roundoff stays visible.
     """
-    mass = lp_function_norm(f, 2) ** 2
-    diff = mass - coeffs.head_mass(subset)
+    diff = mass - head
     clamp = max(0.0, -diff)
     if abs(diff) <= 1e-12 * max(mass, 1.0):
         diff = 0.0
-    return ResidualReport(
-        math.sqrt(max(diff, 0.0)), clamp, tuple(lab.name for lab in subset)
-    )
+    return math.sqrt(max(diff, 0.0)), clamp
+
+
+def plancherel_residual_report(f, coeffs, subset):
+    """sqrt of ||f||_2^2 minus the head mass on ``subset``, with clamp info,
+    under the roundoff floor of ``floored_tail``."""
+    value, clamp = floored_tail(lp_function_norm(f, 2) ** 2, coeffs.head_mass(subset))
+    return ResidualReport(value, clamp, tuple(lab.name for lab in subset))
 
 
 def plancherel_residual(f, coeffs, subset):

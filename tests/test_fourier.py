@@ -6,16 +6,25 @@ SU(2) is checked against the same double sum on an exact small rule, not
 against another library path.
 """
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from pego import (
+    DualFiltration,
+    DualSubset,
+    FourierCoefficients,
     GroupMismatchError,
     NeighborhoodSpec,
+    QuadratureRule,
     ResolutionError,
+    SampledFunction,
+    basis_twist,
+    builtin_family,
     constant_function,
     convolve,
     cyclic,
@@ -34,16 +43,19 @@ from pego import (
     matrix_entry_function,
     multiply,
     parse_label,
+    plancherel_residual,
     point,
     product,
     random_band_limited_function,
     safe_band,
     sample,
     su2,
+    tail_decay_profile,
     torus,
     translate,
     translate_spectral,
 )
+from pego.irreps import irrep_matrices
 
 TWO_PI = 2.0 * math.pi
 
@@ -306,3 +318,111 @@ def test_mixed_rule_arithmetic_raises():
         _ = f + g
     with pytest.raises(GroupMismatchError):
         convolve(f, g)
+
+
+def _fresh_su2_rule(res):
+    """An su2 Euler rule equal to the canonical one but with no stacks built."""
+    canon = haar_quadrature(su2(), res)
+    return QuadratureRule(
+        su2(), canon.nodes, canon.weights, canon.exactness_degree, res, canon.meta
+    )
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_separable_su2_transforms_match_dense_oracle(twisted):
+    """The Euler-grid forward and inverse against sums over irrep_matrices at
+    every node, plain and under basis_twist, on su2 res 1-8."""
+    g = su2()
+    for res in range(1, 9):
+        rule = haar_quadrature(g, res)
+        dual = enumerate_dual(g, safe_band(rule))
+        rng = np.random.default_rng(res)
+        fs = [
+            SampledFunction(rule, rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule)))
+            for _ in range(2)
+        ]
+        entries = {
+            lab: (rng.normal(size=(lab.dim, lab.dim)) + 1j * rng.normal(size=(lab.dim, lab.dim)))
+            / len(dual) ** 2
+            for lab in dual
+        }
+        coeffs = FourierCoefficients(g, tuple(dual), entries)
+        with basis_twist(g, cutoff=res, seed=5) if twisted else contextlib.nullcontext():
+            got = forward_batch(fs, dual)
+            synth = inverse_transform(coeffs, rule).values
+            mats = {lab: irrep_matrices(lab, rule.nodes) for lab in dual}
+        for lab in dual:
+            for f, c in zip(fs, got):
+                want = np.einsum("t,tji->ij", rule.weights * f.values, mats[lab].conj())
+                npt.assert_allclose(c[lab], want, rtol=0, atol=1e-13)
+        want = sum(
+            lab.dim * np.einsum("ij,tji->t", entries[lab], mats[lab]) for lab in dual
+        )
+        npt.assert_allclose(synth, want, rtol=0, atol=1e-13)
+
+
+def test_su2_transforms_build_no_stacks():
+    rule = _fresh_su2_rule(6)
+    f = random_band_limited_function(rule, 3, seed=4)
+    g = random_band_limited_function(rule, 2, seed=5)
+    forward_batch([f, g], enumerate_dual(su2(), 6))
+    inverse_transform(forward_to_cutoff(f), rule)
+    q = np.array([0.3, -0.5, 0.7, 0.2])
+    translate(f, point(su2(), tuple(q / np.linalg.norm(q))))
+    convolve(f, g, method="spectral")
+    assert rule._stacks == {}
+
+
+def test_su2_transform_memory_stays_far_below_the_stacks():
+    """Forward plus inverse at res 12, where the stacks of the alias-free
+    dual would take n * sum d^2 * 16 = 209 MB."""
+    rule = _fresh_su2_rule(12)
+    dual = enumerate_dual(su2(), safe_band(rule))
+    assert len(rule) * sum(lab.dim**2 for lab in dual) * 16 > 200e6
+    f = constant_function(rule)
+    tracemalloc.start()
+    try:
+        inverse_transform(forward(f, dual), rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_enumerate_dual_returns_equal_independent_lists():
+    first = enumerate_dual(torus(2), 3)
+    second = enumerate_dual(torus(2), 3)
+    assert first == second and first is not second
+    first.pop()
+    first.reverse()
+    assert enumerate_dual(torus(2), 3) == second
+    assert len(second) == 49
+
+
+def _assert_profile_is_per_step_residual(fam, filtration=None):
+    prof = tail_decay_profile(fam, filtration)
+    top = prof.steps[-1].subset
+    coeffs = forward_batch(fam.members, top.labels)
+    for step in prof.steps:
+        want = [
+            plancherel_residual(f, c, step.subset) for f, c in zip(fam.members, coeffs)
+        ]
+        assert step.per_member.tolist() == want
+        assert step.sup_tail == max(want)
+
+
+def test_tail_profile_equals_per_step_plancherel_residual():
+    rule = haar_quadrature(torus(2), 17)
+    _assert_profile_is_per_step_residual(builtin_family("heat_kernel", rule, {"count": 6}))
+    g = torus(1)
+    rule = haar_quadrature(g, 17)
+    labs = {lab.name: lab for lab in enumerate_dual(g, 8)}
+    order = ["triv", "torus:[5]", "torus:[-2]", "torus:[1]", "torus:[-7]", "torus:[3]"]
+    filtration = DualFiltration(
+        tuple(
+            DualSubset.from_labels(g, [labs[n] for n in order[:k]])
+            for k in (1, 2, 4, 6)
+        )
+    )
+    fam = builtin_family("matrix_entry_span", rule, {"shell": 8, "count": 5})
+    _assert_profile_is_per_step_residual(fam, filtration)
