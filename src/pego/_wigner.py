@@ -2,14 +2,15 @@
 
 Spins are handled as integers ``two_l = 2*l`` so half-integer representations
 stay exact.  Rows and columns are ordered by descending weight
-``m = l, l-1, ..., -l``.  The small-d matrix is evaluated through the Jacobi
-polynomial three-term recursion in cos(beta), which is stable for the spins
-used here, instead of the alternating factorial sum.
+``m = l, l-1, ..., -l``.  The small-d matrix is d^l(beta) = exp(-i beta J_y),
+evaluated as a whole matrix from one exact diagonalization of J_y per spin
+(Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015): with J_y = V M V*,
+d^l(beta) = Re(V exp(-i beta M) V*).
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
@@ -21,57 +22,29 @@ def two_m_values(two_l):
     return np.arange(two_l, -two_l - 2, -2)
 
 
-def _jacobi(k, mu, nu, x):
-    """Jacobi polynomial P_k^(mu, nu) on an array, by three-term recursion."""
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if k == 0:
-        return p_prev
-    p_cur = 0.5 * ((mu - nu) + (mu + nu + 2) * x)
-    for i in range(2, k + 1):
-        s = 2 * i + mu + nu
-        c1 = 2 * i * (i + mu + nu) * (s - 2)
-        c2a = (s - 1) * (mu * mu - nu * nu)
-        c2b = (s - 1) * s * (s - 2)
-        c3 = 2 * (i + mu - 1) * (i + nu - 1) * s
-        p_next = ((c2a + c2b * x) * p_cur - c3 * p_prev) / c1
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+@functools.cache
+def _jy_eigenvectors(two_l):
+    """Eigenvectors of J_y as columns, for the weights -l, ..., l in order.
 
-
-def _d_entry(two_l, two_mp, two_m, cos_b, cos_half, sin_half):
-    """One entry d^l_{m',m}(beta), vectorized over beta."""
-    # Map into the region a >= |b| via the standard symmetries
-    # d_{m'm} = (-1)^{m-m'} d_{mm'} = d_{-m,-m'}.
-    if two_mp >= abs(two_m):
-        a2, b2, sign = two_mp, two_m, 1.0
-    elif two_m >= abs(two_mp):
-        a2, b2 = two_m, two_mp
-        sign = -1.0 if ((two_m - two_mp) // 2) % 2 else 1.0
-    elif -two_m >= abs(two_mp):
-        a2, b2, sign = -two_m, -two_mp, 1.0
-    else:
-        a2, b2 = -two_mp, -two_m
-        sign = -1.0 if ((two_m - two_mp) // 2) % 2 else 1.0
-    mu = (a2 - b2) // 2
-    nu = (a2 + b2) // 2
-    k = (two_l - a2) // 2
-    ln_norm = 0.5 * (
-        math.lgamma((two_l + a2) // 2 + 1)
-        + math.lgamma((two_l - a2) // 2 + 1)
-        - math.lgamma((two_l + b2) // 2 + 1)
-        - math.lgamma((two_l - b2) // 2 + 1)
-    )
-    val = sign * math.exp(ln_norm) * _jacobi(k, mu, nu, cos_b)
-    if nu:
-        val = val * cos_half**nu
-    if mu:
-        val = val * (-sin_half) ** mu
-    return val
+    J_y = (J_+ - J_-)/2i is tridiagonal in the descending-weight basis, with
+    <m+1|J_+|m> = sqrt((l - m)(l + m + 1)) = sqrt(i (two_l + 1 - i)) at row
+    i - 1, column i.  Its eigenvalues are exactly -l, ..., l, one apart, so
+    ``eigh``'s ascending order pairs each column with its weight.
+    """
+    i = np.arange(1, two_l + 1)
+    half_up = 0.5 * np.sqrt(i * (two_l + 1 - i))
+    jy = np.diag(-1j * half_up, 1) + np.diag(1j * half_up, -1)
+    vecs = np.linalg.eigh(jy)[1]
+    vecs.setflags(write=False)
+    return vecs
 
 
 def wigner_d(two_l, beta):
-    """Small Wigner d-matrix d^l(beta).
+    """Small Wigner d-matrix d^l(beta) = exp(-i beta J_y).
+
+    One batched evaluation of Re(V exp(-i beta M) V*) over all betas, where V
+    holds the eigenvectors of J_y (computed once per spin) and M the exact
+    weights -l, ..., l.
 
     Parameters
     ----------
@@ -86,16 +59,10 @@ def wigner_d(two_l, beta):
         Real array of shape ``beta.shape + (two_l + 1, two_l + 1)``.
     """
     beta = np.asarray(beta, dtype=float)
-    d = two_l + 1
-    cos_b = np.cos(beta)
-    cos_half = np.cos(beta / 2.0)
-    sin_half = np.sin(beta / 2.0)
-    out = np.empty(beta.shape + (d, d), dtype=float)
-    tms = two_m_values(two_l)
-    for i, two_mp in enumerate(tms):
-        for j, two_m in enumerate(tms):
-            out[..., i, j] = _d_entry(two_l, two_mp, two_m, cos_b, cos_half, sin_half)
-    return out
+    vecs = _jy_eigenvectors(two_l)
+    weights = np.arange(-two_l, two_l + 1, 2) / 2.0
+    phases = np.exp(-1j * beta[..., None] * weights)
+    return np.ascontiguousarray(((vecs * phases[..., None, :]) @ vecs.conj().T).real)
 
 
 def wigner_D(two_l, alpha, beta, gamma):

@@ -32,7 +32,6 @@ from . import fourier, irreps, norms
 from .groups import (
     GroupMismatchError,
     NeighborhoodSpec,
-    ResolutionError,
     distance,
     identity,
     inverse as group_inverse,

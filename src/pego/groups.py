@@ -402,7 +402,8 @@ class QuadratureRule:
     (``meta["kind"] == "su2-euler"``) keeps its grid axes in ``meta`` and the
     Wigner d-matrices at its betas in ``meta["_wigner_d"]``
     (``irreps.euler_grid_d``); its transforms contract over those axes and
-    build no stacks.
+    build no stacks.  Stacks asked for on it are evaluated node by node, like
+    on any other non-product rule.
     """
 
     def __init__(self, group, nodes, weights, exactness_degree, resolution, meta=None):

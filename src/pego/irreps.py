@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _wigner
-from .groups import GroupDescriptor, GroupPoint, _split_top_level
+from .groups import GroupDescriptor, _split_top_level
 
 __all__ = [
     "IrrepLabel",
@@ -48,8 +48,6 @@ __all__ = [
     "random_unitary",
     "basis_twist",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 _DIHEDRAL_RANK = {"triv": 0, "sign": 1, "alt": 2, "altsign": 3, "e": 4}
 
@@ -415,7 +413,7 @@ def irrep_matrices(label, points):
         vals = np.exp(2j * np.pi * label.index[0] * js / label.group.n)
         mats = vals[:, None, None]
     elif fam == "torus":
-        ang = np.array([p.coords for p in points], dtype=float)
+        ang = np.array([p.coords for p in points], dtype=float).reshape(len(points), label.group.n)
         ks = np.asarray(label.index, dtype=float)
         mats = np.exp(1j * (ang @ ks))[:, None, None]
     elif fam == "dihedral":
@@ -423,14 +421,13 @@ def irrep_matrices(label, points):
         ss = np.array([p.coords[1] for p in points])
         mats = _dihedral_matrix_arrays(label, rs, ss)
     elif fam == "su2":
-        q = np.array([p.coords for p in points], dtype=float)
+        q = np.array([p.coords for p in points], dtype=float).reshape(len(points), 4)
         al, be, ga = _wigner.euler_from_quaternion(q[:, 0], q[:, 1], q[:, 2], q[:, 3])
         mats = _wigner.wigner_D(label.index[0], al, be, ga)
     elif fam == "product":
-        comp_pts = list(zip(*(p.coords for p in points)))
         mats = None
-        for comp_label, pts in zip(label.index, comp_pts):
-            block = irrep_matrices(comp_label, list(pts))
+        for k, comp_label in enumerate(label.index):
+            block = irrep_matrices(comp_label, [p.coords[k] for p in points])
             if mats is None:
                 mats = block
             else:
@@ -460,8 +457,8 @@ def euler_grid_d(label, rule):
     """Wigner d-matrices of an su2 label at the betas of an Euler rule.
 
     Shape (n_beta, d, d), real and read-only.  Computed once per (rule, spin)
-    and kept on the rule, in ``rule.meta["_wigner_d"]``: the one source of the
-    grid d-matrices for the separable transforms and for grid stacks.
+    and kept on the rule, in ``rule.meta["_wigner_d"]``, for the separable
+    transforms.
     """
     cache = rule.meta.setdefault("_wigner_d", {})
     two_l = label.index[0]
@@ -473,30 +470,17 @@ def euler_grid_d(label, rule):
     return dmat
 
 
-def _su2_stack_from_grid(label, rule):
-    """Separable evaluation on the Euler product grid."""
-    alphas = rule.meta["alphas"]
-    betas = rule.meta["betas"]
-    gammas = rule.meta["gammas"]
-    two_l = label.index[0]
-    half_m = _wigner.two_m_values(two_l) / 2.0
-    ph_a = np.exp(-1j * np.outer(alphas, half_m))
-    ph_c = np.exp(-1j * np.outer(gammas, half_m))
-    dmat = euler_grid_d(label, rule)
-    stack = np.einsum("ap,bpq,cq->abcpq", ph_a, dmat.astype(complex), ph_c)
-    d = two_l + 1
-    return stack.reshape(len(alphas) * len(betas) * len(gammas), d, d)
-
-
 def irrep_stack(label, rule):
     """Matrices of an irrep at every node of a rule, shape (n, d, d).
 
     Built once and stored on the rule, so it lives as long as the rule does;
     inside ``basis_twist`` the twisted stack is kept by the twist instead.
-    The returned array is shared and read-only.  The transforms use stacks on
-    torus, finite and product rules only (su2 Euler rules transform through
-    ``euler_grid_d``); stacks on an su2 rule serve the callers that need
-    every matrix entry at every node, such as matrix-entry functions.
+    The returned array is shared and read-only.  A product rule reuses its
+    factor stacks; every other rule evaluates ``irrep_matrices`` at its
+    nodes.  The transforms use stacks on torus, finite and product rules only
+    (su2 Euler rules transform through ``euler_grid_d``); stacks on an su2
+    rule serve the callers that need every matrix entry at every node, such
+    as matrix-entry functions.
     """
     twisted = _TWIST["stacks"]
     cache, key = (rule._stacks, label) if twisted is None else (twisted, (rule, label))
@@ -505,9 +489,7 @@ def irrep_stack(label, rule):
         return hit
     if label.group != rule.group:
         raise ValueError(f"label {label.name} is not an irrep of {rule.group.name}")
-    if rule.meta.get("kind") == "su2-euler":
-        stack = _apply_twist(label, _su2_stack_from_grid(label, rule))
-    elif rule.meta.get("kind") == "product":
+    if rule.meta.get("kind") == "product":
         # Factor twists (if any) commute with the Kronecker structure, so the
         # product of factor stacks is always a valid realization.
         stack = None

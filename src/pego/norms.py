@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier, irreps
+from . import fourier
 
 __all__ = [
     "ExponentPair",

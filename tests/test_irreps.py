@@ -1,9 +1,11 @@
 """Irreducible representations against independent oracles.
 
 The SU(2) Wigner-d matrices are recomputed here with the classical
-alternating factorial sum (a completely different algorithm from the Jacobi
-recursion used by the library), characters are checked against closed forms,
-and Schur orthogonality is verified by explicit Haar quadrature.
+alternating factorial sum (a completely different algorithm from the
+diagonalization of J_y used by the library), checked at high spin against
+unitarity, the group law and Gauss-Legendre Schur sums, characters are
+checked against closed forms, and Schur orthogonality is verified by explicit
+Haar quadrature.
 """
 
 import math
@@ -20,6 +22,8 @@ from pego import (
     dihedral,
     enumerate_dual,
     enumerate_elements,
+    evaluate_at,
+    forward_to_cutoff,
     haar_quadrature,
     identity,
     irrep_matrix,
@@ -28,6 +32,7 @@ from pego import (
     parse_label,
     point,
     product,
+    random_band_limited_function,
     shell_subset,
     su2,
     torus,
@@ -81,12 +86,28 @@ def _wigner_d_factorial(two_l, beta):
     return out
 
 
-@pytest.mark.parametrize("two_l", [0, 1, 2, 3, 4, 5, 7, 10])
+@pytest.mark.parametrize("two_l", [0, 1, 2, 3, 4, 5, 7, 10, 16, 24])
 def test_wigner_d_matches_factorial_sum(two_l):
     betas = np.array([0.0, 0.2, 0.5, 1.0, math.pi / 2, 2.0, 3.0, math.pi])
     got = wigner_d(two_l, betas)
     for b_idx, b in enumerate(betas):
         npt.assert_allclose(got[b_idx], _wigner_d_factorial(two_l, b), atol=1e-12)
+
+
+@pytest.mark.parametrize("two_l", [64, 128])
+def test_wigner_d_high_spin_identities(two_l):
+    """Unitarity, d(a) d(b) = d(a + b), d(-b) = d(b)^T, and the diagonal Schur
+    relation sum_b w_b d_mn(beta_b)^2 = 2 / (2l + 1) on Gauss-Legendre nodes
+    in cos(beta), exact here since d_mn^2 is a polynomial of degree 2l."""
+    d = two_l + 1
+    a, b = 0.7, 1.9
+    da, db, dab = wigner_d(two_l, np.array([a, b, a + b]))
+    npt.assert_allclose(db @ db.T, np.eye(d), atol=1e-12)
+    npt.assert_allclose(da @ db, dab, atol=1e-12)
+    npt.assert_allclose(wigner_d(two_l, -b), db.T, atol=1e-12)
+    x, w = np.polynomial.legendre.leggauss(two_l // 2 + 1)
+    schur = np.einsum("b,bmn->mn", w, wigner_d(two_l, np.arccos(x)) ** 2)
+    npt.assert_allclose(schur, np.full((d, d), 2.0 / d), atol=1e-12)
 
 
 def test_wigner_d_spin_half_closed_form():
@@ -156,6 +177,23 @@ def test_irreps_are_unitary_homomorphisms(group, cutoff):
             npt.assert_allclose(irrep_matrix(lab, multiply(a, b)), ma @ mb, atol=1e-12)
             npt.assert_allclose(ma @ ma.conj().T, np.eye(lab.dim), atol=1e-12)
         npt.assert_allclose(irrep_matrix(lab, identity(group)), np.eye(lab.dim), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "group,cutoff",
+    [(cyclic(5), None), (dihedral(4), None), (torus(1), 2), (su2(), 3),
+     (product(torus(1), cyclic(2)), 2)],
+    ids=lambda x: str(x),
+)
+def test_empty_point_list_gives_empty_stacks(group, cutoff):
+    from pego.irreps import irrep_matrices
+
+    for lab in enumerate_dual(group, cutoff):
+        mats = irrep_matrices(lab, [])
+        assert mats.shape == (0, lab.dim, lab.dim) and mats.dtype == complex
+    rule = haar_quadrature(group, 3)
+    coeffs = forward_to_cutoff(random_band_limited_function(rule, 1, seed=0))
+    assert evaluate_at(coeffs, []).shape == (0,)
 
 
 def test_dim_squares_sum_to_group_order():
