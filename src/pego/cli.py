@@ -26,9 +26,11 @@ from .compactness import (
 )
 from .fourier import (
     convolve,
+    forward_batch,
     forward_to_cutoff,
     inverse,
     random_band_limited_function,
+    safe_band,
     translate,
     translate_spectral,
 )
@@ -50,7 +52,7 @@ from .norms import (
 
 _IDENTITY_TOL = 1e-10
 _LEMMA_SLACK = 1e-8
-_SCHUR_BLOCK_NODES = 1024  # bounds the Schur suite's entry copies to 1024 x sum(dim^2)
+_SCHUR_BLOCK_NODES = 1024  # bounds the Schur suite's entry copies to 1024 x sum(dim^2) values
 
 _DEFAULT_CUTOFF = {"torus": 8, "su2": 4}
 
@@ -147,6 +149,11 @@ def cmd_transform(args):
 
 # -- verify -------------------------------------------------------------------
 
+def _max_gap(blocks, others):
+    """Largest entry of |x - y| over paired coefficient blocks."""
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(blocks, others))
+
+
 def _suite_identities(rule, cutoff, samples, seed):
     band = cutoff
     group = rule.group
@@ -162,23 +169,21 @@ def _suite_identities(rule, cutoff, samples, seed):
         back = inverse(fc, rule)
         worst["roundtrip"] = max(worst["roundtrip"],
                                  float(np.max(np.abs(back.values - f.values))))
-        mass = sum(lab.dim * np.sum(np.abs(fc[lab]) ** 2) for lab in fc.labels)
+        mass = fc.head_mass(fc.labels)
         l2 = lp_function_norm(f, 2)
         worst["plancherel_rel"] = max(worst["plancherel_rel"],
                                       abs(mass - l2 ** 2) / l2 ** 2)
         hc = forward_to_cutoff(convolve(f, g), cutoff=cutoff)
-        worst["convolution"] = max(worst["convolution"], max(
-            float(np.max(np.abs(hc[lab] - gc[lab] @ fc[lab]))) for lab in fc.labels))
+        worst["convolution"] = max(worst["convolution"], _max_gap(
+            hc.blocks, [gb @ fb for gb, fb in zip(gc.blocks, fc.blocks)]))
         y = _random_nodes(rule, 1, rng)[0]
         tc = forward_to_cutoff(translate(f, y), cutoff=cutoff)
         ts = translate_spectral(fc, y)
-        worst["translation"] = max(worst["translation"], max(
-            float(np.max(np.abs(tc[lab] - ts[lab]))) for lab in fc.labels))
+        worst["translation"] = max(worst["translation"], _max_gap(tc.blocks, ts.blocks))
         a, b = rng.standard_normal(2)
         combc = forward_to_cutoff(f * a + g * b, cutoff=cutoff)
-        worst["linearity"] = max(worst["linearity"], max(
-            float(np.max(np.abs(combc[lab] - (a * fc[lab] + b * gc[lab]))))
-            for lab in fc.labels))
+        worst["linearity"] = max(worst["linearity"], _max_gap(
+            combc.blocks, [a * fb + b * gb for fb, gb in zip(fc.blocks, gc.blocks)]))
         base = rule.integrate(f.values)
         left = rule.integrate(translate(f, y).values)
         worst["haar_invariance"] = max(worst["haar_invariance"],
@@ -264,34 +269,53 @@ def _suite_lemma32(rule, cutoff, samples, seed, p_values):
     return checks
 
 
-def _suite_schur(rule, cutoff, samples, seed):
-    labels = enumerate_dual(rule.group, cutoff)
+def _schur_gram_gap(rule, labels):
+    """Every matrix entry of every label is one column of E, and Schur says
+    E^T W conj(E) = diag(1/dim).  E is built and multiplied a block of nodes
+    at a time, so no full copy of the stacks is ever made."""
     stacks = [irrep_stack(lab, rule) for lab in labels]
-    # Every matrix entry of every label is one column of E, and Schur says
-    # E^T W conj(E) = diag(1/dim).  E is built and multiplied a block of
-    # nodes at a time, so no full copy of the stacks is ever made.
     want = np.concatenate([np.full(lab.dim ** 2, 1.0 / lab.dim) for lab in labels])
     gram = np.zeros((len(want), len(want)), dtype=complex)
     for lo in range(0, len(rule), _SCHUR_BLOCK_NODES):
         rows = slice(lo, lo + _SCHUR_BLOCK_NODES)
         block = np.concatenate([s[rows].reshape(-1, s.shape[1] ** 2) for s in stacks], axis=1)
         gram += (block.T * rule.weights[rows]) @ block.conj()
-    worst = float(np.max(np.abs(gram - np.diag(want))))
-    single = 0.0
-    for lab in labels:
-        d = lab.dim
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                fn = ser.parse_function_spec(f"entry:{lab.name}:{i}:{j}", rule)
-                coeffs = forward_to_cutoff(fn, cutoff=cutoff)
-                for sig in coeffs.labels:
-                    m = coeffs[sig]
-                    if sig == lab:
-                        want = np.zeros((d, d), dtype=complex)
-                        want[j - 1, i - 1] = 1.0 / d
-                        single = max(single, float(np.max(np.abs(m - want))))
-                    else:
-                        single = max(single, float(np.max(np.abs(m))))
+    return float(np.max(np.abs(gram - np.diag(want))))
+
+
+def _schur_cell_gap(rule, labels):
+    """The transform of entry (i, j) of pi is the single cell [j, i] = 1/dim
+    at pi.  Entry functions are transformed in batches of at most
+    _SCHUR_BLOCK_NODES * sum(dim^2) values, the bound the gram keeps to, and
+    compared with that one-hot pattern a dimension block at a time."""
+    cells = [(lab, i, j) for lab in labels
+             for i in range(1, lab.dim + 1) for j in range(1, lab.dim + 1)]
+    per_batch = max(1, _SCHUR_BLOCK_NODES * len(cells) // len(rule))
+    gap = 0.0
+    for lo in range(0, len(cells), per_batch):
+        batch = cells[lo:lo + per_batch]
+        fns = [ser.parse_function_spec(f"entry:{lab.name}:{i}:{j}", rule)
+               for lab, i, j in batch]
+        coeffs = forward_batch(fns, labels)
+        table = coeffs[0].table
+        for b, d in enumerate(table.dims):
+            got = np.stack([c.blocks[b] for c in coeffs])  # (functions, n_b, d, d)
+            for k, (lab, i, j) in enumerate(batch):
+                blk, pos = table.slot(lab)
+                if blk == b:
+                    got[k, pos, j - 1, i - 1] -= 1.0 / d
+            gap = max(gap, float(np.max(np.abs(got))))
+    return gap
+
+
+def _suite_schur(rule, cutoff, samples, seed):
+    labels = enumerate_dual(rule.group, cutoff)
+    worst = _schur_gram_gap(rule, labels)
+    band = safe_band(rule)
+    if band is not None and cutoff > band:
+        raise ResolutionError(
+            f"cutoff {cutoff} exceeds alias-free band {band} of {rule.rule_id}")
+    single = _schur_cell_gap(rule, labels)
     return [
         {"name": "gram_block_pattern", "lhs": worst, "rhs": _IDENTITY_TOL,
          "satisfied": bool(worst <= _IDENTITY_TOL)},

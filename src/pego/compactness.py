@@ -23,6 +23,7 @@ parameter boxes only ever report sampled evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,15 +146,11 @@ class DualFiltration:
 
     @classmethod
     def shells(cls, group, cutoff=None):
-        """One step per distinct shell value present up to the cutoff."""
-        labels = irreps.enumerate_dual(group, cutoff)
-        shells = sorted({lab.shell for lab in labels})
-        steps = []
-        for s in shells:
-            steps.append(
-                DualSubset.from_labels(group, [l for l in labels if l.shell <= s])
-            )
-        return cls(tuple(steps))
+        """One step per distinct shell value present up to the cutoff.
+
+        Built once per (group, cutoff) and shared (``_shell_filtration``).
+        """
+        return _shell_filtration(group, cutoff)
 
     def __iter__(self):
         return iter(self.subsets)
@@ -164,6 +161,14 @@ class DualFiltration:
     @property
     def top(self):
         return self.subsets[-1]
+
+
+@functools.cache
+def _shell_filtration(group, cutoff):
+    # the canonical dual is sorted by shell, so every step is a prefix of it
+    dual = tuple(irreps.enumerate_dual(group, cutoff))
+    ends = [k for k in range(1, len(dual) + 1) if k == len(dual) or dual[k].shell != dual[k - 1].shell]
+    return DualFiltration(tuple(DualSubset(group, dual[:k]) for k in ends))
 
 
 @dataclass
@@ -248,22 +253,18 @@ def tail_decay_profile(family, filtration=None, p=2.0):
     top = filtration.top
     coeffs = fourier.forward_batch(family.members, top.labels)
     if p == 2.0:
-        # per member: ||f||_2^2 and dim ||coeff||_F^2 per label, computed once;
-        # heads are summed in subset order, as FourierCoefficients.head_mass does
+        # per member: ||f||_2^2 and the (m, labels) table of dim ||coeff||_F^2,
+        # computed once; each step's heads are the head_sums that
+        # FourierCoefficients.head_mass takes, so they agree bitwise
         mass = [norms.lp_function_norm(f, 2) ** 2 for f in family.members]
-        label_mass = [
-            {lab: lab.dim * float(np.sum(np.abs(c[lab]) ** 2)) for lab in top.labels}
-            for c in coeffs
-        ]
+        label_mass = np.stack([c.label_masses() for c in coeffs])
     steps = []
     truncated = False
     for subset in filtration:
         per = np.empty(len(family))
         if p == 2.0:
-            for i, table in enumerate(label_mass):
-                head = 0.0
-                for lab in subset:
-                    head += table[lab]
+            heads = fourier.head_sums(label_mass, coeffs[0].positions(subset))
+            for i, head in enumerate(heads.tolist()):
                 per[i] = norms.floored_tail(mass[i], head)[0]
         else:
             comp = subset.complement_within(top.labels)
@@ -358,12 +359,14 @@ def equicontinuity_profile(
             [norms.beyond_cutoff_mass(f, c) for f, c in zip(family.members, coeffs)]
         )
         acc = np.zeros((m, len(pool)))
-        for lab in coeffs[0].labels:
-            # (pi(y) - I) coeff(pi) for every pooled y and every member at once
-            act = irreps.irrep_matrices(lab, pool) - np.eye(lab.dim)
-            members = np.stack([c[lab] for c in coeffs])
-            moved = np.einsum("pij,mjk->mpik", act, members)
-            acc += lab.dim * np.sum(np.abs(moved) ** 2, axis=(2, 3))
+        table = coeffs[0].table
+        for b, (d, labs) in enumerate(zip(table.dims, table.block_labels)):
+            # (pi(y) - I) coeff(pi) for every label of the block and every
+            # pooled y at once, one member at a time
+            act = np.stack([irreps.irrep_matrices(lab, pool) for lab in labs]) - np.eye(d)
+            for j, c in enumerate(coeffs):
+                moved = np.einsum("lpij,ljk->lpik", act, c.blocks[b])
+                acc[j] += d * np.sum(np.abs(moved) ** 2, axis=(0, 2, 3))
         # mass beyond the cutoff moves by at most a factor 2 in norm
         per_point = np.sqrt(acc + 4.0 * resid2[:, None])
     else:
@@ -416,9 +419,8 @@ def lemma31_bound_check(f, ball, pair, cutoff=None, slack=1e-8):
         cutoff = fourier.safe_band(rule)
     dual = irreps.enumerate_dual(f.group, cutoff)
     ehat = fourier.forward(e_u, dual)
-    a_labels = [
-        lab for lab in dual if norms.schatten_norm(ehat[lab], math.inf) > 0.5
-    ]
+    op_norms = norms.schatten_norms(ehat, math.inf)
+    a_labels = [lab for lab, v in zip(dual, op_norms.tolist()) if v > 0.5]
     subset = DualSubset.from_labels(f.group, a_labels)
     fc = fourier.forward(f, dual)
     q = pair.p_conj
@@ -668,26 +670,46 @@ class EpsilonNet:
     center_coefficients: list
 
 
-def _embed_coefficients(coeffs, subset):
-    parts = []
-    for lab in subset:
-        m = coeffs[lab] * math.sqrt(lab.dim)
-        parts.append(m.real.ravel())
-        parts.append(m.imag.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+@functools.cache
+def _label_order(table):
+    """Gather indices taking the blocks' entries, flattened (n_b, 2, d, d)
+    block after block, to label order: each label's 2 d^2 reals in turn.
+    Built once per slot table."""
+    reals = 2 * np.array(table.dims, dtype=int) ** 2
+    counts = [len(labs) for labs in table.block_labels]
+    block_start = np.cumsum(reals * counts) - reals * counts
+    size = reals[table.block_of]
+    packed_start = block_start[table.block_of] + size * table.pos_of
+    label_start = np.cumsum(size) - size
+    return np.repeat(packed_start - label_start, size) + np.arange(size.sum())
+
+
+def _embed_coefficients(coeffs):
+    """The coefficients as one real vector whose Euclidean norm is the
+    Plancherel norm: label by label in coverage order, sqrt(dim) * coeff,
+    real part then imaginary part, row-major."""
+    parts = [
+        math.sqrt(d) * np.stack([block.real, block.imag], axis=1).ravel()
+        for d, block in zip(coeffs.table.dims, coeffs.blocks)
+    ]
+    if not parts:
+        return np.zeros(0)
+    return np.concatenate(parts)[_label_order(coeffs.table)]
 
 
 def _unembed_center(vec, subset, group):
-    entries = {}
+    """Inverse of ``_embed_coefficients`` on the labels of ``subset``."""
+    table = fourier.slot_table(tuple(subset))
+    packed = np.empty_like(vec)
+    packed[_label_order(table)] = vec
+    blocks = []
     pos = 0
-    for lab in subset:
-        d = lab.dim
-        re = vec[pos : pos + d * d].reshape(d, d)
-        pos += d * d
-        im = vec[pos : pos + d * d].reshape(d, d)
-        pos += d * d
-        entries[lab] = (re + 1j * im) / math.sqrt(d)
-    return fourier.FourierCoefficients(group, tuple(subset), entries)
+    for d, labs in zip(table.dims, table.block_labels):
+        size = 2 * len(labs) * d * d
+        parts = packed[pos : pos + size].reshape(len(labs), 2, d, d)
+        pos += size
+        blocks.append((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(d))
+    return fourier.FourierCoefficients.from_blocks(group, table, blocks)
 
 
 def epsilon_net(
@@ -722,7 +744,7 @@ def epsilon_net(
         )
     subset = verdict.uniform_decay.witness
     coeffs = fourier.forward_batch(family.members, subset.labels)
-    vecs = np.stack([_embed_coefficients(c, subset) for c in coeffs])
+    vecs = np.stack([_embed_coefficients(c) for c in coeffs])
     n_real = vecs.shape[1]
     cell = epsilon / math.sqrt(n_real) if n_real else epsilon
     cells = np.floor(vecs / cell).astype(int)

@@ -110,8 +110,8 @@ def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0
     if band is not None and any(lab.shell > band for lab in subset):
         raise ResolutionError("span irreps exceed the rule's alias-free band")
     rng = np.random.default_rng(seed)
-    members = []
-    for i in range(count):
+    coeffs = []
+    for _ in range(count):
         entries = {}
         mass = 0.0
         for lab in subset:
@@ -123,10 +123,10 @@ def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0
         scale = radius / math.sqrt(mass) if mass > 0 else 0.0
         for lab in entries:
             entries[lab] = entries[lab] * scale
-        coeffs = fourier.FourierCoefficients(group, tuple(subset), entries)
-        f = fourier.inverse(coeffs, rule)
+        coeffs.append(fourier.FourierCoefficients(group, tuple(subset), entries))
+    members = fourier.inverse_batch(coeffs, rule)
+    for i, f in enumerate(members):
         f.name = f"span[{i}]"
-        members.append(f)
     return FamilySpec(
         members,
         name=f"matrix_entry_span(bound={bound})",
@@ -162,18 +162,19 @@ def heat_kernel(rule, t_min=0.05, t_max=1.0, count=10):
         raise ValueError("need 0 < t_min <= t_max")
     group = rule.group
     band = fourier.safe_band(rule)
-    labels = irreps.enumerate_dual(group, band)
+    table = fourier.slot_table(tuple(irreps.enumerate_dual(group, band)))
+    weights = [[_spectral_weight(lab) for lab in labs] for labs in table.block_labels]
     times = np.linspace(t_max, t_min, count)
-    members = []
-    for t in times:
-        entries = {
-            lab: math.exp(-t * _spectral_weight(lab)) * np.eye(lab.dim, dtype=complex)
-            for lab in labels
-        }
-        coeffs = fourier.FourierCoefficients(group, tuple(labels), entries)
-        f = fourier.inverse(coeffs, rule)
+    coeffs = [
+        fourier.FourierCoefficients.from_blocks(group, table, [
+            np.array([math.exp(-t * w) for w in ws])[:, None, None] * np.eye(d, dtype=complex)
+            for d, ws in zip(table.dims, weights)
+        ])
+        for t in times
+    ]
+    members = fourier.inverse_batch(coeffs, rule)
+    for t, f in zip(times, members):
         f.name = f"heat(t={t:.4g})"
-        members.append(f)
     return FamilySpec(
         members,
         name="heat_kernel",

@@ -15,6 +15,11 @@ whose frequency content fits inside the rule's exactness degree the discrete
 transform agrees with the continuum one exactly, which is the regime all
 bound checks run in.
 
+Coefficients are packed: one contiguous (n_b, d, d) block per irrep
+dimension, with a slot table per label tuple (``slot_table``) that maps each
+label to its block and position.  Kernels loop over blocks and slots by
+integer; masses, norms and head sums are vectorized per block.
+
 On the SU(2) Euler grid both directions are separable: two phase GEMMs over
 the uniform alpha and gamma axes and one Gauss-Legendre-weighted sum against
 d^l(beta) per spin, O(r^4) time and O(r^3) memory, with no (N, d, d) irrep
@@ -24,6 +29,7 @@ against the irrep stack cached on the rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +37,6 @@ import numpy as np
 
 from . import _wigner, irreps
 from .groups import (
-    GroupDescriptor,
     GroupMismatchError,
     NeighborhoodSpec,
     QuadratureRule,
@@ -45,6 +50,9 @@ from .groups import inverse as group_inverse
 __all__ = [
     "SampledFunction",
     "FourierCoefficients",
+    "SlotTable",
+    "slot_table",
+    "head_sums",
     "safe_band",
     "constant_function",
     "sample",
@@ -54,6 +62,7 @@ __all__ = [
     "forward_to_cutoff",
     "forward_batch",
     "inverse",
+    "inverse_batch",
     "evaluate_at",
     "convolve",
     "translate",
@@ -105,48 +114,150 @@ def _check_same_rule(f, g):
         )
 
 
-@dataclass
-class FourierCoefficients:
-    """One coefficient matrix per irrep label, zeros stored explicitly.
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """Where each label of a coverage lives in the packed coefficient blocks.
 
-    ``labels`` fixes the declared coverage and its order; every label in it
-    has an entry.  ``cutoff`` records the shell cutoff when the coverage came
-    from ``enumerate_dual`` (None for ad-hoc label sets).  ``l2_mass_total``
-    carries ||f||_2^2 of the source function when known, which lets tail
-    computations account for mass outside the coverage.
+    Labels are grouped by dimension: block ``b`` holds the labels of
+    dimension ``dims[b]``, in coverage order, as one (n_b, d, d) array, and
+    ``block_labels[b]`` lists them.  ``index`` maps a label to its position
+    in ``labels``; at that position ``block_of`` and ``pos_of`` hold the
+    label's block and its position in the block.  ``slot`` and ``members``
+    are derived from those.  Built once per label tuple by ``slot_table``.
     """
 
-    group: GroupDescriptor
     labels: tuple
-    entries: dict
-    cutoff: int | None = None
-    l2_mass_total: float | None = None
+    dims: tuple
+    block_labels: tuple
+    index: dict
+    block_of: np.ndarray
+    pos_of: np.ndarray
 
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-        if set(self.labels) != set(self.entries):
+    def slot(self, lab):
+        """(block, position) of a label; KeyError outside the coverage."""
+        i = self.index[lab]
+        return int(self.block_of[i]), int(self.pos_of[i])
+
+    @functools.cached_property
+    def members(self):
+        """Per block, the positions in ``labels`` of its labels, in order."""
+        return tuple(np.flatnonzero(self.block_of == b) for b in range(len(self.dims)))
+
+
+@functools.cache
+def slot_table(labels):
+    """The slot table of a label tuple (duplicate-free), built once per tuple.
+
+    Tuples come from dual enumerations and net subsets, a handful per
+    session (the benchmark's audit workload builds 8, verify and
+    spectral-su2 4 each), so the cache is unbounded, like the one of
+    ``irreps._sorted_dual``.
+    """
+    index = {}
+    for i, lab in enumerate(labels):
+        if index.setdefault(lab, i) != i:
+            raise ValueError(f"label {lab.name} appears twice")
+    dims = tuple(dict.fromkeys(lab.dim for lab in labels))
+    block_of = np.array([dims.index(lab.dim) for lab in labels], dtype=int)
+    pos_of = np.empty(len(labels), dtype=int)
+    block_labels = []
+    for b in range(len(dims)):
+        mine = np.flatnonzero(block_of == b)
+        pos_of[mine] = np.arange(len(mine))
+        block_labels.append(tuple(labels[i] for i in mine))
+    return SlotTable(labels, dims, tuple(block_labels), index, block_of, pos_of)
+
+
+def head_sums(masses, positions):
+    """Sums of ``masses[..., positions]``, added one term at a time in the
+    given order (0 for no positions).
+
+    The one summation behind every head mass: ``head_mass`` and the p = 2
+    tail profile both call it, so their heads agree bitwise.
+    """
+    picked = masses[..., positions]
+    if picked.shape[-1] == 0:
+        return np.zeros(picked.shape[:-1])
+    return np.cumsum(picked, axis=-1)[..., -1]
+
+
+class FourierCoefficients:
+    """One coefficient matrix per irrep label, packed by dimension.
+
+    ``labels`` fixes the declared coverage and its order; every label in it
+    has an entry, zeros stored explicitly.  The matrices live in ``blocks``,
+    one contiguous (n_b, d, d) array per dimension, laid out by the label
+    tuple's ``slot_table`` (``table``); ``coeffs[lab]`` is a view into its
+    block.  ``cutoff`` records the shell cutoff when the coverage came from
+    ``enumerate_dual`` (None for ad-hoc label sets).  ``l2_mass_total``
+    carries ||f||_2^2 of the source function when known, which lets tail
+    computations account for mass outside the coverage.
+
+    Built from a dict ``{label: matrix}`` by the constructor, or from packed
+    blocks by ``from_blocks``.
+    """
+
+    def __init__(self, group, labels, entries, cutoff=None, l2_mass_total=None):
+        labels = tuple(labels)
+        if set(labels) != set(entries):
             raise ValueError("labels and entries disagree")
-        for lab, mat in self.entries.items():
-            mat = np.asarray(mat, dtype=complex)
-            if mat.shape != (lab.dim, lab.dim):
-                raise ValueError(f"entry for {lab.name} has shape {mat.shape}")
-            self.entries[lab] = mat
+        table = slot_table(labels)
+        blocks = []
+        for d, labs in zip(table.dims, table.block_labels):
+            block = np.empty((len(labs), d, d), dtype=complex)
+            for k, lab in enumerate(labs):
+                mat = np.asarray(entries[lab], dtype=complex)
+                if mat.shape != (d, d):
+                    raise ValueError(f"entry for {lab.name} has shape {mat.shape}")
+                block[k] = mat
+            blocks.append(block)
+        self._set(group, table, blocks, cutoff, l2_mass_total)
+
+    @classmethod
+    def from_blocks(cls, group, table, blocks, cutoff=None, l2_mass_total=None):
+        """Coefficients from blocks laid out by the slot table ``table``;
+        complex blocks are kept as given, not copied."""
+        blocks = [np.asarray(b, dtype=complex) for b in blocks]
+        want = [(len(labs), d, d) for d, labs in zip(table.dims, table.block_labels)]
+        if [b.shape for b in blocks] != want:
+            raise ValueError(f"blocks have shapes {[b.shape for b in blocks]}, want {want}")
+        out = cls.__new__(cls)
+        out._set(group, table, blocks, cutoff, l2_mass_total)
+        return out
+
+    def _set(self, group, table, blocks, cutoff, l2_mass_total):
+        self.group = group
+        self.table = table
+        self.labels = table.labels
+        self.blocks = tuple(blocks)
+        self.cutoff = cutoff
+        self.l2_mass_total = l2_mass_total
 
     def __getitem__(self, lab):
-        return self.entries[lab]
+        b, pos = self.table.slot(lab)
+        return self.blocks[b][pos]
 
     def __contains__(self, lab):
-        return lab in self.entries
+        return lab in self.table.index
+
+    def positions(self, subset):
+        """Positions in ``labels`` of the labels of ``subset``, in its order."""
+        index = self.table.index
+        try:
+            return np.array([index[lab] for lab in subset], dtype=int)
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0].name} outside computed coverage") from None
+
+    def label_masses(self):
+        """dim(pi) ||coeff(pi)||_F^2 for every label, in ``labels`` order."""
+        out = np.empty(len(self.labels))
+        for d, mem, block in zip(self.table.dims, self.table.members, self.blocks):
+            out[mem] = d * np.sum(np.abs(block) ** 2, axis=(1, 2))
+        return out
 
     def head_mass(self, subset):
-        """sum over pi in subset of dim(pi) ||coeff(pi)||_F^2."""
-        total = 0.0
-        for lab in subset:
-            if lab not in self.entries:
-                raise ValueError(f"label {lab.name} outside computed coverage")
-            m = self.entries[lab]
-            total += lab.dim * float(np.sum(np.abs(m) ** 2))
-        return total
+        """sum over pi in subset of dim(pi) ||coeff(pi)||_F^2, in subset order."""
+        return float(head_sums(self.label_masses(), self.positions(subset)))
 
 
 def safe_band(rule):
@@ -236,51 +347,44 @@ def forward_batch(fs, dual):
     """Transform many functions on one rule against one dual.
 
     The one forward kernel.  coeff(pi)[i, j] = sum_t w_t f(t) conj(pi(t)[j, i]).
-    On su2 Euler rules it runs separably over the grid axes
-    (``_su2_forward``).  On every other rule it is, per label, one GEMM of
-    conj(w * f) against the cached stack viewed as (N, d*d), conjugated and
-    transposed back on the small (m, d*d) result, so no conjugated copy of a
-    stack is made.
+    Each dimension block is one (m, n_b, d, d) array, and function k gets the
+    views ``[k]`` of those arrays.  On su2 Euler rules the kernel runs
+    separably over the grid axes (``_su2_forward``).  On every other rule it
+    is, per label, one GEMM of conj(w * f) against the cached stack viewed as
+    (N, d*d), written into the label's slot; each block is then conjugated
+    and transposed back once, so no conjugated copy of a stack is made.
     """
     if not fs:
         return []
     rule = fs[0].rule
     for f in fs:
         _check_same_rule(fs[0], f)
-    labels = tuple(dual)
+    table = slot_table(tuple(dual))
     wf = np.stack([f.rule.weights * f.values for f in fs])  # (m, N)
     masses = [float(np.sum(f.rule.weights * np.abs(f.values) ** 2)) for f in fs]
     if rule.meta.get("kind") == "su2-euler":
-        per_label = _su2_forward(wf, labels, rule)
+        blocks = _su2_forward(wf, table, rule)
     else:
-        cwf = wf.conj()
-        per_label = {}
-        for lab in labels:
-            d = lab.dim
-            block = (cwf @ irreps.irrep_stack(lab, rule).reshape(len(rule), d * d)).conj()
-            per_label[lab] = block.reshape(len(fs), d, d).transpose(0, 2, 1)
-    out = []
-    for k in range(len(fs)):
-        entries = {lab: per_label[lab][k].copy() for lab in labels}
-        out.append(FourierCoefficients(rule.group, labels, entries, None, masses[k]))
-    return out
+        blocks = _stack_forward(np.conj(wf, out=wf), table, rule)
+    return [
+        FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks], None, masses[k])
+        for k in range(len(fs))
+    ]
 
 
-def _euler_phases(rule, labels):
-    """Phases e^{i m alpha_a} and e^{i m gamma_c} on the rule's uniform axes.
-
-    One column per 2m in -L..L (L the largest two_l among ``labels``), so
-    integer and half-integer spins share the matrices; spin two_l reads the
-    columns ``L + two_m_values(two_l)``.
-    """
-    top = max((lab.index[0] for lab in labels), default=0)
-    half_m = np.arange(-top, top + 1) / 2.0
-    ph_a = np.exp(1j * np.outer(rule.meta["alphas"], half_m))
-    ph_c = np.exp(1j * np.outer(rule.meta["gammas"], half_m))
-    return top, ph_a, ph_c
+def _stack_forward(cwf, table, rule):
+    n, m = len(rule), len(cwf)
+    blocks = []
+    for d, labs in zip(table.dims, table.block_labels):
+        raw = np.empty((len(labs), m, d * d), dtype=complex)
+        for k, lab in enumerate(labs):
+            np.matmul(cwf, irreps.irrep_stack(lab, rule).reshape(n, d * d), out=raw[k])
+        raw = raw.conj().reshape(len(labs), m, d, d).transpose(1, 0, 3, 2)
+        blocks.append(np.ascontiguousarray(raw))
+    return blocks
 
 
-def _su2_forward(wf, labels, rule):
+def _su2_forward(wf, table, rule):
     """Separable forward transform on the su2 Euler grid, O(r^4) time.
 
     With pi(a, b, c)_{pq} = e^{-i m_p a} d_pq(b) e^{-i m_q c} and the sampled
@@ -288,66 +392,91 @@ def _su2_forward(wf, labels, rule):
     G[b, m', m] = sum_{a,c} w f e^{i m' a} e^{i m c}, and then
     coeff[p, q] = sum_b d_qp(b) G[b, m_q, m_p] per spin (Kostelec & Rockmore,
     "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).  Inside a
-    ``basis_twist`` each coefficient becomes U* coeff U.
+    ``basis_twist`` each coefficient becomes U* coeff U.  Every su2 spin has
+    its own dimension, so each block holds one label.
     """
-    top, ph_a, ph_c = _euler_phases(rule, labels)
+    top = max((lab.index[0] for lab in table.labels), default=0)
+    ph_a, ph_c = irreps.euler_phases(rule, top)
     m, n_a, n_c = len(wf), len(ph_a), len(ph_c)
     g = (wf.reshape(-1, n_c) @ ph_c).reshape(m, n_a, -1, 2 * top + 1)
     g = ph_a.T @ g.transpose(0, 2, 1, 3)  # (m, n_b, m', m)
-    per_label = {}
-    for lab in labels:
+    blocks = []
+    for (lab,) in table.block_labels:
         cols = top + _wigner.two_m_values(lab.index[0])
         sub = g[:, :, cols[:, None], cols]  # (m, b, q, p)
         coeff = (irreps.euler_grid_d(lab, rule) * sub).sum(axis=1).transpose(0, 2, 1)
         u = irreps.twist_unitary(lab)
-        per_label[lab] = coeff if u is None else u.conj().T @ coeff @ u
-    return per_label
+        if u is not None:
+            coeff = u.conj().T @ coeff @ u
+        blocks.append(coeff[:, None])
+    return blocks
 
 
-def _su2_inverse(coeffs, rule):
+def _su2_inverse(table, blocks, m, rule):
     """Separable synthesis on the su2 Euler grid, the transpose of
     ``_su2_forward``: H[b, m_p, m_q] = sum over spins of dim C[q, p] d_pq(b),
-    then two GEMMs with the conjugate phases.  Inside a ``basis_twist`` each
-    label synthesizes from U C U*."""
-    top, ph_a, ph_c = _euler_phases(rule, coeffs.labels)
+    then two GEMMs with the conjugate phases, for m coefficient sets at once.
+    Inside a ``basis_twist`` each label synthesizes from U C U*."""
+    top = max((lab.index[0] for lab in table.labels), default=0)
+    ph_a, ph_c = irreps.euler_phases(rule, top)
     k = 2 * top + 1
-    h = np.zeros((len(rule.meta["betas"]), k, k), dtype=complex)
-    for lab in coeffs.labels:
-        c = coeffs[lab]
+    h = np.zeros((m, len(rule.meta["betas"]), k, k), dtype=complex)
+    for (lab,), block in zip(table.block_labels, blocks):
+        c = block[:, 0]  # (m, d, d)
         u = irreps.twist_unitary(lab)
         if u is not None:
             c = u @ c @ u.conj().T
         cols = top + _wigner.two_m_values(lab.index[0])
-        h[:, cols[:, None], cols] += lab.dim * c.T * irreps.euler_grid_d(lab, rule)
-    vals = ph_a.conj() @ (h @ ph_c.conj().T)  # (n_b, n_a, n_c)
-    return vals.transpose(1, 0, 2).ravel()
+        h[:, :, cols[:, None], cols] += (
+            lab.dim * c.transpose(0, 2, 1)[:, None] * irreps.euler_grid_d(lab, rule)
+        )
+    vals = ph_a.conj() @ (h @ ph_c.conj().T)  # (m, n_b, n_a, n_c)
+    return vals.transpose(0, 2, 1, 3).reshape(m, -1)
 
 
-def _synthesize(coeffs, n, matrices_of):
-    """Synthesis against given matrices: sum over pi of dim(pi) tr(coeff(pi) pi(x)).
+def _synthesize(table, blocks, m, n, matrices_of):
+    """Synthesis against given matrices: sum over pi of dim(pi) tr(coeff(pi) pi(x)),
+    for m coefficient sets whose blocks are (m, n_b, d, d).
 
     ``matrices_of(lab)`` gives pi at the n evaluation points, shape (n, d, d).
-    tr(C P) = sum_ij C[i, j] P[j, i], so each label is one matrix-vector
-    product of the (n, d*d) view with dim(pi) * C transposed and flattened.
+    tr(C P) = sum_ij C[i, j] P[j, i], so each label is one product of the
+    rows dim(pi) * C transposed and flattened, (m, d*d), with the transposed
+    (n, d*d) view of its matrices.
     """
-    vals = np.zeros(n, dtype=complex)
-    for lab in coeffs.labels:
-        d = lab.dim
-        vals += matrices_of(lab).reshape(n, d * d) @ (d * coeffs[lab].T.ravel())
+    vals = np.zeros((m, n), dtype=complex)
+    for d, labs, block in zip(table.dims, table.block_labels, blocks):
+        rows = (d * block.transpose(0, 1, 3, 2)).reshape(m, len(labs), d * d)
+        for k, lab in enumerate(labs):
+            vals += rows[:, k] @ matrices_of(lab).reshape(n, d * d).T
     return vals
 
 
 def inverse(coeffs, rule):
-    """Synthesize the function on a rule's nodes.
+    """Synthesize the function on a rule's nodes: ``inverse_batch([coeffs], rule)[0]``."""
+    return inverse_batch([coeffs], rule)[0]
 
-    Separable over the grid axes on su2 Euler rules (``_su2_inverse``),
-    against the rule's cached stacks everywhere else.
+
+def inverse_batch(coeffs, rule):
+    """Synthesize many coefficient sets over one label tuple on a rule's nodes.
+
+    The one synthesis kernel on rules.  Separable over the grid axes on su2
+    Euler rules (``_su2_inverse``); everywhere else each label is one product
+    with the rule's cached stack, shared by all sets.
     """
+    if not coeffs:
+        return []
+    table = coeffs[0].table
+    if any(c.labels != table.labels for c in coeffs):
+        raise ValueError("coefficient sets cover different labels")
+    m = len(coeffs)
+    blocks = [np.stack([c.blocks[b] for c in coeffs]) for b in range(len(table.dims))]
     if rule.meta.get("kind") == "su2-euler":
-        vals = _su2_inverse(coeffs, rule)
+        vals = _su2_inverse(table, blocks, m, rule)
     else:
-        vals = _synthesize(coeffs, len(rule), lambda lab: irreps.irrep_stack(lab, rule))
-    return SampledFunction(rule, vals)
+        vals = _synthesize(
+            table, blocks, m, len(rule), lambda lab: irreps.irrep_stack(lab, rule)
+        )
+    return [SampledFunction(rule, v) for v in vals]
 
 
 def evaluate_at(coeffs, points):
@@ -356,7 +485,10 @@ def evaluate_at(coeffs, points):
     The synthesis kernel of ``inverse``, fed ``irrep_matrices`` at the points.
     """
     points = list(points)
-    return _synthesize(coeffs, len(points), lambda lab: irreps.irrep_matrices(lab, points))
+    blocks = [b[None] for b in coeffs.blocks]
+    return _synthesize(
+        coeffs.table, blocks, 1, len(points), lambda lab: irreps.irrep_matrices(lab, points)
+    )[0]
 
 
 def _reindex_plan(rule, y):
@@ -409,11 +541,12 @@ def translate(f, y):
 
 def translate_spectral(coeffs, y):
     """Coefficient-side right translation: coeff(pi) -> pi(y) @ coeff(pi)."""
-    entries = {}
-    for lab in coeffs.labels:
-        entries[lab] = irreps.irrep_matrix(lab, y) @ coeffs[lab]
-    return FourierCoefficients(
-        coeffs.group, coeffs.labels, entries, coeffs.cutoff, coeffs.l2_mass_total
+    blocks = [
+        np.stack([irreps.irrep_matrix(lab, y) for lab in labs]) @ block
+        for labs, block in zip(coeffs.table.block_labels, coeffs.blocks)
+    ]
+    return FourierCoefficients.from_blocks(
+        coeffs.group, coeffs.table, blocks, coeffs.cutoff, coeffs.l2_mass_total
     )
 
 
@@ -452,9 +585,8 @@ def _convolve_spectral(f, g):
     band = safe_band(f.rule)
     fc = forward_to_cutoff(f, band)
     gc = forward_to_cutoff(g, band)
-    entries = {lab: gc[lab] @ fc[lab] for lab in fc.labels}
-    out = FourierCoefficients(f.group, fc.labels, entries)
-    return inverse(out, f.rule)
+    blocks = [g @ h for g, h in zip(gc.blocks, fc.blocks)]
+    return inverse(FourierCoefficients.from_blocks(f.group, fc.table, blocks), f.rule)
 
 
 def convolve(f, g, method="auto"):

@@ -399,11 +399,12 @@ class QuadratureRule:
 
     The irrep stacks computed on a rule (``irreps.irrep_stack``) are stored on
     it and live exactly as long as the rule does.  An su2 Euler rule
-    (``meta["kind"] == "su2-euler"``) keeps its grid axes in ``meta`` and the
+    (``meta["kind"] == "su2-euler"``) keeps its grid axes in ``meta``, the
     Wigner d-matrices at its betas in ``meta["_wigner_d"]``
-    (``irreps.euler_grid_d``); its transforms contract over those axes and
-    build no stacks.  Stacks asked for on it are evaluated node by node, like
-    on any other non-product rule.
+    (``irreps.euler_grid_d``) and one alpha/gamma phase pair, for the largest
+    spin asked so far, in ``meta["_euler_phases"]`` (``irreps.euler_phases``);
+    its transforms contract over those axes and build no stacks.  Stacks
+    asked for on it are assembled from the same d-matrices and phases.
     """
 
     def __init__(self, group, nodes, weights, exactness_degree, resolution, meta=None):

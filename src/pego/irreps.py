@@ -43,6 +43,7 @@ __all__ = [
     "irrep_matrices",
     "irrep_stack",
     "euler_grid_d",
+    "euler_phases",
     "twist_unitary",
     "character",
     "random_unitary",
@@ -66,7 +67,21 @@ class IrrepLabel:
     index: tuple
     dim: int
 
-    @property
+    # The hash, shell, name and sort key are computed once per label and kept
+    # on it, so dict lookups, sorting and reports do not rebuild them.
+
+    @functools.cached_property
+    def _hash(self):
+        return hash((self.group, self.index, self.dim))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: never carry the cached ones
+        return (IrrepLabel, (self.group, self.index, self.dim))
+
+    @functools.cached_property
     def shell(self):
         """Nonnegative ordering key; shell 0 is exactly the trivial irrep."""
         fam = self.group.family
@@ -92,7 +107,7 @@ class IrrepLabel:
     def is_trivial(self):
         return self.shell == 0
 
-    @property
+    @functools.cached_property
     def name(self):
         if self.is_trivial:
             return "triv"
@@ -110,7 +125,7 @@ class IrrepLabel:
             return f"dihedral:{tag}"
         return "prod(" + ",".join(c.name for c in self.index) + ")"
 
-    @property
+    @functools.cached_property
     def sort_key(self):
         fam = self.group.family
         if fam == "cyclic":
@@ -458,7 +473,7 @@ def euler_grid_d(label, rule):
 
     Shape (n_beta, d, d), real and read-only.  Computed once per (rule, spin)
     and kept on the rule, in ``rule.meta["_wigner_d"]``, for the separable
-    transforms.
+    transforms and the su2 stacks.
     """
     cache = rule.meta.setdefault("_wigner_d", {})
     two_l = label.index[0]
@@ -470,17 +485,54 @@ def euler_grid_d(label, rule):
     return dmat
 
 
+def euler_phases(rule, top):
+    """Phases e^{i m alpha_a} and e^{i m gamma_c} on an Euler rule's uniform axes.
+
+    One column per 2m in -top..top, so integer and half-integer spins share
+    the matrices; spin two_l <= top reads the columns
+    ``top + two_m_values(two_l)``.  The rule keeps one read-only pair, for
+    the largest top asked so far, in ``rule.meta["_euler_phases"]``; a
+    smaller top gets the centered column slice of it, and only a larger top
+    rebuilds it.
+    """
+    kept = rule.meta.get("_euler_phases")
+    big = -1 if kept is None else (kept[0].shape[1] - 1) // 2
+    if top > big:
+        half_m = np.arange(-top, top + 1) / 2.0
+        kept = tuple(np.exp(1j * np.outer(rule.meta[axis], half_m)) for axis in ("alphas", "gammas"))
+        for ph in kept:
+            ph.setflags(write=False)
+        rule.meta["_euler_phases"] = kept
+        big = top
+    cols = slice(big - top, big + top + 1)
+    return kept[0][:, cols], kept[1][:, cols]
+
+
+def _euler_stack(label, rule):
+    """pi(a, b, c) = e^{-i m_p a} d_pq(b) e^{-i m_q c} at every node of an su2
+    Euler rule, whose nodes run over (alpha, beta, gamma) with gamma fastest.
+    The d-matrices come from ``euler_grid_d``, one per distinct beta."""
+    two_l = label.index[0]
+    ph_a, ph_c = euler_phases(rule, two_l)
+    cols = two_l + _wigner.two_m_values(two_l)
+    ph_a = ph_a[:, cols].conj()[:, None, None, :, None]
+    ph_c = ph_c[:, cols].conj()[None, None, :, None, :]
+    stack = ph_a * euler_grid_d(label, rule)[None, :, None] * ph_c
+    return stack.reshape(len(rule), label.dim, label.dim)
+
+
 def irrep_stack(label, rule):
     """Matrices of an irrep at every node of a rule, shape (n, d, d).
 
     Built once and stored on the rule, so it lives as long as the rule does;
     inside ``basis_twist`` the twisted stack is kept by the twist instead.
     The returned array is shared and read-only.  A product rule reuses its
-    factor stacks; every other rule evaluates ``irrep_matrices`` at its
-    nodes.  The transforms use stacks on torus, finite and product rules only
-    (su2 Euler rules transform through ``euler_grid_d``); stacks on an su2
-    rule serve the callers that need every matrix entry at every node, such
-    as matrix-entry functions.
+    factor stacks, and an su2 Euler rule combines its grid d-matrices with
+    the alpha and gamma phases (``_euler_stack``); every other rule evaluates
+    ``irrep_matrices`` at its nodes.  The transforms use stacks on torus,
+    finite and product rules only (su2 Euler rules transform through
+    ``euler_grid_d``); stacks on an su2 rule serve the callers that need
+    every matrix entry at every node, such as matrix-entry functions.
     """
     twisted = _TWIST["stacks"]
     cache, key = (rule._stacks, label) if twisted is None else (twisted, (rule, label))
@@ -489,7 +541,8 @@ def irrep_stack(label, rule):
         return hit
     if label.group != rule.group:
         raise ValueError(f"label {label.name} is not an irrep of {rule.group.name}")
-    if rule.meta.get("kind") == "product":
+    kind = rule.meta.get("kind")
+    if kind == "product":
         # Factor twists (if any) commute with the Kronecker structure, so the
         # product of factor stacks is always a valid realization.
         stack = None
@@ -504,6 +557,8 @@ def irrep_stack(label, rule):
                     n1 * n2, d1 * d2, d1 * d2
                 )
         stack = _apply_twist(label, np.ascontiguousarray(stack))
+    elif kind == "su2-euler":
+        stack = _apply_twist(label, _euler_stack(label, rule))
     else:
         stack = irrep_matrices(label, rule.nodes)
     stack.setflags(write=False)

@@ -24,6 +24,7 @@ __all__ = [
     "ResidualReport",
     "HausdorffYoungCheck",
     "schatten_norm",
+    "schatten_norms",
     "lp_oplus_norm",
     "lp_function_norm",
     "floored_tail",
@@ -66,19 +67,38 @@ class NormReport:
     truncated: bool
 
 
+def _schatten_stack(mats, p):
+    """Schatten p-norms (p >= 1 or inf) of a (k, d, d) stack: Frobenius
+    norms at p = 2, one batched ``svd`` otherwise."""
+    if p != math.inf and p < 1:
+        raise ValueError("schatten exponent must be >= 1 or inf")
+    if p == 2:
+        return np.sqrt(np.sum(np.abs(mats) ** 2, axis=(1, 2)))
+    sv = np.linalg.svd(mats, compute_uv=False)
+    if p == math.inf:
+        return sv.max(axis=1, initial=0.0)
+    return np.sum(sv**p, axis=1) ** (1.0 / p)
+
+
 def schatten_norm(mat, p):
     """Schatten p-norm of a matrix (p >= 1 or inf) via singular values."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("schatten_norm expects a square matrix")
-    if p != math.inf and p < 1:
-        raise ValueError("schatten exponent must be >= 1 or inf")
-    if p == 2:
-        return float(np.sqrt(np.sum(np.abs(mat) ** 2)))
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if p == math.inf:
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv**p) ** (1.0 / p))
+    return float(_schatten_stack(mat[None], p)[0])
+
+
+def schatten_norms(coeffs, p, subset=None):
+    """Schatten p-norms of the coefficient matrices of ``subset`` (default:
+    the full coverage), in its order, one dimension block at a time."""
+    table = coeffs.table
+    where = np.arange(len(coeffs.labels)) if subset is None else coeffs.positions(subset)
+    out = np.empty(len(where))
+    for b, block in enumerate(coeffs.blocks):
+        mine = np.flatnonzero(table.block_of[where] == b)
+        if mine.size:
+            out[mine] = _schatten_stack(block[table.pos_of[where[mine]]], p)
+    return out
 
 
 def lp_oplus_norm(coeffs, p, subset=None):
@@ -93,15 +113,14 @@ def lp_oplus_norm(coeffs, p, subset=None):
         raise ValueError("exponent must be >= 1 or inf")
     defaulted = subset is None
     labels = tuple(coeffs.labels if defaulted else subset)
-    if p == math.inf:
+    per = schatten_norms(coeffs, p, None if defaulted else labels)
+    if not labels:
         value = 0.0
-        for lab in labels:
-            value = max(value, schatten_norm(coeffs[lab], math.inf))
+    elif p == math.inf:
+        value = float(per.max())
     else:
-        total = 0.0
-        for lab in labels:
-            total += lab.dim * schatten_norm(coeffs[lab], p) ** p
-        value = float(total ** (1.0 / p)) if labels else 0.0
+        dims = np.array([lab.dim for lab in labels])
+        value = float(np.sum(dims * per**p) ** (1.0 / p))
     truncated = defaulted and not coeffs.group.is_finite
     return NormReport(value, p, tuple(lab.name for lab in labels), truncated)
 
@@ -142,7 +161,8 @@ def floored_tail(mass, head):
 
 def plancherel_residual_report(f, coeffs, subset):
     """sqrt of ||f||_2^2 minus the head mass on ``subset``, with clamp info,
-    under the roundoff floor of ``floored_tail``."""
+    under the roundoff floor of ``floored_tail``.  The head is the
+    coefficients' sequential ``head_mass``."""
     value, clamp = floored_tail(lp_function_norm(f, 2) ** 2, coeffs.head_mass(subset))
     return ResidualReport(value, clamp, tuple(lab.name for lab in subset))
 

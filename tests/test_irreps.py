@@ -380,3 +380,44 @@ def test_forward_pass_reuses_every_stack_of_a_289_label_dual(monkeypatch):
     first, second = passes
     assert len(first) == 289 and first.keys() == second.keys()
     assert all(second[lab] is first[lab] for lab in first)
+
+
+def test_su2_euler_stacks_take_one_d_matrix_per_grid_beta(monkeypatch):
+    """On an su2 Euler rule a stack is built from the d-matrices at the grid's
+    distinct betas and the alpha/gamma phases, not from wigner_d at every
+    node, and equals the matrices evaluated node by node, plain and twisted."""
+    from pego import QuadratureRule, _wigner
+    from pego.irreps import euler_phases, irrep_matrices
+
+    canon = haar_quadrature(su2(), 8)
+    rule = QuadratureRule(canon.group, canon.nodes, canon.weights,
+                          canon.exactness_degree, canon.resolution,
+                          {k: v for k, v in canon.meta.items() if not k.startswith("_")})
+    n_beta = len(rule.meta["betas"])
+    labels = enumerate_dual(su2(), 8)
+    betas = {}
+    real_d = _wigner.wigner_d
+
+    def counting_d(two_l, beta):
+        betas[two_l] = betas.get(two_l, 0) + np.size(beta)
+        return real_d(two_l, beta)
+
+    monkeypatch.setattr(_wigner, "wigner_d", counting_d)
+    stacks = {lab: irrep_stack(lab, rule) for lab in labels}
+    assert all(betas.get(lab.index[0], 0) <= n_beta for lab in labels)
+    monkeypatch.setattr(_wigner, "wigner_d", real_d)
+    # one phase pair, for the largest spin; smaller tops are its centered columns
+    kept = rule.meta["_euler_phases"]
+    small = euler_phases(rule, 3)
+    assert rule.meta["_euler_phases"] is kept
+    for ph, whole, axis in zip(small, kept, ("alphas", "gammas")):
+        assert whole.shape == (len(rule.meta[axis]), 17)
+        assert np.shares_memory(ph, whole)
+        want = np.exp(1j * np.outer(rule.meta[axis], np.arange(-3, 4) / 2.0))
+        npt.assert_array_equal(ph, want)
+    for lab in labels:
+        npt.assert_allclose(stacks[lab], irrep_matrices(lab, rule.nodes), rtol=0, atol=1e-13)
+    with basis_twist(su2(), 8, seed=4):
+        for lab in labels:
+            npt.assert_allclose(irrep_stack(lab, rule), irrep_matrices(lab, rule.nodes),
+                                rtol=0, atol=1e-13)

@@ -1,0 +1,197 @@
+"""The packed coefficient layout against per-label oracles.
+
+Coefficients live in one (n_b, d, d) block per irrep dimension.  These tests
+pin the layout itself (views, dict round trips, batches) and check every
+packed kernel against a loop over labels written here, plain and inside a
+basis twist, on groups whose duals mix dimensions.
+"""
+
+import contextlib
+import math
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from pego import (
+    DualFiltration,
+    DualSubset,
+    FourierCoefficients,
+    basis_twist,
+    cyclic,
+    dihedral,
+    enumerate_dual,
+    forward,
+    forward_batch,
+    forward_to_cutoff,
+    haar_quadrature,
+    inverse_batch,
+    inverse_transform,
+    lp_oplus_norm,
+    product,
+    random_band_limited_function,
+    safe_band,
+    su2,
+    torus,
+)
+from pego.compactness import _embed_coefficients, _unembed_center
+
+# (group, resolution): duals with one block (torus), two blocks (dihedral),
+# one block per spin (su2) and interleaved dimensions (products)
+GROUPS = {
+    "torus:2": (torus(2), 9),
+    "dihedral:9": (dihedral(9), 1),
+    "su2": (su2(), 4),
+    "product(torus:1,su2)": (product(torus(1), su2()), 5),
+    "product(su2,cyclic:3)": (product(su2(), cyclic(3)), 3),
+}
+
+
+def _band(rule):
+    band = safe_band(rule)
+    return max(lab.shell for lab in enumerate_dual(rule.group)) if band is None else band
+
+
+def _coefficients(name, twisted, count=3):
+    group, res = GROUPS[name]
+    rule = haar_quadrature(group, res)
+    band = _band(rule)
+    fs = [random_band_limited_function(rule, band, seed=11 + k) for k in range(count)]
+    twist = basis_twist(group, band, seed=5) if twisted else contextlib.nullcontext()
+    with twist:
+        coeffs = forward_batch(fs, enumerate_dual(group, band))
+    return group, coeffs
+
+
+def _subsets(coeffs):
+    labels = coeffs.labels
+    mixed = labels[::-2] + labels[1::4]  # neither sorted nor a prefix
+    return [labels, labels[: max(1, len(labels) // 3)], mixed, ()]
+
+
+def _oracle_schatten(mat, p):
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return sv[0] if p == math.inf else np.sum(sv**p) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_packed_norms_match_per_label_oracle(name, twisted):
+    _, batch = _coefficients(name, twisted)
+    for c in batch:
+        for sub in _subsets(c):
+            head = sum(lab.dim * np.sum(np.abs(c[lab]) ** 2) for lab in sub)
+            assert abs(c.head_mass(sub) - head) <= 1e-13
+            for p in (1.0, 4.0 / 3.0, math.inf):
+                per = [_oracle_schatten(c[lab], p) for lab in sub]
+                if not sub:
+                    want = 0.0
+                elif p == math.inf:
+                    want = max(per)
+                else:
+                    want = sum(lab.dim * v**p for lab, v in zip(sub, per)) ** (1.0 / p)
+                rep = lp_oplus_norm(c, p, sub)
+                assert abs(rep.value - want) <= 1e-13
+                assert rep.subset_names == tuple(lab.name for lab in sub)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_embedding_is_a_plancherel_isometry_and_unembeds(name, twisted):
+    group, batch = _coefficients(name, twisted)
+    a, b = batch[0], batch[1]
+    va, vb = _embed_coefficients(a), _embed_coefficients(b)
+    # label by label in coverage order: sqrt(dim) * coeff, real then imaginary
+    want = [part.ravel() for lab in a.labels
+            for part in (math.sqrt(lab.dim) * a[lab].real, math.sqrt(lab.dim) * a[lab].imag)]
+    npt.assert_allclose(va, np.concatenate(want), rtol=0, atol=1e-13)
+    inner = sum(lab.dim * np.vdot(a[lab], b[lab]).real for lab in a.labels)
+    assert abs(va @ vb - inner) <= 1e-13
+    assert abs(va @ va - a.head_mass(a.labels)) <= 1e-13
+    back = _unembed_center(va, DualSubset(group, a.labels), group)
+    assert back.labels == a.labels
+    for lab in a.labels:
+        npt.assert_allclose(back[lab], a[lab], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_entries_are_views_into_their_blocks(name):
+    _, (c, *_) = _coefficients(name, False)
+    slots = set()
+    for lab in c.labels:
+        b, pos = c.table.slot(lab)
+        assert c.blocks[b].shape[1:] == (lab.dim, lab.dim)
+        assert np.shares_memory(c[lab], c.blocks[b])
+        npt.assert_array_equal(c[lab], c.blocks[b][pos])
+        slots.add((b, pos))
+    assert len(slots) == len(c.labels) == sum(len(block) for block in c.blocks)
+    lab = c.labels[-1]
+    c[lab][...] = 7.0
+    b, pos = c.table.slot(lab)
+    assert np.all(c.blocks[b][pos] == 7.0)
+
+
+def test_dict_construction_round_trips():
+    group, (c, *_) = _coefficients("product(torus:1,su2)", False)
+    again = FourierCoefficients(group, c.labels, {lab: c[lab].copy() for lab in c.labels})
+    assert again.labels == c.labels and again.table is c.table
+    for x, y in zip(again.blocks, c.blocks):
+        npt.assert_array_equal(x, y)
+    lab = c.labels[-1]
+    with pytest.raises(ValueError, match="disagree"):
+        FourierCoefficients(group, c.labels[:-1], {lab: c[lab] for lab in c.labels})
+    with pytest.raises(ValueError, match="shape"):
+        FourierCoefficients(group, (lab,), {lab: np.zeros((lab.dim + 1, lab.dim + 1))})
+    with pytest.raises(ValueError, match="shapes"):
+        FourierCoefficients.from_blocks(group, c.table, c.blocks[:-1])
+
+
+@pytest.mark.parametrize("name", ["torus:2", "dihedral:9", "su2"])
+def test_batch_yields_one_view_per_function(name):
+    group, res = GROUPS[name]
+    rule = haar_quadrature(group, res)
+    dual = enumerate_dual(group, safe_band(rule))
+    fs = [random_band_limited_function(rule, _band(rule), seed=k) for k in range(3)]
+    batch = forward_batch(fs, dual)
+    for b in range(len(batch[0].blocks)):
+        # views [k] of one (m, n_b, d, d) array
+        whole = batch[0].blocks[b].base
+        assert whole.shape[0] == 3 and all(c.blocks[b].base is whole for c in batch)
+    for f, c in zip(fs, batch):
+        alone = forward(f, dual)
+        assert c.l2_mass_total == alone.l2_mass_total
+        for x, y in zip(c.blocks, alone.blocks):
+            npt.assert_allclose(x, y, rtol=0, atol=1e-15)
+
+
+def test_shell_filtration_is_built_once_from_prefixes():
+    group = torus(2)
+    filt = DualFiltration.shells(group, 4)
+    assert DualFiltration.shells(group, 4) is filt
+    dual = enumerate_dual(group, 4)
+    for s, step in enumerate(filt):
+        want = DualSubset.from_labels(group, [lab for lab in dual if lab.shell <= s])
+        assert step == want
+
+
+def test_coverage_misses_are_refused():
+    rule = haar_quadrature(torus(1), 9)
+    c = forward_to_cutoff(random_band_limited_function(rule, 2), 2)
+    outside = enumerate_dual(torus(1), 3)[-1]
+    assert outside not in c
+    with pytest.raises(ValueError, match="outside computed coverage"):
+        c.head_mass([outside])
+    with pytest.raises(KeyError):
+        c[outside]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_inverse_batch_matches_one_set_at_a_time(name):
+    group, res = GROUPS[name]
+    rule = haar_quadrature(group, res)
+    _, batch = _coefficients(name, False)
+    together = inverse_batch(batch, rule)
+    for c, f in zip(batch, together):
+        npt.assert_allclose(f.values, inverse_transform(c, rule).values, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="different labels"):
+        inverse_batch([batch[0], forward(together[0], batch[0].labels[:1])], rule)
