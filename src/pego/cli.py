@@ -177,7 +177,8 @@ def _suite_identities(rule, cutoff, samples, seed):
         worst["convolution"] = max(worst["convolution"], _max_gap(
             hc.blocks, [gb @ fb for gb, fb in zip(gc.blocks, fc.blocks)]))
         y = _random_nodes(rule, 1, rng)[0]
-        tc = forward_to_cutoff(translate(f, y), cutoff=cutoff)
+        moved = translate(f, y)
+        tc = forward_to_cutoff(moved, cutoff=cutoff)
         ts = translate_spectral(fc, y)
         worst["translation"] = max(worst["translation"], _max_gap(tc.blocks, ts.blocks))
         a, b = rng.standard_normal(2)
@@ -185,7 +186,7 @@ def _suite_identities(rule, cutoff, samples, seed):
         worst["linearity"] = max(worst["linearity"], _max_gap(
             combc.blocks, [a * fb + b * gb for fb, gb in zip(fc.blocks, gc.blocks)]))
         base = rule.integrate(f.values)
-        left = rule.integrate(translate(f, y).values)
+        left = rule.integrate(moved.values)
         worst["haar_invariance"] = max(worst["haar_invariance"],
                                        abs(left - base))
     for name, err in worst.items():

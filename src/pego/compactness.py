@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _TREND_WINDOW = 3  # distinct trailing grid points needed to call a trend
+_TRANSLATE_BLOCK_VALUES = 2**16  # bounds each batch of translates to 2^16 sampled values
 
 
 class NotPrecompactError(RuntimeError):
@@ -370,17 +371,27 @@ def equicontinuity_profile(
         # mass beyond the cutoff moves by at most a factor 2 in norm
         per_point = np.sqrt(acc + 4.0 * resid2[:, None])
     else:
-        per_point = np.zeros((m, len(pool)))
-        for t, y in enumerate(pool):
-            for j, f in enumerate(family.members):
-                per_point[j, t] = norms.lp_function_norm(
-                    fourier.translate(f, y) - f, p
-                )
+        per_point = np.stack([_translation_moduli(f, pool, p) for f in family.members])
     out = np.zeros((m, len(mesh)))
     for k, delta in enumerate(mesh):
         inside = dists <= delta + 1e-12
         out[:, k] = per_point[:, inside].max(axis=1) if inside.any() else 0.0
     return ContinuityProfile(family.name, p, mesh, out, path, ball_samples, seed)
+
+
+def _translation_moduli(f, ys, p):
+    """||R_y f - f||_p for every y of ``ys``, in order.
+
+    Translates come from ``fourier.translate_batch`` a block of elements at
+    a time, at most _TRANSLATE_BLOCK_VALUES sampled values per block, so the
+    translates held at once stay bounded however many elements there are.
+    """
+    per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
+    out = np.empty(len(ys))
+    for lo in range(0, len(ys), per_block):
+        moved = fourier.translate_batch(f, ys[lo : lo + per_block])
+        out[lo : lo + len(moved)] = [norms.lp_function_norm(g - f, p) for g in moved]
+    return out
 
 
 @dataclass
@@ -437,12 +448,8 @@ def lemma31_bound_check(f, ball, pair, cutoff=None, slack=1e-8):
         tail = rep.value
         truncated = not f.group.is_finite
     support = np.nonzero(np.abs(e_u.values) > 0)[0]
-    worst = 0.0
-    for t in support:
-        y = rule.nodes[int(t)]
-        moved = fourier.translate(f, group_inverse(y))
-        worst = max(worst, norms.lp_function_norm(f - moved, pair.p))
-    rhs = 2.0 * worst
+    ys = [group_inverse(rule.nodes[int(t)]) for t in support]
+    rhs = 2.0 * float(np.max(_translation_moduli(f, ys, pair.p), initial=0.0))
     return Lemma31Check(
         subset,
         tail,
@@ -489,10 +496,14 @@ def lemma32_bound_check(f, y, subset, pair, cutoff=None, slack=1e-8):
             raise ValueError(f"head label {lab.name} beyond the computed dual")
     fc = fourier.forward(f, dual)
     lhs = norms.lp_function_norm(fourier.translate(f, y) - f, pair.p_conj)
-    head_sup = 0.0
-    for lab in subset:
-        mat = irreps.irrep_matrix(lab, y) - np.eye(lab.dim)
-        head_sup = max(head_sup, norms.schatten_norm(mat, math.inf))
+    # pi(y) - I on every head label, packed by dimension, so the operator
+    # norms are one Schatten kernel call per block
+    table = fourier.slot_table(tuple(subset))
+    act = fourier.FourierCoefficients.from_blocks(f.group, table, [
+        np.concatenate([irreps.irrep_matrices(lab, [y]) for lab in labs]) - np.eye(d)
+        for d, labs in zip(table.dims, table.block_labels)
+    ])
+    head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
     head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
     head_term = head_sup * head_norm
     if pair.p == 2.0:

@@ -8,7 +8,10 @@ matrix per irreducible representation:
 
 Convolution ``(f*g)(x) = integral f(x y^-1) g(y) dm(y)`` transforms to the
 matrix product ``ghat @ fhat`` (order matters on noncommutative groups), and
-the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.
+the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.  Right
+translates come in batches (``translate_batch``): node re-indexing where
+x -> x*y permutes the grid, and otherwise one transform of f, one batched
+``pi(y) @ fhat`` per dimension block for all the elements, and one synthesis.
 
 Everything is computed against a fixed rule.  For band-limited functions
 whose frequency content fits inside the rule's exactness degree the discrete
@@ -66,6 +69,7 @@ __all__ = [
     "evaluate_at",
     "convolve",
     "translate",
+    "translate_batch",
     "translate_spectral",
     "dirac_net_element",
 ]
@@ -300,21 +304,26 @@ def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
     Coefficient matrices have iid complex-normal entries, rescaled so that
     ||f||_2 equals ``norm``.  Exactly band-limited, hence transform-exact on
     any rule with safe_band >= band.
+
+    Label by label in shell order, the real and then the imaginary parts of
+    its (d, d) matrix are drawn; one ``rng.normal`` call draws them all, the
+    same stream as one call per part, and they are gathered into the packed
+    blocks.  The mass is summed in label order.
     """
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
-    subset = irreps.shell_subset(rule.group, band)
-    entries = {}
-    mass = 0.0
-    for lab in subset:
-        d = lab.dim
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        entries[lab] = m
-        mass += d * float(np.sum(np.abs(m) ** 2))
+    table = slot_table(irreps.shell_subset(rule.group, band).labels)
+    sizes = np.array([lab.dim for lab in table.labels], dtype=int) ** 2
+    draws = rng.normal(size=2 * int(sizes.sum()))
+    start = np.cumsum(2 * sizes) - 2 * sizes
+    blocks = []
+    for d, mem in zip(table.dims, table.members):
+        at = start[mem][:, None] + np.arange(d * d)
+        blocks.append((draws[at] + 1j * draws[at + d * d]).reshape(len(mem), d, d))
+    coeffs = FourierCoefficients.from_blocks(rule.group, table, blocks)
+    mass = float(head_sums(coeffs.label_masses(), np.arange(len(table.labels))))
     if norm is not None and mass > 0:
         scale = norm / math.sqrt(mass)
-        for lab in entries:
-            entries[lab] = entries[lab] * scale
-    coeffs = FourierCoefficients(rule.group, tuple(subset), entries)
+        coeffs = FourierCoefficients.from_blocks(rule.group, table, [b * scale for b in blocks])
     out = inverse(coeffs, rule)
     out.name = name or f"rand(band={band})"
     return out
@@ -459,24 +468,25 @@ def inverse(coeffs, rule):
 def inverse_batch(coeffs, rule):
     """Synthesize many coefficient sets over one label tuple on a rule's nodes.
 
-    The one synthesis kernel on rules.  Separable over the grid axes on su2
-    Euler rules (``_su2_inverse``); everywhere else each label is one product
-    with the rule's cached stack, shared by all sets.
+    The one synthesis kernel on rules (``_synthesize_on_rule``).
     """
     if not coeffs:
         return []
     table = coeffs[0].table
     if any(c.labels != table.labels for c in coeffs):
         raise ValueError("coefficient sets cover different labels")
-    m = len(coeffs)
     blocks = [np.stack([c.blocks[b] for c in coeffs]) for b in range(len(table.dims))]
+    return [SampledFunction(rule, v) for v in _synthesize_on_rule(table, blocks, len(coeffs), rule)]
+
+
+def _synthesize_on_rule(table, blocks, m, rule):
+    """Values (m, N) at a rule's nodes of m coefficient sets whose blocks are
+    (m, n_b, d, d).  Separable over the grid axes on su2 Euler rules
+    (``_su2_inverse``); everywhere else each label is one product with the
+    rule's cached stack, shared by all sets."""
     if rule.meta.get("kind") == "su2-euler":
-        vals = _su2_inverse(table, blocks, m, rule)
-    else:
-        vals = _synthesize(
-            table, blocks, m, len(rule), lambda lab: irreps.irrep_stack(lab, rule)
-        )
-    return [SampledFunction(rule, v) for v in vals]
+        return _su2_inverse(table, blocks, m, rule)
+    return _synthesize(table, blocks, m, len(rule), lambda lab: irreps.irrep_stack(lab, rule))
 
 
 def evaluate_at(coeffs, points):
@@ -523,28 +533,54 @@ def _reindex_plan(rule, y):
 
 
 def translate(f, y):
-    """Right translation (R_y f)(x) = f(x y).
+    """Right translation (R_y f)(x) = f(x y): ``translate_batch(f, [y])[0]``."""
+    return translate_batch(f, [y])[0]
 
-    Uses exact node re-indexing whenever x -> x*y permutes the rule's nodes
-    (finite groups, grid translations of the torus, products of those) and
-    otherwise goes through the spectral identity at the rule's alias-free
-    band, which is exact for band-limited functions.
+
+def translate_batch(f, ys):
+    """Right translates R_y f, one per element of ``ys``, in order.
+
+    An element whose x -> x*y permutes the rule's nodes (finite groups, grid
+    translations of the torus, products of those) re-indexes the samples
+    exactly.  All the others share one transform of f at the rule's
+    alias-free band, one coefficient-side action per dimension block
+    (``_right_action``) and one synthesis, which is exact for band-limited
+    functions.
     """
-    if y.group != f.group:
+    ys = list(ys)
+    if any(y.group != f.group for y in ys):
         raise GroupMismatchError("translation element from a different group")
-    perm = _reindex_plan(f.rule, y)
-    if perm is not None:
-        return SampledFunction(f.rule, f.values[perm])
-    coeffs = forward_to_cutoff(f)
-    return inverse(translate_spectral(coeffs, y), f.rule)
+    out = [None] * len(ys)
+    spectral = []
+    for k, y in enumerate(ys):
+        perm = _reindex_plan(f.rule, y)
+        if perm is None:
+            spectral.append(k)
+        else:
+            out[k] = SampledFunction(f.rule, f.values[perm])
+    if spectral:
+        coeffs = forward_to_cutoff(f)
+        blocks = _right_action(coeffs, [ys[k] for k in spectral])
+        vals = _synthesize_on_rule(coeffs.table, blocks, len(spectral), f.rule)
+        for k, v in zip(spectral, vals):
+            out[k] = SampledFunction(f.rule, v)
+    return out
+
+
+def _right_action(coeffs, ys):
+    """pi(y) @ coeff(pi) for every y and label: per dimension block, the
+    (m, n_b, d, d) stack of the block's irrep matrices at the m elements
+    times the (n_b, d, d) block, in one batched product."""
+    return [
+        np.stack([irreps.irrep_matrices(lab, ys) for lab in labs], axis=1) @ block
+        for labs, block in zip(coeffs.table.block_labels, coeffs.blocks)
+    ]
 
 
 def translate_spectral(coeffs, y):
-    """Coefficient-side right translation: coeff(pi) -> pi(y) @ coeff(pi)."""
-    blocks = [
-        np.stack([irreps.irrep_matrix(lab, y) for lab in labs]) @ block
-        for labs, block in zip(coeffs.table.block_labels, coeffs.blocks)
-    ]
+    """Coefficient-side right translation: coeff(pi) -> pi(y) @ coeff(pi),
+    the block action of ``translate_batch`` for one element."""
+    blocks = [b[0] for b in _right_action(coeffs, [y])]
     return FourierCoefficients.from_blocks(
         coeffs.group, coeffs.table, blocks, coeffs.cutoff, coeffs.l2_mass_total
     )

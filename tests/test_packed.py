@@ -31,6 +31,7 @@ from pego import (
     product,
     random_band_limited_function,
     safe_band,
+    shell_subset,
     su2,
     torus,
 )
@@ -195,3 +196,35 @@ def test_inverse_batch_matches_one_set_at_a_time(name):
         npt.assert_allclose(f.values, inverse_transform(c, rule).values, rtol=0, atol=1e-14)
     with pytest.raises(ValueError, match="different labels"):
         inverse_batch([batch[0], forward(together[0], batch[0].labels[:1])], rule)
+
+
+def _random_band_limited_oracle(rule, band, rng, norm):
+    """One dict entry per label in shell order: two (d, d) draws each, the
+    mass summed label by label, then rescaled to ``norm``."""
+    subset = shell_subset(rule.group, band)
+    entries = {}
+    mass = 0.0
+    for lab in subset:
+        d = lab.dim
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        entries[lab] = m
+        mass += d * float(np.sum(np.abs(m) ** 2))
+    scale = norm / math.sqrt(mass)
+    entries = {lab: m * scale for lab, m in entries.items()}
+    return inverse_transform(FourierCoefficients(rule.group, tuple(subset), entries), rule)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + ["su2 res 16"])
+def test_random_draws_match_the_dict_oracle_bitwise(name):
+    group, res = (su2(), 16) if name == "su2 res 16" else GROUPS[name]
+    rule = haar_quadrature(group, res)
+    band = _band(rule)
+    got = random_band_limited_function(rule, band, seed=23, norm=1.3)
+    want = _random_band_limited_oracle(rule, band, np.random.default_rng(23), 1.3)
+    assert np.array_equal(got.values, want.values)
+    # a caller's generator is left where the oracle's draws leave it
+    mine, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    got = random_band_limited_function(rule, band, seed=mine, norm=0.7)
+    want = _random_band_limited_oracle(rule, band, theirs, 0.7)
+    assert np.array_equal(got.values, want.values)
+    assert mine.normal() == theirs.normal()
