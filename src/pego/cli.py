@@ -29,6 +29,7 @@ from .fourier import (
     forward_batch,
     forward_to_cutoff,
     inverse,
+    matrix_entry_function,
     random_band_limited_function,
     safe_band,
     translate,
@@ -295,8 +296,7 @@ def _schur_cell_gap(rule, labels):
     gap = 0.0
     for lo in range(0, len(cells), per_batch):
         batch = cells[lo:lo + per_batch]
-        fns = [ser.parse_function_spec(f"entry:{lab.name}:{i}:{j}", rule)
-               for lab, i, j in batch]
+        fns = [matrix_entry_function(lab, i, j, rule) for lab, i, j in batch]
         coeffs = forward_batch(fns, labels)
         table = coeffs[0].table
         for b, d in enumerate(table.dims):

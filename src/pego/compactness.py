@@ -361,13 +361,12 @@ def equicontinuity_profile(
         )
         acc = np.zeros((m, len(pool)))
         table = coeffs[0].table
-        for b, (d, labs) in enumerate(zip(table.dims, table.block_labels)):
+        for b, (d, mats) in enumerate(zip(table.dims, table.matrices_at(pool))):
             # (pi(y) - I) coeff(pi) for every label of the block and every
             # pooled y at once, one member at a time
-            act = np.stack([irreps.irrep_matrices(lab, pool) for lab in labs]) - np.eye(d)
+            act = mats - np.eye(d)
             for j, c in enumerate(coeffs):
-                moved = np.einsum("lpij,ljk->lpik", act, c.blocks[b])
-                acc[j] += d * np.sum(np.abs(moved) ** 2, axis=(0, 2, 3))
+                acc[j] += d * np.sum(np.abs(act @ c.blocks[b]) ** 2, axis=(1, 2, 3))
         # mass beyond the cutoff moves by at most a factor 2 in norm
         per_point = np.sqrt(acc + 4.0 * resid2[:, None])
     else:
@@ -500,8 +499,7 @@ def lemma32_bound_check(f, y, subset, pair, cutoff=None, slack=1e-8):
     # norms are one Schatten kernel call per block
     table = fourier.slot_table(tuple(subset))
     act = fourier.FourierCoefficients.from_blocks(f.group, table, [
-        np.concatenate([irreps.irrep_matrices(lab, [y]) for lab in labs]) - np.eye(d)
-        for d, labs in zip(table.dims, table.block_labels)
+        mats[0] - np.eye(d) for d, mats in zip(table.dims, table.matrices_at([y]))
     ])
     head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
     head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
@@ -666,9 +664,11 @@ class EpsilonNet:
     """A finite epsilon-net of coefficient-space centers covering the family.
 
     Centers are band-limited functions supported on the head subset
-    ``subset``; ``center_coefficients`` reconstructs them.  The cover is
-    verified member by member via the exact Plancherel distance (head
-    coefficient distance plus residual mass), never assumed.
+    ``subset``; ``center_coefficients`` reconstructs them.  Rows of
+    ``centers`` hold the subset's packed blocks in block order
+    (``_embed_coefficients``).  The cover is verified member by member via
+    the exact Plancherel distance (head coefficient distance plus residual
+    mass), never assumed.
     """
 
     epsilon: float
@@ -681,43 +681,27 @@ class EpsilonNet:
     center_coefficients: list
 
 
-@functools.cache
-def _label_order(table):
-    """Gather indices taking the blocks' entries, flattened (n_b, 2, d, d)
-    block after block, to label order: each label's 2 d^2 reals in turn.
-    Built once per slot table."""
-    reals = 2 * np.array(table.dims, dtype=int) ** 2
-    counts = [len(labs) for labs in table.block_labels]
-    block_start = np.cumsum(reals * counts) - reals * counts
-    size = reals[table.block_of]
-    packed_start = block_start[table.block_of] + size * table.pos_of
-    label_start = np.cumsum(size) - size
-    return np.repeat(packed_start - label_start, size) + np.arange(size.sum())
-
-
 def _embed_coefficients(coeffs):
     """The coefficients as one real vector whose Euclidean norm is the
-    Plancherel norm: label by label in coverage order, sqrt(dim) * coeff,
-    real part then imaginary part, row-major."""
+    Plancherel norm: block after block, and within a block label by label,
+    sqrt(dim) * coeff, real part then imaginary part, row-major."""
     parts = [
         math.sqrt(d) * np.stack([block.real, block.imag], axis=1).ravel()
         for d, block in zip(coeffs.table.dims, coeffs.blocks)
     ]
     if not parts:
         return np.zeros(0)
-    return np.concatenate(parts)[_label_order(coeffs.table)]
+    return np.concatenate(parts)
 
 
 def _unembed_center(vec, subset, group):
     """Inverse of ``_embed_coefficients`` on the labels of ``subset``."""
     table = fourier.slot_table(tuple(subset))
-    packed = np.empty_like(vec)
-    packed[_label_order(table)] = vec
     blocks = []
     pos = 0
     for d, labs in zip(table.dims, table.block_labels):
         size = 2 * len(labs) * d * d
-        parts = packed[pos : pos + size].reshape(len(labs), 2, d, d)
+        parts = vec[pos : pos + size].reshape(len(labs), 2, d, d)
         pos += size
         blocks.append((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(d))
     return fourier.FourierCoefficients.from_blocks(group, table, blocks)
@@ -730,11 +714,11 @@ def epsilon_net(
 
     Demands a "precompact" verdict at epsilon/2 first and raises
     NotPrecompactError (carrying the verdict and its certificate) otherwise.
-    Centers are the occupied cells of a coefficient-space grid over the decay
-    witness subset A: quantization moves a member by at most epsilon/2 in the
-    head, and the tail outside A is below epsilon/2 by the witness property,
-    so every member provably lies within epsilon of its center; the code
-    still verifies each distance explicitly.
+    Centers are the grid points nearest the members on a coefficient-space
+    grid over the decay witness subset A: quantization moves a member by at
+    most epsilon/2 in the head, and the tail outside A is below epsilon/2 by
+    the witness property, so every member provably lies within epsilon of its
+    center; the code still verifies each distance explicitly.
     """
     verdict = pego_verdict(
         family,
@@ -758,9 +742,11 @@ def epsilon_net(
     vecs = np.stack([_embed_coefficients(c) for c in coeffs])
     n_real = vecs.shape[1]
     cell = epsilon / math.sqrt(n_real) if n_real else epsilon
-    cells = np.floor(vecs / cell).astype(int)
+    # centered cells: a coordinate that is zero in exact arithmetic snaps to
+    # 0 whatever the sign of its roundoff
+    cells = np.rint(vecs / cell).astype(int)
     uniq, assignments = np.unique(cells, axis=0, return_inverse=True)
-    centers = (uniq + 0.5) * cell
+    centers = uniq * cell
     resid = np.array(
         [
             norms.plancherel_residual(f, c, subset)

@@ -98,7 +98,8 @@ def character_ladder(rule, count=12):
 
 def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0):
     """Random members of the ``bound``-ball of the span of entries of a fixed
-    finite set of irreps (given by labels, or every irrep with shell <= shell)."""
+    finite set of irreps (given by labels, or every irrep with shell <= shell),
+    drawn straight into the subset's packed blocks (``fourier._random_blocks``)."""
     group = rule.group
     if labels is None:
         if shell is None:
@@ -110,20 +111,14 @@ def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0
     if band is not None and any(lab.shell > band for lab in subset):
         raise ResolutionError("span irreps exceed the rule's alias-free band")
     rng = np.random.default_rng(seed)
+    table = fourier.slot_table(subset.labels)
     coeffs = []
     for _ in range(count):
-        entries = {}
-        mass = 0.0
-        for lab in subset:
-            d = lab.dim
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            entries[lab] = m
-            mass += d * float(np.sum(np.abs(m) ** 2))
+        blocks, mass = fourier._random_blocks(group, table, rng)
         radius = bound * float(rng.uniform(0.2, 1.0))
         scale = radius / math.sqrt(mass) if mass > 0 else 0.0
-        for lab in entries:
-            entries[lab] = entries[lab] * scale
-        coeffs.append(fourier.FourierCoefficients(group, tuple(subset), entries))
+        blocks = [b * scale for b in blocks]
+        coeffs.append(fourier.FourierCoefficients.from_blocks(group, table, blocks))
     members = fourier.inverse_batch(coeffs, rule)
     for i, f in enumerate(members):
         f.name = f"span[{i}]"

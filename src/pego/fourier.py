@@ -127,7 +127,8 @@ class SlotTable:
     ``block_labels[b]`` lists them.  ``index`` maps a label to its position
     in ``labels``; at that position ``block_of`` and ``pos_of`` hold the
     label's block and its position in the block.  ``slot`` and ``members``
-    are derived from those.  Built once per label tuple by ``slot_table``.
+    are derived from those; ``matrices_at`` lays irrep matrices out the same
+    way.  Built once per label tuple by ``slot_table``.
     """
 
     labels: tuple
@@ -146,6 +147,16 @@ class SlotTable:
     def members(self):
         """Per block, the positions in ``labels`` of its labels, in order."""
         return tuple(np.flatnonzero(self.block_of == b) for b in range(len(self.dims)))
+
+    def matrices_at(self, points):
+        """The irrep matrices at ``points``, laid out like the blocks: per
+        block one (m, n_b, d, d) array whose ``[k, pos]`` is pi(points[k])
+        for the label at ``pos``."""
+        points = list(points)
+        return [
+            np.stack([irreps.irrep_matrices(lab, points) for lab in labs], axis=1)
+            for labs in self.block_labels
+        ]
 
 
 @functools.cache
@@ -298,20 +309,15 @@ def matrix_entry_function(label, i, j, rule):
     )
 
 
-def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
-    """Seeded random function with frequency content in shells <= band.
+def _random_blocks(group, table, rng):
+    """Complex-normal coefficient blocks for the labels of ``table``, and
+    their Plancherel mass sum of dim ||C||_F^2.
 
-    Coefficient matrices have iid complex-normal entries, rescaled so that
-    ||f||_2 equals ``norm``.  Exactly band-limited, hence transform-exact on
-    any rule with safe_band >= band.
-
-    Label by label in shell order, the real and then the imaginary parts of
+    Label by label in table order, the real and then the imaginary parts of
     its (d, d) matrix are drawn; one ``rng.normal`` call draws them all, the
     same stream as one call per part, and they are gathered into the packed
     blocks.  The mass is summed in label order.
     """
-    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
-    table = slot_table(irreps.shell_subset(rule.group, band).labels)
     sizes = np.array([lab.dim for lab in table.labels], dtype=int) ** 2
     draws = rng.normal(size=2 * int(sizes.sum()))
     start = np.cumsum(2 * sizes) - 2 * sizes
@@ -319,12 +325,25 @@ def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
     for d, mem in zip(table.dims, table.members):
         at = start[mem][:, None] + np.arange(d * d)
         blocks.append((draws[at] + 1j * draws[at + d * d]).reshape(len(mem), d, d))
-    coeffs = FourierCoefficients.from_blocks(rule.group, table, blocks)
-    mass = float(head_sums(coeffs.label_masses(), np.arange(len(table.labels))))
+    unscaled = FourierCoefficients.from_blocks(group, table, blocks)
+    return blocks, float(head_sums(unscaled.label_masses(), np.arange(len(table.labels))))
+
+
+def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
+    """Seeded random function with frequency content in shells <= band.
+
+    Coefficient matrices have iid complex-normal entries (``_random_blocks``,
+    labels in shell order), rescaled so that ||f||_2 equals ``norm``.
+    Exactly band-limited, hence transform-exact on any rule with
+    safe_band >= band.
+    """
+    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
+    table = slot_table(irreps.shell_subset(rule.group, band).labels)
+    blocks, mass = _random_blocks(rule.group, table, rng)
     if norm is not None and mass > 0:
         scale = norm / math.sqrt(mass)
-        coeffs = FourierCoefficients.from_blocks(rule.group, table, [b * scale for b in blocks])
-    out = inverse(coeffs, rule)
+        blocks = [b * scale for b in blocks]
+    out = inverse(FourierCoefficients.from_blocks(rule.group, table, blocks), rule)
     out.name = name or f"rand(band={band})"
     return out
 
@@ -569,12 +588,9 @@ def translate_batch(f, ys):
 
 def _right_action(coeffs, ys):
     """pi(y) @ coeff(pi) for every y and label: per dimension block, the
-    (m, n_b, d, d) stack of the block's irrep matrices at the m elements
+    (m, n_b, d, d) irrep matrices at the m elements (``SlotTable.matrices_at``)
     times the (n_b, d, d) block, in one batched product."""
-    return [
-        np.stack([irreps.irrep_matrices(lab, ys) for lab in labs], axis=1) @ block
-        for labs, block in zip(coeffs.table.block_labels, coeffs.blocks)
-    ]
+    return [mats @ block for mats, block in zip(coeffs.table.matrices_at(ys), coeffs.blocks)]
 
 
 def translate_spectral(coeffs, y):

@@ -489,33 +489,19 @@ def _haar_su2(group, resolution):
     gammas = np.arange(n_c) * (2.0 * _TWO_PI / n_c)
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_b)
     betas = np.arccos(gl_x)
-    nodes = []
-    weights = np.empty(n_a * n_b * n_c)
-    i = 0
-    for ia in range(n_a):
-        ca, sa = math.cos(alphas[ia] / 2), math.sin(alphas[ia] / 2)
-        for ib in range(n_b):
-            cb, sb = math.cos(betas[ib] / 2), math.sin(betas[ib] / 2)
-            for ic in range(n_c):
-                cg, sg = math.cos(gammas[ic] / 2), math.sin(gammas[ic] / 2)
-                # q = q_z(alpha) q_y(beta) q_z(gamma)
-                w1, z1 = ca, sa
-                w2, y2 = cb, sb
-                w3, z3 = cg, sg
-                # q_z(a) q_y(b) = (ca*cb, -sa*sb?, ...)  do it explicitly:
-                # (w1,0,0,z1)*(w2,0,y2,0) = (w1w2, z1*y2? ...)
-                wa = w1 * w2
-                xa = -z1 * y2
-                ya = w1 * y2
-                za = z1 * w2
-                # * (w3,0,0,z3)
-                w = wa * w3 - za * z3
-                x = xa * w3 + ya * z3
-                y = ya * w3 - xa * z3
-                z = za * w3 + wa * z3
-                nodes.append(GroupPoint(group, _unit4(w, x, y, z)))
-                weights[i] = (1.0 / n_a) * (gl_w[ib] / 2.0) * (1.0 / n_c)
-                i += 1
+    # q = q_z(alpha) q_y(beta) q_z(gamma), with q_z(t) = (cos t/2, 0, 0, sin t/2)
+    # and q_y(t) = (cos t/2, 0, sin t/2, 0), over the (alpha, beta, gamma) grid
+    ca, sa = np.cos(alphas / 2)[:, None, None], np.sin(alphas / 2)[:, None, None]
+    cb, sb = np.cos(betas / 2)[:, None], np.sin(betas / 2)[:, None]
+    cg, sg = np.cos(gammas / 2), np.sin(gammas / 2)
+    wa, xa, ya, za = ca * cb, -sa * sb, ca * sb, sa * cb
+    w, x, y, z = wa * cg - za * sg, xa * cg + ya * sg, ya * cg - xa * sg, za * cg + wa * sg
+    nrm = np.sqrt(w * w + x * x + y * y + z * z)
+    # one list of floats per coordinate, so no per-node list is built
+    w, x, y, z = ((c / nrm).ravel().tolist() for c in (w, x, y, z))
+    nodes = [GroupPoint(group, q) for q in zip(w, x, y, z)]
+    w_bc = (1.0 / n_a) * (gl_w / 2.0)[:, None] * np.full(n_c, 1.0 / n_c)
+    weights = np.broadcast_to(w_bc, (n_a, n_b, n_c)).ravel()
     meta = {
         "kind": "su2-euler",
         "alphas": alphas,
@@ -524,11 +510,6 @@ def _haar_su2(group, resolution):
         "gl_w": gl_w,
     }
     return QuadratureRule(group, nodes, weights, 2 * r, resolution, meta)
-
-
-def _unit4(w, x, y, z):
-    nrm = math.sqrt(w * w + x * x + y * y + z * z)
-    return (w / nrm, x / nrm, y / nrm, z / nrm)
 
 
 def _haar_product(group, resolution):

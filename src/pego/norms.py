@@ -44,10 +44,7 @@ class ExponentPair:
     @classmethod
     def of(cls, p):
         p = float(p)
-        if not 1.0 <= p <= 2.0:
-            raise ValueError("exponent must lie in [1, 2]")
-        conj = math.inf if p == 1.0 else p / (p - 1.0)
-        return cls(p, conj)
+        return cls(p, math.inf if p == 1.0 else p / (p - 1.0))
 
     def __post_init__(self):
         if not 1.0 <= self.p <= 2.0:

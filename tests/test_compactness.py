@@ -44,7 +44,7 @@ from pego import (
     torus,
     translate,
 )
-from pego.compactness import _escape_certificate, default_mesh
+from pego.compactness import _embed_coefficients, _escape_certificate, default_mesh
 from pego.irreps import enumerate_dual
 
 
@@ -389,6 +389,22 @@ def test_epsilon_net_covers_span_family():
             lab.dim * np.sum(np.abs(c[lab] - cen[lab]) ** 2) for lab in net.subset
         )
         assert math.sqrt(head) <= 1.0 + 1e-9
+
+
+def test_epsilon_net_snaps_exact_zeros_to_zero_centers():
+    """Coordinates that vanish in exact arithmetic (here the imaginary parts
+    of heat-kernel coefficients) get center coordinate 0, whatever the sign
+    of their roundoff."""
+    rule = haar_quadrature(dihedral(9))
+    fam = builtin_family("heat_kernel", rule)
+    net = epsilon_net(fam, 0.5)
+    assert net.cover_verified
+    vecs = np.stack([
+        _embed_coefficients(c) for c in forward_batch(fam.members, net.subset.labels)
+    ])
+    zero = np.all(np.abs(vecs) < 1e-12, axis=0)
+    assert zero.sum() > 0 and not zero.all()
+    assert np.all(net.centers[:, zero] == 0.0)
 
 
 def test_epsilon_net_refuses_ladder():

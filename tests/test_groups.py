@@ -194,6 +194,30 @@ def test_haar_su2_exactness_on_polynomials():
     assert abs(rule.integrate(w * w) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("res", [1, 4, 6, 16])
+def test_haar_su2_nodes_match_the_euler_product_bitwise(res):
+    """Node by node, q_z(alpha) q_y(beta) q_z(gamma) normalized, alpha
+    outermost and gamma innermost, with weights (1/n_a) (w_beta/2) (1/n_c)."""
+    rule = haar_quadrature(su2(), res)
+    alphas, betas, gammas = rule.meta["alphas"], rule.meta["betas"], rule.meta["gammas"]
+    n_a, n_c = len(alphas), len(gammas)
+    nodes, weights = [], []
+    for a in alphas:
+        ca, sa = math.cos(a / 2), math.sin(a / 2)
+        for b, gl_w in zip(betas, rule.meta["gl_w"]):
+            cb, sb = math.cos(b / 2), math.sin(b / 2)
+            for c in gammas:
+                cg, sg = math.cos(c / 2), math.sin(c / 2)
+                wa, xa, ya, za = ca * cb, -sa * sb, ca * sb, sa * cb
+                w, x = wa * cg - za * sg, xa * cg + ya * sg
+                y, z = ya * cg - xa * sg, za * cg + wa * sg
+                nrm = math.sqrt(w * w + x * x + y * y + z * z)
+                nodes.append((w / nrm, x / nrm, y / nrm, z / nrm))
+                weights.append((1.0 / n_a) * (gl_w / 2.0) * (1.0 / n_c))
+    assert [p.coords for p in rule.nodes] == nodes
+    assert rule.weights.tolist() == weights
+
+
 def test_sample_ball_stays_inside_and_hits_identity():
     for group, delta in [(torus(1), 0.3), (su2(), 0.9), (dihedral(3), 1.5)]:
         pts = sample_ball(group, NeighborhoodSpec(delta, 12), seed=4)

@@ -17,6 +17,7 @@ from pego import (
     DualFiltration,
     DualSubset,
     FourierCoefficients,
+    NeighborhoodSpec,
     basis_twist,
     cyclic,
     dihedral,
@@ -31,11 +32,15 @@ from pego import (
     product,
     random_band_limited_function,
     safe_band,
+    sample_ball,
     shell_subset,
     su2,
     torus,
 )
 from pego.compactness import _embed_coefficients, _unembed_center
+from pego.families import matrix_entry_span
+from pego.fourier import slot_table
+from pego.irreps import irrep_matrices
 
 # (group, resolution): duals with one block (torus), two blocks (dihedral),
 # one block per spin (su2) and interleaved dimensions (products)
@@ -102,8 +107,9 @@ def test_embedding_is_a_plancherel_isometry_and_unembeds(name, twisted):
     group, batch = _coefficients(name, twisted)
     a, b = batch[0], batch[1]
     va, vb = _embed_coefficients(a), _embed_coefficients(b)
-    # label by label in coverage order: sqrt(dim) * coeff, real then imaginary
-    want = [part.ravel() for lab in a.labels
+    # block after block, label by label within a block: sqrt(dim) * coeff,
+    # real then imaginary
+    want = [part.ravel() for labs in a.table.block_labels for lab in labs
             for part in (math.sqrt(lab.dim) * a[lab].real, math.sqrt(lab.dim) * a[lab].imag)]
     npt.assert_allclose(va, np.concatenate(want), rtol=0, atol=1e-13)
     inner = sum(lab.dim * np.vdot(a[lab], b[lab]).real for lab in a.labels)
@@ -198,10 +204,9 @@ def test_inverse_batch_matches_one_set_at_a_time(name):
         inverse_batch([batch[0], forward(together[0], batch[0].labels[:1])], rule)
 
 
-def _random_band_limited_oracle(rule, band, rng, norm):
-    """One dict entry per label in shell order: two (d, d) draws each, the
-    mass summed label by label, then rescaled to ``norm``."""
-    subset = shell_subset(rule.group, band)
+def _dict_draw(subset, rng):
+    """One dict entry per label in subset order, two (d, d) draws each, and
+    the mass summed label by label."""
     entries = {}
     mass = 0.0
     for lab in subset:
@@ -209,9 +214,31 @@ def _random_band_limited_oracle(rule, band, rng, norm):
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         entries[lab] = m
         mass += d * float(np.sum(np.abs(m) ** 2))
+    return entries, mass
+
+
+def _random_band_limited_oracle(rule, band, rng, norm):
+    """A dict draw on the shells <= band, rescaled to ``norm``."""
+    subset = shell_subset(rule.group, band)
+    entries, mass = _dict_draw(subset, rng)
     scale = norm / math.sqrt(mass)
     entries = {lab: m * scale for lab, m in entries.items()}
     return inverse_transform(FourierCoefficients(rule.group, tuple(subset), entries), rule)
+
+
+def _matrix_entry_span_oracle(rule, shell, bound, count, seed):
+    """Per member a dict draw on the shells <= shell, then a uniform radius
+    in [0.2, 1] * bound to rescale to."""
+    subset = shell_subset(rule.group, shell)
+    rng = np.random.default_rng(seed)
+    coeffs = []
+    for _ in range(count):
+        entries, mass = _dict_draw(subset, rng)
+        radius = bound * float(rng.uniform(0.2, 1.0))
+        scale = radius / math.sqrt(mass) if mass > 0 else 0.0
+        entries = {lab: m * scale for lab, m in entries.items()}
+        coeffs.append(FourierCoefficients(rule.group, tuple(subset), entries))
+    return inverse_batch(coeffs, rule)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS) + ["su2 res 16"])
@@ -219,6 +246,10 @@ def test_random_draws_match_the_dict_oracle_bitwise(name):
     group, res = (su2(), 16) if name == "su2 res 16" else GROUPS[name]
     rule = haar_quadrature(group, res)
     band = _band(rule)
+    span = matrix_entry_span(rule, shell=band, bound=1.7, count=3, seed=23)
+    want = _matrix_entry_span_oracle(rule, band, 1.7, 3, 23)
+    for f, g in zip(span.members, want, strict=True):
+        assert np.array_equal(f.values, g.values)
     got = random_band_limited_function(rule, band, seed=23, norm=1.3)
     want = _random_band_limited_oracle(rule, band, np.random.default_rng(23), 1.3)
     assert np.array_equal(got.values, want.values)
@@ -228,3 +259,30 @@ def test_random_draws_match_the_dict_oracle_bitwise(name):
     want = _random_band_limited_oracle(rule, band, theirs, 0.7)
     assert np.array_equal(got.values, want.values)
     assert mine.normal() == theirs.normal()
+
+
+_TWIST_GROUPS = {
+    "cyclic:5": (cyclic(5), 1),
+    "dihedral:9": (dihedral(9), 1),
+    "torus:2": (torus(2), 9),
+    "su2": (su2(), 4),
+    "product(torus:1,su2)": (product(torus(1), su2()), 3),
+}
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("name", sorted(_TWIST_GROUPS))
+def test_matrices_at_matches_irrep_matrices_per_label(name, twisted):
+    group, res = _TWIST_GROUPS[name]
+    rule = haar_quadrature(group, res)
+    band = _band(rule)
+    table = slot_table(tuple(enumerate_dual(group, band)))
+    radius = 1.5 if group.is_finite else 1.0
+    points = [rule.nodes[1], *sample_ball(group, NeighborhoodSpec(radius, 4), seed=3)]
+    twist = basis_twist(group, band, seed=5) if twisted else contextlib.nullcontext()
+    with twist:
+        got = table.matrices_at(points)
+        for lab in table.labels:
+            b, pos = table.slot(lab)
+            assert got[b].shape == (len(points), len(table.block_labels[b]), lab.dim, lab.dim)
+            assert np.array_equal(got[b][:, pos], irrep_matrices(lab, points))
