@@ -42,9 +42,10 @@ def _jy_eigenvectors(two_l):
 def wigner_d(two_l, beta):
     """Small Wigner d-matrix d^l(beta) = exp(-i beta J_y).
 
-    One batched evaluation of Re(V exp(-i beta M) V*) over all betas, where V
-    holds the eigenvectors of J_y (computed once per spin) and M the exact
-    weights -l, ..., l.
+    One batched evaluation of Re(V exp(-i beta M) V*) over the distinct
+    betas, where V holds the eigenvectors of J_y (computed once per spin) and
+    M the exact weights -l, ..., l.  Equal betas share one matrix: the nodes
+    of Euler and product rules repeat a few betas thousands of times.
 
     Parameters
     ----------
@@ -59,10 +60,18 @@ def wigner_d(two_l, beta):
         Real array of shape ``beta.shape + (two_l + 1, two_l + 1)``.
     """
     beta = np.asarray(beta, dtype=float)
+    flat = beta.ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    slot = np.empty(flat.size, dtype=int)
+    slot[order] = np.cumsum(first) - 1
     vecs = _jy_eigenvectors(two_l)
     weights = np.arange(-two_l, two_l + 1, 2) / 2.0
-    phases = np.exp(-1j * beta[..., None] * weights)
-    return np.ascontiguousarray(((vecs * phases[..., None, :]) @ vecs.conj().T).real)
+    phases = np.exp(-1j * ordered[first][:, None] * weights)
+    dmat = ((vecs * phases[:, None, :]) @ vecs.conj().T).real
+    return dmat[slot].reshape(beta.shape + dmat.shape[1:])
 
 
 def wigner_D(two_l, alpha, beta, gamma):

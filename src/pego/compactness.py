@@ -381,15 +381,16 @@ def equicontinuity_profile(
 def _translation_moduli(f, ys, p):
     """||R_y f - f||_p for every y of ``ys``, in order.
 
-    Translates come from ``fourier.translate_batch`` a block of elements at
+    Translates come from ``fourier.translate_values`` a block of elements at
     a time, at most _TRANSLATE_BLOCK_VALUES sampled values per block, so the
-    translates held at once stay bounded however many elements there are.
+    translates held at once stay bounded however many elements there are;
+    each block's norms are taken from its value array in one call.
     """
     per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
     out = np.empty(len(ys))
     for lo in range(0, len(ys), per_block):
-        moved = fourier.translate_batch(f, ys[lo : lo + per_block])
-        out[lo : lo + len(moved)] = [norms.lp_function_norm(g - f, p) for g in moved]
+        moved = fourier.translate_values(f, ys[lo : lo + per_block])
+        out[lo : lo + len(moved)] = norms.lp_value_norms(f.rule.weights, moved - f.values, p)
     return out
 
 

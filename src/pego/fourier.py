@@ -23,11 +23,18 @@ dimension, with a slot table per label tuple (``slot_table``) that maps each
 label to its block and position.  Kernels loop over blocks and slots by
 integer; masses, norms and head sums are vectorized per block.
 
-On the SU(2) Euler grid both directions are separable: two phase GEMMs over
-the uniform alpha and gamma axes and one Gauss-Legendre-weighted sum against
-d^l(beta) per spin, O(r^4) time and O(r^3) memory, with no (N, d, d) irrep
-stack built.  On torus, finite and product rules each label is one GEMM
-against the irrep stack cached on the rule.
+Each kind of rule has its own pair of kernels (``_kernels``), and none of
+the grid kernels builds an (N, d, d) irrep stack:
+
+* torus grids: one FFT of w * f, read at the bins k mod R, and one inverse
+  FFT of the coefficients scattered into those bins;
+* su2 Euler grids: two phase GEMMs over the uniform alpha and gamma axes and
+  one Gauss-Legendre-weighted sum against d^l(beta) per spin, O(r^4) time
+  and O(r^3) memory;
+* products: one factor axis at a time, each with its factor's own kernel,
+  with the Kronecker entries gathered into (or scattered from) the slots;
+* finite rules (cyclic, dihedral, finite products) and hand-built rules:
+  one GEMM per label against the irrep stack cached on the rule.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ __all__ = [
     "convolve",
     "translate",
     "translate_batch",
+    "translate_values",
     "translate_spectral",
     "dirac_net_element",
 ]
@@ -151,12 +159,10 @@ class SlotTable:
     def matrices_at(self, points):
         """The irrep matrices at ``points``, laid out like the blocks: per
         block one (m, n_b, d, d) array whose ``[k, pos]`` is pi(points[k])
-        for the label at ``pos``."""
-        points = list(points)
-        return [
-            np.stack([irreps.irrep_matrices(lab, points) for lab in labs], axis=1)
-            for labs in self.block_labels
-        ]
+        for the label at ``pos``.  Each block is evaluated whole
+        (``irreps.irrep_blocks``), bitwise equal to ``irrep_matrices`` label
+        by label."""
+        return irreps.irrep_blocks(self.block_labels, points)
 
 
 @functools.cache
@@ -256,7 +262,14 @@ class FourierCoefficients:
         return lab in self.table.index
 
     def positions(self, subset):
-        """Positions in ``labels`` of the labels of ``subset``, in its order."""
+        """Positions in ``labels`` of the labels of ``subset``, in its order.
+
+        A prefix of ``labels`` (the steps of a shell filtration against the
+        canonical dual) is recognized by one tuple comparison and needs no
+        lookup."""
+        subset = tuple(subset)
+        if self.labels[: len(subset)] == subset:
+            return np.arange(len(subset))
         index = self.table.index
         try:
             return np.array([index[lab] for lab in subset], dtype=int)
@@ -376,11 +389,10 @@ def forward_batch(fs, dual):
 
     The one forward kernel.  coeff(pi)[i, j] = sum_t w_t f(t) conj(pi(t)[j, i]).
     Each dimension block is one (m, n_b, d, d) array, and function k gets the
-    views ``[k]`` of those arrays.  On su2 Euler rules the kernel runs
-    separably over the grid axes (``_su2_forward``).  On every other rule it
-    is, per label, one GEMM of conj(w * f) against the cached stack viewed as
-    (N, d*d), written into the label's slot; each block is then conjugated
-    and transposed back once, so no conjugated copy of a stack is made.
+    views ``[k]`` of those arrays.  The rule's kind picks the kernel
+    (``_kernels``): an FFT on torus grids, a separable sum over the Euler
+    axes on su2, one factor at a time on products, and per label one GEMM
+    against the cached irrep stack on finite and hand-built rules.
     """
     if not fs:
         return []
@@ -390,18 +402,50 @@ def forward_batch(fs, dual):
     table = slot_table(tuple(dual))
     wf = np.stack([f.rule.weights * f.values for f in fs])  # (m, N)
     masses = [float(np.sum(f.rule.weights * np.abs(f.values) ** 2)) for f in fs]
-    if rule.meta.get("kind") == "su2-euler":
-        blocks = _su2_forward(wf, table, rule)
-    else:
-        blocks = _stack_forward(np.conj(wf, out=wf), table, rule)
+    blocks = _kernels(rule)[0](wf, table, rule)
     return [
         FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks], None, masses[k])
         for k in range(len(fs))
     ]
 
 
-def _stack_forward(cwf, table, rule):
-    n, m = len(rule), len(cwf)
+def _kernels(rule):
+    """The (forward, synthesis) kernel pair of a rule, by ``meta["kind"]``.
+
+    A forward kernel maps weighted samples w * f, (m, N), to the blocks of a
+    slot table, each (m, n_b, d, d); its synthesis maps such blocks back to
+    values (m, N) at the nodes.  Hand-built rules carry no kind and take the
+    stack kernels.
+    """
+    kind = rule.meta.get("kind")
+    if kind == "su2-euler":
+        return _su2_forward, _su2_inverse
+    if kind == "product":
+        return _product_forward, _product_inverse
+    if kind == "torus-grid":
+        return _grid_forward, _grid_inverse
+    return _stack_forward, _stack_inverse
+
+
+def _twisted(table, blocks, forward):
+    """Coefficient blocks in the active ``basis_twist``: U* C U per label for
+    a forward transform, U C U* before a synthesis (``irreps.block_twist``)."""
+    out = []
+    for labs, block in zip(table.block_labels, blocks):
+        u = irreps.block_twist(labs)
+        if u is not None:
+            uh = u.conj().transpose(0, 2, 1)
+            block = uh @ block @ u if forward else u @ block @ uh
+        out.append(block)
+    return out
+
+
+def _stack_forward(wf, table, rule):
+    """Per label one GEMM of conj(w * f) against the stack viewed as
+    (N, d*d); each block is conjugated and transposed back once, so no
+    conjugated copy of a stack is made."""
+    n, m = len(rule), len(wf)
+    cwf = np.conj(wf)
     blocks = []
     for d, labs in zip(table.dims, table.block_labels):
         raw = np.empty((len(labs), m, d * d), dtype=complex)
@@ -410,6 +454,150 @@ def _stack_forward(cwf, table, rule):
         raw = raw.conj().reshape(len(labs), m, d, d).transpose(1, 0, 3, 2)
         blocks.append(np.ascontiguousarray(raw))
     return blocks
+
+
+def _stack_inverse(table, blocks, m, rule):
+    """Synthesis against the cached stacks, gathered per block."""
+    mats = [np.stack([irreps.irrep_stack(lab, rule) for lab in labs], axis=1)
+            for labs in table.block_labels]
+    return _synthesize(table, blocks, m, len(rule), mats)
+
+
+@functools.cache
+def _grid_bins(table, shape):
+    """Flat FFT bin of every label of a torus slot table (one block of
+    characters), the frequency vector k taken mod the grid size, and whether
+    two labels share a bin (a cutoff beyond the grid's band)."""
+    ks = np.array([lab.index for lab in table.labels], dtype=int).reshape(-1, len(shape))
+    bins = np.ravel_multi_index(tuple((ks % shape).T), shape)
+    return bins, len(set(bins.tolist())) < len(bins)
+
+
+def _grid_forward(wf, table, rule):
+    """Forward transform on a torus grid, one FFT.
+
+    The nodes 2 pi n / R per axis make coeff(k) = sum_n wf(n) e^{-2 pi i k.n/R}
+    the FFT of w * f at bin k mod R (Cooley & Tukey, Math. Comp. 19, 1965);
+    a label beyond the grid's band reads its aliased bin.  All labels are
+    characters, so the table has at most one block.
+    """
+    if not table.labels:
+        return []
+    shape = rule.meta["shape"]
+    m = len(wf)
+    spec = np.fft.fftn(wf.reshape((m,) + shape), axes=range(1, len(shape) + 1))
+    bins = _grid_bins(table, shape)[0]
+    return [np.take(spec.reshape(m, -1), bins, axis=1).reshape(m, -1, 1, 1)]
+
+
+def _grid_inverse(table, blocks, m, rule):
+    """Synthesis on a torus grid: the coefficients are added into their bins
+    (labels sharing a bin add up) and one inverse FFT, times the node count,
+    sums the characters."""
+    shape = rule.meta["shape"]
+    spec = np.zeros((m, len(rule)), dtype=complex)
+    if table.labels:
+        bins, aliased = _grid_bins(table, shape)
+        if aliased:
+            np.add.at(spec, (slice(None), bins), blocks[0].reshape(m, -1))
+        else:
+            spec[:, bins] = blocks[0].reshape(m, -1)
+    vals = np.fft.ifftn(spec.reshape((m,) + shape), axes=range(1, len(shape) + 1))
+    return len(rule) * vals.reshape(m, -1)
+
+
+@functools.cache
+def _product_plan(table):
+    """How a product slot table factors.
+
+    Per factor: the slot table of the factor labels that the table's labels
+    use, and the start of each of its blocks in the flat entry axis that
+    holds those blocks one after the other.  Per block of ``table``: the
+    (n_b, D, D) index of every coefficient entry into the outer product of
+    the factors' entry axes; for a label pi_1 x ... x pi_k, entry
+    [(i_1, ..., i_k), (j_1, ..., j_k)] sits at entry [i_t, j_t] of pi_t on
+    every factor t.
+    """
+    nf = len(table.labels[0].index)
+    ftabs = tuple(
+        slot_table(tuple(dict.fromkeys(lab.index[t] for lab in table.labels))) for t in range(nf)
+    )
+    starts = [
+        np.cumsum([0] + [len(labs) * d * d for d, labs in zip(ft.dims, ft.block_labels)])
+        for ft in ftabs
+    ]
+    sizes = [int(st[-1]) for st in starts]
+    strides = [math.prod(sizes[t + 1 :]) for t in range(nf)]
+    index = []
+    for labs in table.block_labels:
+        rows = []
+        for lab in labs:
+            flat = 0
+            for t, (ft, st, comp) in enumerate(zip(ftabs, starts, lab.index)):
+                b, pos = ft.slot(comp)
+                d = comp.dim
+                entries = st[b] + pos * d * d + np.arange(d * d)
+                shape = [1] * (2 * nf)
+                shape[t] = shape[nf + t] = d
+                flat = flat + strides[t] * entries.reshape(shape)
+            rows.append(np.reshape(flat, (lab.dim, lab.dim)))
+        index.append(np.array(rows))
+    return ftabs, starts, index
+
+
+def _product_forward(wf, table, rule):
+    """Forward transform on a product rule, one factor axis at a time.
+
+    With w * f viewed as (m, N_1, ..., N_k), each factor's own kernel
+    contracts its node axis against every factor label the table uses and
+    leaves that factor's coefficient entries in its place (Maslen &
+    Rockmore, "Generalized FFTs", DIMACS 28, 1997); the largest node axis
+    goes first.  For a product label, coeff[(i_1, i_2), (j_1, j_2)] =
+    sum w f conj(pi_1[j_1, i_1]) conj(pi_2[j_2, i_2]) is then one entry of
+    the contracted array, and each block is one gather from it
+    (``_product_plan``).  A twist of the product labels is applied last.
+    """
+    if not table.labels:
+        return []
+    frules = rule.meta["factor_rules"]
+    ftabs, starts, index = _product_plan(table)
+    m = len(wf)
+    x = wf.reshape((m,) + tuple(len(fr) for fr in frules))
+    for t in sorted(range(len(frules)), key=lambda t: -len(frules[t])):
+        fr = frules[t]
+        moved = np.moveaxis(x, t + 1, -1)
+        blocks = _kernels(fr)[0](moved.reshape(-1, len(fr)), ftabs[t], fr)
+        flat = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+        x = np.moveaxis(flat.reshape(moved.shape[:-1] + (flat.shape[1],)), -1, t + 1)
+    x = x.reshape(m, -1)
+    return _twisted(table, [x[:, idx] for idx in index], True)
+
+
+def _product_inverse(table, blocks, m, rule):
+    """Synthesis on a product rule, the transpose of ``_product_forward``:
+    the coefficients, twisted back, are scattered into the outer product of
+    the factors' entry axes, and each factor's synthesis turns its entry
+    axis into its node axis, the smallest node axis first."""
+    if not table.labels:
+        return np.zeros((m, len(rule)), dtype=complex)
+    frules = rule.meta["factor_rules"]
+    ftabs, starts, index = _product_plan(table)
+    sizes = tuple(int(st[-1]) for st in starts)
+    x = np.zeros((m, math.prod(sizes)), dtype=complex)
+    for block, idx in zip(_twisted(table, blocks, False), index):
+        x[:, idx] = block
+    x = x.reshape((m,) + sizes)
+    for t in sorted(range(len(frules)), key=lambda t: len(frules[t])):
+        fr, ft = frules[t], ftabs[t]
+        moved = np.moveaxis(x, t + 1, -1)
+        flat = moved.reshape(-1, sizes[t])
+        parts = [
+            flat[:, lo:hi].reshape(len(flat), len(labs), d, d)
+            for lo, hi, d, labs in zip(starts[t], starts[t][1:], ft.dims, ft.block_labels)
+        ]
+        vals = _kernels(fr)[1](ft, parts, len(flat), fr)
+        x = np.moveaxis(vals.reshape(moved.shape[:-1] + (len(fr),)), -1, t + 1)
+    return x.reshape(m, -1)
 
 
 def _su2_forward(wf, table, rule):
@@ -433,11 +621,8 @@ def _su2_forward(wf, table, rule):
         cols = top + _wigner.two_m_values(lab.index[0])
         sub = g[:, :, cols[:, None], cols]  # (m, b, q, p)
         coeff = (irreps.euler_grid_d(lab, rule) * sub).sum(axis=1).transpose(0, 2, 1)
-        u = irreps.twist_unitary(lab)
-        if u is not None:
-            coeff = u.conj().T @ coeff @ u
         blocks.append(coeff[:, None])
-    return blocks
+    return _twisted(table, blocks, True)
 
 
 def _su2_inverse(table, blocks, m, rule):
@@ -449,33 +634,28 @@ def _su2_inverse(table, blocks, m, rule):
     ph_a, ph_c = irreps.euler_phases(rule, top)
     k = 2 * top + 1
     h = np.zeros((m, len(rule.meta["betas"]), k, k), dtype=complex)
-    for (lab,), block in zip(table.block_labels, blocks):
-        c = block[:, 0]  # (m, d, d)
-        u = irreps.twist_unitary(lab)
-        if u is not None:
-            c = u @ c @ u.conj().T
+    for (lab,), block in zip(table.block_labels, _twisted(table, blocks, False)):
         cols = top + _wigner.two_m_values(lab.index[0])
         h[:, :, cols[:, None], cols] += (
-            lab.dim * c.transpose(0, 2, 1)[:, None] * irreps.euler_grid_d(lab, rule)
+            lab.dim * block[:, 0].transpose(0, 2, 1)[:, None] * irreps.euler_grid_d(lab, rule)
         )
-    vals = ph_a.conj() @ (h @ ph_c.conj().T)  # (m, n_b, n_a, n_c)
-    return vals.transpose(0, 2, 1, 3).reshape(m, -1)
+    half = (h @ ph_c.conj().T).transpose(0, 2, 1, 3).reshape(m, k, -1)  # (m, m_p, n_b * n_c)
+    return (ph_a.conj() @ half).reshape(m, -1)
 
 
-def _synthesize(table, blocks, m, n, matrices_of):
+def _synthesize(table, blocks, m, n, mats):
     """Synthesis against given matrices: sum over pi of dim(pi) tr(coeff(pi) pi(x)),
     for m coefficient sets whose blocks are (m, n_b, d, d).
 
-    ``matrices_of(lab)`` gives pi at the n evaluation points, shape (n, d, d).
-    tr(C P) = sum_ij C[i, j] P[j, i], so each label is one product of the
-    rows dim(pi) * C transposed and flattened, (m, d*d), with the transposed
-    (n, d*d) view of its matrices.
+    ``mats`` holds per block the matrices at the n evaluation points,
+    (n, n_b, d, d).  tr(C P) = sum_ij C[i, j] P[j, i], so each block is one
+    product of the rows dim(pi) * C transposed and flattened, (m, n_b*d*d),
+    with the flattened (n, n_b*d*d) matrices.
     """
     vals = np.zeros((m, n), dtype=complex)
-    for d, labs, block in zip(table.dims, table.block_labels, blocks):
-        rows = (d * block.transpose(0, 1, 3, 2)).reshape(m, len(labs), d * d)
-        for k, lab in enumerate(labs):
-            vals += rows[:, k] @ matrices_of(lab).reshape(n, d * d).T
+    for d, block, mat in zip(table.dims, blocks, mats):
+        rows = (d * block.transpose(0, 1, 3, 2)).reshape(m, -1)
+        vals += rows @ mat.reshape(n, rows.shape[1]).T
     return vals
 
 
@@ -500,24 +680,23 @@ def inverse_batch(coeffs, rule):
 
 def _synthesize_on_rule(table, blocks, m, rule):
     """Values (m, N) at a rule's nodes of m coefficient sets whose blocks are
-    (m, n_b, d, d).  Separable over the grid axes on su2 Euler rules
-    (``_su2_inverse``); everywhere else each label is one product with the
-    rule's cached stack, shared by all sets."""
-    if rule.meta.get("kind") == "su2-euler":
-        return _su2_inverse(table, blocks, m, rule)
-    return _synthesize(table, blocks, m, len(rule), lambda lab: irreps.irrep_stack(lab, rule))
+    (m, n_b, d, d), through the rule's synthesis kernel (``_kernels``): an
+    inverse FFT on torus grids, the separable Euler sum on su2, one factor at
+    a time on products, and one product per block with the rule's cached
+    stacks on finite and hand-built rules."""
+    return _kernels(rule)[1](table, blocks, m, rule)
 
 
 def evaluate_at(coeffs, points):
     """Evaluate the synthesized function at arbitrary group points.
 
-    The synthesis kernel of ``inverse``, fed ``irrep_matrices`` at the points.
+    The synthesis of ``inverse``, fed the block matrices at the points
+    (``SlotTable.matrices_at``).
     """
     points = list(points)
     blocks = [b[None] for b in coeffs.blocks]
-    return _synthesize(
-        coeffs.table, blocks, 1, len(points), lambda lab: irreps.irrep_matrices(lab, points)
-    )[0]
+    mats = coeffs.table.matrices_at(points)
+    return _synthesize(coeffs.table, blocks, 1, len(points), mats)[0]
 
 
 def _reindex_plan(rule, y):
@@ -564,25 +743,32 @@ def translate_batch(f, ys):
     exactly.  All the others share one transform of f at the rule's
     alias-free band, one coefficient-side action per dimension block
     (``_right_action``) and one synthesis, which is exact for band-limited
-    functions.
+    functions.  ``translate_values`` gives the same translates as one array.
     """
+    return [SampledFunction(f.rule, v) for v in translate_values(f, ys)]
+
+
+def translate_values(f, ys):
+    """The values of the right translates R_y f as one (len(ys), N) array,
+    row k for ``ys[k]``: ``translate_batch`` without a SampledFunction per
+    translate."""
     ys = list(ys)
     if any(y.group != f.group for y in ys):
         raise GroupMismatchError("translation element from a different group")
-    out = [None] * len(ys)
-    spectral = []
-    for k, y in enumerate(ys):
-        perm = _reindex_plan(f.rule, y)
-        if perm is None:
-            spectral.append(k)
-        else:
-            out[k] = SampledFunction(f.rule, f.values[perm])
+    perms = [_reindex_plan(f.rule, y) for y in ys]
+    spectral = [k for k, perm in enumerate(perms) if perm is None]
     if spectral:
         coeffs = forward_to_cutoff(f)
         blocks = _right_action(coeffs, [ys[k] for k in spectral])
-        vals = _synthesize_on_rule(coeffs.table, blocks, len(spectral), f.rule)
-        for k, v in zip(spectral, vals):
-            out[k] = SampledFunction(f.rule, v)
+        moved = _synthesize_on_rule(coeffs.table, blocks, len(spectral), f.rule)
+        if len(spectral) == len(ys):
+            return moved
+    out = np.empty((len(ys), len(f.rule)), dtype=complex)
+    for k, perm in enumerate(perms):
+        if perm is not None:
+            out[k] = f.values[perm]
+    if spectral:
+        out[spectral] = moved
     return out
 
 

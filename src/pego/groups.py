@@ -397,14 +397,24 @@ class QuadratureRule:
         A rule built directly appends a digest of its nodes and weights, so
         function arithmetic accepts it only together with its equals.
 
+    ``meta["kind"]`` picks the transform kernels (``fourier._kernels``).  A
+    torus grid (``"torus-grid"``, axis lengths in ``meta["shape"]``)
+    transforms by FFT.  An su2 Euler rule (``"su2-euler"``) keeps its grid
+    axes in ``meta``, the Wigner d-matrices at its betas in
+    ``meta["_wigner_d"]`` (``irreps.euler_grid_d``) and one alpha/gamma
+    phase pair, for the largest spin asked so far, in
+    ``meta["_euler_phases"]`` (``irreps.euler_phases``), and contracts over
+    those axes.  A product rule (``"product"``) keeps its factor rules in
+    ``meta["factor_rules"]`` and transforms one factor axis at a time with
+    their kernels.  None of these builds an irrep stack to transform.
+
     The irrep stacks computed on a rule (``irreps.irrep_stack``) are stored on
-    it and live exactly as long as the rule does.  An su2 Euler rule
-    (``meta["kind"] == "su2-euler"``) keeps its grid axes in ``meta``, the
-    Wigner d-matrices at its betas in ``meta["_wigner_d"]``
-    (``irreps.euler_grid_d``) and one alpha/gamma phase pair, for the largest
-    spin asked so far, in ``meta["_euler_phases"]`` (``irreps.euler_phases``);
-    its transforms contract over those axes and build no stacks.  Stacks
-    asked for on it are assembled from the same d-matrices and phases.
+    it and live exactly as long as the rule does.  Finite (``"finite"``) and
+    hand-built rules (no kind) transform against them; elsewhere they serve
+    matrix-entry functions and the Schur suite.  Stacks on an su2 Euler rule
+    are assembled from its d-matrices and phases; on other rules they are
+    evaluated at the nodes, whose coordinate arrays the rule keeps in
+    ``meta["_node_coords"]``.
     """
 
     def __init__(self, group, nodes, weights, exactness_degree, resolution, meta=None):

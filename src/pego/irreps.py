@@ -11,6 +11,10 @@ Each irreducible representation is fixed in one concrete orthonormal basis:
   ``two_l = 2*l`` so half-integer spins stay exact;
 * product irreps are Kronecker products of factor irreps.
 
+Matrices are evaluated a block of same-dimension labels at a time
+(``irrep_blocks``); ``irrep_matrices`` is that evaluator on a block of one
+label, so both agree bitwise.
+
 Every reported norm downstream is basis independent; :func:`basis_twist`
 conjugates the whole dual by seeded random unitaries so tests can assert
 exactly that.
@@ -41,10 +45,12 @@ __all__ = [
     "parse_label",
     "irrep_matrix",
     "irrep_matrices",
+    "irrep_blocks",
     "irrep_stack",
     "euler_grid_d",
     "euler_phases",
     "twist_unitary",
+    "block_twist",
     "character",
     "random_unitary",
     "basis_twist",
@@ -364,9 +370,10 @@ def basis_twist(group, cutoff=None, seed=0):
     Inside the context, ``irrep_matrix(pi, g)`` returns ``U* pi(g) U`` with a
     per-label unitary drawn from ``seed``.  The twisted family is again a
     concrete realization of the same dual, so any basis-independent quantity
-    must be unchanged.  ``irrep_stack`` builds and keeps twisted stacks for
-    the duration of the context only; the stacks stored on rules are neither
-    used nor touched.  Twists do not nest.
+    must be unchanged; a 1x1 twist is a unit scalar that cancels, so it is
+    never applied (``block_twist``).  ``irrep_stack`` builds and keeps
+    twisted stacks for the duration of the context only; the stacks stored
+    on rules are neither used nor touched.  Twists do not nest.
     """
     if _TWIST["table"] is not None:
         raise RuntimeError("basis_twist does not nest")
@@ -388,9 +395,14 @@ def twist_unitary(label):
     return None if table is None else table.get(label)
 
 
-def _apply_twist(label, mats):
-    u = twist_unitary(label)
-    return mats if u is None else u.conj().T @ mats @ u
+def block_twist(labels):
+    """Stacked unitaries (n_b, d, d) of the active ``basis_twist`` for labels
+    of one dimension d > 1, identity for labels it does not cover; None when
+    none is covered or d == 1 (a 1x1 twist is a unit scalar and cancels)."""
+    us = [twist_unitary(lab) for lab in labels]
+    if labels[0].dim == 1 or all(u is None for u in us):
+        return None
+    return np.stack([np.eye(lab.dim) if u is None else u for lab, u in zip(labels, us)])
 
 
 def _dihedral_matrix_arrays(label, rs, ss):
@@ -420,42 +432,121 @@ def _dihedral_matrix_arrays(label, rs, ss):
     return out
 
 
-def irrep_matrices(label, points):
-    """Unitary matrices of an irrep at a batch of points, shape (n, d, d)."""
-    fam = label.group.family
+def _point_coords(group, points):
+    """The coordinates of points as arrays, in the form ``_block_at`` reads:
+    residues, angle rows, (r, s) arrays, Euler angles, or one such entry per
+    product factor."""
+    fam = group.family
     if fam == "cyclic":
-        js = np.array([p.coords[0] for p in points], dtype=float)
-        vals = np.exp(2j * np.pi * label.index[0] * js / label.group.n)
-        mats = vals[:, None, None]
-    elif fam == "torus":
-        ang = np.array([p.coords for p in points], dtype=float).reshape(len(points), label.group.n)
-        ks = np.asarray(label.index, dtype=float)
-        mats = np.exp(1j * (ang @ ks))[:, None, None]
-    elif fam == "dihedral":
-        rs = np.array([p.coords[0] for p in points])
-        ss = np.array([p.coords[1] for p in points])
-        mats = _dihedral_matrix_arrays(label, rs, ss)
-    elif fam == "su2":
+        return np.array([p.coords[0] for p in points], dtype=float)
+    if fam == "torus":
+        return np.array([p.coords for p in points], dtype=float).reshape(len(points), group.n)
+    if fam == "dihedral":
+        return tuple(np.array([p.coords[k] for p in points], dtype=int) for k in (0, 1))
+    if fam == "su2":
         q = np.array([p.coords for p in points], dtype=float).reshape(len(points), 4)
-        al, be, ga = _wigner.euler_from_quaternion(q[:, 0], q[:, 1], q[:, 2], q[:, 3])
-        mats = _wigner.wigner_D(label.index[0], al, be, ga)
+        return _wigner.euler_from_quaternion(q[:, 0], q[:, 1], q[:, 2], q[:, 3])
+    if fam == "product":
+        return tuple(
+            _point_coords(f, [p.coords[k] for p in points]) for k, f in enumerate(group.factors)
+        )
+    raise ValueError(f"unknown family {fam!r}")
+
+
+def _block_at(group, labels, coords, n):
+    """Matrices (n, n_b, d, d) of labels of one dimension d at n points.
+
+    Every entry is computed elementwise, so a label's matrices do not depend
+    on the other labels of the block: torus phases exp(i sum_a ang_a k_a)
+    are summed axis by axis, and product labels Kronecker-combine their
+    factors' matrices, each distinct factor label evaluated once.  Twists
+    apply per label, at the level of the group whose dual they cover.
+    """
+    fam = group.family
+    d = labels[0].dim
+    if fam == "cyclic":
+        ks = np.array([lab.index[0] for lab in labels], dtype=float)
+        mats = np.exp(2j * np.pi * coords[:, None] * ks / group.n)[..., None, None]
+    elif fam == "torus":
+        ks = np.array([lab.index for lab in labels], dtype=float)
+        phase = coords[:, :1] * ks[:, 0]
+        for a in range(1, group.n):
+            phase = phase + coords[:, a : a + 1] * ks[:, a]
+        mats = np.exp(1j * phase)[..., None, None]
+    elif fam == "dihedral":
+        mats = np.stack([_dihedral_matrix_arrays(lab, *coords) for lab in labels], axis=1)
+    elif fam == "su2":
+        (lab,) = labels  # every spin has its own dimension
+        mats = _wigner.wigner_D(lab.index[0], *coords)[:, None]
     elif fam == "product":
-        mats = None
-        for k, comp_label in enumerate(label.index):
-            block = irrep_matrices(comp_label, [p.coords[k] for p in points])
-            if mats is None:
-                mats = block
-            else:
-                n, d1, _ = mats.shape
-                d2 = block.shape[1]
-                mats = np.einsum("tij,tkl->tikjl", mats, block).reshape(
-                    n, d1 * d2, d1 * d2
-                )
-        # product twists apply at the top level only
-        return _apply_twist(label, np.ascontiguousarray(mats))
+        mats = _product_block_at(group, labels, coords, n)
     else:
         raise ValueError(f"unknown family {fam!r}")
-    return _apply_twist(label, np.ascontiguousarray(mats.astype(complex)))
+    mats = np.ascontiguousarray(mats, dtype=complex).reshape(n, len(labels), d, d)
+    us = block_twist(labels)
+    if us is not None:
+        for k, u in enumerate(us):
+            mats[:, k] = u.conj().T @ np.ascontiguousarray(mats[:, k]) @ u
+    return mats
+
+
+def _product_block_at(group, labels, coords, n):
+    # per factor and dimension, the block of the distinct factor labels used
+    # and their positions in it
+    factor_blocks = []
+    for k, fgroup in enumerate(group.factors):
+        by_dim = {}
+        for comp in dict.fromkeys(lab.index[k] for lab in labels):
+            by_dim.setdefault(comp.dim, []).append(comp)
+        factor_blocks.append({
+            d: (_block_at(fgroup, comps, coords[k], n), {c: i for i, c in enumerate(comps)})
+            for d, comps in by_dim.items()
+        })
+    # labels with the same factor dimensions are Kronecker-combined together
+    by_dims = {}
+    for i, lab in enumerate(labels):
+        by_dims.setdefault(tuple(c.dim for c in lab.index), []).append(i)
+    parts = []
+    for dims, idx in by_dims.items():
+        acc = None
+        for k, d in enumerate(dims):
+            block, pos = factor_blocks[k][d]
+            take = [pos[labels[i].index[k]] for i in idx]
+            part = block if take == list(range(block.shape[1])) else block[:, take]
+            if acc is None:
+                acc = part
+            else:
+                big = acc.shape[-1] * d
+                acc = np.einsum("tsij,tskl->tsikjl", acc, part).reshape(n, len(idx), big, big)
+        parts.append((idx, acc))
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.empty((n, len(labels)) + parts[0][1].shape[2:], dtype=complex)
+    for idx, acc in parts:
+        out[:, idx] = acc
+    return out
+
+
+def irrep_blocks(block_labels, points):
+    """Irrep matrices at many points, a block of labels at a time.
+
+    ``block_labels`` holds tuples of labels of one dimension each, all of one
+    group; the result has one (n, n_b, d, d) array per tuple, whose ``[k, i]``
+    is pi(points[k]) for its i-th label.  The points' coordinates are read
+    once for all blocks.
+    """
+    if not block_labels:
+        return []
+    points = list(points)
+    group = block_labels[0][0].group
+    coords = _point_coords(group, points)
+    return [_block_at(group, labs, coords, len(points)) for labs in block_labels]
+
+
+def irrep_matrices(label, points):
+    """Unitary matrices of an irrep at a batch of points, shape (n, d, d):
+    ``irrep_blocks`` on a block of one label."""
+    return irrep_blocks(((label,),), points)[0][:, 0]
 
 
 def irrep_matrix(label, g):
@@ -526,13 +617,15 @@ def irrep_stack(label, rule):
 
     Built once and stored on the rule, so it lives as long as the rule does;
     inside ``basis_twist`` the twisted stack is kept by the twist instead.
-    The returned array is shared and read-only.  A product rule reuses its
-    factor stacks, and an su2 Euler rule combines its grid d-matrices with
-    the alpha and gamma phases (``_euler_stack``); every other rule evaluates
-    ``irrep_matrices`` at its nodes.  The transforms use stacks on torus,
-    finite and product rules only (su2 Euler rules transform through
-    ``euler_grid_d``); stacks on an su2 rule serve the callers that need
-    every matrix entry at every node, such as matrix-entry functions.
+    The returned array is shared and read-only.  An su2 Euler rule combines
+    its grid d-matrices with the alpha and gamma phases (``_euler_stack``);
+    every other rule evaluates the label as a block of one at its nodes,
+    whose coordinate arrays it reads once and keeps in
+    ``meta["_node_coords"]``.  The
+    transforms use stacks on dihedral, non-cyclic finite and hand-built rules
+    only (grid, su2 Euler and product rules transform factor by factor);
+    stacks elsewhere serve the callers that need every matrix entry at every
+    node: matrix-entry functions, ``char:`` specs and the Schur suite.
     """
     twisted = _TWIST["stacks"]
     cache, key = (rule._stacks, label) if twisted is None else (twisted, (rule, label))
@@ -541,26 +634,16 @@ def irrep_stack(label, rule):
         return hit
     if label.group != rule.group:
         raise ValueError(f"label {label.name} is not an irrep of {rule.group.name}")
-    kind = rule.meta.get("kind")
-    if kind == "product":
-        # Factor twists (if any) commute with the Kronecker structure, so the
-        # product of factor stacks is always a valid realization.
-        stack = None
-        for comp_label, frule in zip(label.index, rule.meta["factor_rules"]):
-            block = irrep_stack(comp_label, frule)
-            if stack is None:
-                stack = block
-            else:
-                n1, d1, _ = stack.shape
-                n2, d2, _ = block.shape
-                stack = np.einsum("aij,bkl->abikjl", stack, block).reshape(
-                    n1 * n2, d1 * d2, d1 * d2
-                )
-        stack = _apply_twist(label, np.ascontiguousarray(stack))
-    elif kind == "su2-euler":
-        stack = _apply_twist(label, _euler_stack(label, rule))
+    if rule.meta.get("kind") == "su2-euler":
+        stack = _euler_stack(label, rule)
+        us = block_twist((label,))
+        if us is not None:
+            stack = us[0].conj().T @ stack @ us[0]
     else:
-        stack = irrep_matrices(label, rule.nodes)
+        coords = rule.meta.get("_node_coords")
+        if coords is None:
+            coords = rule.meta["_node_coords"] = _point_coords(rule.group, rule.nodes)
+        stack = _block_at(rule.group, (label,), coords, len(rule))[:, 0]
     stack.setflags(write=False)
     cache[key] = stack
     return stack

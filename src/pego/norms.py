@@ -27,6 +27,7 @@ __all__ = [
     "schatten_norms",
     "lp_oplus_norm",
     "lp_function_norm",
+    "lp_value_norms",
     "floored_tail",
     "plancherel_residual",
     "plancherel_residual_report",
@@ -124,12 +125,20 @@ def lp_oplus_norm(coeffs, p, subset=None):
 
 def lp_function_norm(f, p):
     """Quadrature L^p norm; p = inf takes the max over nodes."""
+    return float(lp_value_norms(f.rule.weights, f.values[None], p)[0])
+
+
+def lp_value_norms(weights, values, p):
+    """Quadrature L^p norms of the rows of a (k, N) value array against the
+    rule weights; p = inf takes the max over nodes (0 with no nodes)."""
     if p != math.inf and p < 1:
         raise ValueError("exponent must be >= 1 or inf")
-    a = np.abs(f.values)
+    a = np.abs(values)
     if p == math.inf:
-        return float(a.max()) if a.size else 0.0
-    return float(np.sum(f.rule.weights * a**p) ** (1.0 / p))
+        return a.max(axis=1, initial=0.0)
+    a **= p
+    a *= weights
+    return np.sum(a, axis=1) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,7 @@ def beyond_cutoff_mass(f, coeffs):
     The squared Plancherel residual over the full coverage, under the same
     roundoff floor, so a band-limited f has exactly 0 mass beyond it.
     """
-    return plancherel_residual(f, coeffs, coeffs.labels) ** 2
+    return floored_tail(lp_function_norm(f, 2) ** 2, coeffs.head_mass(coeffs.labels))[0] ** 2
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from pego import (
     random_band_limited_function,
     safe_band,
     sample,
+    sample_ball,
     su2,
     tail_decay_profile,
     torus,
@@ -328,6 +329,35 @@ def _fresh_su2_rule(res):
     )
 
 
+def _assert_transforms_match_dense_oracle(rule, dual, twisted, seed, twist_cutoff):
+    """forward_batch and inverse against sums over irrep_matrices at every
+    node, plain or under basis_twist, at atol 1e-13."""
+    g = rule.group
+    rng = np.random.default_rng(seed)
+    fs = [
+        SampledFunction(rule, rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule)))
+        for _ in range(2)
+    ]
+    entries = {
+        lab: (rng.normal(size=(lab.dim, lab.dim)) + 1j * rng.normal(size=(lab.dim, lab.dim)))
+        / len(dual) ** 2
+        for lab in dual
+    }
+    coeffs = FourierCoefficients(g, tuple(dual), entries)
+    with basis_twist(g, cutoff=twist_cutoff, seed=5) if twisted else contextlib.nullcontext():
+        got = forward_batch(fs, dual)
+        synth = inverse_transform(coeffs, rule).values
+        mats = {lab: irrep_matrices(lab, rule.nodes) for lab in dual}
+    for lab in dual:
+        for f, c in zip(fs, got):
+            want = np.einsum("t,tji->ij", rule.weights * f.values, mats[lab].conj())
+            npt.assert_allclose(c[lab], want, rtol=0, atol=1e-13)
+    want = sum(
+        lab.dim * np.einsum("ij,tji->t", entries[lab], mats[lab]) for lab in dual
+    )
+    npt.assert_allclose(synth, want, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
 def test_separable_su2_transforms_match_dense_oracle(twisted):
     """The Euler-grid forward and inverse against sums over irrep_matrices at
@@ -336,29 +366,75 @@ def test_separable_su2_transforms_match_dense_oracle(twisted):
     for res in range(1, 9):
         rule = haar_quadrature(g, res)
         dual = enumerate_dual(g, safe_band(rule))
-        rng = np.random.default_rng(res)
-        fs = [
-            SampledFunction(rule, rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule)))
-            for _ in range(2)
-        ]
-        entries = {
-            lab: (rng.normal(size=(lab.dim, lab.dim)) + 1j * rng.normal(size=(lab.dim, lab.dim)))
-            / len(dual) ** 2
-            for lab in dual
-        }
-        coeffs = FourierCoefficients(g, tuple(dual), entries)
-        with basis_twist(g, cutoff=res, seed=5) if twisted else contextlib.nullcontext():
-            got = forward_batch(fs, dual)
-            synth = inverse_transform(coeffs, rule).values
-            mats = {lab: irrep_matrices(lab, rule.nodes) for lab in dual}
-        for lab in dual:
-            for f, c in zip(fs, got):
-                want = np.einsum("t,tji->ij", rule.weights * f.values, mats[lab].conj())
-                npt.assert_allclose(c[lab], want, rtol=0, atol=1e-13)
-        want = sum(
-            lab.dim * np.einsum("ij,tji->t", entries[lab], mats[lab]) for lab in dual
-        )
-        npt.assert_allclose(synth, want, rtol=0, atol=1e-13)
+        _assert_transforms_match_dense_oracle(rule, dual, twisted, res, res)
+
+
+_DENSE_CASES = {
+    "torus:1": (torus(1), 9),
+    "torus:2": (torus(2), 17),
+    "cyclic:6": (cyclic(6), 1),
+    "product(torus:1,su2)": (product(torus(1), su2()), 4),
+    "product(su2,cyclic:3)": (product(su2(), cyclic(3)), 3),
+    # two factors of dimension 2 in one label: the Kronecker index order
+    "product(dihedral:3,su2)": (product(dihedral(3), su2()), 4),
+}
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("name", sorted(_DENSE_CASES))
+def test_grid_and_product_transforms_match_dense_oracle(name, twisted):
+    """The torus FFT, the cyclic stacks and the factor-by-factor product
+    kernels against sums over irrep_matrices at every node."""
+    group, res = _DENSE_CASES[name]
+    rule = haar_quadrature(group, res)
+    band = safe_band(rule)
+    dual = enumerate_dual(group, band)
+    _assert_transforms_match_dense_oracle(rule, dual, twisted, res, band)
+
+
+@pytest.mark.parametrize("group,res,cutoff", [
+    (torus(1), 5, 7),
+    (torus(2), 4, 3),
+    (product(torus(1), su2()), 3, 4),
+], ids=str)
+def test_forward_beyond_the_safe_band_equals_the_dense_sum(group, res, cutoff):
+    """Labels past the grid's band read aliased FFT bins, several labels per
+    bin, and still equal the quadrature sum; the synthesis adds them up."""
+    rule = haar_quadrature(group, res)
+    assert cutoff > safe_band(rule)
+    dual = enumerate_dual(group, cutoff)
+    _assert_transforms_match_dense_oracle(rule, dual, False, 11, None)
+
+
+def _fresh_rule(group, res):
+    """A rule equal to the canonical one, down to fresh factor rules, with no
+    stacks built."""
+    canon = haar_quadrature(group, res)
+    meta = {k: v for k, v in canon.meta.items() if not k.startswith("_")}
+    if "factor_rules" in meta:
+        meta["factor_rules"] = tuple(_fresh_rule(f, res) for f in group.factors)
+    return QuadratureRule(group, canon.nodes, canon.weights, canon.exactness_degree, res, meta)
+
+
+def _all_stacks(rule):
+    return [dict(rule._stacks)] + [
+        s for fr in rule.meta.get("factor_rules", ()) for s in _all_stacks(fr)
+    ]
+
+
+@pytest.mark.parametrize("group,res", [(torus(2), 17), (product(torus(1), su2()), 5)], ids=str)
+def test_grid_and_product_transforms_build_no_stacks(group, res):
+    """Forward, inverse and off-grid translation on a torus grid and on a
+    product rule leave the rule and its factor rules without a stack."""
+    rule = _fresh_rule(group, res)
+    f = random_band_limited_function(rule, 2, seed=4)
+    inverse_transform(forward_to_cutoff(f), rule)
+    forward_batch([f, f], enumerate_dual(group, safe_band(rule)))
+    y = sample_ball(group, NeighborhoodSpec(0.7, 3), seed=1)[-1]
+    moved = translate(f, y)
+    npt.assert_allclose(moved.values, evaluate_at(forward_to_cutoff(f),
+                        [multiply(x, y) for x in rule.nodes]), rtol=0, atol=1e-12)
+    assert all(stacks == {} for stacks in _all_stacks(rule))
 
 
 def test_su2_transforms_build_no_stacks():

@@ -361,27 +361,6 @@ def test_haar_quadrature_returns_one_rule_per_group_and_resolution():
     assert prod_rule.meta["factor_rules"][1] is haar_quadrature(su2(), 2)
 
 
-def test_forward_pass_reuses_every_stack_of_a_289_label_dual(monkeypatch):
-    """torus:2 at cutoff 8 has 289 labels; a second transform must find every
-    stack the first one built, however many labels the dual has."""
-    from pego import constant_function, forward_to_cutoff, irreps
-
-    passes = []
-
-    def recording_stack(lab, rule):
-        passes[-1][lab] = irrep_stack(lab, rule)
-        return passes[-1][lab]
-
-    monkeypatch.setattr(irreps, "irrep_stack", recording_stack)
-    f = constant_function(haar_quadrature(torus(2), 17))
-    for _ in range(2):
-        passes.append({})
-        forward_to_cutoff(f, 8)
-    first, second = passes
-    assert len(first) == 289 and first.keys() == second.keys()
-    assert all(second[lab] is first[lab] for lab in first)
-
-
 def test_su2_euler_stacks_take_one_d_matrix_per_grid_beta(monkeypatch):
     """On an su2 Euler rule a stack is built from the d-matrices at the grid's
     distinct betas and the alpha/gamma phases, not from wigner_d at every
