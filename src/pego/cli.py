@@ -10,6 +10,7 @@ absolute paths.  The default output directory is $PEGO_OUTPUT_DIR or ".".
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from .compactness import (
     CoherenceError,
     lemma31_bound_check,
     lemma32_bound_check,
-    pego_verdict,
+    pego_verdicts,
 )
 from .fourier import (
     convolve,
@@ -375,11 +376,10 @@ def cmd_diagnose(args):
         return 2
     family, rule = ser.family_from_json(doc)
     epsilons = args.epsilon or [0.5, 0.1, 0.01]
-    verdicts = []
-    for eps in epsilons:
-        v = pego_verdict(family, eps, ball_samples=args.ball_samples,
-                         seed=args.seed)
-        verdicts.append(v)
+    # one pair of profiles, shared by every epsilon's verdict
+    verdicts = pego_verdicts(family, epsilons, ball_samples=args.ball_samples,
+                             seed=args.seed)
+    for eps, v in zip(epsilons, verdicts):
         print(f"family={family.name} epsilon={eps:g} -> {v.conclusion}")
     last = verdicts[-1]
     outdoc = {
@@ -489,7 +489,6 @@ def _build_parser():
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--format", choices=["json", "csv"], default="json")
     t.add_argument("--out")
-    t.set_defaults(func=cmd_transform)
 
     v = sub.add_parser("verify", help="run a property suite")
     v.add_argument("--suite", required=True,
@@ -502,7 +501,6 @@ def _build_parser():
     v.add_argument("--samples", type=int, default=25)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out")
-    v.set_defaults(func=cmd_verify)
 
     d = sub.add_parser("diagnose", help="precompactness verdict for a family file")
     d.add_argument("--family", required=True, metavar="FILE")
@@ -510,19 +508,24 @@ def _build_parser():
     d.add_argument("--ball-samples", type=int, default=8)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out")
-    d.set_defaults(func=cmd_diagnose)
 
     r = sub.add_parser("report", help="merge diagnose outputs into plot tables")
     r.add_argument("inputs", nargs="*", metavar="FILE")
     r.add_argument("--out")
-    r.set_defaults(func=cmd_report)
     return ap
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
+    return _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a rebinding of cmd_<command> is honored
+        return globals()[f"cmd_{args.command}"](args)
     except ResolutionError as exc:
         print(f"error: resolution insufficient: {exc}", file=sys.stderr)
         return 3

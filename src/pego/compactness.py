@@ -33,10 +33,8 @@ from . import fourier, irreps, norms
 from .groups import (
     GroupMismatchError,
     NeighborhoodSpec,
-    distance,
-    identity,
+    _ball_pool,
     inverse as group_inverse,
-    sample_ball,
 )
 from .irreps import DualSubset
 from .norms import ExponentPair
@@ -59,12 +57,14 @@ __all__ = [
     "lemma31_bound_check",
     "lemma32_bound_check",
     "pego_verdict",
+    "pego_verdicts",
     "epsilon_net",
     "default_mesh",
 ]
 
 _TREND_WINDOW = 3  # distinct trailing grid points needed to call a trend
 _TRANSLATE_BLOCK_VALUES = 2**16  # bounds each batch of translates to 2^16 sampled values
+_ACTION_BLOCK_VALUES = 2**20  # bounds each batch of the spectral moduli's block products
 
 
 class NotPrecompactError(RuntimeError):
@@ -181,6 +181,39 @@ class BoundednessReport:
     evidence: str = "sampled"
 
 
+@dataclass(frozen=True)
+class _Spectrum:
+    """One forward transform of a whole family, read by every part of a
+    verdict: each member's coefficients against ``labels``, the members' L2
+    norms, and the (members, labels) table of dim(pi) ||coeff(pi)||_F^2."""
+
+    coeffs: list
+    l2: np.ndarray
+    label_mass: np.ndarray
+
+    def tails(self, positions):
+        """Per member, the l2 tail outside the labels at ``positions``: the
+        Plancherel residual sqrt(||f||^2 - head) under ``norms.floored_tails``,
+        with the heads summed by ``fourier.head_sums``, as ``head_mass`` sums
+        them."""
+        return norms.floored_tails(self.l2**2, fourier.head_sums(self.label_mass, positions))
+
+
+def _spectrum(family, labels=None):
+    """Transform the family once, against ``labels`` (default: the canonical
+    dual at the rule's alias-free band)."""
+    if labels is None:
+        labels = irreps.enumerate_dual(family.group, fourier.safe_band(family.rule))
+    coeffs = fourier.forward_batch(family.members, labels)
+    label_mass = np.stack([c.label_masses() for c in coeffs])
+    return _Spectrum(coeffs, _member_norms(family, 2), label_mass)
+
+
+def _member_norms(family, p):
+    values = np.stack([f.values for f in family.members])
+    return norms.lp_value_norms(family.rule.weights, values, p)
+
+
 def _strictly_increasing(seq, rtol=1e-9):
     ref = max(abs(v) for v in seq) or 1.0
     return all(b - a > rtol * ref for a, b in zip(seq, seq[1:]))
@@ -194,7 +227,10 @@ def boundedness(family, p=2):
     the trailing grid points; the sup over a compact parameter box is an
     honest sampled bound.
     """
-    vals = np.array([norms.lp_function_norm(f, p) for f in family.members])
+    return _boundedness(family, _member_norms(family, p))
+
+
+def _boundedness(family, vals):
     trend = None
     if family.param_space == "unbounded" and len(vals) > _TREND_WINDOW:
         tail = vals[-(_TREND_WINDOW + 1) :]
@@ -247,30 +283,31 @@ def tail_decay_profile(family, filtration=None, p=2.0):
     mass); other exponents are summed over the computed dual only and the
     profile is marked truncated.
     """
+    return _decay_profile(family, filtration, p, None)
+
+
+def _decay_profile(family, filtration, p, spectrum):
+    """``tail_decay_profile``; the default filtration reads ``spectrum`` (one
+    is computed when None), a custom one transforms against its top step."""
     if filtration is None:
         filtration = DualFiltration.shells(
             family.group, fourier.safe_band(family.rule)
         )
+        spectrum = spectrum or _spectrum(family)
+    else:
+        spectrum = _spectrum(family, filtration.top.labels)
     top = filtration.top
-    coeffs = fourier.forward_batch(family.members, top.labels)
-    if p == 2.0:
-        # per member: ||f||_2^2 and the (m, labels) table of dim ||coeff||_F^2,
-        # computed once; each step's heads are the head_sums that
-        # FourierCoefficients.head_mass takes, so they agree bitwise
-        mass = [norms.lp_function_norm(f, 2) ** 2 for f in family.members]
-        label_mass = np.stack([c.label_masses() for c in coeffs])
+    coeffs = spectrum.coeffs
     steps = []
     truncated = False
     for subset in filtration:
-        per = np.empty(len(family))
         if p == 2.0:
-            heads = fourier.head_sums(label_mass, coeffs[0].positions(subset))
-            for i, head in enumerate(heads.tolist()):
-                per[i] = norms.floored_tail(mass[i], head)[0]
+            # each step's heads are the head_sums that
+            # FourierCoefficients.head_mass takes, so they agree bitwise
+            per = spectrum.tails(coeffs[0].positions(subset))
         else:
             comp = subset.complement_within(top.labels)
-            for i, c in enumerate(coeffs):
-                per[i] = norms.lp_oplus_norm(c, p, comp).value
+            per = np.array([norms.lp_oplus_norm(c, p, comp).value for c in coeffs])
             truncated = not family.group.is_finite
         steps.append(DecayStep(subset, per, float(per.max())))
     return DecayProfile(family.name, p, steps, truncated)
@@ -330,6 +367,12 @@ def equicontinuity_profile(
     ball directions at every radius, so the sampled modulus shrinks along
     rays.  p = 2 defaults to the spectral path; any p can force "direct".
     """
+    return _continuity_profile(family, mesh, ball_samples, p, seed, path, None)
+
+
+def _continuity_profile(family, mesh, ball_samples, p, seed, path, spectrum):
+    """``equicontinuity_profile``; the spectral path reads ``spectrum`` (one
+    is computed when None)."""
     if mesh is None:
         mesh = default_mesh(family.group)
     mesh = np.asarray(mesh, dtype=float)
@@ -341,41 +384,49 @@ def equicontinuity_profile(
         path = "spectral" if p == 2.0 else "direct"
     if path == "spectral" and p != 2.0:
         raise ValueError("the spectral path computes L^2 moduli only")
-    m = len(family)
     # one pooled sample across all radii: each ball's modulus is taken over
     # every pooled point inside it, so sample sets are nested and the sampled
     # omega is genuinely nonincreasing as delta shrinks
-    e = identity(family.group)
-    pool = []
-    for delta in mesh:
-        pts = sample_ball(family.group, NeighborhoodSpec(delta, ball_samples), seed)
-        pool.extend(pts)
-    dists = np.array([distance(e, y) for y in pool])
+    pool, dists = _ball_pool(family.group, mesh, ball_samples, seed)
     if path == "spectral":
-        band = fourier.safe_band(family.rule)
-        coeffs = fourier.forward_batch(
-            family.members, irreps.enumerate_dual(family.group, band)
-        )
-        resid2 = np.array(
-            [norms.beyond_cutoff_mass(f, c) for f, c in zip(family.members, coeffs)]
-        )
-        acc = np.zeros((m, len(pool)))
-        table = coeffs[0].table
-        for b, (d, mats) in enumerate(zip(table.dims, table.matrices_at(pool))):
-            # (pi(y) - I) coeff(pi) for every label of the block and every
-            # pooled y at once, one member at a time
-            act = mats - np.eye(d)
-            for j, c in enumerate(coeffs):
-                acc[j] += d * np.sum(np.abs(act @ c.blocks[b]) ** 2, axis=(1, 2, 3))
-        # mass beyond the cutoff moves by at most a factor 2 in norm
-        per_point = np.sqrt(acc + 4.0 * resid2[:, None])
+        per_point = _spectral_moduli(spectrum or _spectrum(family), pool)
     else:
         per_point = np.stack([_translation_moduli(f, pool, p) for f in family.members])
-    out = np.zeros((m, len(mesh)))
+    out = np.zeros((len(family), len(mesh)))
     for k, delta in enumerate(mesh):
         inside = dists <= delta + 1e-12
         out[:, k] = per_point[:, inside].max(axis=1) if inside.any() else 0.0
     return ContinuityProfile(family.name, p, mesh, out, path, ball_samples, seed)
+
+
+def _spectral_moduli(spectrum, ys):
+    """||R_y f - f||_2 for every member (rows) and every y of ``ys``, from
+    the coefficients: the sum over labels of dim ||(pi(y) - I) coeff(pi)||_F^2
+    plus four times the mass beyond the cutoff, which moves by at most a
+    factor 2 in norm.
+
+    Per dimension block, the action on all members and all y is one product
+    (elementwise on 1x1 blocks), in batches of members of at most
+    _ACTION_BLOCK_VALUES values.
+    """
+    coeffs = spectrum.coeffs
+    table = coeffs[0].table
+    beyond = spectrum.tails(np.arange(len(table.labels))) ** 2
+    acc = np.zeros((len(coeffs), len(ys)))
+    for b, (d, mats) in enumerate(zip(table.dims, table.matrices_at(ys))):
+        act = mats - np.eye(d)  # (ys, n_b, d, d)
+        block = np.stack([c.blocks[b] for c in coeffs])  # (members, n_b, d, d)
+        per_batch = max(1, _ACTION_BLOCK_VALUES // act.size)
+        for lo in range(0, len(coeffs), per_batch):
+            part = block[lo : lo + per_batch]
+            if d == 1:
+                moved = act[None, :, :, 0, 0] * part[:, None, :, 0, 0]
+            else:
+                moved = act[None] @ part[:, None]
+            acc[lo : lo + per_batch] += d * np.sum(
+                np.abs(moved) ** 2, axis=tuple(range(2, moved.ndim))
+            )
+    return np.sqrt(acc + 4.0 * beyond[:, None])
 
 
 def _translation_moduli(f, ys, p):
@@ -621,13 +672,43 @@ def pego_verdict(
     flags fail with a monotone escape certificate), or
     "inconclusive_at_resolution" (flags fail but nothing certifies escape).
     """
-    if epsilon <= 0:
+    return pego_verdicts(family, [epsilon], filtration, mesh, ball_samples, seed)[0]
+
+
+def pego_verdicts(
+    family,
+    epsilons,
+    filtration=None,
+    mesh=None,
+    ball_samples=8,
+    seed=0,
+):
+    """``pego_verdict`` at each of several epsilons, in order.
+
+    The epsilon only enters the flags, so boundedness and both profiles are
+    computed once and every verdict shares them.  Any nonpositive epsilon
+    raises ValueError before work starts, and the first incoherent epsilon
+    raises CoherenceError.
+    """
+    epsilons = list(epsilons)
+    if any(eps <= 0 for eps in epsilons):
         raise ValueError("epsilon must be positive")
-    bnd = boundedness(family)
-    decay = tail_decay_profile(family, filtration)
-    conti = equicontinuity_profile(
-        family, mesh=mesh, ball_samples=ball_samples, seed=seed
-    )
+    _, *reports = _profiles(family, filtration, mesh, ball_samples, seed)
+    return [_combine(family, eps, *reports, ball_samples, seed) for eps in epsilons]
+
+
+def _profiles(family, filtration, mesh, ball_samples, seed):
+    """(spectrum, boundedness, decay profile, continuity profile) of a
+    verdict, from one transform of the family under the default filtration."""
+    spectrum = _spectrum(family)
+    bnd = _boundedness(family, spectrum.l2)
+    decay = _decay_profile(family, filtration, 2.0, spectrum)
+    conti = _continuity_profile(family, mesh, ball_samples, 2.0, seed, "auto", spectrum)
+    return spectrum, bnd, decay, conti
+
+
+def _combine(family, epsilon, bnd, decay, conti, ball_samples, seed):
+    """The verdict at one epsilon from the epsilon-free reports."""
     dflag = _decay_flag(family, decay, epsilon)
     eflag = _equi_flag(family, conti, epsilon)
     if dflag.flag != eflag.flag:
@@ -651,9 +732,7 @@ def pego_verdict(
         "ball_samples": ball_samples,
         "seed": seed,
         "mesh": [float(d) for d in conti.deltas],
-        "filtration_shells": [
-            max(lab.shell for lab in step.subset) for step in decay.steps
-        ],
+        "filtration_shells": [step.subset.max_shell for step in decay.steps],
     }
     return PegoVerdict(
         family.name, epsilon, bnd, dflag, eflag, conclusion, decay, conti, config
@@ -695,17 +774,33 @@ def _embed_coefficients(coeffs):
     return np.concatenate(parts)
 
 
-def _unembed_center(vec, subset, group):
-    """Inverse of ``_embed_coefficients`` on the labels of ``subset``."""
+def _unembed_centers(vecs, subset, group):
+    """Inverse of ``_embed_coefficients`` on the labels of ``subset``, for
+    every row of ``vecs``, a block at a time for all rows."""
     table = fourier.slot_table(tuple(subset))
     blocks = []
     pos = 0
     for d, labs in zip(table.dims, table.block_labels):
         size = 2 * len(labs) * d * d
-        parts = vec[pos : pos + size].reshape(len(labs), 2, d, d)
+        parts = vecs[:, pos : pos + size].reshape(len(vecs), len(labs), 2, d, d)
         pos += size
-        blocks.append((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(d))
-    return fourier.FourierCoefficients.from_blocks(group, table, blocks)
+        blocks.append((parts[:, :, 0] + 1j * parts[:, :, 1]) / math.sqrt(d))
+    return [
+        fourier.FourierCoefficients.from_blocks(group, table, [b[k] for b in blocks])
+        for k in range(len(vecs))
+    ]
+
+
+def _prefix_coefficients(coeffs, table):
+    """The coefficients of ``coeffs`` on the labels of the slot table
+    ``table``, a prefix of ``coeffs.labels``: their blocks are leading slices
+    (views) of the blocks of ``coeffs``."""
+    if coeffs.labels[: len(table.labels)] != table.labels:
+        raise ValueError("the table's labels are not a prefix of the coefficients' labels")
+    blocks = dict(zip(coeffs.table.dims, coeffs.blocks))
+    return fourier.FourierCoefficients.from_blocks(coeffs.group, table, [
+        blocks[d][: len(labs)] for d, labs in zip(table.dims, table.block_labels)
+    ])
 
 
 def epsilon_net(
@@ -721,14 +816,10 @@ def epsilon_net(
     the witness property, so every member provably lies within epsilon of its
     center; the code still verifies each distance explicitly.
     """
-    verdict = pego_verdict(
-        family,
-        epsilon / 2.0,
-        filtration=filtration,
-        mesh=mesh,
-        ball_samples=ball_samples,
-        seed=seed,
-    )
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    spectrum, *reports = _profiles(family, filtration, mesh, ball_samples, seed)
+    verdict = _combine(family, epsilon / 2.0, *reports, ball_samples, seed)
     if verdict.conclusion != "precompact":
         cert = verdict.uniform_decay.certificate or verdict.equicontinuous.certificate
         detail = f" certificate: {cert}" if cert else ""
@@ -738,29 +829,33 @@ def epsilon_net(
             f" no net attempted.{detail}",
             verdict=verdict,
         )
-    subset = verdict.uniform_decay.witness
-    coeffs = fourier.forward_batch(family.members, subset.labels)
+    # the witness step: its per-member tails are the residuals outside it
+    step = verdict.decay_profile.steps[verdict.decay_profile.witness_index(epsilon / 2.0)]
+    subset = step.subset
+    if filtration is None:
+        # the witness is a step of the shell filtration, a prefix of the
+        # transformed dual: its blocks are prefixes of the dual's blocks
+        table = fourier.slot_table(subset.labels)
+        coeffs = [_prefix_coefficients(c, table) for c in spectrum.coeffs]
+    else:
+        coeffs = fourier.forward_batch(family.members, subset.labels)
     vecs = np.stack([_embed_coefficients(c) for c in coeffs])
     n_real = vecs.shape[1]
     cell = epsilon / math.sqrt(n_real) if n_real else epsilon
     # centered cells: a coordinate that is zero in exact arithmetic snaps to
     # 0 whatever the sign of its roundoff
     cells = np.rint(vecs / cell).astype(int)
-    uniq, assignments = np.unique(cells, axis=0, return_inverse=True)
-    centers = uniq * cell
-    resid = np.array(
-        [
-            norms.plancherel_residual(f, c, subset)
-            for f, c in zip(family.members, coeffs)
-        ]
-    )
+    # distinct cells in lexicographic order, as np.unique(axis=0) orders
+    # them, without its structured-dtype sort
+    rows = [tuple(r) for r in cells.tolist()]
+    uniq = sorted(set(rows))
+    where = {r: i for i, r in enumerate(uniq)}
+    assignments = np.array([where[r] for r in rows])
+    centers = np.array(uniq).reshape(len(uniq), n_real) * cell
     head_dist = np.linalg.norm(vecs - centers[assignments], axis=1)
-    dist = np.sqrt(head_dist**2 + resid**2)
+    dist = np.sqrt(head_dist**2 + step.per_member**2)
     cover_verified = bool(np.all(dist <= epsilon + 1e-12))
-    center_coeffs = [
-        _unembed_center(centers[i], subset, family.group)
-        for i in range(len(centers))
-    ]
+    center_coeffs = _unembed_centers(centers, subset, family.group)
     return EpsilonNet(
         epsilon,
         subset,

@@ -137,17 +137,24 @@ def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0
     )
 
 
-def _spectral_weight(label):
-    """Casimir-style damping exponent per irrep."""
-    fam = label.group.family
+def _damping_weights(labels):
+    """Casimir-style damping exponent of each label, as one array: |k|^2 on
+    the torus, l(l+1) on su2, the sum over factors on products, and the
+    squared shell on finite groups."""
+    group = labels[0].group
+    fam = group.family
     if fam == "torus":
-        return float(sum(k * k for k in label.index))
+        ks = np.array([lab.index for lab in labels], dtype=float)
+        return np.sum(ks * ks, axis=1)
     if fam == "su2":
-        half = label.index[0] / 2.0
+        half = np.array([lab.index[0] for lab in labels]) / 2.0
         return half * (half + 1.0)
     if fam == "product":
-        return float(sum(_spectral_weight(c) for c in label.index))
-    return float(label.shell) ** 2
+        return sum(
+            _damping_weights([lab.index[k] for lab in labels])
+            for k in range(len(group.factors))
+        )
+    return np.array([float(lab.shell) for lab in labels]) ** 2
 
 
 def heat_kernel(rule, t_min=0.05, t_max=1.0, count=10):
@@ -158,14 +165,18 @@ def heat_kernel(rule, t_min=0.05, t_max=1.0, count=10):
     group = rule.group
     band = fourier.safe_band(rule)
     table = fourier.slot_table(tuple(irreps.enumerate_dual(group, band)))
-    weights = [[_spectral_weight(lab) for lab in labs] for labs in table.block_labels]
     times = np.linspace(t_max, t_min, count)
+    blocks = []
+    for d, labs in zip(table.dims, table.block_labels):
+        # every (time, label) exponent of the block at once; the exp is the
+        # C library's, as np.exp can differ from it by an ulp, which the
+        # p = 2 tails of the family would magnify to ~1e-11
+        expo = -times[:, None] * _damping_weights(labs)
+        damp = np.fromiter(map(math.exp, expo.ravel().tolist()), float, expo.size)
+        blocks.append(damp.reshape(expo.shape)[..., None, None] * np.eye(d, dtype=complex))
     coeffs = [
-        fourier.FourierCoefficients.from_blocks(group, table, [
-            np.array([math.exp(-t * w) for w in ws])[:, None, None] * np.eye(d, dtype=complex)
-            for d, ws in zip(table.dims, weights)
-        ])
-        for t in times
+        fourier.FourierCoefficients.from_blocks(group, table, [b[k] for b in blocks])
+        for k in range(count)
     ]
     members = fourier.inverse_batch(coeffs, rule)
     for t, f in zip(times, members):

@@ -570,6 +570,26 @@ def _canonical_rule(group, resolution):
     return rule
 
 
+def _unit_draw(rng, n, fallback):
+    """A direction in R^n: n standard normals, normalized (the unit vector
+    along axis ``fallback`` if they all vanish)."""
+    u = rng.normal(size=n)
+    nrm = np.linalg.norm(u)
+    if nrm == 0:
+        u = np.zeros(n)
+        u[fallback] = 1.0
+        return u
+    return u / nrm
+
+
+def _split_draw(rng, k):
+    """How a product ball point shares its radius among k factors: the
+    normalized absolute values of k standard normals."""
+    split = np.abs(rng.normal(size=k))
+    nrm = np.linalg.norm(split)
+    return split / nrm if nrm > 0 else np.ones(k) / math.sqrt(k)
+
+
 def _ball_point_at(group, radius, direction_rng):
     """A point at the given metric distance from e, direction drawn from rng."""
     fam = group.family
@@ -579,28 +599,15 @@ def _ball_point_at(group, radius, direction_rng):
         elems = enumerate_elements(group)[1:]
         return elems[int(direction_rng.integers(len(elems)))]
     if fam == "torus":
-        u = direction_rng.normal(size=group.n)
-        nrm = np.linalg.norm(u)
-        if nrm == 0:
-            u = np.zeros(group.n)
-            u[0] = 1.0
-        else:
-            u = u / nrm
+        u = _unit_draw(direction_rng, group.n, 0)
         return point(group, tuple(radius * float(c) for c in u))
     if fam == "su2":
-        ax = direction_rng.normal(size=3)
-        nrm = np.linalg.norm(ax)
-        if nrm == 0:
-            ax = np.array([0.0, 0.0, 1.0])
-        else:
-            ax = ax / nrm
+        ax = _unit_draw(direction_rng, 3, 2)
         half = radius / 2.0
         s = math.sin(half)
         return point(group, (math.cos(half), s * ax[0], s * ax[1], s * ax[2]))
     if fam == "product":
-        split = np.abs(direction_rng.normal(size=len(group.factors)))
-        nrm = np.linalg.norm(split)
-        split = split / nrm if nrm > 0 else np.ones(len(group.factors)) / math.sqrt(len(group.factors))
+        split = _split_draw(direction_rng, len(group.factors))
         comps = tuple(
             _ball_point_at(f, radius * float(s), direction_rng)
             for f, s in zip(group.factors, split)
@@ -652,3 +659,109 @@ def sample_ball(group, spec, seed=0):
     for t in fractions:
         pts.append(_ball_point_at(group, delta * float(t), rng))
     return pts
+
+
+def _draws_once(group):
+    """Whether ``_ball_point_at`` draws the same numbers at every radius:
+    true unless some (product) factor is finite, which draws only once the
+    radius reaches 1."""
+    if group.family == "product":
+        return all(_draws_once(f) for f in group.factors)
+    return not group.is_finite
+
+
+def _ball_direction(group, rng):
+    """The draws ``_ball_point_at`` makes for one point of a group that draws
+    once: a unit vector (torus), a unit rotation axis (su2), or a radius split
+    and one direction per factor (product)."""
+    fam = group.family
+    if fam == "torus":
+        return _unit_draw(rng, group.n, 0)
+    if fam == "su2":
+        return _unit_draw(rng, 3, 2)
+    return _split_draw(rng, len(group.factors)), [_ball_direction(f, rng) for f in group.factors]
+
+
+def _ball_coords(group, radii, dirs):
+    """Coordinates of the points ``_ball_point_at`` places at ``radii`` along
+    ``dirs`` (one direction per radius): angle rows (torus), unit quaternion
+    rows (su2), or one such array per factor (product)."""
+    fam = group.family
+    if fam == "torus":
+        return (radii[:, None] * np.array(dirs)) % _TWO_PI
+    if fam == "su2":
+        half = radii / 2.0
+        ax = np.sin(half)[:, None] * np.array(dirs)
+        w, x, y, z = np.cos(half), ax[:, 0], ax[:, 1], ax[:, 2]
+        nrm = np.sqrt(w * w + x * x + y * y + z * z)
+        return np.stack([w, x, y, z], axis=1) / nrm[:, None]
+    splits = np.array([d[0] for d in dirs])
+    return tuple(
+        _ball_coords(f, radii * splits[:, k], [d[1][k] for d in dirs])
+        for k, f in enumerate(group.factors)
+    )
+
+
+def _put_identity(group, coords, rows):
+    """Overwrite ``rows`` of a ``_ball_coords`` array with the identity."""
+    if group.family == "product":
+        for f, c in zip(group.factors, coords):
+            _put_identity(f, c, rows)
+    else:
+        coords[rows] = (1.0, 0.0, 0.0, 0.0) if group.family == "su2" else 0.0
+
+
+def _coords_to_points(group, coords):
+    if group.family == "product":
+        comps = [_coords_to_points(f, c) for f, c in zip(group.factors, coords)]
+        return [GroupPoint(group, cs) for cs in zip(*comps)]
+    return [GroupPoint(group, tuple(row)) for row in coords.tolist()]
+
+
+def _distances_from_identity(group, coords):
+    """distance(e, p) for every point of a coordinate array, as one array
+    expression in the order ``distance`` sums."""
+    fam = group.family
+    if fam == "torus":
+        wrapped = (math.pi - coords) % _TWO_PI - math.pi
+        return np.sqrt(np.sum(wrapped * wrapped, axis=1))
+    if fam == "su2":
+        return 2.0 * np.arccos(np.clip(coords[:, 0], -1.0, 1.0))
+    return np.sqrt(sum(
+        _distances_from_identity(f, c) ** 2 for f, c in zip(group.factors, coords)
+    ))
+
+
+def _ball_pool(group, radii, count, seed=0):
+    """``sample_ball(group, NeighborhoodSpec(r, count), seed)`` at each of the
+    positive ``radii``, concatenated, and every point's distance to the
+    identity: (list of GroupPoint, array).
+
+    ``sample_ball`` redraws the same seeded directions at every radius, so
+    here they are drawn once and scaled per radius; coordinates and
+    distances are array expressions.  torus:1 takes its angle grid at every
+    radius.  Finite groups (sampled exhaustively) and products with a finite
+    factor, whose draws depend on the radius, are sampled radius by radius.
+    """
+    radii = np.array([NeighborhoodSpec(float(r), count).radius for r in radii])
+    if not _draws_once(group):
+        e = identity(group)
+        pool = [p for r in radii for p in sample_ball(group, NeighborhoodSpec(r, count), seed)]
+        return pool, np.array([distance(e, p) for p in pool])
+    if count == 1:
+        return [identity(group)] * len(radii), np.zeros(len(radii))
+    if group.family == "torus" and group.n == 1:
+        angles = np.linspace(-radii, radii, count, axis=-1)
+        off = ~np.any(np.isclose(angles, 0.0, atol=1e-15), axis=1)
+        angles[off, np.argmin(np.abs(angles[off]), axis=1)] = 0.0
+        coords = angles.reshape(-1, 1) % _TWO_PI
+    else:
+        # one draw per sampled fraction; fraction 0 is the identity, which
+        # borrows the first direction and is then set exactly
+        rng = np.random.default_rng(seed)
+        fractions = np.linspace(0.0, 1.0, count)
+        dirs = [_ball_direction(group, rng) for _ in fractions[1:]]
+        scaled = (radii[:, None] * fractions).ravel()
+        coords = _ball_coords(group, scaled, (dirs[:1] + dirs) * len(radii))
+        _put_identity(group, coords, slice(None, None, count))
+    return _coords_to_points(group, coords), _distances_from_identity(group, coords)

@@ -253,6 +253,11 @@ class DualSubset:
     def __len__(self):
         return len(self.labels)
 
+    @functools.cached_property
+    def max_shell(self):
+        """The largest shell among the labels, computed once per subset."""
+        return max(lab.shell for lab in self.labels)
+
     @property
     def names(self):
         return [lab.name for lab in self.labels]
@@ -399,8 +404,10 @@ def block_twist(labels):
     """Stacked unitaries (n_b, d, d) of the active ``basis_twist`` for labels
     of one dimension d > 1, identity for labels it does not cover; None when
     none is covered or d == 1 (a 1x1 twist is a unit scalar and cancels)."""
+    if labels[0].dim == 1 or _TWIST["table"] is None:
+        return None
     us = [twist_unitary(lab) for lab in labels]
-    if labels[0].dim == 1 or all(u is None for u in us):
+    if all(u is None for u in us):
         return None
     return np.stack([np.eye(lab.dim) if u is None else u for lab, u in zip(labels, us)])
 

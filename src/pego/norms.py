@@ -29,6 +29,7 @@ __all__ = [
     "lp_function_norm",
     "lp_value_norms",
     "floored_tail",
+    "floored_tails",
     "plancherel_residual",
     "plancherel_residual_report",
     "hausdorff_young_check",
@@ -158,11 +159,15 @@ def floored_tail(mass, head):
     would read ~1e-8).  The clamp records how far a negative difference went
     below zero, so larger roundoff stays visible.
     """
-    diff = mass - head
-    clamp = max(0.0, -diff)
-    if abs(diff) <= 1e-12 * max(mass, 1.0):
-        diff = 0.0
-    return math.sqrt(max(diff, 0.0)), clamp
+    return float(floored_tails(mass, head)), max(0.0, -(mass - head))
+
+
+def floored_tails(mass, head):
+    """The values of ``floored_tail`` for arrays of masses and heads,
+    elementwise."""
+    diff = np.asarray(mass - head, dtype=float)
+    noise = np.abs(diff) <= 1e-12 * np.maximum(mass, 1.0)
+    return np.sqrt(np.where(noise, 0.0, np.maximum(diff, 0.0)))
 
 
 def plancherel_residual_report(f, coeffs, subset):

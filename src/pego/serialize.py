@@ -176,7 +176,7 @@ def decay_profile_to_json(profile):
         "steps": [
             {
                 "step": k,
-                "shell": int(max(lab.shell for lab in s.subset)),
+                "shell": int(s.subset.max_shell),
                 "subset_size": len(s.subset),
                 "sup_tail": float(s.sup_tail),
                 "per_member": [float(v) for v in s.per_member],
@@ -190,7 +190,7 @@ def decay_profile_csv(profile):
     head = "step,shell,sup_tail"
     lines = []
     for k, s in enumerate(profile.steps):
-        shell = int(max(lab.shell for lab in s.subset))
+        shell = int(s.subset.max_shell)
         lines.append(f"{k},{shell},{s.sup_tail!r}")
     return head + "\n" + "\n".join(lines) + "\n"
 

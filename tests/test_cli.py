@@ -277,3 +277,23 @@ def test_coefficients_json_round_trip():
     assert back.labels == fc.labels
     for lab in fc.labels:
         np.testing.assert_allclose(back[lab], fc[lab], atol=0)
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(tmp_path, capsys, monkeypatch):
+    builds = []
+    real = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    rc, out, _ = run(capsys, "verify", "--suite", "schur", "--out", str(tmp_path))
+    assert rc == 0 and "PASS" in out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.suite) or 0)
+    rc, out, _ = run(capsys, "verify", "--suite", "lemma32", "--out", str(tmp_path))
+    assert rc == 0 and out == ""
+    assert seen == ["lemma32"]
+    assert builds == [1]

@@ -37,7 +37,7 @@ from pego import (
     su2,
     torus,
 )
-from pego.compactness import _embed_coefficients, _unembed_center
+from pego.compactness import _embed_coefficients, _unembed_centers
 from pego.families import matrix_entry_span
 from pego.fourier import slot_table
 from pego.irreps import irrep_matrices
@@ -115,10 +115,11 @@ def test_embedding_is_a_plancherel_isometry_and_unembeds(name, twisted):
     inner = sum(lab.dim * np.vdot(a[lab], b[lab]).real for lab in a.labels)
     assert abs(va @ vb - inner) <= 1e-13
     assert abs(va @ va - a.head_mass(a.labels)) <= 1e-13
-    back = _unembed_center(va, DualSubset(group, a.labels), group)
-    assert back.labels == a.labels
-    for lab in a.labels:
-        npt.assert_allclose(back[lab], a[lab], rtol=0, atol=1e-13)
+    for back, orig in zip(_unembed_centers(np.stack([va, vb]), DualSubset(group, a.labels), group),
+                          (a, b)):
+        assert back.labels == a.labels
+        for lab in a.labels:
+            npt.assert_allclose(back[lab], orig[lab], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
