@@ -107,8 +107,7 @@ def _config(rule, **extra):
 
 
 def _random_nodes(rule, count, rng):
-    idx = rng.integers(0, len(rule.nodes), size=count)
-    return [rule.nodes[int(i)] for i in idx]
+    return rule.nodes_at(rng.integers(0, len(rule), size=count))
 
 
 # -- transform ----------------------------------------------------------------

@@ -475,8 +475,9 @@ def lemma31_bound_check(f, ball, pair, cutoff=None, slack=1e-8):
     if not isinstance(pair, ExponentPair):
         pair = ExponentPair.of(pair)
     rule = f.rule
-    radius = ball.radius if isinstance(ball, NeighborhoodSpec) else float(ball)
-    e_u = fourier.dirac_net_element(f.group, radius, rule)
+    if not isinstance(ball, NeighborhoodSpec):
+        ball = NeighborhoodSpec(float(ball))
+    e_u = fourier.dirac_net_element(f.group, ball, rule)
     if cutoff is None:
         cutoff = fourier.safe_band(rule)
     dual = irreps.enumerate_dual(f.group, cutoff)
@@ -499,7 +500,7 @@ def lemma31_bound_check(f, ball, pair, cutoff=None, slack=1e-8):
         tail = rep.value
         truncated = not f.group.is_finite
     support = np.nonzero(np.abs(e_u.values) > 0)[0]
-    ys = [group_inverse(rule.nodes[int(t)]) for t in support]
+    ys = [group_inverse(y) for y in rule.nodes_at(support)]
     rhs = 2.0 * float(np.max(_translation_moduli(f, ys, pair.p), initial=0.0))
     return Lemma31Check(
         subset,
@@ -510,7 +511,7 @@ def lemma31_bound_check(f, ball, pair, cutoff=None, slack=1e-8):
         truncated,
         pair.p,
         q,
-        radius,
+        ball.radius,
         int(support.size),
     )
 

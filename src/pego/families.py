@@ -80,7 +80,7 @@ def character_ladder(rule, count=12):
         raise ResolutionError(
             f"ladder top frequency {count} exceeds alias-free band {band}"
         )
-    angles = np.array([p.coords[0] for p in rule.nodes])
+    angles = rule.coords[:, 0]
     members = []
     for n in range(1, count + 1):
         members.append(

@@ -51,8 +51,7 @@ from .groups import (
     NeighborhoodSpec,
     QuadratureRule,
     ResolutionError,
-    distance,
-    identity,
+    _distances_from_identity,
     multiply,
 )
 from .groups import inverse as group_inverse
@@ -857,15 +856,6 @@ def convolve(f, g, method="auto"):
     raise ValueError(f"convolution method {method!r} unavailable on {f.rule.rule_id}")
 
 
-def _distances_to_identity(rule):
-    dists = rule.meta.get("_dist_to_e")
-    if dists is None:
-        e = identity(rule.group)
-        dists = np.array([distance(e, p) for p in rule.nodes])
-        rule.meta["_dist_to_e"] = dists
-    return dists
-
-
 def dirac_net_element(group, spec, rule):
     """Normalized indicator of the metric ball U around the identity.
 
@@ -875,11 +865,10 @@ def dirac_net_element(group, spec, rule):
     """
     if group != rule.group:
         raise GroupMismatchError("rule belongs to a different group")
-    radius = spec.radius if isinstance(spec, NeighborhoodSpec) else float(spec)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    dists = _distances_to_identity(rule)
-    mask = dists <= radius + 1e-12
+    if not isinstance(spec, NeighborhoodSpec):
+        spec = NeighborhoodSpec(float(spec))
+    radius = spec.radius
+    mask = _distances_from_identity(rule.group, rule.coords) <= radius + 1e-12
     mass = float(np.sum(rule.weights[mask]))
     if not mask.any() or mass <= 0.0:
         raise ResolutionError(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,8 @@ __all__ = [
     "distance",
     "conjugate",
     "enumerate_elements",
+    "coords_of",
+    "points_of",
     "haar_quadrature",
     "sample_ball",
 ]
@@ -215,7 +216,7 @@ class GroupPoint:
         fam = self.group.family
         if fam == "su2":
             nrm = math.sqrt(sum(c * c for c in self.coords))
-            if abs(nrm - 1.0) > 1e-12:
+            if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError("su2 coordinates must be a unit quaternion; use point()")
 
 
@@ -235,7 +236,7 @@ def point(group, coords):
     if fam == "su2":
         w, x, y, z = (float(c) for c in coords)
         nrm = math.sqrt(w * w + x * x + y * y + z * z)
-        if nrm == 0.0 or abs(nrm - 1.0) > 1e-6:
+        if not abs(nrm - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError("su2 point must be (near-)unit quaternion")
         return GroupPoint(group, (w / nrm, x / nrm, y / nrm, z / nrm))
     if fam == "product":
@@ -349,19 +350,66 @@ def distance(a, b):
 
 def enumerate_elements(group):
     """All elements of a finite group in canonical order."""
-    fam = group.family
-    if fam == "cyclic":
-        return [GroupPoint(group, (j,)) for j in range(group.n)]
-    if fam == "dihedral":
-        pts = [GroupPoint(group, (r, 0)) for r in range(group.n)]
-        pts += [GroupPoint(group, (r, 1)) for r in range(group.n)]
-        return pts
-    if fam == "product" and group.is_finite:
-        factor_elems = [enumerate_elements(f) for f in group.factors]
-        return [
-            GroupPoint(group, combo) for combo in itertools.product(*factor_elems)
-        ]
-    raise ValueError(f"{group.name} is not finite")
+    if not group.is_finite:
+        raise ValueError(f"{group.name} is not finite")
+    return points_of(group, _finite_coords(group))
+
+
+def coords_of(group, points):
+    """The coordinates of points as arrays: for each family one (N, k) array
+    whose rows are the points' coordinate tuples (integer residues on cyclic
+    and (r, s) on dihedral groups, angles on the torus, unit quaternions on
+    su2), and one such array per factor on products.  ``points_of`` is its
+    inverse."""
+    points = list(points)
+    if group.family == "product":
+        return tuple(
+            coords_of(f, [p.coords[k] for p in points]) for k, f in enumerate(group.factors)
+        )
+    width = {"cyclic": 1, "dihedral": 2, "torus": group.n, "su2": 4}[group.family]
+    dtype = int if group.is_finite else float
+    return np.array([p.coords for p in points], dtype=dtype).reshape(len(points), width)
+
+
+def points_of(group, coords):
+    """The GroupPoints whose coordinates are the rows of a ``coords_of``
+    array, in order: the one place that builds points from arrays."""
+    if group.family == "product":
+        comps = [points_of(f, c) for f, c in zip(group.factors, coords)]
+        return [GroupPoint(group, cs) for cs in zip(*comps)]
+    return [GroupPoint(group, row) for row in zip(*coords.T.tolist())]
+
+
+def _arrays(coords):
+    """The arrays of a coordinate array of any family, product factors
+    flattened in order."""
+    if isinstance(coords, tuple):
+        return [a for c in coords for a in _arrays(c)]
+    return [coords]
+
+
+def _take(coords, idx):
+    """The rows ``idx`` of a coordinate array (of any family)."""
+    if isinstance(coords, tuple):
+        return tuple(_take(c, idx) for c in coords)
+    return coords[idx]
+
+
+def _product_coords(factor_coords):
+    """Coordinates of every tuple of factor points, first factor slowest
+    (the order of ``itertools.product``)."""
+    idx = np.indices([len(_arrays(c)[0]) for c in factor_coords]).reshape(len(factor_coords), -1)
+    return tuple(_take(c, i) for c, i in zip(factor_coords, idx))
+
+
+def _finite_coords(group):
+    """Coordinates of every element of a finite group in canonical order:
+    residues; rotations, then reflections; products as ``_product_coords``."""
+    if group.family == "cyclic":
+        return np.arange(group.n).reshape(-1, 1)
+    if group.family == "dihedral":
+        return np.stack([np.tile(np.arange(group.n), 2), np.repeat([0, 1], group.n)], axis=1)
+    return _product_coords([_finite_coords(f) for f in group.factors])
 
 
 @dataclass(frozen=True)
@@ -372,6 +420,8 @@ class NeighborhoodSpec:
     sample_count: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise ValueError("radius must be finite")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         if self.sample_count < 1:
@@ -384,7 +434,14 @@ class QuadratureRule:
     Attributes
     ----------
     group : GroupDescriptor
+    coords : ndarray or tuple of ndarray
+        The nodes as read-only coordinate arrays (``coords_of``): residues
+        (N, 1) on cyclic and (r, s) rows (N, 2) on dihedral groups, angles
+        (N, n) on the torus, unit quaternions (N, 4) on su2, and one such
+        array per factor on products.  Kernels read these arrays.
     nodes : tuple of GroupPoint
+        The same nodes as points (``points_of``), built the first time they
+        are read; ``nodes_at`` builds only the ones it is asked for.
     weights : ndarray
         Nonnegative, sums to 1 within 1e-12.
     exactness_degree : int or None
@@ -394,8 +451,9 @@ class QuadratureRule:
     resolution : int
         The requested resolution parameter.  ``haar_quadrature`` returns one
         shared rule per (group, resolution), with the rule_id ``group|resN``.
-        A rule built directly appends a digest of its nodes and weights, so
-        function arithmetic accepts it only together with its equals.
+        A rule built directly (from ``coords_of`` of its points) appends a
+        digest of its nodes and weights, so function arithmetic accepts it
+        only together with its equals.
 
     ``meta["kind"]`` picks the transform kernels (``fourier._kernels``).  A
     torus grid (``"torus-grid"``, axis lengths in ``meta["shape"]``)
@@ -413,15 +471,16 @@ class QuadratureRule:
     hand-built rules (no kind) transform against them; elsewhere they serve
     matrix-entry functions and the Schur suite.  Stacks on an su2 Euler rule
     are assembled from its d-matrices and phases; on other rules they are
-    evaluated at the nodes, whose coordinate arrays the rule keeps in
-    ``meta["_node_coords"]``.
+    evaluated at ``coords``.
     """
 
-    def __init__(self, group, nodes, weights, exactness_degree, resolution, meta=None):
+    def __init__(self, group, coords, weights, exactness_degree, resolution, meta=None):
         self.group = group
-        self.nodes = tuple(nodes)
+        for a in _arrays(coords):
+            a.setflags(write=False)
+        self.coords = coords
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(self.nodes),):
+        if w.shape != (len(_arrays(coords)[0]),):
             raise ValueError("weights must align with nodes")
         w.setflags(write=False)
         self.weights = w
@@ -432,6 +491,15 @@ class QuadratureRule:
         self._rule_id = None
         self._stacks = {}
 
+    @functools.cached_property
+    def nodes(self):
+        return tuple(points_of(self.group, self.coords))
+
+    def nodes_at(self, idx):
+        """The nodes at the indices ``idx``, as a list of GroupPoint, without
+        building the others."""
+        return points_of(self.group, _take(self.coords, np.asarray(idx, dtype=int)))
+
     @property
     def rule_id(self):
         if self._rule_id is None:
@@ -441,7 +509,7 @@ class QuadratureRule:
         return self._rule_id
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.weights)
 
     def __repr__(self):
         return f"QuadratureRule({self.rule_id}, {len(self)} nodes)"
@@ -461,10 +529,9 @@ class QuadratureRule:
 
 
 def _haar_finite(group, resolution):
-    elems = enumerate_elements(group)
-    n = len(elems)
+    n = group.order
     return QuadratureRule(
-        group, elems, np.full(n, 1.0 / n), None, resolution, {"kind": "finite"}
+        group, _finite_coords(group), np.full(n, 1.0 / n), None, resolution, {"kind": "finite"}
     )
 
 
@@ -472,14 +539,11 @@ def _haar_torus(group, resolution):
     if resolution < 1:
         raise ResolutionError("torus rule needs resolution >= 1")
     R = resolution
-    axes = [np.arange(R) * (_TWO_PI / R)] * group.n
-    nodes = [
-        GroupPoint(group, tuple(float(a) for a in combo))
-        for combo in itertools.product(*axes)
-    ]
-    w = np.full(len(nodes), R ** (-group.n), dtype=float)
+    axis = np.arange(R) * (_TWO_PI / R)
+    coords = axis[np.indices((R,) * group.n).reshape(group.n, -1).T]
+    w = np.full(len(coords), R ** (-group.n), dtype=float)
     meta = {"kind": "torus-grid", "shape": (R,) * group.n}
-    return QuadratureRule(group, nodes, w, R - 1, resolution, meta)
+    return QuadratureRule(group, coords, w, R - 1, resolution, meta)
 
 
 def _haar_su2(group, resolution):
@@ -507,9 +571,7 @@ def _haar_su2(group, resolution):
     wa, xa, ya, za = ca * cb, -sa * sb, ca * sb, sa * cb
     w, x, y, z = wa * cg - za * sg, xa * cg + ya * sg, ya * cg - xa * sg, za * cg + wa * sg
     nrm = np.sqrt(w * w + x * x + y * y + z * z)
-    # one list of floats per coordinate, so no per-node list is built
-    w, x, y, z = ((c / nrm).ravel().tolist() for c in (w, x, y, z))
-    nodes = [GroupPoint(group, q) for q in zip(w, x, y, z)]
+    coords = (np.stack([w, x, y, z], axis=-1) / nrm[..., None]).reshape(-1, 4)
     w_bc = (1.0 / n_a) * (gl_w / 2.0)[:, None] * np.full(n_c, 1.0 / n_c)
     weights = np.broadcast_to(w_bc, (n_a, n_b, n_c)).ravel()
     meta = {
@@ -519,15 +581,12 @@ def _haar_su2(group, resolution):
         "gammas": gammas,
         "gl_w": gl_w,
     }
-    return QuadratureRule(group, nodes, weights, 2 * r, resolution, meta)
+    return QuadratureRule(group, coords, weights, 2 * r, resolution, meta)
 
 
 def _haar_product(group, resolution):
     factor_rules = tuple(haar_quadrature(f, resolution) for f in group.factors)
-    nodes = [
-        GroupPoint(group, combo)
-        for combo in itertools.product(*(fr.nodes for fr in factor_rules))
-    ]
+    coords = _product_coords([fr.coords for fr in factor_rules])
     w = factor_rules[0].weights
     for fr in factor_rules[1:]:
         w = np.outer(w, fr.weights).ravel()
@@ -535,7 +594,7 @@ def _haar_product(group, resolution):
     finite_degrees = [d for d in degrees if d is not None]
     exactness = min(finite_degrees) if finite_degrees else None
     meta = {"kind": "product", "factor_rules": factor_rules}
-    return QuadratureRule(group, nodes, w, exactness, resolution, meta)
+    return QuadratureRule(group, coords, w, exactness, resolution, meta)
 
 
 def haar_quadrature(group, resolution=1):
@@ -590,32 +649,6 @@ def _split_draw(rng, k):
     return split / nrm if nrm > 0 else np.ones(k) / math.sqrt(k)
 
 
-def _ball_point_at(group, radius, direction_rng):
-    """A point at the given metric distance from e, direction drawn from rng."""
-    fam = group.family
-    if fam in ("cyclic", "dihedral"):
-        if radius < 1.0:
-            return identity(group)
-        elems = enumerate_elements(group)[1:]
-        return elems[int(direction_rng.integers(len(elems)))]
-    if fam == "torus":
-        u = _unit_draw(direction_rng, group.n, 0)
-        return point(group, tuple(radius * float(c) for c in u))
-    if fam == "su2":
-        ax = _unit_draw(direction_rng, 3, 2)
-        half = radius / 2.0
-        s = math.sin(half)
-        return point(group, (math.cos(half), s * ax[0], s * ax[1], s * ax[2]))
-    if fam == "product":
-        split = _split_draw(direction_rng, len(group.factors))
-        comps = tuple(
-            _ball_point_at(f, radius * float(s), direction_rng)
-            for f, s in zip(group.factors, split)
-        )
-        return GroupPoint(group, comps)
-    raise ValueError(fam)
-
-
 def sample_ball(group, spec, seed=0):
     """Deterministic sample of the closed metric ball around the identity.
 
@@ -623,7 +656,7 @@ def sample_ball(group, spec, seed=0):
     at the boundary distance.  Finite groups are sampled exhaustively, the
     one-dimensional torus by a symmetric uniform grid of angles, and the
     remaining families by seeded directions with radial fractions spanning
-    [0, 1].
+    [0, 1].  The points are those ``_ball_pool`` draws at this one radius.
 
     Parameters
     ----------
@@ -636,68 +669,56 @@ def sample_ball(group, spec, seed=0):
     -------
     list of GroupPoint
     """
-    delta = float(spec.radius)
-    count = int(spec.sample_count)
-    fam = group.family
-    if delta == 0.0:
+    if spec.radius == 0.0:
         return [identity(group)]
-    if group.is_finite:
-        e = identity(group)
-        return [p for p in enumerate_elements(group) if distance(e, p) <= delta]
-    if fam == "torus" and group.n == 1:
-        if count == 1:
-            return [identity(group)]
-        angles = np.linspace(-delta, delta, count)
-        if not np.any(np.isclose(angles, 0.0, atol=1e-15)):
-            angles[np.argmin(np.abs(angles))] = 0.0
-        return [point(group, (float(a),)) for a in angles]
-    rng = np.random.default_rng(seed)
-    pts = [identity(group)]
-    if count == 1:
-        return pts
-    fractions = np.linspace(0.0, 1.0, count)[1:]
-    for t in fractions:
-        pts.append(_ball_point_at(group, delta * float(t), rng))
-    return pts
+    return _ball_pool(group, [spec.radius], spec.sample_count, seed)[0]
 
 
 def _draws_once(group):
-    """Whether ``_ball_point_at`` draws the same numbers at every radius:
-    true unless some (product) factor is finite, which draws only once the
-    radius reaches 1."""
+    """Whether ``_ball_draw`` draws the same numbers at every radius: true
+    unless some (product) factor is finite, which draws only once the radius
+    reaches 1."""
     if group.family == "product":
         return all(_draws_once(f) for f in group.factors)
     return not group.is_finite
 
 
-def _ball_direction(group, rng):
-    """The draws ``_ball_point_at`` makes for one point of a group that draws
-    once: a unit vector (torus), a unit rotation axis (su2), or a radius split
-    and one direction per factor (product)."""
+def _ball_draw(group, radius, rng):
+    """The draws for one ball point at ``radius`` from e: a unit vector
+    (torus), a unit rotation axis (su2), an element index (cyclic and
+    dihedral: 0, the identity, without a draw below radius 1, else a
+    uniformly drawn other element), or a radius split and one such draw per
+    factor at its share of the radius (product)."""
     fam = group.family
+    if fam in ("cyclic", "dihedral"):
+        return 0 if radius < 1.0 else 1 + int(rng.integers(group.order - 1))
     if fam == "torus":
         return _unit_draw(rng, group.n, 0)
     if fam == "su2":
         return _unit_draw(rng, 3, 2)
-    return _split_draw(rng, len(group.factors)), [_ball_direction(f, rng) for f in group.factors]
+    split = _split_draw(rng, len(group.factors))
+    return split, [_ball_draw(f, radius * float(s), rng) for f, s in zip(group.factors, split)]
 
 
-def _ball_coords(group, radii, dirs):
-    """Coordinates of the points ``_ball_point_at`` places at ``radii`` along
-    ``dirs`` (one direction per radius): angle rows (torus), unit quaternion
-    rows (su2), or one such array per factor (product)."""
+def _ball_coords(group, radii, draws):
+    """Coordinates of the points placed at ``radii`` by ``draws`` (one draw
+    per radius): the drawn elements (cyclic and dihedral), angle rows
+    (torus), unit quaternion rows (su2), or one such array per factor
+    (product)."""
     fam = group.family
+    if fam in ("cyclic", "dihedral"):
+        return _finite_coords(group)[np.array(draws, dtype=int)]
     if fam == "torus":
-        return (radii[:, None] * np.array(dirs)) % _TWO_PI
+        return (radii[:, None] * np.array(draws)) % _TWO_PI
     if fam == "su2":
         half = radii / 2.0
-        ax = np.sin(half)[:, None] * np.array(dirs)
+        ax = np.sin(half)[:, None] * np.array(draws)
         w, x, y, z = np.cos(half), ax[:, 0], ax[:, 1], ax[:, 2]
         nrm = np.sqrt(w * w + x * x + y * y + z * z)
         return np.stack([w, x, y, z], axis=1) / nrm[:, None]
-    splits = np.array([d[0] for d in dirs])
+    splits = np.array([d[0] for d in draws])
     return tuple(
-        _ball_coords(f, radii * splits[:, k], [d[1][k] for d in dirs])
+        _ball_coords(f, radii * splits[:, k], [d[1][k] for d in draws])
         for k, f in enumerate(group.factors)
     )
 
@@ -708,20 +729,15 @@ def _put_identity(group, coords, rows):
         for f, c in zip(group.factors, coords):
             _put_identity(f, c, rows)
     else:
-        coords[rows] = (1.0, 0.0, 0.0, 0.0) if group.family == "su2" else 0.0
-
-
-def _coords_to_points(group, coords):
-    if group.family == "product":
-        comps = [_coords_to_points(f, c) for f, c in zip(group.factors, coords)]
-        return [GroupPoint(group, cs) for cs in zip(*comps)]
-    return [GroupPoint(group, tuple(row)) for row in coords.tolist()]
+        coords[rows] = (1.0, 0.0, 0.0, 0.0) if group.family == "su2" else 0
 
 
 def _distances_from_identity(group, coords):
     """distance(e, p) for every point of a coordinate array, as one array
     expression in the order ``distance`` sums."""
     fam = group.family
+    if fam in ("cyclic", "dihedral"):
+        return np.any(coords != 0, axis=1).astype(float)
     if fam == "torus":
         wrapped = (math.pi - coords) % _TWO_PI - math.pi
         return np.sqrt(np.sum(wrapped * wrapped, axis=1))
@@ -737,31 +753,35 @@ def _ball_pool(group, radii, count, seed=0):
     positive ``radii``, concatenated, and every point's distance to the
     identity: (list of GroupPoint, array).
 
-    ``sample_ball`` redraws the same seeded directions at every radius, so
-    here they are drawn once and scaled per radius; coordinates and
-    distances are array expressions.  torus:1 takes its angle grid at every
-    radius.  Finite groups (sampled exhaustively) and products with a finite
-    factor, whose draws depend on the radius, are sampled radius by radius.
+    Finite groups keep the elements within each radius.  Otherwise the
+    identity comes first, then one point per radial fraction of
+    ``linspace(0, 1, count)`` after 0: on the torus:1 grid, or drawn from a
+    generator seeded afresh at every radius.  The draws depend on the radius
+    only through finite factors, so without one they are made once and
+    scaled per radius.  Coordinates and distances are array expressions.
     """
     radii = np.array([NeighborhoodSpec(float(r), count).radius for r in radii])
-    if not _draws_once(group):
-        e = identity(group)
-        pool = [p for r in radii for p in sample_ball(group, NeighborhoodSpec(r, count), seed)]
-        return pool, np.array([distance(e, p) for p in pool])
-    if count == 1:
-        return [identity(group)] * len(radii), np.zeros(len(radii))
-    if group.family == "torus" and group.n == 1:
+    if group.is_finite:
+        every = _finite_coords(group)
+        dists = _distances_from_identity(group, every)
+        coords = _take(every, np.concatenate([np.nonzero(dists <= r)[0] for r in radii]))
+    elif count == 1:
+        coords = _take(coords_of(group, [identity(group)]), np.zeros(len(radii), dtype=int))
+    elif group.family == "torus" and group.n == 1:
         angles = np.linspace(-radii, radii, count, axis=-1)
         off = ~np.any(np.isclose(angles, 0.0, atol=1e-15), axis=1)
         angles[off, np.argmin(np.abs(angles[off]), axis=1)] = 0.0
         coords = angles.reshape(-1, 1) % _TWO_PI
     else:
-        # one draw per sampled fraction; fraction 0 is the identity, which
-        # borrows the first direction and is then set exactly
-        rng = np.random.default_rng(seed)
+        # fraction 0 is the identity, which borrows the first draw and is
+        # then set exactly
         fractions = np.linspace(0.0, 1.0, count)
-        dirs = [_ball_direction(group, rng) for _ in fractions[1:]]
-        scaled = (radii[:, None] * fractions).ravel()
-        coords = _ball_coords(group, scaled, (dirs[:1] + dirs) * len(radii))
+        draws = []
+        for r in radii:
+            if not draws or not _draws_once(group):
+                rng = np.random.default_rng(seed)
+                drawn = [_ball_draw(group, r * t, rng) for t in fractions[1:]]
+            draws += drawn[:1] + drawn
+        coords = _ball_coords(group, (radii[:, None] * fractions).ravel(), draws)
         _put_identity(group, coords, slice(None, None, count))
-    return _coords_to_points(group, coords), _distances_from_identity(group, coords)
+    return points_of(group, coords), _distances_from_identity(group, coords)

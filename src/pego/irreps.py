@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _wigner
-from .groups import GroupDescriptor, _split_top_level
+from .groups import GroupDescriptor, _split_top_level, coords_of
 
 __all__ = [
     "IrrepLabel",
@@ -439,25 +439,14 @@ def _dihedral_matrix_arrays(label, rs, ss):
     return out
 
 
-def _point_coords(group, points):
-    """The coordinates of points as arrays, in the form ``_block_at`` reads:
-    residues, angle rows, (r, s) arrays, Euler angles, or one such entry per
-    product factor."""
-    fam = group.family
-    if fam == "cyclic":
-        return np.array([p.coords[0] for p in points], dtype=float)
-    if fam == "torus":
-        return np.array([p.coords for p in points], dtype=float).reshape(len(points), group.n)
-    if fam == "dihedral":
-        return tuple(np.array([p.coords[k] for p in points], dtype=int) for k in (0, 1))
-    if fam == "su2":
-        q = np.array([p.coords for p in points], dtype=float).reshape(len(points), 4)
-        return _wigner.euler_from_quaternion(q[:, 0], q[:, 1], q[:, 2], q[:, 3])
-    if fam == "product":
-        return tuple(
-            _point_coords(f, [p.coords[k] for p in points]) for k, f in enumerate(group.factors)
-        )
-    raise ValueError(f"unknown family {fam!r}")
+def _euler_coords(group, coords):
+    """A coordinate array (``groups.coords_of``) in the form ``_block_at``
+    reads: every su2 quaternion array becomes Euler angles."""
+    if group.family == "su2":
+        return _wigner.euler_from_quaternion(*coords.T)
+    if group.family == "product":
+        return tuple(_euler_coords(f, c) for f, c in zip(group.factors, coords))
+    return coords
 
 
 def _block_at(group, labels, coords, n):
@@ -473,7 +462,7 @@ def _block_at(group, labels, coords, n):
     d = labels[0].dim
     if fam == "cyclic":
         ks = np.array([lab.index[0] for lab in labels], dtype=float)
-        mats = np.exp(2j * np.pi * coords[:, None] * ks / group.n)[..., None, None]
+        mats = np.exp(2j * np.pi * coords * ks / group.n)[..., None, None]
     elif fam == "torus":
         ks = np.array([lab.index for lab in labels], dtype=float)
         phase = coords[:, :1] * ks[:, 0]
@@ -481,7 +470,7 @@ def _block_at(group, labels, coords, n):
             phase = phase + coords[:, a : a + 1] * ks[:, a]
         mats = np.exp(1j * phase)[..., None, None]
     elif fam == "dihedral":
-        mats = np.stack([_dihedral_matrix_arrays(lab, *coords) for lab in labels], axis=1)
+        mats = np.stack([_dihedral_matrix_arrays(lab, *coords.T) for lab in labels], axis=1)
     elif fam == "su2":
         (lab,) = labels  # every spin has its own dimension
         mats = _wigner.wigner_D(lab.index[0], *coords)[:, None]
@@ -546,7 +535,7 @@ def irrep_blocks(block_labels, points):
         return []
     points = list(points)
     group = block_labels[0][0].group
-    coords = _point_coords(group, points)
+    coords = _euler_coords(group, coords_of(group, points))
     return [_block_at(group, labs, coords, len(points)) for labs in block_labels]
 
 
@@ -626,9 +615,8 @@ def irrep_stack(label, rule):
     inside ``basis_twist`` the twisted stack is kept by the twist instead.
     The returned array is shared and read-only.  An su2 Euler rule combines
     its grid d-matrices with the alpha and gamma phases (``_euler_stack``);
-    every other rule evaluates the label as a block of one at its nodes,
-    whose coordinate arrays it reads once and keeps in
-    ``meta["_node_coords"]``.  The
+    every other rule evaluates the label as a block of one at the rule's
+    coordinate arrays (``rule.coords``) and builds no GroupPoint.  The
     transforms use stacks on dihedral, non-cyclic finite and hand-built rules
     only (grid, su2 Euler and product rules transform factor by factor);
     stacks elsewhere serve the callers that need every matrix entry at every
@@ -647,9 +635,7 @@ def irrep_stack(label, rule):
         if us is not None:
             stack = us[0].conj().T @ stack @ us[0]
     else:
-        coords = rule.meta.get("_node_coords")
-        if coords is None:
-            coords = rule.meta["_node_coords"] = _point_coords(rule.group, rule.nodes)
+        coords = _euler_coords(rule.group, rule.coords)
         stack = _block_at(rule.group, (label,), coords, len(rule))[:, 0]
     stack.setflags(write=False)
     cache[key] = stack

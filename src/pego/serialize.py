@@ -15,7 +15,7 @@ import numpy as np
 from . import fourier, irreps
 from .compactness import FamilySpec
 from .families import FAMILY_KINDS, builtin_family
-from .groups import haar_quadrature, parse_group
+from .groups import _arrays, haar_quadrature, parse_group
 
 SCHEMA_VERSION = 1
 
@@ -41,16 +41,6 @@ def matrix_to_wire(m):
 
 def wire_to_matrix(rows):
     return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def point_coords(pt):
-    """Flat real coordinate list; product coordinates are concatenated."""
-    if pt.group.family == "product":
-        out = []
-        for comp in pt.coords:
-            out.extend(point_coords(comp))
-        return out
-    return [float(c) for c in pt.coords]
 
 
 def coord_columns(group, prefix=""):
@@ -92,9 +82,9 @@ def function_from_json(doc, rule):
             f"{rule.group.name!r}"
         )
     vals = np.array([complex(re, im) for re, im in doc["values"]])
-    if vals.shape[0] != len(rule.nodes):
+    if vals.shape[0] != len(rule):
         raise FormatError(
-            f"{vals.shape[0]} values for a rule with {len(rule.nodes)} nodes"
+            f"{vals.shape[0]} values for a rule with {len(rule)} nodes"
         )
     return fourier.SampledFunction(rule, vals, name=doc.get("name", ""))
 
@@ -103,9 +93,9 @@ def function_to_csv(f):
     rule = f.rule
     cols = coord_columns(rule.group)
     lines = [",".join(cols + ["re", "im"])]
-    for pt, z in zip(rule.nodes, f.values):
-        coords = point_coords(pt)
-        lines.append(",".join([repr(c) for c in coords] + [repr(float(z.real)), repr(float(z.imag))]))
+    flat = np.hstack(_arrays(rule.coords)).astype(float)  # one column per entry of cols
+    for row, z in zip(flat.tolist(), f.values.tolist()):
+        lines.append(",".join(map(repr, row + [z.real, z.imag])))
     return "\n".join(lines) + "\n"
 
 
@@ -114,8 +104,8 @@ def function_from_csv(text, rule):
     if not lines:
         raise FormatError("empty csv")
     rows = lines[1:]
-    if len(rows) != len(rule.nodes):
-        raise FormatError(f"{len(rows)} rows for a rule with {len(rule.nodes)} nodes")
+    if len(rows) != len(rule):
+        raise FormatError(f"{len(rows)} rows for a rule with {len(rule)} nodes")
     vals = np.empty(len(rows), dtype=complex)
     for i, ln in enumerate(rows):
         parts = ln.split(",")

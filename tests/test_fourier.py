@@ -27,6 +27,7 @@ from pego import (
     builtin_family,
     constant_function,
     convolve,
+    coords_of,
     cyclic,
     dihedral,
     dirac_net_element,
@@ -325,7 +326,8 @@ def _fresh_su2_rule(res):
     """An su2 Euler rule equal to the canonical one but with no stacks built."""
     canon = haar_quadrature(su2(), res)
     return QuadratureRule(
-        su2(), canon.nodes, canon.weights, canon.exactness_degree, res, canon.meta
+        su2(), coords_of(su2(), canon.nodes), canon.weights, canon.exactness_degree, res,
+        canon.meta
     )
 
 
@@ -413,7 +415,8 @@ def _fresh_rule(group, res):
     meta = {k: v for k, v in canon.meta.items() if not k.startswith("_")}
     if "factor_rules" in meta:
         meta["factor_rules"] = tuple(_fresh_rule(f, res) for f in group.factors)
-    return QuadratureRule(group, canon.nodes, canon.weights, canon.exactness_degree, res, meta)
+    return QuadratureRule(group, coords_of(group, canon.nodes), canon.weights,
+                          canon.exactness_degree, res, meta)
 
 
 def _all_stacks(rule):

@@ -18,6 +18,7 @@ from pego import (
     DualSubset,
     basis_twist,
     character,
+    coords_of,
     cyclic,
     dihedral,
     enumerate_dual,
@@ -333,7 +334,7 @@ def test_hand_built_rule_gets_its_own_stack_and_identity():
     canon = haar_quadrature(g, 8)
     shifted = QuadratureRule(
         g,
-        [point(g, (p.coords[0] + 0.2,)) for p in canon.nodes],
+        coords_of(g, [point(g, (p.coords[0] + 0.2,)) for p in canon.nodes]),
         canon.weights,
         canon.exactness_degree,
         canon.resolution,
@@ -369,7 +370,7 @@ def test_su2_euler_stacks_take_one_d_matrix_per_grid_beta(monkeypatch):
     from pego.irreps import euler_phases, irrep_matrices
 
     canon = haar_quadrature(su2(), 8)
-    rule = QuadratureRule(canon.group, canon.nodes, canon.weights,
+    rule = QuadratureRule(canon.group, coords_of(canon.group, canon.nodes), canon.weights,
                           canon.exactness_degree, canon.resolution,
                           {k: v for k, v in canon.meta.items() if not k.startswith("_")})
     n_beta = len(rule.meta["betas"])

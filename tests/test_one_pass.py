@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 
 import pego.cli as cli
 from pego import (
+    GroupPoint,
     NeighborhoodSpec,
     builtin_family,
     distance,
     enumerate_dual,
+    enumerate_elements,
     epsilon_net,
     haar_quadrature,
     identity,
     parse_group,
     pego_verdict,
     pego_verdicts,
+    point,
     safe_band,
     sample_ball,
 )
@@ -141,13 +144,77 @@ def test_diagnose_with_three_epsilons_matches_per_epsilon_verdicts(tmp_path, cap
         assert got == text.encode("utf-8"), suffix
 
 
-POOL_GROUPS = ("cyclic:5", "dihedral:9", "torus:1", "torus:2", "su2", "product(torus:1,su2)")
+POOL_GROUPS = ("cyclic:5", "dihedral:9", "torus:1", "torus:2", "su2", "product(torus:1,su2)",
+               "product(su2,cyclic:3)", "product(torus:1,dihedral:3)")
+
+
+def _oracle_point_at(group, radius, rng):
+    """A point at the given distance from e, drawn point by point: a finite
+    group draws a uniform non-identity element once the radius reaches 1 (and
+    nothing below it), a product splits the radius among its factors."""
+    fam = group.family
+    if fam in ("cyclic", "dihedral"):
+        if radius < 1.0:
+            return identity(group)
+        elems = enumerate_elements(group)[1:]
+        return elems[int(rng.integers(len(elems)))]
+    if fam == "torus":
+        u = _unit(rng, group.n, 0)
+        return point(group, tuple(radius * float(c) for c in u))
+    if fam == "su2":
+        ax = _unit(rng, 3, 2)
+        half = radius / 2.0
+        s = math.sin(half)
+        return point(group, (math.cos(half), s * ax[0], s * ax[1], s * ax[2]))
+    split = np.abs(rng.normal(size=len(group.factors)))
+    nrm = np.linalg.norm(split)
+    split = split / nrm if nrm > 0 else np.ones(len(split)) / math.sqrt(len(split))
+    return GroupPoint(group, tuple(
+        _oracle_point_at(f, radius * float(s), rng) for f, s in zip(group.factors, split)
+    ))
+
+
+def _unit(rng, n, fallback):
+    u = rng.normal(size=n)
+    nrm = np.linalg.norm(u)
+    if nrm == 0:
+        return np.eye(n)[fallback]
+    return u / nrm
+
+
+def _oracle_sample_ball(group, radius, count, seed):
+    """``sample_ball`` point by point, with math-module arithmetic."""
+    if radius == 0.0:
+        return [identity(group)]
+    if group.is_finite:
+        e = identity(group)
+        return [p for p in enumerate_elements(group) if distance(e, p) <= radius]
+    if count == 1:
+        return [identity(group)]
+    if group.family == "torus" and group.n == 1:
+        angles = np.linspace(-radius, radius, count)
+        if not np.any(np.isclose(angles, 0.0, atol=1e-15)):
+            angles[np.argmin(np.abs(angles))] = 0.0
+        return [point(group, (float(a),)) for a in angles]
+    rng = np.random.default_rng(seed)
+    return [identity(group)] + [
+        _oracle_point_at(group, radius * float(t), rng) for t in np.linspace(0.0, 1.0, count)[1:]
+    ]
 
 
 def _flat_coords(p):
     if p.group.family == "product":
         return [c for comp in p.coords for c in _flat_coords(comp)]
     return [float(c) for c in p.coords]
+
+
+def _assert_same_points(got, want):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.group == q.group
+        npt.assert_allclose(_flat_coords(p), _flat_coords(q), rtol=0, atol=1e-15)
+        # signed zeros too: atan2 reads them when su2 points become Euler angles
+        npt.assert_array_equal(np.signbit(_flat_coords(p)), np.signbit(_flat_coords(q)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -160,15 +227,27 @@ def _flat_coords(p):
 def test_ball_pool_is_sample_ball_at_each_radius(name, radii, count, seed):
     group = parse_group(name)
     pool, dists = _ball_pool(group, radii, count, seed)
-    want = [p for r in radii for p in sample_ball(group, NeighborhoodSpec(r, count), seed)]
-    assert len(pool) == len(want)
-    for p, q in zip(pool, want):
-        assert p.group == q.group
-        npt.assert_allclose(_flat_coords(p), _flat_coords(q), rtol=0, atol=1e-15)
-        # signed zeros too: atan2 reads them when su2 points become Euler angles
-        npt.assert_array_equal(np.signbit(_flat_coords(p)), np.signbit(_flat_coords(q)))
+    want = [p for r in radii for p in _oracle_sample_ball(group, r, count, seed)]
+    _assert_same_points(pool, want)
     e = identity(group)
     npt.assert_allclose(dists, [distance(e, q) for q in want], rtol=0, atol=1e-15)
+    _assert_same_points(sample_ball(group, NeighborhoodSpec(radii[0], count), seed),
+                        _oracle_sample_ball(group, radii[0], count, seed))
+
+
+@pytest.mark.parametrize("name", ["product(su2,cyclic:3)", "product(torus:1,dihedral:3)"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ball_pool_keeps_the_finite_factor_draw_order(name, seed):
+    """The finite factor draws only where its share of the radius reaches 1,
+    so the draws differ from radius to radius; both kinds of share occur
+    here, and every radius matches the point-by-point sampler."""
+    group = parse_group(name)
+    radii = [2.5, 0.9, 1.6, 3.0]
+    pool, _ = _ball_pool(group, radii, 6, seed)
+    _assert_same_points(pool, [p for r in radii for p in _oracle_sample_ball(group, r, 6, seed)])
+    k = [f.is_finite for f in group.factors].index(True)
+    off_identity = [p for i, p in enumerate(pool) if i % 6]
+    assert {p.coords[k] == identity(group.factors[k]) for p in off_identity} == {True, False}
 
 
 def _casimir(label):
