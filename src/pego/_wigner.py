@@ -6,6 +6,20 @@ stay exact.  Rows and columns are ordered by descending weight
 evaluated as a whole matrix from one exact diagonalization of J_y per spin
 (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015): with J_y = V M V*,
 d^l(beta) = Re(V exp(-i beta M) V*).
+
+The same identity makes a band of SU(2) Fourier coefficients one
+trigonometric polynomial in the Euler angles (Risbo, J. Geodesy 70, 1996;
+Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 2008):
+
+    sum_l d_l tr(C_l D^l(a, b, c))
+        = sum_{p,q,k} T[p,q,k] e^{-i m_p a} e^{-i m_q c} e^{-i w_k b},
+    T[p,q,k] = sum_l d_l C_l[q,p] V_l[p,k] conj(V_l[q,k]),
+
+with p, q, k running over the weights of the largest spin of one parity,
+each spin filling the centered cube of its own weights.  ``trig_cube``
+holds the products V_l[p,k] conj(V_l[q,k]) that build T;
+``fourier.evaluate_at`` evaluates su2 coefficients off the quadrature grid
+through them and builds no D-matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["wigner_d", "wigner_D", "euler_from_quaternion", "two_m_values"]
+__all__ = ["wigner_d", "wigner_D", "euler_from_quaternion", "two_m_values", "trig_cube"]
 
 
 def two_m_values(two_l):
@@ -37,6 +51,22 @@ def _jy_eigenvectors(two_l):
     vecs = np.linalg.eigh(jy)[1]
     vecs.setflags(write=False)
     return vecs
+
+
+@functools.cache
+def trig_cube(two_l):
+    """Eigenvector products V[p, k] conj(V[q, k]) of one spin, (d, d, d).
+
+    V holds the J_y eigenvectors (``_jy_eigenvectors``), so that
+    d^l(beta)_pq = sum_k [p, q, k] e^{-i w_k beta}, with p, q in the row
+    order of ``wigner_d`` and k over the weights w = -l, ..., l.  Read-only
+    and cached per spin, like V itself, so every band and label subset
+    shares one cube per spin: the spins up to 16 hold 375 KB.
+    """
+    vecs = _jy_eigenvectors(two_l)
+    cube = vecs[:, None, :] * vecs.conj()[None, :, :]
+    cube.setflags(write=False)
+    return cube
 
 
 def wigner_d(two_l, beta):

@@ -35,6 +35,10 @@ the grid kernels builds an (N, d, d) irrep stack:
   with the Kronecker entries gathered into (or scattered from) the slots;
 * finite rules (cyclic, dihedral, finite products) and hand-built rules:
   one GEMM per label against the irrep stack cached on the rule.
+
+Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
+trigonometric tensor per spin parity and builds no D-matrix; every other
+group synthesizes against the block matrices of ``SlotTable.matrices_at``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .groups import (
     QuadratureRule,
     ResolutionError,
     _distances_from_identity,
+    coords_of,
     multiply,
 )
 from .groups import inverse as group_inverse
@@ -689,13 +694,63 @@ def _synthesize_on_rule(table, blocks, m, rule):
 def evaluate_at(coeffs, points):
     """Evaluate the synthesized function at arbitrary group points.
 
-    The synthesis of ``inverse``, fed the block matrices at the points
-    (``SlotTable.matrices_at``).
+    On su2, the coefficients are one trigonometric polynomial in the Euler
+    angles of the points (``_su2_values``, the identity in ``pego._wigner``)
+    and no D-matrix is built.  Every other group, products with an su2
+    factor included, takes the synthesis of ``inverse`` fed the block
+    matrices at the points (``SlotTable.matrices_at``).
     """
     points = list(points)
+    if coeffs.group.family == "su2":
+        return _su2_values(coeffs, points)
     blocks = [b[None] for b in coeffs.blocks]
     mats = coeffs.table.matrices_at(points)
     return _synthesize(coeffs.table, blocks, 1, len(points), mats)[0]
+
+
+# Points per block of ``_su2_values``: its largest temporary is
+# (_POINT_BLOCK, K^2) complex, 4.7 MB at band 16 (K = 17).
+_POINT_BLOCK = 1024
+
+
+def _su2_values(coeffs, points):
+    """Values of su2 coefficients at a list of points.
+
+    f(a, b, c) = sum_{p,q,k} T[p,q,k] e^{-i m_p a} e^{-i m_q c} e^{-i w_k b}
+    per spin parity, where T[p,q,k] = sum_l d_l C_l[q,p] V_l[p,k] conj(V_l[q,k])
+    runs over the weights of the parity's largest spin: each spin adds its
+    dimension-scaled, transposed coefficients times its ``_wigner.trig_cube``
+    into the centered cube of its own weights.  The points are then taken
+    ``_POINT_BLOCK`` at a time: one (P, K) @ (K, K^2) GEMM against the alpha
+    phases and a K^2 contraction against the gamma and beta phases.  Inside
+    a ``basis_twist`` each label synthesizes from U C U*.
+    """
+    alpha, beta, gamma = _wigner.euler_from_quaternion(*coords_of(coeffs.group, points).T)
+    vals = np.zeros(len(points), dtype=complex)
+    two_ls = [lab.index[0] for (lab,) in coeffs.table.block_labels]
+    blocks = _twisted(coeffs.table, coeffs.blocks, False)
+    for parity in (0, 1):
+        mine = [b for b, t in enumerate(two_ls) if t % 2 == parity]
+        if not mine:
+            continue
+        top = max(two_ls[b] for b in mine)
+        k = top + 1
+        tensor = np.zeros((k, k, k), dtype=complex)
+        for b in mine:
+            two_l = two_ls[b]
+            cube = slice((top - two_l) // 2, (top + two_l) // 2 + 1)
+            scaled = (two_l + 1) * blocks[b][0].T
+            tensor[cube, cube, cube] += scaled[:, :, None] * _wigner.trig_cube(two_l)
+        tensor = tensor.reshape(k, k * k)
+        half_m = np.arange(top, -top - 2, -2) / 2.0  # m_p, m_q; w_k is its reverse
+        for lo in range(0, len(points), _POINT_BLOCK):
+            hi = lo + _POINT_BLOCK
+            ph_a = np.exp(-1j * alpha[lo:hi, None] * half_m)
+            ph_c = np.exp(-1j * gamma[lo:hi, None] * half_m)
+            ph_b = np.exp(-1j * beta[lo:hi, None] * half_m[::-1])
+            part = (ph_a @ tensor).reshape(-1, k, k) @ ph_b[:, :, None]
+            vals[lo:hi] += np.einsum("tq,tq->t", part[:, :, 0], ph_c)
+    return vals
 
 
 def _reindex_plan(rule, y):

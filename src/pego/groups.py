@@ -360,8 +360,16 @@ def coords_of(group, points):
     whose rows are the points' coordinate tuples (integer residues on cyclic
     and (r, s) on dihedral groups, angles on the torus, unit quaternions on
     su2), and one such array per factor on products.  ``points_of`` is its
-    inverse."""
+    inverse.
+
+    The one read of point coordinates behind off-grid evaluation
+    (``irreps.irrep_blocks``, ``fourier.evaluate_at``): a point of another
+    group raises GroupMismatchError here, before its coordinates could be
+    read as this group's."""
     points = list(points)
+    for p in points:
+        if p.group is not group and p.group != group:
+            raise GroupMismatchError(f"point of {p.group.name} where {group.name} is expected")
     if group.family == "product":
         return tuple(
             coords_of(f, [p.coords[k] for p in points]) for k, f in enumerate(group.factors)

@@ -10,15 +10,22 @@ each tree, one child process runs through ``pego.cli.main``:
 * ``verify`` on its four groups x five suites x seeds 1 and 2, with the
   verify workload's cutoffs, resolutions and samples;
 * the two commands of acceptance criterion 10 (``verify --suite schur`` on
-  dihedral:3 and ``diagnose`` of a dihedral:3 matrix-entry span).
+  dihedral:3 and ``diagnose`` of a dihedral:3 matrix-entry span);
+* a library section, which no CLI command reaches: ``fourier.evaluate_at``
+  of seeded unit-norm coefficients at seeded off-grid points, plus the
+  beta = 0 and beta = pi fibers and +-identity of su2, for su2 at bands
+  4, 8, 12 and 16, and for product(torus:1,su2) and dihedral:9 as controls
+  on the matrix path.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
 this script and are not changed.  The report says whether the diagnose
 conclusions, the verify verdicts and the exit codes are equal, how many
 output files are byte-identical, and the largest gap between corresponding
-numbers (JSON numbers and CSV cells) with the file it occurs in.  The exit
-code is 0 when conclusions, verdicts, exit codes and the non-numeric content
-of every file agree, 1 otherwise.
+numbers (JSON numbers and CSV cells) with the file it occurs in; for the
+library section, the largest gap between the two trees' values per case.
+The exit code is 0 when conclusions, verdicts, exit codes and the
+non-numeric content of every file agree and no library gap exceeds
+``LIBRARY_TOL``, 1 otherwise.
 """
 
 import argparse
@@ -32,11 +39,20 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 DIAGNOSE_SEED = 1
 CRITERION10_FAMILY = {"group": "dihedral:3", "kind": "matrix_entry_span",
                       "params": {"shell": 3, "count": 8}}
+# (case name, group, cutoff) of the library section; 64 random points each.
+LIBRARY_CASES = (("su2-b4", "su2", 4), ("su2-b8", "su2", 8), ("su2-b12", "su2", 12),
+                 ("su2-b16", "su2", 16), ("product(torus:1,su2)-b4", "product(torus:1,su2)", 4),
+                 ("dihedral:9", "dihedral:9", None))
+LIBRARY_POINTS = 64
+LIBRARY_SEED = 12
+LIBRARY_TOL = 1e-12
 
 
 def _cases(workloads):
@@ -85,6 +101,56 @@ def run_tree(tree, out_dir):
             codes[f"{section}/{_slug(name)}"] = cli.main(argv + ["--out", case_dir])
     with open(os.path.join(out_dir, "exit_codes.json"), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, sort_keys=True)
+    _run_library(out_dir)
+
+
+def _run_library(out_dir):
+    """The library section: ``evaluate_at`` per case, into ``library.npz``."""
+    from pego import fourier, groups
+
+    values = {}
+    for name, group_name, cutoff in LIBRARY_CASES:
+        group = groups.parse_group(group_name)
+        rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+        values[name] = fourier.evaluate_at(_library_coeffs(group, cutoff, rng),
+                                           _library_points(group, rng))
+    np.savez(os.path.join(out_dir, "library.npz"), **values)
+
+
+def _library_coeffs(group, cutoff, rng):
+    """Complex-normal coefficients on the dual to ``cutoff``, unit L2 norm."""
+    from pego import fourier, irreps
+
+    labels = irreps.enumerate_dual(group, cutoff)
+    entries = {lab: rng.normal(size=(lab.dim, lab.dim)) + 1j * rng.normal(size=(lab.dim, lab.dim))
+               for lab in labels}
+    mass = sum(lab.dim * float((abs(m) ** 2).sum()) for lab, m in entries.items())
+    return fourier.FourierCoefficients(group, labels,
+                                       {lab: m / math.sqrt(mass) for lab, m in entries.items()})
+
+
+def _library_points(group, rng):
+    """``LIBRARY_POINTS`` random points of ``group``, then on su2 (and on an
+    su2 factor) the beta = 0 and beta = pi fibers and +-identity."""
+    from pego import groups
+
+    if group.family == "product":
+        comps = [_library_points(f, rng) for f in group.factors]
+        count = max(len(c) for c in comps)
+        return [groups.point(group, tuple(c[k % len(c)] for c in comps)) for k in range(count)]
+    if group.family == "dihedral":
+        return [groups.point(group, (int(r), int(s)))
+                for r, s in zip(rng.integers(group.n, size=LIBRARY_POINTS),
+                                rng.integers(2, size=LIBRARY_POINTS))]
+    if group.family == "torus":
+        return [groups.point(group, tuple(a)) for a in rng.uniform(0, 2 * math.pi,
+                                                                   (LIBRARY_POINTS, group.n))]
+    qs = rng.normal(size=(LIBRARY_POINTS, 4))
+    qs = [tuple(q) for q in qs / np.linalg.norm(qs, axis=1, keepdims=True)]
+    for t in (0.0, 0.4, 1.9, -2.7):
+        qs += [(math.cos(t), 0.0, 0.0, math.sin(t)), (0.0, math.cos(t), math.sin(t), 0.0)]
+    qs += [(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)]
+    return [groups.point(group, q) for q in qs]
 
 
 def _slug(text):
@@ -180,7 +246,21 @@ def compare(old_dir, new_dir):
               f"largest numeric gap {gap:.3e}" + (f" ({where})" if where else ""))
         for where in sorted(set(acc["other"])):
             print(f"  non-numeric difference in {where}")
-    return ok
+    return _compare_library(old_dir, new_dir) and ok
+
+
+def _compare_library(old_dir, new_dir):
+    """Print the largest gap of the library section; True when within LIBRARY_TOL."""
+    with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
+        if sorted(old.files) != sorted(new.files):
+            print("library: case names differ")
+            return False
+        gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
+                for name in old.files}
+    name = max(gaps, key=gaps.get)
+    print(f"library: {len(gaps)} evaluate_at cases, largest gap {gaps[name]:.3e} ({name}), "
+          f"tolerance {LIBRARY_TOL:.0e}")
+    return gaps[name] <= LIBRARY_TOL
 
 
 def main(argv=None):
