@@ -21,8 +21,8 @@ import numpy as np
 from . import serialize as ser
 from .compactness import (
     CoherenceError,
-    lemma31_bound_check,
-    lemma32_bound_check,
+    lemma31_bound_checks,
+    lemma32_bound_checks,
     pego_verdicts,
 )
 from .fourier import (
@@ -46,7 +46,7 @@ from .groups import (
 from .irreps import enumerate_dual, irrep_stack, shell_subset
 from .norms import (
     ExponentPair,
-    hausdorff_young_check,
+    hausdorff_young_checks,
     lp_function_norm,
     lp_oplus_norm,
     plancherel_residual,
@@ -196,79 +196,73 @@ def _suite_identities(rule, cutoff, samples, seed):
     return checks
 
 
+# The three inequality suites loop over samples outermost: each sample is
+# synthesized once and checked at every exponent by one batch call, and the
+# worst margin of each exponent is kept in sample order.
+
 def _suite_hausdorff_young(rule, cutoff, samples, seed, p_values):
+    directions = ("forward", "reverse")
+    cases = [(ExponentPair.of(p), direction) for p in p_values for direction in directions]
+    worst = [-math.inf] * len(cases)  # case i is exponent i // 2, direction i % 2
+    worst_eq = [0.0] * len(p_values)
+    for k in range(samples):
+        f = random_band_limited_function(rule, cutoff, seed=seed + 31 * k)
+        for i, chk in enumerate(hausdorff_young_checks(f, cases, cutoff=cutoff)):
+            margin = chk.lhs - chk.rhs
+            worst[i] = max(worst[i], margin)
+            if chk.p == 2.0:
+                worst_eq[i // 2] = max(worst_eq[i // 2], abs(margin))
     checks = []
-    for p in p_values:
-        pair = ExponentPair.of(p)
-        worst_fwd = -math.inf
-        worst_rev = -math.inf
-        worst_eq = 0.0
-        for k in range(samples):
-            f = random_band_limited_function(rule, cutoff, seed=seed + 31 * k)
-            for direction in ("forward", "reverse"):
-                chk = hausdorff_young_check(f, pair, direction=direction,
-                                            cutoff=cutoff)
-                margin = chk.lhs - chk.rhs
-                if direction == "forward":
-                    worst_fwd = max(worst_fwd, margin)
-                else:
-                    worst_rev = max(worst_rev, margin)
-                if p == 2.0:
-                    worst_eq = max(worst_eq, abs(margin))
-        ptag = f"p={p:g}"
-        checks.append({"name": f"forward_{ptag}", "lhs": float(worst_fwd),
-                       "rhs": _IDENTITY_TOL,
-                       "satisfied": bool(worst_fwd <= _IDENTITY_TOL)})
-        checks.append({"name": f"reverse_{ptag}", "lhs": float(worst_rev),
-                       "rhs": _IDENTITY_TOL,
-                       "satisfied": bool(worst_rev <= _IDENTITY_TOL)})
-        if p == 2.0:
-            checks.append({"name": "equality_p=2", "lhs": float(worst_eq),
+    for i, p in enumerate(p_values):
+        for direction, err in zip(directions, worst[2 * i:2 * i + 2]):
+            checks.append({"name": f"{direction}_p={p:g}", "lhs": float(err),
                            "rhs": _IDENTITY_TOL,
-                           "satisfied": bool(worst_eq <= _IDENTITY_TOL)})
+                           "satisfied": bool(err <= _IDENTITY_TOL)})
+        if p == 2.0:
+            checks.append({"name": "equality_p=2", "lhs": float(worst_eq[i]),
+                           "rhs": _IDENTITY_TOL,
+                           "satisfied": bool(worst_eq[i] <= _IDENTITY_TOL)})
     return checks
+
+
+def _lemma_checks(name, p_values, worst, all_ok):
+    return [{"name": f"{name}_p={p:g}", "lhs": float(err), "rhs": _LEMMA_SLACK,
+             "satisfied": bool(ok and err <= _LEMMA_SLACK)}
+            for p, err, ok in zip(p_values, worst, all_ok)]
 
 
 def _suite_lemma31(rule, cutoff, samples, seed, p_values):
     radii = _BALL_RADII[rule.group.family]
-    checks = []
-    for p in p_values:
-        pair = ExponentPair.of(p)
-        worst = -math.inf
-        all_ok = True
-        for k in range(samples):
-            f = random_band_limited_function(rule, cutoff, seed=seed + 13 * k)
-            delta = radii[k % len(radii)]
-            chk = lemma31_bound_check(
-                f, NeighborhoodSpec(delta, 8), pair, cutoff=cutoff)
-            worst = max(worst, chk.tail - chk.rhs)
-            all_ok = all_ok and chk.satisfied
-        checks.append({"name": f"tail_le_2sup_p={p:g}", "lhs": float(worst),
-                       "rhs": _LEMMA_SLACK,
-                       "satisfied": bool(all_ok and worst <= _LEMMA_SLACK)})
-    return checks
+    pairs = [ExponentPair.of(p) for p in p_values]
+    worst = [-math.inf] * len(pairs)
+    all_ok = [True] * len(pairs)
+    for k in range(samples):
+        f = random_band_limited_function(rule, cutoff, seed=seed + 13 * k)
+        delta = radii[k % len(radii)]
+        chks = lemma31_bound_checks(f, NeighborhoodSpec(delta, 8), pairs, cutoff=cutoff)
+        for i, chk in enumerate(chks):
+            worst[i] = max(worst[i], chk.tail - chk.rhs)
+            all_ok[i] = all_ok[i] and chk.satisfied
+    return _lemma_checks("tail_le_2sup", p_values, worst, all_ok)
 
 
 def _suite_lemma32(rule, cutoff, samples, seed, p_values):
     rng = np.random.default_rng(seed)
     max_shell = max(lab.shell for lab in enumerate_dual(rule.group, cutoff))
-    checks = []
-    for p in p_values:
-        pair = ExponentPair.of(p)
-        worst = -math.inf
-        all_ok = True
-        for k in range(samples):
-            f = random_band_limited_function(rule, cutoff, seed=seed + 7 * k)
-            y = _random_nodes(rule, 1, rng)[0]
-            shell = min(1 + k % 2, max_shell)
-            A = shell_subset(rule.group, shell, cutoff=cutoff)
-            chk = lemma32_bound_check(f, y, A, pair, cutoff=cutoff)
-            worst = max(worst, chk.lhs - (chk.head_term + chk.tail_term))
-            all_ok = all_ok and chk.satisfied
-        checks.append({"name": f"lhs_le_head_plus_tail_p={p:g}",
-                       "lhs": float(worst), "rhs": _LEMMA_SLACK,
-                       "satisfied": bool(all_ok and worst <= _LEMMA_SLACK)})
-    return checks
+    pairs = [ExponentPair.of(p) for p in p_values]
+    # the elements are drawn exponent by exponent, sample by sample
+    ys = [[_random_nodes(rule, 1, rng)[0] for _ in range(samples)] for _ in pairs]
+    worst = [-math.inf] * len(pairs)
+    all_ok = [True] * len(pairs)
+    for k in range(samples):
+        f = random_band_limited_function(rule, cutoff, seed=seed + 7 * k)
+        shell = min(1 + k % 2, max_shell)
+        A = shell_subset(rule.group, shell, cutoff=cutoff)
+        cases = [(ys[i][k], A, pair) for i, pair in enumerate(pairs)]
+        for i, chk in enumerate(lemma32_bound_checks(f, cases, cutoff=cutoff)):
+            worst[i] = max(worst[i], chk.lhs - (chk.head_term + chk.tail_term))
+            all_ok[i] = all_ok[i] and chk.satisfied
+    return _lemma_checks("lhs_le_head_plus_tail", p_values, worst, all_ok)
 
 
 def _schur_gram_gap(rule, labels):
@@ -472,6 +466,18 @@ def cmd_report(args):
 
 # -- entry point ---------------------------------------------------------------
 
+def _positive_int(text):
+    """An argparse type: an integer >= 1.  A suite over no samples would
+    pass vacuously or report a worst margin of -inf."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="pego",
@@ -497,7 +503,7 @@ def _build_parser():
     v.add_argument("--resolution", type=int)
     v.add_argument("--cutoff", type=int)
     v.add_argument("--p", type=float)
-    v.add_argument("--samples", type=int, default=25)
+    v.add_argument("--samples", type=_positive_int, default=25)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out")
 

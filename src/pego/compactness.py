@@ -55,7 +55,9 @@ __all__ = [
     "tail_decay_profile",
     "equicontinuity_profile",
     "lemma31_bound_check",
+    "lemma31_bound_checks",
     "lemma32_bound_check",
+    "lemma32_bound_checks",
     "pego_verdict",
     "pego_verdicts",
     "epsilon_net",
@@ -391,7 +393,7 @@ def _continuity_profile(family, mesh, ball_samples, p, seed, path, spectrum):
     if path == "spectral":
         per_point = _spectral_moduli(spectrum or _spectrum(family), pool)
     else:
-        per_point = np.stack([_translation_moduli(f, pool, p) for f in family.members])
+        per_point = np.stack([_translation_moduli(f, pool, [p])[0] for f in family.members])
     out = np.zeros((len(family), len(mesh)))
     for k, delta in enumerate(mesh):
         inside = dists <= delta + 1e-12
@@ -429,19 +431,42 @@ def _spectral_moduli(spectrum, ys):
     return np.sqrt(acc + 4.0 * beyond[:, None])
 
 
-def _translation_moduli(f, ys, p):
-    """||R_y f - f||_p for every y of ``ys``, in order.
+def _band_transform(f):
+    """f's transform at the rule's alias-free band, the one its translates
+    start from, as the zero-argument callable ``fourier._translate_values``
+    takes: made on the first call and kept."""
+    return functools.cache(lambda: fourier.forward_to_cutoff(f))
 
-    Translates come from ``fourier.translate_values`` a block of elements at
-    a time, at most _TRANSLATE_BLOCK_VALUES sampled values per block, so the
-    translates held at once stay bounded however many elements there are;
-    each block's norms are taken from its value array in one call.
+
+def _transforms(f, cutoff):
+    """f's transform against the dual at ``cutoff``, and ``_band_transform``
+    of f: when ``cutoff`` is the alias-free band, both are one transform."""
+    if cutoff == fourier.safe_band(f.rule):
+        fc = fourier.forward_to_cutoff(f)
+        return fc, lambda: fc
+    return fourier.forward(f, irreps.enumerate_dual(f.group, cutoff)), _band_transform(f)
+
+
+def _translation_moduli(f, ys, ps, transform=None):
+    """||R_y f - f||_p for every p of ``ps`` (rows) and every y of ``ys``
+    (columns), in order.
+
+    Translates come from one sweep of ``fourier._translate_values`` a block
+    of elements at a time, at most _TRANSLATE_BLOCK_VALUES sampled values per
+    block, so the translates held at once stay bounded however many elements
+    there are.  Every block shares one transform of f at the alias-free band
+    (``transform``, as ``_band_transform`` gives it; by default one made on
+    first need).  Each block's difference from f is taken in place, and
+    every exponent's norms are read from that one difference array.
     """
+    transform = transform or _band_transform(f)
     per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
-    out = np.empty(len(ys))
+    out = np.empty((len(ps), len(ys)))
     for lo in range(0, len(ys), per_block):
-        moved = fourier.translate_values(f, ys[lo : lo + per_block])
-        out[lo : lo + len(moved)] = norms.lp_value_norms(f.rule.weights, moved - f.values, p)
+        moved = fourier._translate_values(f, ys[lo : lo + per_block], transform)
+        moved -= f.values
+        for row, p in enumerate(ps):
+            out[row, lo : lo + len(moved)] = norms.lp_value_norms(f.rule.weights, moved, p)
     return out
 
 
@@ -466,14 +491,24 @@ class Lemma31Check:
 
 
 def lemma31_bound_check(f, ball, pair, cutoff=None, slack=1e-8):
-    """Check the tail-from-modulus bound for one function and one ball.
+    """Check the tail-from-modulus bound for one function and one ball:
+    ``lemma31_bound_checks(f, ball, [pair], cutoff, slack)[0]``."""
+    return lemma31_bound_checks(f, ball, [pair], cutoff, slack)[0]
+
+
+def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
+    """``Lemma31Check`` of one function and one ball at each exponent pair of
+    ``pairs``, in order.
 
     ``ball`` is a NeighborhoodSpec (or radius).  A is constructed from the
     Dirac element exactly as in the proof; the sup over U is sampled over the
-    quadrature nodes supporting e_U, which is the whole discrete ball.
+    quadrature nodes supporting e_U, which is the whole discrete ball.  Only
+    the final norms depend on the exponent, so every pair shares the Dirac
+    element, its transform and A, one transform of f, and one sweep of
+    translates over the ball (``_translation_moduli``), which gives the
+    moduli at every p.
     """
-    if not isinstance(pair, ExponentPair):
-        pair = ExponentPair.of(pair)
+    pairs = [ExponentPair.of(pair) for pair in pairs]
     rule = f.rule
     if not isinstance(ball, NeighborhoodSpec):
         ball = NeighborhoodSpec(float(ball))
@@ -485,35 +520,39 @@ def lemma31_bound_check(f, ball, pair, cutoff=None, slack=1e-8):
     op_norms = norms.schatten_norms(ehat, math.inf)
     a_labels = [lab for lab, v in zip(dual, op_norms.tolist()) if v > 0.5]
     subset = DualSubset.from_labels(f.group, a_labels)
-    fc = fourier.forward(f, dual)
-    q = pair.p_conj
+    fc, band_fc = _transforms(f, cutoff)
     comp = subset.complement_within(dual)
-    if q == 2.0:
-        # coefficient-side sum over the computed complement, plus any genuine
-        # mass beyond the cutoff; using the raw Plancherel residual here would
-        # floor an exactly-zero tail at sqrt(float cancellation) ~ 1e-8
-        within = fc.head_mass(comp)
-        tail = math.sqrt(within + norms.beyond_cutoff_mass(f, fc))
-        truncated = False
-    else:
-        rep = norms.lp_oplus_norm(fc, q, comp)
-        tail = rep.value
-        truncated = not f.group.is_finite
     support = np.nonzero(np.abs(e_u.values) > 0)[0]
     ys = [group_inverse(y) for y in rule.nodes_at(support)]
-    rhs = 2.0 * float(np.max(_translation_moduli(f, ys, pair.p), initial=0.0))
-    return Lemma31Check(
-        subset,
-        tail,
-        rhs,
-        slack,
-        tail <= rhs + slack,
-        truncated,
-        pair.p,
-        q,
-        ball.radius,
-        int(support.size),
-    )
+    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], band_fc)
+    out = []
+    for pair, row in zip(pairs, moduli):
+        q = pair.p_conj
+        if q == 2.0:
+            # coefficient-side sum over the computed complement, plus any
+            # genuine mass beyond the cutoff; using the raw Plancherel
+            # residual here would floor an exactly-zero tail at
+            # sqrt(float cancellation) ~ 1e-8
+            within = fc.head_mass(comp)
+            tail = math.sqrt(within + norms.beyond_cutoff_mass(f, fc))
+            truncated = False
+        else:
+            tail = norms.lp_oplus_norm(fc, q, comp).value
+            truncated = not f.group.is_finite
+        rhs = 2.0 * float(np.max(row, initial=0.0))
+        out.append(Lemma31Check(
+            subset,
+            tail,
+            rhs,
+            slack,
+            tail <= rhs + slack,
+            truncated,
+            pair.p,
+            q,
+            ball.radius,
+            int(support.size),
+        ))
+    return out
 
 
 @dataclass
@@ -536,47 +575,65 @@ class Lemma32Check:
 
 
 def lemma32_bound_check(f, y, subset, pair, cutoff=None, slack=1e-8):
-    """Check the modulus-from-tail bound for one function, element and head set."""
-    if not isinstance(pair, ExponentPair):
-        pair = ExponentPair.of(pair)
+    """Check the modulus-from-tail bound for one function, element and head
+    set: ``lemma32_bound_checks(f, [(y, subset, pair)], cutoff, slack)[0]``."""
+    return lemma32_bound_checks(f, [(y, subset, pair)], cutoff, slack)[0]
+
+
+def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
+    """``Lemma32Check`` of one function for each (element, head set, exponent
+    pair) of ``cases``, in order.
+
+    Every case shares one transform of f against the dual at ``cutoff``,
+    which the translates reuse when ``cutoff`` is the alias-free band, and
+    one ``fourier._translate_values`` call that translates f by all the
+    elements at once; each case's difference from f is taken in place.
+    """
+    cases = [(y, subset, ExponentPair.of(pair)) for y, subset, pair in cases]
     if cutoff is None:
         cutoff = fourier.safe_band(f.rule)
     dual = irreps.enumerate_dual(f.group, cutoff)
     have = set(dual)
-    for lab in subset:
-        if lab not in have:
-            raise ValueError(f"head label {lab.name} beyond the computed dual")
-    fc = fourier.forward(f, dual)
-    lhs = norms.lp_function_norm(fourier.translate(f, y) - f, pair.p_conj)
-    # pi(y) - I on every head label, packed by dimension, so the operator
-    # norms are one Schatten kernel call per block
-    table = fourier.slot_table(tuple(subset))
-    act = fourier.FourierCoefficients.from_blocks(f.group, table, [
-        mats[0] - np.eye(d) for d, mats in zip(table.dims, table.matrices_at([y]))
-    ])
-    head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
-    head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
-    head_term = head_sup * head_norm
-    if pair.p == 2.0:
-        tail = norms.plancherel_residual(f, fc, subset)
-        truncated = False
-    else:
-        comp = subset.complement_within(dual)
-        tail = norms.lp_oplus_norm(fc, pair.p, comp).value
-        truncated = not f.group.is_finite
-    tail_term = 2.0 * tail
-    rhs = head_term + tail_term
-    return Lemma32Check(
-        lhs,
-        head_term,
-        tail_term,
-        head_sup,
-        slack,
-        lhs <= rhs + slack,
-        truncated,
-        pair.p,
-        pair.p_conj,
-    )
+    for _, subset, _ in cases:
+        for lab in subset:
+            if lab not in have:
+                raise ValueError(f"head label {lab.name} beyond the computed dual")
+    fc, band_fc = _transforms(f, cutoff)
+    moved = fourier._translate_values(f, [y for y, _, _ in cases], band_fc)
+    moved -= f.values
+    out = []
+    for (y, subset, pair), diff in zip(cases, moved):
+        lhs = float(norms.lp_value_norms(f.rule.weights, diff[None], pair.p_conj)[0])
+        # pi(y) - I on every head label, packed by dimension, so the operator
+        # norms are one Schatten kernel call per block
+        table = fourier.slot_table(tuple(subset))
+        act = fourier.FourierCoefficients.from_blocks(f.group, table, [
+            mats[0] - np.eye(d) for d, mats in zip(table.dims, table.matrices_at([y]))
+        ])
+        head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
+        head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
+        head_term = head_sup * head_norm
+        if pair.p == 2.0:
+            tail = norms.plancherel_residual(f, fc, subset)
+            truncated = False
+        else:
+            comp = subset.complement_within(dual)
+            tail = norms.lp_oplus_norm(fc, pair.p, comp).value
+            truncated = not f.group.is_finite
+        tail_term = 2.0 * tail
+        rhs = head_term + tail_term
+        out.append(Lemma32Check(
+            lhs,
+            head_term,
+            tail_term,
+            head_sup,
+            slack,
+            lhs <= rhs + slack,
+            truncated,
+            pair.p,
+            pair.p_conj,
+        ))
+    return out
 
 
 @dataclass

@@ -806,13 +806,21 @@ def translate_values(f, ys):
     """The values of the right translates R_y f as one (len(ys), N) array,
     row k for ``ys[k]``: ``translate_batch`` without a SampledFunction per
     translate."""
+    return _translate_values(f, ys, lambda: forward_to_cutoff(f))
+
+
+def _translate_values(f, ys, transform):
+    """``translate_values``, where ``transform()`` gives the coefficients of
+    f at the rule's alias-free band and is called only when some element of
+    ``ys`` needs the spectral path.  A caller that translates f a block of
+    elements at a time passes one cached transform to every block."""
     ys = list(ys)
     if any(y.group != f.group for y in ys):
         raise GroupMismatchError("translation element from a different group")
     perms = [_reindex_plan(f.rule, y) for y in ys]
     spectral = [k for k, perm in enumerate(perms) if perm is None]
     if spectral:
-        coeffs = forward_to_cutoff(f)
+        coeffs = transform()
         blocks = _right_action(coeffs, [ys[k] for k in spectral])
         moved = _synthesize_on_rule(coeffs.table, blocks, len(spectral), f.rule)
         if len(spectral) == len(ys):

@@ -33,6 +33,7 @@ __all__ = [
     "plancherel_residual",
     "plancherel_residual_report",
     "hausdorff_young_check",
+    "hausdorff_young_checks",
 ]
 
 
@@ -45,6 +46,9 @@ class ExponentPair:
 
     @classmethod
     def of(cls, p):
+        """The pair of exponent ``p``; an ExponentPair is returned as is."""
+        if isinstance(p, cls):
+            return p
         p = float(p)
         return cls(p, math.inf if p == 1.0 else p / (p - 1.0))
 
@@ -207,34 +211,45 @@ class HausdorffYoungCheck:
 
 
 def hausdorff_young_check(f, pair, direction="forward", cutoff=None, slack=1e-10):
-    """Check a Hausdorff-Young inequality on one sampled function.
+    """Check a Hausdorff-Young inequality on one sampled function:
+    ``hausdorff_young_checks(f, [(pair, direction)], cutoff, slack)[0]``.
 
     forward:  ||fhat||_{p'-oplus} <= ||f||_p        (p in [1, 2])
     reverse:  ||f||_{p'} <= ||fhat||_{p-oplus}
+    """
+    return hausdorff_young_checks(f, [(pair, direction)], cutoff, slack)[0]
+
+
+def hausdorff_young_checks(f, cases, cutoff=None, slack=1e-10):
+    """``HausdorffYoungCheck`` of one sampled function for each (exponent
+    pair, direction) of ``cases``, in order.
 
     Coefficients are taken against the canonical dual at ``cutoff`` (default:
-    the rule's alias-free band).  For band-limited f within that band both
-    sides are exact and the inequalities are theorems; the ``truncated`` flag
-    marks dual-side sums that cannot be certified complete.
+    the rule's alias-free band), once, and every case reads its norms from
+    that one transform.  For band-limited f within that band both sides are
+    exact and the inequalities are theorems; the ``truncated`` flag marks
+    dual-side sums that cannot be certified complete.
     """
-    if direction not in ("forward", "reverse"):
+    cases = [(ExponentPair.of(pair), direction) for pair, direction in cases]
+    if any(direction not in ("forward", "reverse") for _, direction in cases):
         raise ValueError("direction must be 'forward' or 'reverse'")
-    if not isinstance(pair, ExponentPair):
-        pair = ExponentPair.of(pair)
     coeffs = fourier.forward_to_cutoff(f, cutoff)
-    if direction == "forward":
-        dual_side = lp_oplus_norm(coeffs, pair.p_conj)
-        lhs, rhs = dual_side.value, lp_function_norm(f, pair.p)
-    else:
-        dual_side = lp_oplus_norm(coeffs, pair.p)
-        lhs, rhs = lp_function_norm(f, pair.p_conj), dual_side.value
-    return HausdorffYoungCheck(
-        direction,
-        pair.p,
-        pair.p_conj,
-        lhs,
-        rhs,
-        slack,
-        lhs <= rhs + slack,
-        dual_side.truncated,
-    )
+    out = []
+    for pair, direction in cases:
+        if direction == "forward":
+            dual_side = lp_oplus_norm(coeffs, pair.p_conj)
+            lhs, rhs = dual_side.value, lp_function_norm(f, pair.p)
+        else:
+            dual_side = lp_oplus_norm(coeffs, pair.p)
+            lhs, rhs = lp_function_norm(f, pair.p_conj), dual_side.value
+        out.append(HausdorffYoungCheck(
+            direction,
+            pair.p,
+            pair.p_conj,
+            lhs,
+            rhs,
+            slack,
+            lhs <= rhs + slack,
+            dual_side.truncated,
+        ))
+    return out

@@ -1,0 +1,266 @@
+"""The inequality suites of ``pego verify`` check each sample at every
+exponent in one pass: one synthesis per sample, one transform shared by all
+exponents and directions, and for Lemma 3.1 one sweep of translates over the
+ball.  The oracles here are the suites' exponent-outer loops, which check one
+(exponent, sample) at a time through the single-check functions; the batched
+suites must give the same check lists, and every batch entry must equal its
+single check field by field."""
+
+import dataclasses
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pego.cli as cli
+from pego import (
+    ExponentPair,
+    NeighborhoodSpec,
+    enumerate_dual,
+    hausdorff_young_check,
+    hausdorff_young_checks,
+    haar_quadrature,
+    lemma31_bound_check,
+    lemma31_bound_checks,
+    lemma32_bound_check,
+    lemma32_bound_checks,
+    parse_group,
+    random_band_limited_function,
+    shell_subset,
+)
+from pego import compactness, fourier
+
+
+def _verify_groups():
+    """(group, cutoff, resolution) of the verify workload in bench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_verify_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.VERIFY_GROUPS
+
+
+VERIFY_GROUPS = _verify_groups()
+
+
+# -- oracles: the exponent-outer loops ----------------------------------------
+
+def _oracle_hausdorff_young(rule, cutoff, samples, seed, p_values):
+    checks = []
+    for p in p_values:
+        pair = ExponentPair.of(p)
+        worst_fwd = -math.inf
+        worst_rev = -math.inf
+        worst_eq = 0.0
+        for k in range(samples):
+            f = random_band_limited_function(rule, cutoff, seed=seed + 31 * k)
+            for direction in ("forward", "reverse"):
+                chk = hausdorff_young_check(f, pair, direction=direction, cutoff=cutoff)
+                margin = chk.lhs - chk.rhs
+                if direction == "forward":
+                    worst_fwd = max(worst_fwd, margin)
+                else:
+                    worst_rev = max(worst_rev, margin)
+                if p == 2.0:
+                    worst_eq = max(worst_eq, abs(margin))
+        ptag = f"p={p:g}"
+        checks.append({"name": f"forward_{ptag}", "lhs": float(worst_fwd),
+                       "rhs": cli._IDENTITY_TOL,
+                       "satisfied": bool(worst_fwd <= cli._IDENTITY_TOL)})
+        checks.append({"name": f"reverse_{ptag}", "lhs": float(worst_rev),
+                       "rhs": cli._IDENTITY_TOL,
+                       "satisfied": bool(worst_rev <= cli._IDENTITY_TOL)})
+        if p == 2.0:
+            checks.append({"name": "equality_p=2", "lhs": float(worst_eq),
+                           "rhs": cli._IDENTITY_TOL,
+                           "satisfied": bool(worst_eq <= cli._IDENTITY_TOL)})
+    return checks
+
+
+def _oracle_lemma31(rule, cutoff, samples, seed, p_values):
+    radii = cli._BALL_RADII[rule.group.family]
+    checks = []
+    for p in p_values:
+        pair = ExponentPair.of(p)
+        worst = -math.inf
+        all_ok = True
+        for k in range(samples):
+            f = random_band_limited_function(rule, cutoff, seed=seed + 13 * k)
+            delta = radii[k % len(radii)]
+            chk = lemma31_bound_check(f, NeighborhoodSpec(delta, 8), pair, cutoff=cutoff)
+            worst = max(worst, chk.tail - chk.rhs)
+            all_ok = all_ok and chk.satisfied
+        checks.append({"name": f"tail_le_2sup_p={p:g}", "lhs": float(worst),
+                       "rhs": cli._LEMMA_SLACK,
+                       "satisfied": bool(all_ok and worst <= cli._LEMMA_SLACK)})
+    return checks
+
+
+def _oracle_lemma32(rule, cutoff, samples, seed, p_values):
+    rng = np.random.default_rng(seed)
+    max_shell = max(lab.shell for lab in enumerate_dual(rule.group, cutoff))
+    checks = []
+    for p in p_values:
+        pair = ExponentPair.of(p)
+        worst = -math.inf
+        all_ok = True
+        for k in range(samples):
+            f = random_band_limited_function(rule, cutoff, seed=seed + 7 * k)
+            y = cli._random_nodes(rule, 1, rng)[0]
+            shell = min(1 + k % 2, max_shell)
+            A = shell_subset(rule.group, shell, cutoff=cutoff)
+            chk = lemma32_bound_check(f, y, A, pair, cutoff=cutoff)
+            worst = max(worst, chk.lhs - (chk.head_term + chk.tail_term))
+            all_ok = all_ok and chk.satisfied
+        checks.append({"name": f"lhs_le_head_plus_tail_p={p:g}",
+                       "lhs": float(worst), "rhs": cli._LEMMA_SLACK,
+                       "satisfied": bool(all_ok and worst <= cli._LEMMA_SLACK)})
+    return checks
+
+
+SUITES = {
+    "hausdorff_young": (cli._suite_hausdorff_young, _oracle_hausdorff_young,
+                        [1.0, 4.0 / 3.0, 2.0]),
+    "lemma31": (cli._suite_lemma31, _oracle_lemma31, [1.0, 2.0]),
+    "lemma32": (cli._suite_lemma32, _oracle_lemma32, [1.0, 2.0]),
+}
+
+
+def _rule(group, cutoff, res):
+    return cli._default_rule(parse_group(group), res, cutoff)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("group, cutoff, res", VERIFY_GROUPS)
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_batched_suites_equal_the_exponent_outer_oracle(suite, group, cutoff, res, seed):
+    batched, oracle, p_values = SUITES[suite]
+    rule, cutoff = _rule(group, cutoff, res)
+    assert batched(rule, cutoff, 3, seed, p_values) == oracle(rule, cutoff, 3, seed, p_values)
+
+
+@pytest.mark.parametrize("group, cutoff, res", VERIFY_GROUPS)
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_batched_suites_equal_the_oracle_at_one_explicit_exponent(suite, group, cutoff, res):
+    batched, oracle, _ = SUITES[suite]
+    rule, cutoff = _rule(group, cutoff, res)
+    assert batched(rule, cutoff, 3, 1, [1.5]) == oracle(rule, cutoff, 3, 1, [1.5])
+
+
+# -- batch entries against single checks --------------------------------------
+
+def _same_fields(a, b):
+    assert type(a) is type(b)
+    for fld in dataclasses.fields(a):
+        assert getattr(a, fld.name) == getattr(b, fld.name), fld.name
+
+
+@pytest.mark.parametrize("group, cutoff, res", VERIFY_GROUPS)
+def test_each_batch_entry_equals_its_single_check(group, cutoff, res):
+    rule, cutoff = _rule(group, cutoff, res)
+    f = random_band_limited_function(rule, cutoff, seed=5)
+    ps = [1.0, 1.5, ExponentPair.of(4.0 / 3.0), 2.0]
+
+    cases = [(ExponentPair.of(p), d) for p in ps for d in ("reverse", "forward")]
+    for (pair, direction), chk in zip(cases, hausdorff_young_checks(f, cases, cutoff)):
+        _same_fields(chk, hausdorff_young_check(f, pair, direction, cutoff))
+
+    ball = cli._BALL_RADII[rule.group.family][-1]
+    for p, chk in zip(ps, lemma31_bound_checks(f, ball, ps, cutoff)):
+        _same_fields(chk, lemma31_bound_check(f, ball, p, cutoff))
+
+    rng = np.random.default_rng(9)
+    ys = cli._random_nodes(rule, len(ps), rng)
+    max_shell = max(lab.shell for lab in enumerate_dual(rule.group, cutoff))
+    subsets = [shell_subset(rule.group, min(s, max_shell), cutoff=cutoff) for s in (1, 2)]
+    cases = [(y, subsets[k % 2], p) for k, (y, p) in enumerate(zip(ys, ps))]
+    for (y, subset, p), chk in zip(cases, lemma32_bound_checks(f, cases, cutoff)):
+        _same_fields(chk, lemma32_bound_check(f, y, subset, p, cutoff))
+
+
+def test_batches_validate_before_work():
+    rule = haar_quadrature(parse_group("torus:1"), 9)
+    f = random_band_limited_function(rule, 2, seed=0)
+    with pytest.raises(ValueError, match="direction"):
+        hausdorff_young_checks(f, [(2.0, "forward"), (1.5, "sideways")])
+    with pytest.raises(ValueError, match="exponent"):
+        lemma31_bound_checks(f, 0.5, [2.0, 3.0])
+    far = shell_subset(rule.group, 4)
+    with pytest.raises(ValueError, match="beyond the computed dual"):
+        lemma32_bound_checks(f, [(rule.nodes[1], shell_subset(rule.group, 1), 2.0),
+                                 (rule.nodes[2], far, 2.0)], cutoff=2)
+    assert hausdorff_young_checks(f, []) == []
+    assert lemma32_bound_checks(f, []) == []
+
+
+# -- work counts ----------------------------------------------------------------
+
+def _count(monkeypatch, name):
+    """Record the first argument of every call of ``fourier.<name>``."""
+    calls = []
+    real = getattr(fourier, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fourier, name, counted)
+    return calls
+
+
+def _product_case():
+    rule, cutoff = _rule("product(torus:1,su2)", 2, 5)
+    return rule, cutoff, random_band_limited_function(rule, cutoff, seed=3)
+
+
+@pytest.mark.parametrize("cutoff, f_transforms", [(2, 1), (1, 2)])
+def test_lemma31_batch_transforms_f_once_for_its_whole_sweep(monkeypatch, cutoff, f_transforms):
+    """At the alias-free band (2 here) the sweep reuses the transform that
+    gives the tail; below it, the sweep makes one transform of its own.
+    Either way no block of the sweep transforms f again."""
+    rule, _, f = _product_case()
+    monkeypatch.setattr(compactness, "_TRANSLATE_BLOCK_VALUES", 4 * len(rule))
+    forwards = _count(monkeypatch, "forward_batch")
+    blocks = _count(monkeypatch, "_translate_values")
+    chks = lemma31_bound_checks(f, 1.0, [1.0, 1.5, 2.0], cutoff=cutoff)
+    assert len(blocks) == -(-chks[0].support_size // 4) >= 3
+    assert sum(fs[0] is f for fs in forwards) == f_transforms
+    assert len(forwards) == f_transforms + 1  # and the Dirac element, once
+
+
+def test_lemma31_suite_synthesizes_and_transforms_once_per_sample(monkeypatch):
+    rule, cutoff, _ = _product_case()
+    syntheses = _count(monkeypatch, "inverse_batch")
+    forwards = _count(monkeypatch, "forward_batch")
+    cli._suite_lemma31(rule, cutoff, 3, 7, [1.0, 1.5, 2.0])
+    assert len(syntheses) == 3
+    assert len(forwards) == 2 * 3  # per sample: f and the Dirac element
+
+
+def test_lemma32_and_hausdorff_young_suites_share_work_across_exponents(monkeypatch):
+    rule, cutoff, _ = _product_case()
+    syntheses = _count(monkeypatch, "inverse_batch")
+    forwards = _count(monkeypatch, "forward_batch")
+    translates = _count(monkeypatch, "_translate_values")
+    cli._suite_lemma32(rule, cutoff, 3, 7, [1.0, 1.5, 2.0])
+    assert (len(syntheses), len(forwards), len(translates)) == (3, 3, 3)
+    syntheses.clear()
+    forwards.clear()
+    cli._suite_hausdorff_young(rule, cutoff, 3, 7, [1.0, 4.0 / 3.0, 2.0])
+    assert (len(syntheses), len(forwards)) == (3, 3)
+
+
+# -- sample counts ----------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", ["identities", "hausdorff_young", "lemma31", "lemma32"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_refuses_fewer_than_one_sample(tmp_path, capsys, suite, samples):
+    """Zero samples made identities pass vacuously and the inequality suites
+    report a worst margin of -inf, which the JSON writer then refused."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", suite, "--samples", samples, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,10 @@ each tree, one child process runs through ``pego.cli.main``:
 * ``diagnose`` on the seven audit families of ``bench/workloads.py``, one
   run per family and epsilon, with the audit's ball samples and seed 1;
 * ``verify`` on its four groups x five suites x seeds 1 and 2, with the
-  verify workload's cutoffs, resolutions and samples;
+  verify workload's cutoffs, resolutions and samples; then, at seed 1, the
+  three inequality suites (hausdorff_young, lemma31, lemma32) with
+  ``--p 1.5`` on su2 and product(torus:1,su2), where each sample is checked
+  at one exponent, and lemma32 on su2 with ``--samples 1``;
 * the two commands of acceptance criterion 10 (``verify --suite schur`` on
   dihedral:3 and ``diagnose`` of a dihedral:3 matrix-entry span);
 * a library section, which no CLI command reaches: ``fourier.evaluate_at``
@@ -44,6 +47,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 DIAGNOSE_SEED = 1
+# (suite, group name, verify options set or overridden) run at seed 1 on top
+# of the grid
+VERIFY_EXTRA = tuple((suite, group, {"--p": "1.5"})
+                     for suite in ("hausdorff_young", "lemma31", "lemma32")
+                     for group in ("su2", "product(torus:1,su2)")) + (
+    ("lemma32", "su2", {"--samples": "1"}),)
 CRITERION10_FAMILY = {"group": "dihedral:3", "kind": "matrix_entry_span",
                       "params": {"shell": 3, "count": 8}}
 # (case name, group, cutoff) of the library section; 64 random points each.
@@ -64,15 +73,23 @@ def _cases(workloads):
                     str(workloads.AUDIT_BALL_SAMPLES), "--seed", str(DIAGNOSE_SEED)]
             out.append(("diagnose", f"{name}-eps{eps}", argv,
                         dict(doc, name=name, seed=DIAGNOSE_SEED)))
-    for group, cutoff, res in workloads.VERIFY_GROUPS:
+    def verify_argv(suite, group, seed, extra=None):
+        cutoff, res = next((c, r) for g, c, r in workloads.VERIFY_GROUPS if g == group)
+        opts = {"--suite": suite, "--group": group, "--resolution": str(res),
+                "--samples": str(workloads.VERIFY_SAMPLES), "--seed": str(seed)}
+        if cutoff is not None:
+            opts["--cutoff"] = str(cutoff)
+        opts.update(extra or {})
+        return ["verify", *(x for kv in opts.items() for x in kv)]
+
+    for group, _, _ in workloads.VERIFY_GROUPS:
         for suite in workloads.VERIFY_SUITES:
             for seed in SEEDS:
-                argv = ["verify", "--suite", suite, "--group", group, "--resolution",
-                        str(res), "--samples", str(workloads.VERIFY_SAMPLES),
-                        "--seed", str(seed)]
-                if cutoff is not None:
-                    argv += ["--cutoff", str(cutoff)]
-                out.append(("verify", f"{suite}-{group}-s{seed}", argv, None))
+                out.append(("verify", f"{suite}-{group}-s{seed}",
+                            verify_argv(suite, group, seed), None))
+    for suite, group, extra in VERIFY_EXTRA:
+        out.append(("verify", f"{suite}-{group}-s1" + "".join(k + v for k, v in extra.items()),
+                    verify_argv(suite, group, 1, extra), None))
     out.append(("criterion10", "verify", ["verify", "--suite", "schur", "--group",
                                           "dihedral:3", "--samples", "10", "--seed", "0"],
                 None))
