@@ -34,7 +34,10 @@ from .groups import (
     GroupMismatchError,
     NeighborhoodSpec,
     _ball_pool,
-    inverse as group_inverse,
+    _inverse,
+    _rows,
+    _take,
+    coords_of,
 )
 from .irreps import DualSubset
 from .norms import ExponentPair
@@ -402,7 +405,8 @@ def _continuity_profile(family, mesh, ball_samples, p, seed, path, spectrum):
 
 
 def _spectral_moduli(spectrum, ys):
-    """||R_y f - f||_2 for every member (rows) and every y of ``ys``, from
+    """||R_y f - f||_2 for every member (rows) and every row y of the
+    coordinate array ``ys``, from
     the coefficients: the sum over labels of dim ||(pi(y) - I) coeff(pi)||_F^2
     plus four times the mass beyond the cutoff, which moves by at most a
     factor 2 in norm.
@@ -414,7 +418,7 @@ def _spectral_moduli(spectrum, ys):
     coeffs = spectrum.coeffs
     table = coeffs[0].table
     beyond = spectrum.tails(np.arange(len(table.labels))) ** 2
-    acc = np.zeros((len(coeffs), len(ys)))
+    acc = np.zeros((len(coeffs), _rows(ys)))
     for b, (d, mats) in enumerate(zip(table.dims, table.matrices_at(ys))):
         act = mats - np.eye(d)  # (ys, n_b, d, d)
         block = np.stack([c.blocks[b] for c in coeffs])  # (members, n_b, d, d)
@@ -448,8 +452,8 @@ def _transforms(f, cutoff):
 
 
 def _translation_moduli(f, ys, ps, transform=None):
-    """||R_y f - f||_p for every p of ``ps`` (rows) and every y of ``ys``
-    (columns), in order.
+    """||R_y f - f||_p for every p of ``ps`` (rows) and every row y of the
+    coordinate array ``ys`` (columns), in order.
 
     Translates come from one sweep of ``fourier._translate_values`` a block
     of elements at a time, at most _TRANSLATE_BLOCK_VALUES sampled values per
@@ -461,9 +465,9 @@ def _translation_moduli(f, ys, ps, transform=None):
     """
     transform = transform or _band_transform(f)
     per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
-    out = np.empty((len(ps), len(ys)))
-    for lo in range(0, len(ys), per_block):
-        moved = fourier._translate_values(f, ys[lo : lo + per_block], transform)
+    out = np.empty((len(ps), _rows(ys)))
+    for lo in range(0, _rows(ys), per_block):
+        moved = fourier._translate_values(f, _take(ys, slice(lo, lo + per_block)), transform)
         moved -= f.values
         for row, p in enumerate(ps):
             out[row, lo : lo + len(moved)] = norms.lp_value_norms(f.rule.weights, moved, p)
@@ -523,7 +527,7 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     fc, band_fc = _transforms(f, cutoff)
     comp = subset.complement_within(dual)
     support = np.nonzero(np.abs(e_u.values) > 0)[0]
-    ys = [group_inverse(y) for y in rule.nodes_at(support)]
+    ys = _inverse(rule.group, _take(rule.coords, support))
     moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], band_fc)
     out = []
     for pair, row in zip(pairs, moduli):
@@ -599,16 +603,18 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
             if lab not in have:
                 raise ValueError(f"head label {lab.name} beyond the computed dual")
     fc, band_fc = _transforms(f, cutoff)
-    moved = fourier._translate_values(f, [y for y, _, _ in cases], band_fc)
+    ys = coords_of(f.group, [y for y, _, _ in cases])
+    moved = fourier._translate_values(f, ys, band_fc)
     moved -= f.values
     out = []
-    for (y, subset, pair), diff in zip(cases, moved):
+    for k, ((_, subset, pair), diff) in enumerate(zip(cases, moved)):
         lhs = float(norms.lp_value_norms(f.rule.weights, diff[None], pair.p_conj)[0])
         # pi(y) - I on every head label, packed by dimension, so the operator
         # norms are one Schatten kernel call per block
         table = fourier.slot_table(tuple(subset))
         act = fourier.FourierCoefficients.from_blocks(f.group, table, [
-            mats[0] - np.eye(d) for d, mats in zip(table.dims, table.matrices_at([y]))
+            mats[0] - np.eye(d)
+            for d, mats in zip(table.dims, table.matrices_at(_take(ys, slice(k, k + 1))))
         ])
         head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
         head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value

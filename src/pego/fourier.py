@@ -55,11 +55,15 @@ from .groups import (
     NeighborhoodSpec,
     QuadratureRule,
     ResolutionError,
-    _distances_from_identity,
+    _distance,
+    _finite_index,
+    _identity_coords,
+    _inverse,
+    _multiply,
+    _rows,
+    _take,
     coords_of,
-    multiply,
 )
-from .groups import inverse as group_inverse
 
 __all__ = [
     "SampledFunction",
@@ -160,13 +164,13 @@ class SlotTable:
         """Per block, the positions in ``labels`` of its labels, in order."""
         return tuple(np.flatnonzero(self.block_of == b) for b in range(len(self.dims)))
 
-    def matrices_at(self, points):
-        """The irrep matrices at ``points``, laid out like the blocks: per
-        block one (m, n_b, d, d) array whose ``[k, pos]`` is pi(points[k])
-        for the label at ``pos``.  Each block is evaluated whole
-        (``irreps.irrep_blocks``), bitwise equal to ``irrep_matrices`` label
-        by label."""
-        return irreps.irrep_blocks(self.block_labels, points)
+    def matrices_at(self, coords):
+        """The irrep matrices at the rows of a coordinate array
+        (``groups.coords_of``), laid out like the blocks: per block one
+        (m, n_b, d, d) array whose ``[k, pos]`` is pi at row k for the label
+        at ``pos``.  Each block is evaluated whole (``irreps.irrep_blocks``),
+        bitwise equal to ``irrep_matrices`` label by label."""
+        return irreps._irrep_blocks(self.block_labels, coords)
 
 
 @functools.cache
@@ -700,12 +704,12 @@ def evaluate_at(coeffs, points):
     factor included, takes the synthesis of ``inverse`` fed the block
     matrices at the points (``SlotTable.matrices_at``).
     """
-    points = list(points)
+    coords = coords_of(coeffs.group, points)
     if coeffs.group.family == "su2":
-        return _su2_values(coeffs, points)
+        return _su2_values(coeffs, coords)
     blocks = [b[None] for b in coeffs.blocks]
-    mats = coeffs.table.matrices_at(points)
-    return _synthesize(coeffs.table, blocks, 1, len(points), mats)[0]
+    mats = coeffs.table.matrices_at(coords)
+    return _synthesize(coeffs.table, blocks, 1, _rows(coords), mats)[0]
 
 
 # Points per block of ``_su2_values``: its largest temporary is
@@ -713,8 +717,8 @@ def evaluate_at(coeffs, points):
 _POINT_BLOCK = 1024
 
 
-def _su2_values(coeffs, points):
-    """Values of su2 coefficients at a list of points.
+def _su2_values(coeffs, coords):
+    """Values of su2 coefficients at the rows of a quaternion array.
 
     f(a, b, c) = sum_{p,q,k} T[p,q,k] e^{-i m_p a} e^{-i m_q c} e^{-i w_k b}
     per spin parity, where T[p,q,k] = sum_l d_l C_l[q,p] V_l[p,k] conj(V_l[q,k])
@@ -725,8 +729,8 @@ def _su2_values(coeffs, points):
     phases and a K^2 contraction against the gamma and beta phases.  Inside
     a ``basis_twist`` each label synthesizes from U C U*.
     """
-    alpha, beta, gamma = _wigner.euler_from_quaternion(*coords_of(coeffs.group, points).T)
-    vals = np.zeros(len(points), dtype=complex)
+    alpha, beta, gamma = _wigner.euler_from_quaternion(*coords.T)
+    vals = np.zeros(len(coords), dtype=complex)
     two_ls = [lab.index[0] for (lab,) in coeffs.table.block_labels]
     blocks = _twisted(coeffs.table, coeffs.blocks, False)
     for parity in (0, 1):
@@ -743,7 +747,7 @@ def _su2_values(coeffs, points):
             tensor[cube, cube, cube] += scaled[:, :, None] * _wigner.trig_cube(two_l)
         tensor = tensor.reshape(k, k * k)
         half_m = np.arange(top, -top - 2, -2) / 2.0  # m_p, m_q; w_k is its reverse
-        for lo in range(0, len(points), _POINT_BLOCK):
+        for lo in range(0, len(coords), _POINT_BLOCK):
             hi = lo + _POINT_BLOCK
             ph_a = np.exp(-1j * alpha[lo:hi, None] * half_m)
             ph_c = np.exp(-1j * gamma[lo:hi, None] * half_m)
@@ -753,35 +757,50 @@ def _su2_values(coeffs, points):
     return vals
 
 
+def _permutes(rule, y):
+    """Whether x -> x*y permutes the rule's nodes, for y a one-row coordinate
+    array: on finite rules always, on torus grids when y lies on the grid
+    (every angle within 1e-9 grid steps of one), on products when every
+    factor does."""
+    kind = rule.meta.get("kind")
+    if kind == "product":
+        return all(_permutes(fr, yc) for fr, yc in zip(rule.meta["factor_rules"], y))
+    if kind == "torus-grid":
+        k = y * rule.meta["shape"][0] / (2.0 * math.pi)
+        return bool(np.all(np.abs(k - np.rint(k)) <= 1e-9))
+    return kind == "finite"
+
+
+def _node_index(rule, coords):
+    """The node index of every row of a coordinate array of nodes of a
+    finite, torus grid or product rule, by arithmetic on the node order:
+    the canonical element order on finite rules, the nearest grid step on
+    each torus axis, and the factor indices raveled first factor slowest."""
+    kind = rule.meta["kind"]
+    if kind == "finite":
+        return _finite_index(rule.group, coords)
+    if kind == "torus-grid":
+        shape = rule.meta["shape"]
+        steps = np.rint(coords * (shape[0] / (2.0 * math.pi))).astype(int) % shape[0]
+        return np.ravel_multi_index(tuple(np.moveaxis(steps, -1, 0)), shape)
+    idx = 0
+    for frule, c in zip(rule.meta["factor_rules"], coords):
+        idx = idx * len(frule) + _node_index(frule, c)
+    return idx
+
+
 def _reindex_plan(rule, y):
     """Node permutation realizing x -> x*y on the rule's node grid, or None.
 
-    Translated values are ``vals[perm]``: exact re-indexing, available on
-    finite groups and on torus grids when y lies on the grid.
+    ``y`` is one element as a one-row coordinate array.  Translated values
+    are ``vals[perm]``: exact re-indexing, available on finite groups, on
+    torus grids when y lies on the grid, and on products of those.  The
+    rule decides first (``_permutes``); then all nodes are multiplied by y
+    in one ``_multiply`` and located by ``_node_index``.
     """
-    kind = rule.meta.get("kind")
-    if kind == "finite":
-        return np.array([rule.node_index(multiply(node, y)) for node in rule.nodes])
-    if kind == "torus-grid":
-        shape = rule.meta["shape"]
-        r = shape[0]
-        axis_maps = []
-        for phi in y.coords:
-            k = phi * r / (2.0 * math.pi)
-            kr = round(k)
-            if abs(k - kr) > 1e-9:
-                return None
-            axis_maps.append((np.arange(r) + int(kr)) % r)
-        return np.arange(len(rule)).reshape(shape)[np.ix_(*axis_maps)].ravel()
-    if kind == "product":
-        perm = np.zeros(1, dtype=int)
-        for frule, ycomp in zip(rule.meta["factor_rules"], y.coords):
-            sub = _reindex_plan(frule, ycomp)
-            if sub is None:
-                return None
-            perm = (perm[:, None] * len(frule) + sub).ravel()
-        return perm
-    return None
+    if not _permutes(rule, y):
+        return None
+    return _node_index(rule, _multiply(rule.group, rule.coords, y))
 
 
 def translate(f, y):
@@ -806,26 +825,25 @@ def translate_values(f, ys):
     """The values of the right translates R_y f as one (len(ys), N) array,
     row k for ``ys[k]``: ``translate_batch`` without a SampledFunction per
     translate."""
-    return _translate_values(f, ys, lambda: forward_to_cutoff(f))
+    return _translate_values(f, coords_of(f.group, ys), lambda: forward_to_cutoff(f))
 
 
 def _translate_values(f, ys, transform):
-    """``translate_values``, where ``transform()`` gives the coefficients of
-    f at the rule's alias-free band and is called only when some element of
-    ``ys`` needs the spectral path.  A caller that translates f a block of
-    elements at a time passes one cached transform to every block."""
-    ys = list(ys)
-    if any(y.group != f.group for y in ys):
-        raise GroupMismatchError("translation element from a different group")
-    perms = [_reindex_plan(f.rule, y) for y in ys]
+    """``translate_values`` at the rows of a coordinate array ``ys``, where
+    ``transform()`` gives the coefficients of f at the rule's alias-free
+    band and is called only when some element needs the spectral path.  A
+    caller that translates f a block of elements at a time passes one
+    cached transform to every block."""
+    m = _rows(ys)
+    perms = [_reindex_plan(f.rule, _take(ys, slice(k, k + 1))) for k in range(m)]
     spectral = [k for k, perm in enumerate(perms) if perm is None]
     if spectral:
         coeffs = transform()
-        blocks = _right_action(coeffs, [ys[k] for k in spectral])
+        blocks = _right_action(coeffs, _take(ys, spectral))
         moved = _synthesize_on_rule(coeffs.table, blocks, len(spectral), f.rule)
-        if len(spectral) == len(ys):
+        if len(spectral) == m:
             return moved
-    out = np.empty((len(ys), len(f.rule)), dtype=complex)
+    out = np.empty((m, len(f.rule)), dtype=complex)
     for k, perm in enumerate(perms):
         if perm is not None:
             out[k] = f.values[perm]
@@ -835,16 +853,17 @@ def _translate_values(f, ys, transform):
 
 
 def _right_action(coeffs, ys):
-    """pi(y) @ coeff(pi) for every y and label: per dimension block, the
-    (m, n_b, d, d) irrep matrices at the m elements (``SlotTable.matrices_at``)
-    times the (n_b, d, d) block, in one batched product."""
+    """pi(y) @ coeff(pi) for every row y of the coordinate array ``ys`` and
+    every label: per dimension block, the (m, n_b, d, d) irrep matrices at
+    the m elements (``SlotTable.matrices_at``) times the (n_b, d, d) block,
+    in one batched product."""
     return [mats @ block for mats, block in zip(coeffs.table.matrices_at(ys), coeffs.blocks)]
 
 
 def translate_spectral(coeffs, y):
     """Coefficient-side right translation: coeff(pi) -> pi(y) @ coeff(pi),
     the block action of ``translate_batch`` for one element."""
-    blocks = [b[0] for b in _right_action(coeffs, [y])]
+    blocks = [b[0] for b in _right_action(coeffs, coords_of(coeffs.group, [y]))]
     return FourierCoefficients.from_blocks(
         coeffs.group, coeffs.table, blocks, coeffs.cutoff, coeffs.l2_mass_total
     )
@@ -853,13 +872,15 @@ def translate_spectral(coeffs, y):
 def _convolve_reindex(f, g):
     """Direct quadrature convolution on node grids (finite groups, torus grids).
 
-    (f*g)(x) = sum_j w_j g(y_j) f(x y_j^-1); column j of the cached index is
-    the node permutation x -> x y_j^-1 from ``_reindex_plan``.
+    (f*g)(x) = sum_j w_j g(y_j) f(x y_j^-1); entry (i, j) of the cached index
+    is the node index of x_i y_j^-1, from one ``_multiply`` of every node by
+    every inverse node.
     """
     rule = f.rule
     idx = rule.meta.get("_conv_index")
     if idx is None:
-        idx = np.stack([_reindex_plan(rule, group_inverse(y)) for y in rule.nodes], axis=1)
+        x = _take(rule.coords, (slice(None), None))
+        idx = _node_index(rule, _multiply(rule.group, x, _inverse(rule.group, rule.coords)))
         rule.meta["_conv_index"] = idx
     return SampledFunction(rule, f.values[idx] @ (rule.weights * g.values))
 
@@ -931,7 +952,7 @@ def dirac_net_element(group, spec, rule):
     if not isinstance(spec, NeighborhoodSpec):
         spec = NeighborhoodSpec(float(spec))
     radius = spec.radius
-    mask = _distances_from_identity(rule.group, rule.coords) <= radius + 1e-12
+    mask = _distance(rule.group, _identity_coords(rule.group), rule.coords) <= radius + 1e-12
     mass = float(np.sum(rule.weights[mask]))
     if not mask.any() or mass <= 0.0:
         raise ResolutionError(

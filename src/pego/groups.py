@@ -9,6 +9,14 @@ translation without changing their Haar mass.
 Group descriptors have a canonical string form (``cyclic:8``, ``dihedral:3``,
 ``torus:2``, ``su2``, ``product(torus:1,cyclic:2)``) used by the CLI and by
 every serialized report.
+
+Group elements live in coordinate arrays (``coords_of``), one row per
+element and one array per factor on products.  The group law (``_multiply``,
+``_inverse``, ``_distance``) acts on whole arrays row by row; its formulas
+are elementwise and run on one point's coordinates too, so the public
+``multiply``, ``inverse``, ``distance``, ``conjugate`` and ``identity`` are
+thin wrappers that agree bit for bit with a batch.  ``GroupPoint`` is the
+public input and output type only.
 """
 
 from __future__ import annotations
@@ -249,17 +257,20 @@ def point(group, coords):
     raise ValueError(f"unknown family {fam!r}")
 
 
-def identity(group):
+def _identity_coords(group):
+    """The identity as a one-row coordinate array."""
     fam = group.family
-    if fam == "cyclic":
-        return GroupPoint(group, (0,))
-    if fam == "dihedral":
-        return GroupPoint(group, (0, 0))
-    if fam == "torus":
-        return GroupPoint(group, (0.0,) * group.n)
+    if fam == "product":
+        return tuple(_identity_coords(f) for f in group.factors)
     if fam == "su2":
-        return GroupPoint(group, (1.0, 0.0, 0.0, 0.0))
-    return GroupPoint(group, tuple(identity(f) for f in group.factors))
+        return np.array([[1.0, 0.0, 0.0, 0.0]])
+    if fam == "torus":
+        return np.zeros((1, group.n))
+    return np.zeros((1, 1 if fam == "cyclic" else 2), dtype=int)
+
+
+def identity(group):
+    return points_of(group, _identity_coords(group))[0]
 
 
 def _check_same_group(a, b):
@@ -270,59 +281,16 @@ def _check_same_group(a, b):
 def multiply(a, b):
     """Group product a*b."""
     _check_same_group(a, b)
-    fam = a.group.family
-    if fam == "cyclic":
-        return GroupPoint(a.group, ((a.coords[0] + b.coords[0]) % a.group.n,))
-    if fam == "dihedral":
-        # rho^r1 sig^s1 * rho^r2 sig^s2 = rho^(r1 + (-1)^s1 r2) sig^(s1+s2)
-        r1, s1 = a.coords
-        r2, s2 = b.coords
-        r = (r1 + (r2 if s1 == 0 else -r2)) % a.group.n
-        return GroupPoint(a.group, (r, (s1 + s2) % 2))
-    if fam == "torus":
-        return GroupPoint(
-            a.group, tuple((x + y) % _TWO_PI for x, y in zip(a.coords, b.coords))
-        )
-    if fam == "su2":
-        w1, x1, y1, z1 = a.coords
-        w2, x2, y2, z2 = b.coords
-        w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-        x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-        y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-        z = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
-        nrm = math.sqrt(w * w + x * x + y * y + z * z)
-        return GroupPoint(a.group, (w / nrm, x / nrm, y / nrm, z / nrm))
-    return GroupPoint(
-        a.group, tuple(multiply(x, y) for x, y in zip(a.coords, b.coords))
-    )
+    return _point_at(a.group, _mul_columns(a.group, _columns(a), _columns(b)))
 
 
 def inverse(a):
-    fam = a.group.family
-    if fam == "cyclic":
-        return GroupPoint(a.group, ((-a.coords[0]) % a.group.n,))
-    if fam == "dihedral":
-        r, s = a.coords
-        if s == 0:
-            return GroupPoint(a.group, ((-r) % a.group.n, 0))
-        return GroupPoint(a.group, (r, 1))  # reflections are involutions
-    if fam == "torus":
-        return GroupPoint(a.group, tuple((-x) % _TWO_PI for x in a.coords))
-    if fam == "su2":
-        w, x, y, z = a.coords
-        return GroupPoint(a.group, (w, -x, -y, -z))
-    return GroupPoint(a.group, tuple(inverse(x) for x in a.coords))
+    return _point_at(a.group, _inv_columns(a.group, _columns(a)))
 
 
 def conjugate(a, g):
     """g^-1 a g."""
     return multiply(multiply(inverse(g), a), g)
-
-
-def _wrap_angle(t):
-    """Reduce to (-pi, pi]."""
-    t = (t + math.pi) % _TWO_PI - math.pi
-    return t
 
 
 def distance(a, b):
@@ -333,19 +301,112 @@ def distance(a, b):
     across product factors.  Satisfies distance(a,b) = 0 iff a == b.
     """
     _check_same_group(a, b)
-    fam = a.group.family
-    if fam in ("cyclic", "dihedral"):
-        return 0.0 if a.coords == b.coords else 1.0
+    return float(_distance(a.group, a, b))
+
+
+def _multiply(group, a, b):
+    """Products a*b of the rows of two coordinate arrays, row by row; a
+    one-row array broadcasts against the other."""
+    return _stacked(group, _mul_columns(group, _columns(a), _columns(b)))
+
+
+def _inverse(group, a):
+    """The inverse of every row of a coordinate array."""
+    return _stacked(group, _inv_columns(group, _columns(a)))
+
+
+def _distance(group, a, b):
+    """``distance`` between the rows of two coordinate arrays, row by row (a
+    one-row array broadcasts against the other), or between two points."""
+    return _dist_columns(group, _columns(a), _columns(b))
+
+
+# The group law is written once, on coordinate columns: the columns of a
+# coordinate array, one entry per element of a batch, or the coordinates of
+# a single point, one number each.  Every formula is elementwise, so a batch
+# gets row by row exactly what each of its points gets alone.
+
+def _columns(coords):
+    """The columns of a coordinate array or of a point, per factor on products."""
+    if isinstance(coords, GroupPoint):
+        return coords.coords if coords.group.family != "product" else _columns(coords.coords)
+    if isinstance(coords, tuple):
+        return tuple(_columns(c) for c in coords)
+    return np.moveaxis(coords, -1, 0)
+
+
+def _stacked(group, cols):
+    """The coordinate array with the columns ``cols`` (``_columns`` inverted)."""
+    if group.family == "product":
+        return tuple(_stacked(f, c) for f, c in zip(group.factors, cols))
+    return np.stack(cols, axis=-1)
+
+
+def _point_at(group, cols):
+    """The GroupPoint whose coordinates are the numbers ``cols``."""
+    if group.family == "product":
+        return GroupPoint(group, tuple(_point_at(f, c) for f, c in zip(group.factors, cols)))
+    return GroupPoint(group, tuple(cols) if group.is_finite else tuple(map(float, cols)))
+
+
+def _mul_columns(group, a, b):
+    fam = group.family
+    if fam == "product":
+        return tuple(_mul_columns(f, x, y) for f, x, y in zip(group.factors, a, b))
+    if fam == "cyclic":
+        return ((a[0] + b[0]) % group.n,)
+    if fam == "dihedral":
+        # rho^r1 sig^s1 * rho^r2 sig^s2 = rho^(r1 + (-1)^s1 r2) sig^(s1+s2)
+        (r1, s1), (r2, s2) = a, b
+        return ((r1 + (1 - 2 * s1) * r2) % group.n, (s1 + s2) % 2)
     if fam == "torus":
-        return math.sqrt(
-            sum(_wrap_angle(x - y) ** 2 for x, y in zip(a.coords, b.coords))
-        )
+        return tuple((x + y) % _TWO_PI for x, y in zip(a, b))
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    z = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    nrm = np.sqrt(w * w + x * x + y * y + z * z)
+    return (w / nrm, x / nrm, y / nrm, z / nrm)
+
+
+def _inv_columns(group, a):
+    fam = group.family
+    if fam == "product":
+        return tuple(_inv_columns(f, x) for f, x in zip(group.factors, a))
+    if fam == "cyclic":
+        return ((-a[0]) % group.n,)
+    if fam == "dihedral":
+        r, s = a
+        return (((2 * s - 1) * r) % group.n, s)  # reflections are involutions
+    if fam == "torus":
+        return tuple((-x) % _TWO_PI for x in a)
+    w, x, y, z = a
+    return (w, -x, -y, -z)
+
+
+def _dist_columns(group, a, b):
+    """Angle differences are wrapped to (-pi, pi] and squared axis by axis,
+    the quaternion dot is summed term by term, and product factors add
+    their squares in order."""
+    fam = group.family
+    if fam in ("cyclic", "dihedral"):
+        differ = a[0] != b[0]
+        for x, y in zip(a[1:], b[1:]):
+            differ = differ | (x != y)
+        return differ * 1.0
+    if fam == "torus":
+        sq = 0.0
+        for x, y in zip(a, b):
+            t = (x - y + math.pi) % _TWO_PI - math.pi
+            sq = sq + t * t
+        return np.sqrt(sq)
     if fam == "su2":
-        dot = sum(x * y for x, y in zip(a.coords, b.coords))
-        return 2.0 * math.acos(min(1.0, max(-1.0, dot)))
-    return math.sqrt(
-        sum(distance(x, y) ** 2 for x, y in zip(a.coords, b.coords))
-    )
+        dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+        return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
+    dists = [_dist_columns(f, x, y) for f, x, y in zip(group.factors, a, b)]
+    return np.sqrt(sum(d * d for d in dists))
 
 
 def enumerate_elements(group):
@@ -362,10 +423,9 @@ def coords_of(group, points):
     su2), and one such array per factor on products.  ``points_of`` is its
     inverse.
 
-    The one read of point coordinates behind off-grid evaluation
-    (``irreps.irrep_blocks``, ``fourier.evaluate_at``): a point of another
-    group raises GroupMismatchError here, before its coordinates could be
-    read as this group's."""
+    Public functions that take points call it once, on entry, and pass the
+    arrays on: a point of another group raises GroupMismatchError here,
+    before its coordinates could be read as this group's."""
     points = list(points)
     for p in points:
         if p.group is not group and p.group != group:
@@ -381,7 +441,8 @@ def coords_of(group, points):
 
 def points_of(group, coords):
     """The GroupPoints whose coordinates are the rows of a ``coords_of``
-    array, in order: the one place that builds points from arrays."""
+    array, in order.  Called where points leave the library: rule nodes,
+    ``sample_ball``, ``enumerate_elements`` and ``identity``."""
     if group.family == "product":
         comps = [points_of(f, c) for f, c in zip(group.factors, coords)]
         return [GroupPoint(group, cs) for cs in zip(*comps)]
@@ -396,6 +457,11 @@ def _arrays(coords):
     return [coords]
 
 
+def _rows(coords):
+    """The number of rows of a coordinate array (of any family)."""
+    return len(_arrays(coords)[0])
+
+
 def _take(coords, idx):
     """The rows ``idx`` of a coordinate array (of any family)."""
     if isinstance(coords, tuple):
@@ -406,7 +472,7 @@ def _take(coords, idx):
 def _product_coords(factor_coords):
     """Coordinates of every tuple of factor points, first factor slowest
     (the order of ``itertools.product``)."""
-    idx = np.indices([len(_arrays(c)[0]) for c in factor_coords]).reshape(len(factor_coords), -1)
+    idx = np.indices([_rows(c) for c in factor_coords]).reshape(len(factor_coords), -1)
     return tuple(_take(c, i) for c, i in zip(factor_coords, idx))
 
 
@@ -418,6 +484,20 @@ def _finite_coords(group):
     if group.family == "dihedral":
         return np.stack([np.tile(np.arange(group.n), 2), np.repeat([0, 1], group.n)], axis=1)
     return _product_coords([_finite_coords(f) for f in group.factors])
+
+
+def _finite_index(group, coords):
+    """The position in the ``_finite_coords`` order of every row of a
+    coordinate array of a finite group: the residue, r + n*s, or the factor
+    positions raveled with the first factor slowest."""
+    if group.family == "cyclic":
+        return coords[..., 0]
+    if group.family == "dihedral":
+        return coords[..., 0] + group.n * coords[..., 1]
+    idx = 0
+    for f, c in zip(group.factors, coords):
+        idx = idx * f.order + _finite_index(f, c)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -446,10 +526,13 @@ class QuadratureRule:
         The nodes as read-only coordinate arrays (``coords_of``): residues
         (N, 1) on cyclic and (r, s) rows (N, 2) on dihedral groups, angles
         (N, n) on the torus, unit quaternions (N, 4) on su2, and one such
-        array per factor on products.  Kernels read these arrays.
+        array per factor on products.  Kernels read these arrays, and the
+        group law acts on them directly (``_multiply``, ``_inverse``,
+        ``_distance``), so no kernel builds a node as a point.
     nodes : tuple of GroupPoint
-        The same nodes as points (``points_of``), built the first time they
-        are read; ``nodes_at`` builds only the ones it is asked for.
+        The same nodes as points (``points_of``), for callers outside the
+        library, built the first time they are read; ``nodes_at`` builds
+        only the ones it is asked for.
     weights : ndarray
         Nonnegative, sums to 1 within 1e-12.
     exactness_degree : int or None
@@ -488,14 +571,13 @@ class QuadratureRule:
             a.setflags(write=False)
         self.coords = coords
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(_arrays(coords)[0]),):
+        if w.shape != (_rows(coords),):
             raise ValueError("weights must align with nodes")
         w.setflags(write=False)
         self.weights = w
         self.exactness_degree = exactness_degree
         self.resolution = resolution
         self.meta = dict(meta or {})
-        self._node_index = None
         self._rule_id = None
         self._stacks = {}
 
@@ -521,15 +603,6 @@ class QuadratureRule:
 
     def __repr__(self):
         return f"QuadratureRule({self.rule_id}, {len(self)} nodes)"
-
-    def node_index(self, p):
-        """Index of a point among the nodes (finite groups and exact grid hits)."""
-        if self._node_index is None:
-            self._node_index = {n.coords: i for i, n in enumerate(self.nodes)}
-        try:
-            return self._node_index[p.coords]
-        except KeyError:
-            raise KeyError(f"{p.coords} is not a node of {self.rule_id}") from None
 
     def integrate(self, values):
         values = np.asarray(values)
@@ -679,7 +752,7 @@ def sample_ball(group, spec, seed=0):
     """
     if spec.radius == 0.0:
         return [identity(group)]
-    return _ball_pool(group, [spec.radius], spec.sample_count, seed)[0]
+    return points_of(group, _ball_pool(group, [spec.radius], spec.sample_count, seed)[0])
 
 
 def _draws_once(group):
@@ -731,35 +804,10 @@ def _ball_coords(group, radii, draws):
     )
 
 
-def _put_identity(group, coords, rows):
-    """Overwrite ``rows`` of a ``_ball_coords`` array with the identity."""
-    if group.family == "product":
-        for f, c in zip(group.factors, coords):
-            _put_identity(f, c, rows)
-    else:
-        coords[rows] = (1.0, 0.0, 0.0, 0.0) if group.family == "su2" else 0
-
-
-def _distances_from_identity(group, coords):
-    """distance(e, p) for every point of a coordinate array, as one array
-    expression in the order ``distance`` sums."""
-    fam = group.family
-    if fam in ("cyclic", "dihedral"):
-        return np.any(coords != 0, axis=1).astype(float)
-    if fam == "torus":
-        wrapped = (math.pi - coords) % _TWO_PI - math.pi
-        return np.sqrt(np.sum(wrapped * wrapped, axis=1))
-    if fam == "su2":
-        return 2.0 * np.arccos(np.clip(coords[:, 0], -1.0, 1.0))
-    return np.sqrt(sum(
-        _distances_from_identity(f, c) ** 2 for f, c in zip(group.factors, coords)
-    ))
-
-
 def _ball_pool(group, radii, count, seed=0):
     """``sample_ball(group, NeighborhoodSpec(r, count), seed)`` at each of the
     positive ``radii``, concatenated, and every point's distance to the
-    identity: (list of GroupPoint, array).
+    identity: (coordinate array, array).
 
     Finite groups keep the elements within each radius.  Otherwise the
     identity comes first, then one point per radial fraction of
@@ -768,13 +816,14 @@ def _ball_pool(group, radii, count, seed=0):
     only through finite factors, so without one they are made once and
     scaled per radius.  Coordinates and distances are array expressions.
     """
+    e = _identity_coords(group)
     radii = np.array([NeighborhoodSpec(float(r), count).radius for r in radii])
     if group.is_finite:
         every = _finite_coords(group)
-        dists = _distances_from_identity(group, every)
+        dists = _distance(group, e, every)
         coords = _take(every, np.concatenate([np.nonzero(dists <= r)[0] for r in radii]))
     elif count == 1:
-        coords = _take(coords_of(group, [identity(group)]), np.zeros(len(radii), dtype=int))
+        coords = _take(e, np.zeros(len(radii), dtype=int))
     elif group.family == "torus" and group.n == 1:
         angles = np.linspace(-radii, radii, count, axis=-1)
         off = ~np.any(np.isclose(angles, 0.0, atol=1e-15), axis=1)
@@ -791,5 +840,6 @@ def _ball_pool(group, radii, count, seed=0):
                 drawn = [_ball_draw(group, r * t, rng) for t in fractions[1:]]
             draws += drawn[:1] + drawn
         coords = _ball_coords(group, (radii[:, None] * fractions).ravel(), draws)
-        _put_identity(group, coords, slice(None, None, count))
-    return points_of(group, coords), _distances_from_identity(group, coords)
+        for c, ident in zip(_arrays(coords), _arrays(e)):
+            c[::count] = ident
+    return coords, _distance(group, e, coords)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _wigner
-from .groups import GroupDescriptor, _split_top_level, coords_of
+from .groups import GroupDescriptor, _rows, _split_top_level, coords_of
 
 __all__ = [
     "IrrepLabel",
@@ -529,14 +529,20 @@ def irrep_blocks(block_labels, points):
     ``block_labels`` holds tuples of labels of one dimension each, all of one
     group; the result has one (n, n_b, d, d) array per tuple, whose ``[k, i]``
     is pi(points[k]) for its i-th label.  The points' coordinates are read
-    once for all blocks.
+    once for all blocks (``_irrep_blocks``).
     """
     if not block_labels:
         return []
-    points = list(points)
+    return _irrep_blocks(block_labels, coords_of(block_labels[0][0].group, points))
+
+
+def _irrep_blocks(block_labels, coords):
+    """``irrep_blocks`` at the rows of a coordinate array (``groups.coords_of``)."""
+    if not block_labels:
+        return []
     group = block_labels[0][0].group
-    coords = _euler_coords(group, coords_of(group, points))
-    return [_block_at(group, labs, coords, len(points)) for labs in block_labels]
+    euler = _euler_coords(group, coords)
+    return [_block_at(group, labs, euler, _rows(coords)) for labs in block_labels]
 
 
 def irrep_matrices(label, points):

@@ -225,7 +225,7 @@ def test_translate_matches_pointwise_definition():
         elems = list(rule.nodes)
         y = elems[rng.integers(len(elems))]
         shifted = translate(f, y)
-        expect = [f.values[rule.node_index(multiply(x, y))] for x in rule.nodes]
+        expect = [f.values[rule.nodes.index(multiply(x, y))] for x in rule.nodes]
         npt.assert_allclose(shifted.values, expect, atol=0)
 
 

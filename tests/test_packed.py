@@ -19,6 +19,7 @@ from pego import (
     FourierCoefficients,
     NeighborhoodSpec,
     basis_twist,
+    coords_of,
     cyclic,
     dihedral,
     enumerate_dual,
@@ -282,7 +283,7 @@ def test_matrices_at_matches_irrep_matrices_per_label(name, twisted):
     points = [rule.nodes[1], *sample_ball(group, NeighborhoodSpec(radius, 4), seed=3)]
     twist = basis_twist(group, band, seed=5) if twisted else contextlib.nullcontext()
     with twist:
-        got = table.matrices_at(points)
+        got = table.matrices_at(coords_of(group, points))
         for lab in table.labels:
             b, pos = table.slot(lab)
             assert got[b].shape == (len(points), len(table.block_labels[b]), lab.dim, lab.dim)

@@ -21,6 +21,7 @@ from pego import (
     GroupMismatchError,
     IrrepLabel,
     basis_twist,
+    coords_of,
     cyclic,
     enumerate_dual,
     evaluate_at,
@@ -41,7 +42,7 @@ G = su2()
 
 def _oracle(coeffs, points):
     """The matrix path: sum over labels of dim tr(C D(x)), from whole D-matrices."""
-    mats = coeffs.table.matrices_at(points)
+    mats = coeffs.table.matrices_at(coords_of(G, points))
     blocks = [b[None] for b in coeffs.blocks]
     return _synthesize(coeffs.table, blocks, 1, len(points), mats)[0]
 

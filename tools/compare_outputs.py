@@ -18,7 +18,11 @@ each tree, one child process runs through ``pego.cli.main``:
   of seeded unit-norm coefficients at seeded off-grid points, plus the
   beta = 0 and beta = pi fibers and +-identity of su2, for su2 at bands
   4, 8, 12 and 16, and for product(torus:1,su2) and dihedral:9 as controls
-  on the matrix path.
+  on the matrix path; then group-law cases on su2, torus:2, dihedral:9 and
+  product(torus:1,su2): ``groups.sample_ball`` coordinates and distances to
+  the identity, ``multiply``, ``inverse`` and ``distance`` over seeded point
+  pairs, and ``fourier.translate_values`` of a seeded function at the ball
+  points.  Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
 this script and are not changed.  The report says whether the diagnose
@@ -59,6 +63,12 @@ CRITERION10_FAMILY = {"group": "dihedral:3", "kind": "matrix_entry_span",
 LIBRARY_CASES = (("su2-b4", "su2", 4), ("su2-b8", "su2", 8), ("su2-b12", "su2", 12),
                  ("su2-b16", "su2", 16), ("product(torus:1,su2)-b4", "product(torus:1,su2)", 4),
                  ("dihedral:9", "dihedral:9", None))
+# (case name, group, resolution, band) of the group-law cases, appended
+# after the evaluate_at cases so those keep their random streams.
+LAW_CASES = (("law-su2", "su2", 3, 3), ("law-torus:2", "torus:2", 5, 2),
+             ("law-dihedral:9", "dihedral:9", 1, 2),
+             ("law-product(torus:1,su2)", "product(torus:1,su2)", 3, 2))
+LAW_BALL = (1.2, 12)  # radius and sample count of the ball
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -122,7 +132,8 @@ def run_tree(tree, out_dir):
 
 
 def _run_library(out_dir):
-    """The library section: ``evaluate_at`` per case, into ``library.npz``."""
+    """The library section: ``evaluate_at`` per case, then the group-law
+    cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -131,7 +142,41 @@ def _run_library(out_dir):
         rng = np.random.default_rng([LIBRARY_SEED, len(values)])
         values[name] = fourier.evaluate_at(_library_coeffs(group, cutoff, rng),
                                            _library_points(group, rng))
+    for name, group_name, res, band in LAW_CASES:
+        group = groups.parse_group(group_name)
+        rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+        for part, vals in _law_values(group, res, band, rng).items():
+            values[f"{name}-{part}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
+
+
+def _law_values(group, res, band, rng):
+    """One group-law case: the ball's coordinates and distances to e, per
+    seeded pair (a, b) the coordinates of a*b and a^-1 and d(a, b), and the
+    translates of a seeded band-limited function by the ball points."""
+    from pego import fourier, groups
+
+    ball = groups.sample_ball(group, groups.NeighborhoodSpec(*LAW_BALL),
+                              seed=int(rng.integers(1000)))
+    e = groups.identity(group)
+    pairs = list(zip(_library_points(group, rng), _library_points(group, rng)))
+    rule = groups.haar_quadrature(group, res)
+    f = fourier.random_band_limited_function(rule, band, seed=int(rng.integers(1000)))
+    return {
+        "ball": np.array([_flat(p) for p in ball]),
+        "ball-distance": np.array([groups.distance(e, p) for p in ball]),
+        "multiply-inverse": np.array([_flat(groups.multiply(a, b)) + _flat(groups.inverse(a))
+                                      for a, b in pairs]),
+        "distance": np.array([groups.distance(a, b) for a, b in pairs]),
+        "translate": fourier.translate_values(f, ball),
+    }
+
+
+def _flat(p):
+    """A point's coordinates as one list of floats, product factors in order."""
+    if p.group.family == "product":
+        return [c for comp in p.coords for c in _flat(comp)]
+    return [float(c) for c in p.coords]
 
 
 def _library_coeffs(group, cutoff, rng):
@@ -267,17 +312,21 @@ def compare(old_dir, new_dir):
 
 
 def _compare_library(old_dir, new_dir):
-    """Print the largest gap of the library section; True when within LIBRARY_TOL."""
+    """Print the largest gap of the evaluate_at cases and of the group-law
+    cases of the library section; True when all are within LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
             return False
         gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
                 for name in old.files}
-    name = max(gaps, key=gaps.get)
-    print(f"library: {len(gaps)} evaluate_at cases, largest gap {gaps[name]:.3e} ({name}), "
-          f"tolerance {LIBRARY_TOL:.0e}")
-    return gaps[name] <= LIBRARY_TOL
+    parts = []
+    for kind, names in (("evaluate_at", [n for n in gaps if not n.startswith("law-")]),
+                        ("group-law and translate", [n for n in gaps if n.startswith("law-")])):
+        name = max(names, key=gaps.get)
+        parts.append(f"{len(names)} {kind} arrays, largest gap {gaps[name]:.3e} ({name})")
+    print(f"library: {'; '.join(parts)}; tolerance {LIBRARY_TOL:.0e}")
+    return max(gaps.values()) <= LIBRARY_TOL
 
 
 def main(argv=None):
