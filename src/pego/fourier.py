@@ -29,8 +29,11 @@ the grid kernels builds an (N, d, d) irrep stack:
 * torus grids: one FFT of w * f, read at the bins k mod R, and one inverse
   FFT of the coefficients scattered into those bins;
 * su2 Euler grids: two phase GEMMs over the uniform alpha and gamma axes and
-  one Gauss-Legendre-weighted sum against d^l(beta) per spin, O(r^4) time
-  and O(r^3) memory;
+  one sum against d^l(beta) per spin, O(r^4) time and O(r^3) memory.  The
+  forward kernel reads the unweighted samples, one gamma GEMM per function,
+  and applies the Gauss-Legendre weights per beta to the gamma sums, so it
+  never sees a weighted copy of the samples; the synthesis contracts alpha
+  on the small (n_b, K, K) array first and one gamma GEMM writes the values;
 * products: one factor axis at a time, each with its factor's own kernel,
   with the Kronecker entries gathered into (or scattered from) the slots;
 * finite rules (cyclic, dihedral, finite products) and hand-built rules:
@@ -39,6 +42,8 @@ the grid kernels builds an (N, d, d) irrep stack:
 Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
 trigonometric tensor per spin parity and builds no D-matrix; every other
 group synthesizes against the block matrices of ``SlotTable.matrices_at``.
+The su2 right action pi(y) @ fhat takes its matrices from the same per-spin
+cubes (``_su2_matrices``), not from a D-matrix routine.
 """
 
 from __future__ import annotations
@@ -400,7 +405,11 @@ def forward_batch(fs, dual):
     views ``[k]`` of those arrays.  The rule's kind picks the kernel
     (``_kernels``): an FFT on torus grids, a separable sum over the Euler
     axes on su2, one factor at a time on products, and per label one GEMM
-    against the cached irrep stack on finite and hand-built rules.
+    against the cached irrep stack on finite and hand-built rules.  The
+    kernels get the functions' own value arrays and apply the weights
+    themselves; on su2 the weights scale the per-beta gamma sums, so no
+    weighted or stacked copy of the samples is made there.  The masses
+    ||f||_2^2 come through one reused scratch (``_masses``).
     """
     if not fs:
         return []
@@ -408,22 +417,38 @@ def forward_batch(fs, dual):
     for f in fs:
         _check_same_rule(fs[0], f)
     table = slot_table(tuple(dual))
-    wf = np.stack([f.rule.weights * f.values for f in fs])  # (m, N)
-    masses = [float(np.sum(f.rule.weights * np.abs(f.values) ** 2)) for f in fs]
-    blocks = _kernels(rule)[0](wf, table, rule)
+    masses = _masses(fs, rule)
+    blocks = _kernels(rule)[0]([f.values for f in fs], table, rule)
     return [
         FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks], None, masses[k])
         for k in range(len(fs))
     ]
 
 
+def _masses(fs, rule):
+    """||f||_2^2 = sum w |f|^2 of each function, bitwise equal to
+    ``np.sum(w * np.abs(f.values) ** 2)``, through one reused (N,) scratch."""
+    scratch = np.empty(len(rule))
+    out = []
+    for f in fs:
+        np.abs(f.values, out=scratch)
+        np.square(scratch, out=scratch)
+        np.multiply(rule.weights, scratch, out=scratch)
+        out.append(float(np.sum(scratch)))
+    return out
+
+
 def _kernels(rule):
     """The (forward, synthesis) kernel pair of a rule, by ``meta["kind"]``.
 
-    A forward kernel maps weighted samples w * f, (m, N), to the blocks of a
-    slot table, each (m, n_b, d, d); its synthesis maps such blocks back to
-    values (m, N) at the nodes.  Hand-built rules carry no kind and take the
-    stack kernels.
+    A forward kernel maps the unweighted samples of m functions (m rows of
+    length N: a list of value arrays or an (m, N) array) to the blocks of a
+    slot table, each (m, n_b, d, d), and applies the rule's weights itself:
+    the torus and stack kernels to the samples, the su2 kernel per beta
+    after its gamma sum, and a product kernel through its factors' kernels,
+    so no forward kernel on su2 sees a weighted copy of the samples.  Its
+    synthesis maps such blocks back to values (m, N) at the nodes.
+    Hand-built rules carry no kind and take the stack kernels.
     """
     kind = rule.meta.get("kind")
     if kind == "su2-euler":
@@ -448,12 +473,12 @@ def _twisted(table, blocks, forward):
     return out
 
 
-def _stack_forward(wf, table, rule):
+def _stack_forward(vals, table, rule):
     """Per label one GEMM of conj(w * f) against the stack viewed as
     (N, d*d); each block is conjugated and transposed back once, so no
     conjugated copy of a stack is made."""
-    n, m = len(rule), len(wf)
-    cwf = np.conj(wf)
+    n, m = len(rule), len(vals)
+    cwf = np.conj(rule.weights * np.asarray(vals))
     blocks = []
     for d, labs in zip(table.dims, table.block_labels):
         raw = np.empty((len(labs), m, d * d), dtype=complex)
@@ -481,7 +506,7 @@ def _grid_bins(table, shape):
     return bins, len(set(bins.tolist())) < len(bins)
 
 
-def _grid_forward(wf, table, rule):
+def _grid_forward(vals, table, rule):
     """Forward transform on a torus grid, one FFT.
 
     The nodes 2 pi n / R per axis make coeff(k) = sum_n wf(n) e^{-2 pi i k.n/R}
@@ -492,7 +517,8 @@ def _grid_forward(wf, table, rule):
     if not table.labels:
         return []
     shape = rule.meta["shape"]
-    m = len(wf)
+    m = len(vals)
+    wf = rule.weights * np.asarray(vals)
     spec = np.fft.fftn(wf.reshape((m,) + shape), axes=range(1, len(shape) + 1))
     bins = _grid_bins(table, shape)[0]
     return [np.take(spec.reshape(m, -1), bins, axis=1).reshape(m, -1, 1, 1)]
@@ -553,14 +579,15 @@ def _product_plan(table):
     return ftabs, starts, index
 
 
-def _product_forward(wf, table, rule):
+def _product_forward(vals, table, rule):
     """Forward transform on a product rule, one factor axis at a time.
 
-    With w * f viewed as (m, N_1, ..., N_k), each factor's own kernel
-    contracts its node axis against every factor label the table uses and
-    leaves that factor's coefficient entries in its place (Maslen &
-    Rockmore, "Generalized FFTs", DIMACS 28, 1997); the largest node axis
-    goes first.  For a product label, coeff[(i_1, i_2), (j_1, j_2)] =
+    With f viewed as (m, N_1, ..., N_k), each factor's own kernel contracts
+    its node axis, with that factor's weights, against every factor label
+    the table uses and leaves that factor's coefficient entries in its place
+    (Maslen & Rockmore, "Generalized FFTs", DIMACS 28, 1997); the largest
+    node axis goes first.  The product weights are the products of the
+    factor weights, so for a product label coeff[(i_1, i_2), (j_1, j_2)] =
     sum w f conj(pi_1[j_1, i_1]) conj(pi_2[j_2, i_2]) is then one entry of
     the contracted array, and each block is one gather from it
     (``_product_plan``).  A twist of the product labels is applied last.
@@ -569,8 +596,8 @@ def _product_forward(wf, table, rule):
         return []
     frules = rule.meta["factor_rules"]
     ftabs, starts, index = _product_plan(table)
-    m = len(wf)
-    x = wf.reshape((m,) + tuple(len(fr) for fr in frules))
+    m = len(vals)
+    x = np.asarray(vals).reshape((m,) + tuple(len(fr) for fr in frules))
     for t in sorted(range(len(frules)), key=lambda t: -len(frules[t])):
         fr = frules[t]
         moved = np.moveaxis(x, t + 1, -1)
@@ -608,26 +635,41 @@ def _product_inverse(table, blocks, m, rule):
     return x.reshape(m, -1)
 
 
-def _su2_forward(wf, table, rule):
+def _spin_columns(top, two_l):
+    """The columns ``top + two_m_values(two_l)`` of the phases of ``top``
+    (one column per 2m in -top..top, ascending) as a basic slice: 2m from
+    two_l down to -two_l in steps of 2, so gathers from it are views."""
+    return slice(top + two_l, top - two_l - 1 if top > two_l else None, -2)
+
+
+def _su2_forward(vals, table, rule):
     """Separable forward transform on the su2 Euler grid, O(r^4) time.
 
-    With pi(a, b, c)_{pq} = e^{-i m_p a} d_pq(b) e^{-i m_q c} and the sampled
-    w * f viewed as (m, n_a, n_b, n_c), two phase GEMMs give
-    G[b, m', m] = sum_{a,c} w f e^{i m' a} e^{i m c}, and then
-    coeff[p, q] = sum_b d_qp(b) G[b, m_q, m_p] per spin (Kostelec & Rockmore,
-    "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).  Inside a
-    ``basis_twist`` each coefficient becomes U* coeff U.  Every su2 spin has
-    its own dimension, so each block holds one label.
+    With pi(a, b, c)_{pq} = e^{-i m_p a} d_pq(b) e^{-i m_q c} and the samples
+    f viewed as (m, n_a, n_b, n_c), two phase GEMMs and the Gauss-Legendre
+    weights w_b give G[b, m', m] = w_b sum_{a,c} f e^{i m' a} e^{i m c}, and
+    then coeff[p, q] = sum_b d_qp(b) G[b, m_q, m_p] per spin (Kostelec &
+    Rockmore, "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).
+    The gamma GEMM runs per function, from its unweighted values into one
+    (m, n_a, n_b, K) array, which the node weights of each beta (all nodes
+    of one beta share a weight) then scale in place: no weighted or stacked
+    copy of the samples is made.  Inside a ``basis_twist`` each coefficient
+    becomes U* coeff U.  Every su2 spin has its own dimension, so each block
+    holds one label.
     """
     top = max((lab.index[0] for lab in table.labels), default=0)
     ph_a, ph_c = irreps.euler_phases(rule, top)
-    m, n_a, n_c = len(wf), len(ph_a), len(ph_c)
-    g = (wf.reshape(-1, n_c) @ ph_c).reshape(m, n_a, -1, 2 * top + 1)
+    n_a, n_b, n_c = len(ph_a), len(rule.meta["betas"]), len(ph_c)
+    k = 2 * top + 1
+    g = np.empty((len(vals), n_a, n_b, k), dtype=complex)
+    for i, v in enumerate(vals):  # no view of g outlives the loop, so g is freed below
+        np.matmul(v.reshape(-1, n_c), ph_c, out=g[i].reshape(-1, k))
+    g *= rule.weights.reshape(n_a, n_b, n_c)[0, :, :1]
     g = ph_a.T @ g.transpose(0, 2, 1, 3)  # (m, n_b, m', m)
     blocks = []
     for (lab,) in table.block_labels:
-        cols = top + _wigner.two_m_values(lab.index[0])
-        sub = g[:, :, cols[:, None], cols]  # (m, b, q, p)
+        cols = _spin_columns(top, lab.index[0])
+        sub = g[:, :, cols, cols]  # (m, b, q, p)
         coeff = (irreps.euler_grid_d(lab, rule) * sub).sum(axis=1).transpose(0, 2, 1)
         blocks.append(coeff[:, None])
     return _twisted(table, blocks, True)
@@ -636,19 +678,20 @@ def _su2_forward(wf, table, rule):
 def _su2_inverse(table, blocks, m, rule):
     """Separable synthesis on the su2 Euler grid, the transpose of
     ``_su2_forward``: H[b, m_p, m_q] = sum over spins of dim C[q, p] d_pq(b),
-    then two GEMMs with the conjugate phases, for m coefficient sets at once.
-    Inside a ``basis_twist`` each label synthesizes from U C U*."""
+    then the alpha GEMM on that small (n_b, K, K) array and one gamma GEMM
+    that writes the (m, N) values, for m coefficient sets at once.  Inside a
+    ``basis_twist`` each label synthesizes from U C U*."""
     top = max((lab.index[0] for lab in table.labels), default=0)
     ph_a, ph_c = irreps.euler_phases(rule, top)
     k = 2 * top + 1
     h = np.zeros((m, len(rule.meta["betas"]), k, k), dtype=complex)
     for (lab,), block in zip(table.block_labels, _twisted(table, blocks, False)):
-        cols = top + _wigner.two_m_values(lab.index[0])
-        h[:, :, cols[:, None], cols] += (
+        cols = _spin_columns(top, lab.index[0])
+        h[:, :, cols, cols] += (
             lab.dim * block[:, 0].transpose(0, 2, 1)[:, None] * irreps.euler_grid_d(lab, rule)
         )
-    half = (h @ ph_c.conj().T).transpose(0, 2, 1, 3).reshape(m, k, -1)  # (m, m_p, n_b * n_c)
-    return (ph_a.conj() @ half).reshape(m, -1)
+    half = (ph_a.conj() @ h).transpose(0, 2, 1, 3).reshape(-1, k)  # (m * n_a * n_b, m_q)
+    return (half @ ph_c.conj().T).reshape(m, -1)
 
 
 def _synthesize(table, blocks, m, n, mats):
@@ -855,9 +898,45 @@ def _translate_values(f, ys, transform):
 def _right_action(coeffs, ys):
     """pi(y) @ coeff(pi) for every row y of the coordinate array ``ys`` and
     every label: per dimension block, the (m, n_b, d, d) irrep matrices at
-    the m elements (``SlotTable.matrices_at``) times the (n_b, d, d) block,
-    in one batched product."""
-    return [mats @ block for mats, block in zip(coeffs.table.matrices_at(ys), coeffs.blocks)]
+    the m elements times the (n_b, d, d) block, in one batched product.  The
+    matrices come from ``_su2_matrices`` on su2 and from
+    ``SlotTable.matrices_at`` on every other group."""
+    if coeffs.group.family == "su2":
+        mats = _su2_matrices(coeffs.table, ys)
+    else:
+        mats = coeffs.table.matrices_at(ys)
+    return [mat @ block for mat, block in zip(mats, coeffs.blocks)]
+
+
+def _su2_matrices(table, ys):
+    """The su2 irrep matrices of an su2 slot table at the rows of a
+    quaternion array, laid out like ``SlotTable.matrices_at``, without a
+    D-matrix routine.
+
+    D(a, b, c)_pq = e^{-i m_p a} d_pq(b) e^{-i m_q c}, with
+    d_pq(b) = Re sum_k trig_cube[p, q, k] e^{-i w_k b} (``_wigner``).  The
+    phases of every 2m up to the largest spin are taken once per element;
+    each spin reads its columns and builds its d-matrices elementwise, one
+    product and one sum over k per element, so an element's matrices do not
+    depend on the others in the batch.  Inside a ``basis_twist`` each label
+    is realized as U* D U.
+    """
+    alpha, beta, gamma = _wigner.euler_from_quaternion(*ys.T)
+    top = max((lab.index[0] for lab in table.labels), default=0)
+    half_m = np.arange(-top, top + 1) / 2.0
+    ph_a, ph_b, ph_c = (np.exp(-1j * t[:, None] * half_m) for t in (alpha, beta, gamma))
+    out = []
+    for (lab,) in table.block_labels:
+        two_l = lab.index[0]
+        rows = _spin_columns(top, two_l)  # m = l, ..., -l
+        ws = slice(top - two_l, top + two_l + 1, 2)  # w_k = -l, ..., l
+        dmat = (_wigner.trig_cube(two_l) * ph_b[:, None, None, ws]).sum(axis=-1).real
+        mats = ph_a[:, rows, None] * dmat * ph_c[:, None, rows]
+        us = irreps.block_twist((lab,))
+        if us is not None:
+            mats = us[0].conj().T @ mats @ us[0]
+        out.append(mats[:, None])
+    return out
 
 
 def translate_spectral(coeffs, y):
@@ -903,9 +982,8 @@ def _convolve_fft(f, g):
 
 
 def _convolve_spectral(f, g):
-    band = safe_band(f.rule)
-    fc = forward_to_cutoff(f, band)
-    gc = forward_to_cutoff(g, band)
+    """ghat @ fhat at the alias-free band, f and g transformed in one batch."""
+    fc, gc = forward_batch([f, g], irreps.enumerate_dual(f.group, safe_band(f.rule)))
     blocks = [g @ h for g, h in zip(gc.blocks, fc.blocks)]
     return inverse(FourierCoefficients.from_blocks(f.group, fc.table, blocks), f.rule)
 

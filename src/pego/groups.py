@@ -543,8 +543,9 @@ class QuadratureRule:
         The requested resolution parameter.  ``haar_quadrature`` returns one
         shared rule per (group, resolution), with the rule_id ``group|resN``.
         A rule built directly (from ``coords_of`` of its points) appends a
-        digest of its nodes and weights, so function arithmetic accepts it
-        only together with its equals.
+        digest of the bytes of its coordinate arrays and weights, taken
+        without building a node, so function arithmetic accepts it only
+        together with its equals.
 
     ``meta["kind"]`` picks the transform kernels (``fourier._kernels``).  A
     torus grid (``"torus-grid"``, axis lengths in ``meta["shape"]``)
@@ -593,7 +594,7 @@ class QuadratureRule:
     @property
     def rule_id(self):
         if self._rule_id is None:
-            data = repr([p.coords for p in self.nodes]).encode() + self.weights.tobytes()
+            data = b"".join(a.tobytes() for a in _arrays(self.coords)) + self.weights.tobytes()
             digest = hashlib.sha1(data).hexdigest()[:12]
             self._rule_id = f"{self.group.name}|res{self.resolution}|{digest}"
         return self._rule_id

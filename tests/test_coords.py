@@ -3,7 +3,7 @@
 A quadrature rule stores its nodes as coordinate arrays (``rule.coords``) and
 builds GroupPoints only when ``rule.nodes`` is read.  Checked here: the lazy
 nodes equal the point-by-point construction of every family, ``coords_of``
-and ``points_of`` invert each other, hand-built rules keep their digests,
+and ``points_of`` invert each other, hand-built rules digest their arrays,
 the array distances select the same Dirac supports as a scalar ``distance``
 loop, and balls of non-finite radius are refused.
 """
@@ -131,23 +131,48 @@ def test_canonical_work_builds_no_group_point(monkeypatch):
     assert "nodes" not in vars(rule)
 
 
-def test_hand_built_rule_ids_are_unchanged():
-    """Hand-built rules hash the repr of their nodes' coordinates, which the
-    arrays give back as the same Python floats and ints."""
+def test_hand_built_rule_ids_digest_the_coordinate_arrays():
+    """Hand-built rules digest the bytes of their coordinate arrays and
+    weights; these ids are pinned so that they do not drift unnoticed."""
     g = torus(1)
     canon = haar_quadrature(g, 8)
     shifted = [point(g, (p.coords[0] + 0.2,)) for p in canon.nodes]
     rule = QuadratureRule(g, coords_of(g, shifted), canon.weights, canon.exactness_degree, 8)
-    assert rule.rule_id == "torus:1|res8|6004593b503f"
+    assert rule.rule_id == "torus:1|res8|ef1e8713544e"
     assert list(rule.nodes) == shifted
     g = parse_group("product(cyclic:2,su2)")
     canon = haar_quadrature(g, 2)
     rule = QuadratureRule(g, coords_of(g, canon.nodes), canon.weights, canon.exactness_degree, 2)
-    assert rule.rule_id == "product(cyclic:2,su2)|res2|da03044bed93"
+    assert rule.rule_id == "product(cyclic:2,su2)|res2|85b63f07b0a7"
     g = parse_group("dihedral:3")
     canon = haar_quadrature(g, 1)
     rule = QuadratureRule(g, coords_of(g, canon.nodes[::-1]), canon.weights, None, 1)
-    assert rule.rule_id == "dihedral:3|res1|c6cd6c67ecc2"
+    assert rule.rule_id == "dihedral:3|res1|95c34a36811d"
+
+
+def _one_ulp_off(coords):
+    """A copy of a coordinate array whose last float is one ulp larger."""
+    if isinstance(coords, tuple):
+        return coords[:-1] + (_one_ulp_off(coords[-1]),)
+    out = coords.copy()
+    out[-1, -1] = np.nextafter(out[-1, -1], np.inf)
+    return out
+
+
+@pytest.mark.parametrize("name, res", [("su2", 8), ("product(torus:1,su2)", 3)])
+def test_hand_built_rule_id_builds_no_node_and_tells_rules_apart(name, res):
+    g = parse_group(name)
+    canon = haar_quadrature(g, res)
+
+    def hand_built(coords):
+        return QuadratureRule(g, coords, canon.weights, canon.exactness_degree, res)
+
+    rule = hand_built(canon.coords)
+    assert rule.rule_id.startswith(f"{g.name}|res{res}|")
+    assert "nodes" not in rule.__dict__
+    assert hand_built(canon.coords).rule_id == rule.rule_id
+    assert hand_built(_one_ulp_off(canon.coords)).rule_id != rule.rule_id
+    assert canon.rule_id == f"{g.name}|res{res}"
 
 
 # the rules and radii of the verify workload's lemma31 suite (cli._BALL_RADII)

@@ -57,6 +57,7 @@ from pego import (
     translate,
     translate_spectral,
 )
+from pego import fourier
 from pego.irreps import irrep_matrices
 
 TWO_PI = 2.0 * math.pi
@@ -200,6 +201,28 @@ def test_convolve_su2_spectral_matches_double_sum():
     expect = _double_sum_convolution(f, g, probe)
     idx = list(range(0, len(rule), 31))
     npt.assert_allclose(got.values[idx], expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("group,res", [(su2(), 6), (product(torus(1), su2()), 4)], ids=str)
+def test_spectral_convolution_transforms_f_and_g_in_one_batch(monkeypatch, group, res):
+    """One ``forward_batch([f, g])``, within 1e-15 of the form with one
+    ``forward_to_cutoff`` per function."""
+    rule = haar_quadrature(group, res)
+    f, g = (random_band_limited_function(rule, safe_band(rule), seed=s) for s in (1, 2))
+    fc, gc = forward_to_cutoff(f), forward_to_cutoff(g)
+    blocks = [b @ a for b, a in zip(gc.blocks, fc.blocks)]
+    want = inverse_transform(FourierCoefficients.from_blocks(group, fc.table, blocks), rule)
+    batches = []
+    real = fourier.forward_batch
+
+    def counted(fs, dual):
+        batches.append(len(fs))
+        return real(fs, dual)
+
+    monkeypatch.setattr(fourier, "forward_batch", counted)
+    got = convolve(f, g, method="spectral")
+    assert batches == [2]
+    npt.assert_allclose(got.values, want.values, rtol=0, atol=1e-15)
 
 
 def test_convolution_theorem_reverses_factors():

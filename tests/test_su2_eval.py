@@ -1,10 +1,14 @@
-"""Off-grid su2 evaluation through the Euler-angle trigonometric tensor.
+"""Off-grid su2 evaluation and translation through the Euler-angle
+trigonometric tensor, and the memory of the su2 grid transforms.
 
 ``evaluate_at`` on su2 builds no D-matrix.  The oracle here is the matrix
 path it replaced, written out in the tests: ``_synthesize`` fed the block
-matrices of ``SlotTable.matrices_at``.  Points of another group are refused
-by every off-grid reader.  The empty point list is covered, su2 included,
-by ``tests/test_irreps.py::test_empty_point_list_gives_empty_stacks``.
+matrices of ``SlotTable.matrices_at``.  The su2 right action of
+``translate``, ``translate_spectral`` and ``translate_values`` builds no
+D-matrix either; its oracle is pi(y) @ C from ``irrep_matrices``.  Points of
+another group are refused by every off-grid reader.  The empty point list
+is covered, su2 included, by
+``tests/test_irreps.py::test_empty_point_list_gives_empty_stacks``.
 """
 
 import contextlib
@@ -25,17 +29,21 @@ from pego import (
     cyclic,
     enumerate_dual,
     evaluate_at,
+    forward_batch,
     forward_to_cutoff,
     haar_quadrature,
+    inverse_transform,
     multiply,
     point,
     random_band_limited_function,
     su2,
     torus,
+    translate,
     translate_spectral,
 )
 from pego import _wigner
-from pego.fourier import _synthesize
+from pego.fourier import _synthesize, translate_values
+from pego.irreps import irrep_matrices
 
 G = su2()
 
@@ -109,6 +117,43 @@ def test_evaluate_at_builds_no_d_matrix(monkeypatch):
     npt.assert_allclose(evaluate_at(coeffs, points), want, rtol=0, atol=1e-12)
 
 
+def _moved_oracle(coeffs, y):
+    """pi(y) @ C per label, from the whole D-matrices of ``irrep_matrices``."""
+    return FourierCoefficients(G, coeffs.labels, {
+        lab: irrep_matrices(lab, [y])[0] @ coeffs[lab] for lab in coeffs.labels})
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_right_translation_builds_no_d_matrix(monkeypatch, twisted):
+    """``translate``, ``translate_spectral`` and ``translate_values`` at
+    off-grid elements (the fibers and +-identity included) against pi(y) @ C,
+    with the D-matrix routines refused; a batch of elements equals one call
+    per element, bit for bit."""
+    rule = haar_quadrature(G, 6)
+    f = random_band_limited_function(rule, 6, seed=4)
+    ys = _random_points(np.random.default_rng(5), 4) + _fiber_points()
+
+    def refuse(*args):
+        raise AssertionError("D-matrix built")
+
+    with basis_twist(G, cutoff=6, seed=3) if twisted else contextlib.nullcontext():
+        coeffs = forward_to_cutoff(f)
+        moved = [_moved_oracle(coeffs, y) for y in ys]
+        want = np.array([inverse_transform(c, rule).values for c in moved])
+        with monkeypatch.context() as patch:
+            patch.setattr(_wigner, "wigner_D", refuse)
+            patch.setattr(_wigner, "wigner_d", refuse)
+            spectral = [translate_spectral(coeffs, y) for y in ys]
+            batch = translate_values(f, ys)
+            single = [translate(f, y).values for y in ys]
+    for got, c in zip(spectral, moved):
+        for a, b in zip(got.blocks, c.blocks):
+            npt.assert_allclose(a, b, rtol=0, atol=1e-13)
+    npt.assert_allclose(batch, want, rtol=0, atol=1e-13)
+    for row, one in zip(batch, single):
+        assert np.array_equal(row, one)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 9), st.booleans())
 def test_evaluate_at_translates_like_translate_spectral(seed, fiber, on_fiber):
@@ -144,6 +189,30 @@ def test_evaluate_at_quarter_of_res16_matches_inverse_in_bounded_memory():
         tracemalloc.stop()
     npt.assert_allclose(got, f.values[idx], rtol=0, atol=1e-12)
     assert peak < EVALUATE_PEAK_CAP
+
+
+# One forward_batch of three band-16 functions on su2 res 16.  At band 4 the
+# traced peak stays below the values of one function, so no weighted,
+# stacked or squared copy of the samples is made; at band 16 it is the
+# kernel's two (m, n_a or n_b, n_b or K, K) arrays, 1.78 MB (3.5 MB with
+# weighted and stacked copies).
+FORWARD_PEAK_CAPS = ((4, 583_440), (16, 2.0e6))
+
+
+def test_su2_forward_batch_makes_no_copy_of_the_samples():
+    rule = haar_quadrature(G, 16)
+    assert len(rule) * 16 == FORWARD_PEAK_CAPS[0][1]
+    fs = [random_band_limited_function(rule, 16, seed=k) for k in range(3)]
+    for band, cap in FORWARD_PEAK_CAPS:
+        dual = enumerate_dual(G, band)
+        forward_batch(fs, dual)  # the rule's phases and d-matrices are kept on it
+        tracemalloc.start()
+        try:
+            forward_batch(fs, dual)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cap, (band, peak)
 
 
 def test_points_of_another_group_are_refused():

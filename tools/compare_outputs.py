@@ -22,7 +22,11 @@ each tree, one child process runs through ``pego.cli.main``:
   product(torus:1,su2): ``groups.sample_ball`` coordinates and distances to
   the identity, ``multiply``, ``inverse`` and ``distance`` over seeded point
   pairs, and ``fourier.translate_values`` of a seeded function at the ball
-  points.  Only public functions are called, so both trees run every case.
+  points; last, the su2 transforms at res 16: ``fourier.forward_batch`` of
+  seeded band-16 functions at bands 16 and 4 with their ``l2_mass_total``,
+  and ``fourier.translate_values`` at seeded off-grid elements, the beta = pi
+  fiber and -identity.  Only public functions are called, so both trees run
+  every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
 this script and are not changed.  The report says whether the diagnose
@@ -69,6 +73,12 @@ LAW_CASES = (("law-su2", "su2", 3, 3), ("law-torus:2", "torus:2", 5, 2),
              ("law-dihedral:9", "dihedral:9", 1, 2),
              ("law-product(torus:1,su2)", "product(torus:1,su2)", 3, 2))
 LAW_BALL = (1.2, 12)  # radius and sample count of the ball
+# The su2 transform case, appended last: resolution, the bands of its
+# forward_batch, its function count and the random elements it translates by.
+SPECTRAL_RES = 16
+SPECTRAL_BANDS = (16, 4)
+SPECTRAL_FUNCTIONS = 3
+SPECTRAL_ELEMENTS = 5
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -147,7 +157,33 @@ def _run_library(out_dir):
         rng = np.random.default_rng([LIBRARY_SEED, len(values)])
         for part, vals in _law_values(group, res, band, rng).items():
             values[f"{name}-{part}"] = vals
+    rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+    for part, vals in _spectral_values(rng).items():
+        values[f"spectral-su2-{part}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
+
+
+def _spectral_values(rng):
+    """The su2 transform case: the coefficients of seeded band-limited
+    functions at each of ``SPECTRAL_BANDS`` (one row per function), their
+    masses, and the translates of the first one by seeded off-grid elements,
+    a beta = pi fiber point and -identity."""
+    from pego import fourier, groups, irreps
+
+    group = groups.su2()
+    rule = groups.haar_quadrature(group, SPECTRAL_RES)
+    fs = [fourier.random_band_limited_function(rule, SPECTRAL_RES, seed=int(rng.integers(1000)))
+          for _ in range(SPECTRAL_FUNCTIONS)]
+    out = {}
+    for band in SPECTRAL_BANDS:
+        coeffs = fourier.forward_batch(fs, irreps.enumerate_dual(group, band))
+        out[f"forward-b{band}"] = np.array([np.concatenate([b.ravel() for b in c.blocks])
+                                            for c in coeffs])
+    out["mass"] = np.array([c.l2_mass_total for c in coeffs])
+    points = _library_points(group, rng)
+    ys = points[:SPECTRAL_ELEMENTS] + [points[-3], points[-1]]
+    out["translate"] = fourier.translate_values(fs[0], ys)
+    return out
 
 
 def _law_values(group, res, band, rng):
@@ -312,17 +348,21 @@ def compare(old_dir, new_dir):
 
 
 def _compare_library(old_dir, new_dir):
-    """Print the largest gap of the evaluate_at cases and of the group-law
-    cases of the library section; True when all are within LIBRARY_TOL."""
+    """Print the largest gap of the evaluate_at cases, of the group-law
+    cases and of the su2 transform case of the library section; True when
+    all are within LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
             return False
         gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
                 for name in old.files}
+    kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform"}
+    kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
+               for n in gaps}
     parts = []
-    for kind, names in (("evaluate_at", [n for n in gaps if not n.startswith("law-")]),
-                        ("group-law and translate", [n for n in gaps if n.startswith("law-")])):
+    for kind in ("evaluate_at", *kinds.values()):
+        names = [n for n in gaps if kind_of[n] == kind]
         name = max(names, key=gaps.get)
         parts.append(f"{len(names)} {kind} arrays, largest gap {gaps[name]:.3e} ({name})")
     print(f"library: {'; '.join(parts)}; tolerance {LIBRARY_TOL:.0e}")
