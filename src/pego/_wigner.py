@@ -5,7 +5,9 @@ stay exact.  Rows and columns are ordered by descending weight
 ``m = l, l-1, ..., -l``.  The small-d matrix is d^l(beta) = exp(-i beta J_y),
 evaluated as a whole matrix from one exact diagonalization of J_y per spin
 (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015): with J_y = V M V*,
-d^l(beta) = Re(V exp(-i beta M) V*).
+d^l(beta) = Re(V exp(-i beta M) V*).  ``wigner_d`` and ``wigner_D`` share
+that one stacked matmul; ``wigner_D`` is the one evaluator of su2 irrep
+matrices at points, every spin of a request from one call.
 
 The same identity makes a band of SU(2) Fourier coefficients one
 trigonometric polynomial in the Euler angles (Risbo, J. Geodesy 70, 1996;
@@ -69,13 +71,25 @@ def trig_cube(two_l):
     return cube
 
 
+def _spin_columns(top, two_l):
+    """The columns ``top + two_m_values(two_l)`` of phases with one column
+    per 2m in -top..top, ascending, as a basic slice, so gathers are views."""
+    return slice(top + two_l, top - two_l - 1 if top > two_l else None, -2)
+
+
+def _d_from_phases(two_l, ph_b):
+    """d^l(beta) = Re((V * e^{-i w beta}) @ V*) for rows ``ph_b`` of the
+    phases e^{-i w_k beta}, w = -l, ..., l: one stacked matmul, (n, d, d)."""
+    vecs = _jy_eigenvectors(two_l)
+    return ((vecs * ph_b[:, None, :]) @ vecs.conj().T).real
+
+
 def wigner_d(two_l, beta):
     """Small Wigner d-matrix d^l(beta) = exp(-i beta J_y).
 
-    One batched evaluation of Re(V exp(-i beta M) V*) over the distinct
-    betas, where V holds the eigenvectors of J_y (computed once per spin) and
-    M the exact weights -l, ..., l.  Equal betas share one matrix: the nodes
-    of Euler and product rules repeat a few betas thousands of times.
+    One batched evaluation of Re(V exp(-i beta M) V*) over the betas, where V
+    holds the eigenvectors of J_y (computed once per spin) and M the exact
+    weights -l, ..., l.
 
     Parameters
     ----------
@@ -90,33 +104,32 @@ def wigner_d(two_l, beta):
         Real array of shape ``beta.shape + (two_l + 1, two_l + 1)``.
     """
     beta = np.asarray(beta, dtype=float)
-    flat = beta.ravel()
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    slot = np.empty(flat.size, dtype=int)
-    slot[order] = np.cumsum(first) - 1
-    vecs = _jy_eigenvectors(two_l)
     weights = np.arange(-two_l, two_l + 1, 2) / 2.0
-    phases = np.exp(-1j * ordered[first][:, None] * weights)
-    dmat = ((vecs * phases[:, None, :]) @ vecs.conj().T).real
-    return dmat[slot].reshape(beta.shape + dmat.shape[1:])
+    phases = np.exp(-1j * beta.reshape(-1, 1) * weights)
+    dmat = np.ascontiguousarray(_d_from_phases(two_l, phases))  # not a strided view of .real
+    return dmat.reshape(beta.shape + (two_l + 1, two_l + 1))
 
 
-def wigner_D(two_l, alpha, beta, gamma):
-    """Full Wigner D-matrix D^l(alpha, beta, gamma), z-y-z convention.
+def wigner_D(two_ls, alpha, beta, gamma):
+    """Full Wigner D-matrices D^l(alpha, beta, gamma), z-y-z convention: one
+    (n, d, d) array per spin of ``two_ls``, at 1-D Euler angle arrays.
 
     D^l_{m'm} = exp(-i m' alpha) d^l_{m'm}(beta) exp(-i m gamma), with rows
-    and columns ordered by descending weight.  For two_l == 1 this equals the
-    defining 2x2 matrix of the group element itself.
+    and columns ordered by descending weight; for two_l == 1 this is the
+    defining 2x2 matrix of the element.  The phases are taken once, for the
+    largest spin, and each spin slices its columns and takes d as
+    ``wigner_d`` does, so no entry depends on the other elements or spins.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    half_m = two_m_values(two_l) / 2.0
-    ph_a = np.exp(-1j * alpha[..., None] * half_m)
-    ph_c = np.exp(-1j * gamma[..., None] * half_m)
-    return ph_a[..., :, None] * wigner_d(two_l, beta) * ph_c[..., None, :]
+    top = max(two_ls, default=0)
+    half_m = np.arange(-top, top + 1) / 2.0
+    ph_a, ph_b, ph_c = (np.exp(-1j * np.asarray(t, dtype=float)[:, None] * half_m)
+                        for t in (alpha, beta, gamma))
+    out = []
+    for two_l in two_ls:
+        rows = _spin_columns(top, two_l)  # m = l, ..., -l
+        ws = slice(top - two_l, top + two_l + 1, 2)  # w = -l, ..., l
+        out.append(ph_a[:, rows, None] * _d_from_phases(two_l, ph_b[:, ws]) * ph_c[:, None, rows])
+    return out
 
 
 def euler_from_quaternion(w, x, y, z):

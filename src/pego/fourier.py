@@ -42,8 +42,9 @@ the grid kernels builds an (N, d, d) irrep stack:
 Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
 trigonometric tensor per spin parity and builds no D-matrix; every other
 group synthesizes against the block matrices of ``SlotTable.matrices_at``.
-The su2 right action pi(y) @ fhat takes its matrices from the same per-spin
-cubes (``_su2_matrices``), not from a D-matrix routine.
+The right action pi(y) @ fhat takes its matrices from
+``SlotTable.matrices_at`` on every group; on su2 and on su2 factors they
+come from one ``_wigner.wigner_D`` call for all spins of the request.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ class SlotTable:
         """The irrep matrices at the rows of a coordinate array
         (``groups.coords_of``), laid out like the blocks: per block one
         (m, n_b, d, d) array whose ``[k, pos]`` is pi at row k for the label
-        at ``pos``.  Each block is evaluated whole (``irreps.irrep_blocks``),
+        at ``pos``.  All blocks come from one ``irreps.irrep_blocks``
+        request (on su2 one ``_wigner.wigner_D`` call for every spin),
         bitwise equal to ``irrep_matrices`` label by label."""
         return irreps._irrep_blocks(self.block_labels, coords)
 
@@ -635,13 +637,6 @@ def _product_inverse(table, blocks, m, rule):
     return x.reshape(m, -1)
 
 
-def _spin_columns(top, two_l):
-    """The columns ``top + two_m_values(two_l)`` of the phases of ``top``
-    (one column per 2m in -top..top, ascending) as a basic slice: 2m from
-    two_l down to -two_l in steps of 2, so gathers from it are views."""
-    return slice(top + two_l, top - two_l - 1 if top > two_l else None, -2)
-
-
 def _su2_forward(vals, table, rule):
     """Separable forward transform on the su2 Euler grid, O(r^4) time.
 
@@ -668,7 +663,7 @@ def _su2_forward(vals, table, rule):
     g = ph_a.T @ g.transpose(0, 2, 1, 3)  # (m, n_b, m', m)
     blocks = []
     for (lab,) in table.block_labels:
-        cols = _spin_columns(top, lab.index[0])
+        cols = _wigner._spin_columns(top, lab.index[0])
         sub = g[:, :, cols, cols]  # (m, b, q, p)
         coeff = (irreps.euler_grid_d(lab, rule) * sub).sum(axis=1).transpose(0, 2, 1)
         blocks.append(coeff[:, None])
@@ -686,7 +681,7 @@ def _su2_inverse(table, blocks, m, rule):
     k = 2 * top + 1
     h = np.zeros((m, len(rule.meta["betas"]), k, k), dtype=complex)
     for (lab,), block in zip(table.block_labels, _twisted(table, blocks, False)):
-        cols = _spin_columns(top, lab.index[0])
+        cols = _wigner._spin_columns(top, lab.index[0])
         h[:, :, cols, cols] += (
             lab.dim * block[:, 0].transpose(0, 2, 1)[:, None] * irreps.euler_grid_d(lab, rule)
         )
@@ -800,6 +795,15 @@ def _su2_values(coeffs, coords):
     return vals
 
 
+def _may_permute(rule):
+    """Whether x -> x*y permutes the nodes for some y: on finite rules, torus
+    grids and products of those; never on su2 Euler or hand-built rules."""
+    kind = rule.meta.get("kind")
+    if kind == "product":
+        return all(_may_permute(fr) for fr in rule.meta["factor_rules"])
+    return kind in ("finite", "torus-grid")
+
+
 def _permutes(rule, y):
     """Whether x -> x*y permutes the rule's nodes, for y a one-row coordinate
     array: on finite rules always, on torus grids when y lies on the grid
@@ -878,7 +882,8 @@ def _translate_values(f, ys, transform):
     caller that translates f a block of elements at a time passes one
     cached transform to every block."""
     m = _rows(ys)
-    perms = [_reindex_plan(f.rule, _take(ys, slice(k, k + 1))) for k in range(m)]
+    perms = ([_reindex_plan(f.rule, _take(ys, slice(k, k + 1))) for k in range(m)]
+             if _may_permute(f.rule) else [None] * m)  # the rule decides once per batch
     spectral = [k for k, perm in enumerate(perms) if perm is None]
     if spectral:
         coeffs = transform()
@@ -898,45 +903,9 @@ def _translate_values(f, ys, transform):
 def _right_action(coeffs, ys):
     """pi(y) @ coeff(pi) for every row y of the coordinate array ``ys`` and
     every label: per dimension block, the (m, n_b, d, d) irrep matrices at
-    the m elements times the (n_b, d, d) block, in one batched product.  The
-    matrices come from ``_su2_matrices`` on su2 and from
-    ``SlotTable.matrices_at`` on every other group."""
-    if coeffs.group.family == "su2":
-        mats = _su2_matrices(coeffs.table, ys)
-    else:
-        mats = coeffs.table.matrices_at(ys)
-    return [mat @ block for mat, block in zip(mats, coeffs.blocks)]
-
-
-def _su2_matrices(table, ys):
-    """The su2 irrep matrices of an su2 slot table at the rows of a
-    quaternion array, laid out like ``SlotTable.matrices_at``, without a
-    D-matrix routine.
-
-    D(a, b, c)_pq = e^{-i m_p a} d_pq(b) e^{-i m_q c}, with
-    d_pq(b) = Re sum_k trig_cube[p, q, k] e^{-i w_k b} (``_wigner``).  The
-    phases of every 2m up to the largest spin are taken once per element;
-    each spin reads its columns and builds its d-matrices elementwise, one
-    product and one sum over k per element, so an element's matrices do not
-    depend on the others in the batch.  Inside a ``basis_twist`` each label
-    is realized as U* D U.
-    """
-    alpha, beta, gamma = _wigner.euler_from_quaternion(*ys.T)
-    top = max((lab.index[0] for lab in table.labels), default=0)
-    half_m = np.arange(-top, top + 1) / 2.0
-    ph_a, ph_b, ph_c = (np.exp(-1j * t[:, None] * half_m) for t in (alpha, beta, gamma))
-    out = []
-    for (lab,) in table.block_labels:
-        two_l = lab.index[0]
-        rows = _spin_columns(top, two_l)  # m = l, ..., -l
-        ws = slice(top - two_l, top + two_l + 1, 2)  # w_k = -l, ..., l
-        dmat = (_wigner.trig_cube(two_l) * ph_b[:, None, None, ws]).sum(axis=-1).real
-        mats = ph_a[:, rows, None] * dmat * ph_c[:, None, rows]
-        us = irreps.block_twist((lab,))
-        if us is not None:
-            mats = us[0].conj().T @ mats @ us[0]
-        out.append(mats[:, None])
-    return out
+    the m elements (``SlotTable.matrices_at``) times the (n_b, d, d) block,
+    in one batched product."""
+    return [mat @ block for mat, block in zip(coeffs.table.matrices_at(ys), coeffs.blocks)]
 
 
 def translate_spectral(coeffs, y):

@@ -440,7 +440,7 @@ def _dihedral_matrix_arrays(label, rs, ss):
 
 
 def _euler_coords(group, coords):
-    """A coordinate array (``groups.coords_of``) in the form ``_block_at``
+    """A coordinate array (``groups.coords_of``) in the form ``_blocks_at``
     reads: every su2 quaternion array becomes Euler angles."""
     if group.family == "su2":
         return _wigner.euler_from_quaternion(*coords.T)
@@ -449,55 +449,71 @@ def _euler_coords(group, coords):
     return coords
 
 
-def _block_at(group, labels, coords, n):
-    """Matrices (n, n_b, d, d) of labels of one dimension d at n points.
+def _blocks_at(group, block_labels, coords, n):
+    """Matrices at n points of every block of a request: per tuple of labels
+    of one dimension d, one (n, n_b, d, d) array.
 
     Every entry is computed elementwise, so a label's matrices do not depend
-    on the other labels of the block: torus phases exp(i sum_a ang_a k_a)
-    are summed axis by axis, and product labels Kronecker-combine their
+    on the other labels of the request: torus phases exp(i sum_a ang_a k_a)
+    are summed axis by axis, all su2 spins come from one
+    ``_wigner.wigner_D`` call, and product labels Kronecker-combine their
     factors' matrices, each distinct factor label evaluated once.  Twists
-    apply per label, at the level of the group whose dual they cover.
+    apply per block, at the level of the group whose dual they cover.
     """
     fam = group.family
-    d = labels[0].dim
+    if fam == "su2":  # every spin has its own dimension: one label per block
+        raw = _wigner.wigner_D([lab.index[0] for (lab,) in block_labels], *coords)
+    elif fam == "product":
+        raw = _product_blocks_at(group, block_labels, coords, n)
+    else:
+        raw = [_block_at(group, labels, coords) for labels in block_labels]
+    out = []
+    for labels, mats in zip(block_labels, raw):
+        d = labels[0].dim
+        mats = np.ascontiguousarray(mats, dtype=complex).reshape(n, len(labels), d, d)
+        us = block_twist(labels)
+        if us is not None:
+            for k, u in enumerate(us):
+                mats[:, k] = u.conj().T @ np.ascontiguousarray(mats[:, k]) @ u
+        out.append(mats)
+    return out
+
+
+def _block_at(group, labels, coords):
+    """Untwisted matrices of one block of a cyclic, torus or dihedral group."""
+    fam = group.family
     if fam == "cyclic":
         ks = np.array([lab.index[0] for lab in labels], dtype=float)
-        mats = np.exp(2j * np.pi * coords * ks / group.n)[..., None, None]
-    elif fam == "torus":
+        return np.exp(2j * np.pi * coords * ks / group.n)
+    if fam == "torus":
         ks = np.array([lab.index for lab in labels], dtype=float)
         phase = coords[:, :1] * ks[:, 0]
         for a in range(1, group.n):
             phase = phase + coords[:, a : a + 1] * ks[:, a]
-        mats = np.exp(1j * phase)[..., None, None]
-    elif fam == "dihedral":
-        mats = np.stack([_dihedral_matrix_arrays(lab, *coords.T) for lab in labels], axis=1)
-    elif fam == "su2":
-        (lab,) = labels  # every spin has its own dimension
-        mats = _wigner.wigner_D(lab.index[0], *coords)[:, None]
-    elif fam == "product":
-        mats = _product_block_at(group, labels, coords, n)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    mats = np.ascontiguousarray(mats, dtype=complex).reshape(n, len(labels), d, d)
-    us = block_twist(labels)
-    if us is not None:
-        for k, u in enumerate(us):
-            mats[:, k] = u.conj().T @ np.ascontiguousarray(mats[:, k]) @ u
-    return mats
+        return np.exp(1j * phase)
+    if fam == "dihedral":
+        return np.stack([_dihedral_matrix_arrays(lab, *coords.T) for lab in labels], axis=1)
+    raise ValueError(f"unknown family {fam!r}")
 
 
-def _product_block_at(group, labels, coords, n):
-    # per factor and dimension, the block of the distinct factor labels used
-    # and their positions in it
+def _product_blocks_at(group, block_labels, coords, n):
+    # per factor and dimension, the block of the distinct factor labels the
+    # request uses and their positions in it, one ``_blocks_at`` per factor
+    labels = [lab for labs in block_labels for lab in labs]
     factor_blocks = []
     for k, fgroup in enumerate(group.factors):
         by_dim = {}
         for comp in dict.fromkeys(lab.index[k] for lab in labels):
             by_dim.setdefault(comp.dim, []).append(comp)
+        mats = _blocks_at(fgroup, [tuple(comps) for comps in by_dim.values()], coords[k], n)
         factor_blocks.append({
-            d: (_block_at(fgroup, comps, coords[k], n), {c: i for i, c in enumerate(comps)})
-            for d, comps in by_dim.items()
+            d: (block, {c: i for i, c in enumerate(comps)})
+            for (d, comps), block in zip(by_dim.items(), mats)
         })
+    return [_kronecker_block(labels, factor_blocks, n) for labels in block_labels]
+
+
+def _kronecker_block(labels, factor_blocks, n):
     # labels with the same factor dimensions are Kronecker-combined together
     by_dims = {}
     for i, lab in enumerate(labels):
@@ -541,8 +557,7 @@ def _irrep_blocks(block_labels, coords):
     if not block_labels:
         return []
     group = block_labels[0][0].group
-    euler = _euler_coords(group, coords)
-    return [_block_at(group, labs, euler, _rows(coords)) for labs in block_labels]
+    return _blocks_at(group, block_labels, _euler_coords(group, coords), _rows(coords))
 
 
 def irrep_matrices(label, points):
@@ -642,7 +657,7 @@ def irrep_stack(label, rule):
             stack = us[0].conj().T @ stack @ us[0]
     else:
         coords = _euler_coords(rule.group, rule.coords)
-        stack = _block_at(rule.group, (label,), coords, len(rule))[:, 0]
+        stack = _blocks_at(rule.group, ((label,),), coords, len(rule))[0][:, 0]
     stack.setflags(write=False)
     cache[key] = stack
     return stack

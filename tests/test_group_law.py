@@ -220,6 +220,29 @@ def test_reindex_plan_refuses_before_multiplying_any_node(monkeypatch):
     assert multiplied == [mixed.group]
 
 
+def test_translate_values_asks_for_no_reindex_plan_on_rules_that_never_permute(monkeypatch):
+    """The rule decides once per batch: product(torus:1,su2) never re-indexes,
+    so no element is asked for a plan, and the translates equal bit for bit
+    the ones the per-element decision gives; product(torus:1,cyclic:3) asks
+    for one plan per element."""
+    asked = []
+    real = fourier._reindex_plan
+    monkeypatch.setattr(fourier, "_reindex_plan", lambda r, y: asked.append(r) or real(r, y))
+    prod = haar_quadrature(parse_group("product(torus:1,su2)"), 5)
+    f = random_band_limited_function(prod, 2, seed=6)
+    ys = prod.nodes_at([0, 7, 200, 911])
+    moved = translate_values(f, ys)
+    assert asked == []
+    with monkeypatch.context() as patch:
+        patch.setattr(fourier, "_may_permute", lambda rule: True)
+        per_element = translate_values(f, ys)
+    assert asked == [prod] * len(ys)
+    assert np.array_equal(moved, per_element)
+    mixed = haar_quadrature(parse_group("product(torus:1,cyclic:3)"), 5)
+    translate_values(random_band_limited_function(mixed, 2, seed=6), mixed.nodes_at([1, 4]))
+    assert asked[len(ys):] == [mixed] * 2
+
+
 def test_translate_values_is_one_kernel_call_per_element_on_finite_rules(monkeypatch):
     """A finite translate re-indexes through one array product of all nodes
     by y, and builds no point."""

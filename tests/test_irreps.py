@@ -39,7 +39,7 @@ from pego import (
     torus,
     trivial_label,
 )
-from pego._wigner import two_m_values, wigner_d
+from pego._wigner import two_m_values, wigner_D, wigner_d
 
 
 def _wigner_d_factorial(two_l, beta):
@@ -89,10 +89,20 @@ def _wigner_d_factorial(two_l, beta):
 
 @pytest.mark.parametrize("two_l", [0, 1, 2, 3, 4, 5, 7, 10, 16, 24])
 def test_wigner_d_matches_factorial_sum(two_l):
+    """Distinct betas, and a 2-D array repeating some of them (as the nodes of
+    Euler and product rules do), whose equal betas get the same bits; both
+    results are contiguous real arrays."""
     betas = np.array([0.0, 0.2, 0.5, 1.0, math.pi / 2, 2.0, 3.0, math.pi])
     got = wigner_d(two_l, betas)
     for b_idx, b in enumerate(betas):
         npt.assert_allclose(got[b_idx], _wigner_d_factorial(two_l, b), atol=1e-12)
+    pick = np.array([[3, 0, 3, 7], [7, 0, 3, 5]])
+    repeated = wigner_d(two_l, betas[pick])
+    assert repeated.shape == pick.shape + got.shape[1:]
+    assert got.flags.c_contiguous and repeated.flags.c_contiguous  # not views of a complex array
+    for idx in np.ndindex(pick.shape):
+        npt.assert_allclose(repeated[idx], _wigner_d_factorial(two_l, betas[pick[idx]]), atol=1e-12)
+        assert np.array_equal(repeated[idx], got[pick[idx]])
 
 
 @pytest.mark.parametrize("two_l", [64, 128])
@@ -126,6 +136,31 @@ def test_wigner_d_spin_one_middle_entry_is_cos_beta():
     betas = np.linspace(0.0, math.pi, 11)
     mats = wigner_d(2, betas)
     npt.assert_allclose(mats[:, 1, 1], np.cos(betas), atol=1e-13)
+
+
+@pytest.mark.parametrize("two_ls", [tuple(range(17)), (1, 4, 7)], ids=["0-16", "1-4-7"])
+def test_wigner_D_takes_every_spin_and_element_in_one_call(two_ls):
+    """One call for many spins equals one call per spin, and one call for a
+    batch of elements equals one call per element, bit for bit.  The batch
+    holds the beta = 0 and beta = pi fibers and repeated betas; each matrix
+    is e^{-i m' alpha} d(beta) e^{-i m gamma} with d the factorial sum."""
+    rng = np.random.default_rng(11)
+    alpha, gamma = rng.uniform(-math.pi, math.pi, (2, 12))
+    beta = np.concatenate([rng.uniform(0.0, math.pi, 4), [0.0, math.pi]])
+    beta = np.concatenate([beta, beta[::-1]])
+    whole = wigner_D(two_ls, alpha, beta, gamma)
+    assert [m.shape for m in whole] == [(12, t + 1, t + 1) for t in two_ls]
+    for two_l, mats in zip(two_ls, whole):
+        assert np.array_equal(mats, wigner_D([two_l], alpha, beta, gamma)[0])
+    for k in range(len(beta)):
+        one = wigner_D(two_ls, alpha[k : k + 1], beta[k : k + 1], gamma[k : k + 1])
+        assert all(np.array_equal(mats[k], o[0]) for mats, o in zip(whole, one))
+    for two_l, mats in zip(two_ls, whole):
+        half_m = two_m_values(two_l) / 2.0
+        for k in (0, 4, 5):
+            want = (np.exp(-1j * alpha[k] * half_m)[:, None] * _wigner_d_factorial(two_l, beta[k])
+                    * np.exp(-1j * gamma[k] * half_m))
+            npt.assert_allclose(mats[k], want, atol=1e-12)
 
 
 def test_su2_character_closed_form():

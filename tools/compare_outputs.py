@@ -25,8 +25,11 @@ each tree, one child process runs through ``pego.cli.main``:
   points; last, the su2 transforms at res 16: ``fourier.forward_batch`` of
   seeded band-16 functions at bands 16 and 4 with their ``l2_mass_total``,
   and ``fourier.translate_values`` at seeded off-grid elements, the beta = pi
-  fiber and -identity.  Only public functions are called, so both trees run
-  every case.
+  fiber and -identity; and the irrep-matrix case: ``irreps.irrep_blocks``
+  of the su2 spins 0 to 16 at seeded off-grid points, the beta = 0 and
+  beta = pi fibers and +-identity, and at a batch of elements repeating
+  a few betas, and of product(torus:1,su2) to band 4 at its seeded points.
+  Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
 this script and are not changed.  The report says whether the diagnose
@@ -79,6 +82,10 @@ SPECTRAL_RES = 16
 SPECTRAL_BANDS = (16, 4)
 SPECTRAL_FUNCTIONS = 3
 SPECTRAL_ELEMENTS = 5
+# The irrep-matrix case, appended after the su2 transform case: the su2 and
+# product bands, and the betas and elements per beta of its repeated batch.
+IRREP_BANDS = (("su2", 16), ("product(torus:1,su2)", 4))
+IRREP_REPEATS = (4, 5)
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -142,8 +149,8 @@ def run_tree(tree, out_dir):
 
 
 def _run_library(out_dir):
-    """The library section: ``evaluate_at`` per case, then the group-law
-    cases, into ``library.npz``."""
+    """The library section: ``evaluate_at`` per case, then the group-law,
+    su2 transform and irrep-matrix cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -160,6 +167,9 @@ def _run_library(out_dir):
     rng = np.random.default_rng([LIBRARY_SEED, len(values)])
     for part, vals in _spectral_values(rng).items():
         values[f"spectral-su2-{part}"] = vals
+    rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+    for part, vals in _irrep_values(rng).items():
+        values[f"irrep-{part}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -183,6 +193,32 @@ def _spectral_values(rng):
     points = _library_points(group, rng)
     ys = points[:SPECTRAL_ELEMENTS] + [points[-3], points[-1]]
     out["translate"] = fourier.translate_values(fs[0], ys)
+    return out
+
+
+def _irrep_values(rng):
+    """The irrep-matrix case: per group of ``IRREP_BANDS``, the matrices of
+    every block of its dual (``fourier.slot_table``) at its seeded points,
+    one row per point; on su2 also at a batch of quaternions (w, x, y, z)
+    with seeded signs, some read as (z, y, x, w): all share the beta
+    2 atan2(|(x, y)|, |(w, z)|) of their seeded point."""
+    from pego import fourier, groups, irreps
+
+    out = {}
+    for name, band in IRREP_BANDS:
+        group = groups.parse_group(name)
+        table = fourier.slot_table(tuple(irreps.enumerate_dual(group, band)))
+        batches = {name: _library_points(group, rng)}
+        if group.family == "su2":
+            betas, each = IRREP_REPEATS
+            qs = rng.normal(size=(betas, 1, 4)) * rng.choice((-1.0, 1.0), size=(betas, each, 4))
+            qs[:, 1::2] = qs[:, 1::2, ::-1]
+            qs /= np.linalg.norm(qs, axis=2, keepdims=True)
+            batches[f"{name}-repeated-beta"] = [groups.point(group, tuple(q))
+                                                for q in qs.reshape(-1, 4)]
+        for key, points in batches.items():
+            blocks = irreps.irrep_blocks(table.block_labels, points)
+            out[key] = np.concatenate([b.reshape(len(points), -1) for b in blocks], axis=1)
     return out
 
 
@@ -349,15 +385,16 @@ def compare(old_dir, new_dir):
 
 def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
-    cases and of the su2 transform case of the library section; True when
-    all are within LIBRARY_TOL."""
+    cases, of the su2 transform case and of the irrep-matrix case of the
+    library section; True when all are within LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
             return False
         gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
                 for name in old.files}
-    kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform"}
+    kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
+             "irrep-": "irrep-matrix"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
