@@ -26,11 +26,11 @@ from .compactness import (
     pego_verdicts,
 )
 from .fourier import (
+    SampledFunction,
     convolve,
     forward_batch,
     forward_to_cutoff,
     inverse,
-    matrix_entry_function,
     random_band_limited_function,
     safe_band,
     translate,
@@ -265,12 +265,11 @@ def _suite_lemma32(rule, cutoff, samples, seed, p_values):
     return _lemma_checks("lhs_le_head_plus_tail", p_values, worst, all_ok)
 
 
-def _schur_gram_gap(rule, labels):
+def _schur_gram_gap(rule, stacks):
     """Every matrix entry of every label is one column of E, and Schur says
-    E^T W conj(E) = diag(1/dim).  E is built and multiplied a block of nodes
-    at a time, so no full copy of the stacks is ever made."""
-    stacks = [irrep_stack(lab, rule) for lab in labels]
-    want = np.concatenate([np.full(lab.dim ** 2, 1.0 / lab.dim) for lab in labels])
+    E^T W conj(E) = diag(1/dim).  E is cut from the stacks and multiplied a
+    block of nodes at a time, so no full copy of the stacks is ever made."""
+    want = np.concatenate([np.full(s.shape[1] ** 2, 1.0 / s.shape[1]) for s in stacks])
     gram = np.zeros((len(want), len(want)), dtype=complex)
     for lo in range(0, len(rule), _SCHUR_BLOCK_NODES):
         rows = slice(lo, lo + _SCHUR_BLOCK_NODES)
@@ -279,38 +278,39 @@ def _schur_gram_gap(rule, labels):
     return float(np.max(np.abs(gram - np.diag(want))))
 
 
-def _schur_cell_gap(rule, labels):
+def _schur_cell_gap(rule, labels, stacks):
     """The transform of entry (i, j) of pi is the single cell [j, i] = 1/dim
-    at pi.  Entry functions are transformed in batches of at most
-    _SCHUR_BLOCK_NODES * sum(dim^2) values, the bound the gram keeps to, and
+    at pi.  Entry functions are cut from the stacks, transformed in batches
+    of at most _SCHUR_BLOCK_NODES * sum(dim^2) values, the gram's bound, and
     compared with that one-hot pattern a dimension block at a time."""
-    cells = [(lab, i, j) for lab in labels
-             for i in range(1, lab.dim + 1) for j in range(1, lab.dim + 1)]
+    cells = [(lab, s, i, j) for lab, s in zip(labels, stacks)
+             for i in range(lab.dim) for j in range(lab.dim)]
     per_batch = max(1, _SCHUR_BLOCK_NODES * len(cells) // len(rule))
     gap = 0.0
     for lo in range(0, len(cells), per_batch):
         batch = cells[lo:lo + per_batch]
-        fns = [matrix_entry_function(lab, i, j, rule) for lab, i, j in batch]
+        fns = [SampledFunction(rule, s[:, i, j].copy()) for _, s, i, j in batch]
         coeffs = forward_batch(fns, labels)
         table = coeffs[0].table
         for b, d in enumerate(table.dims):
             got = np.stack([c.blocks[b] for c in coeffs])  # (functions, n_b, d, d)
-            for k, (lab, i, j) in enumerate(batch):
+            for k, (lab, _, i, j) in enumerate(batch):
                 blk, pos = table.slot(lab)
                 if blk == b:
-                    got[k, pos, j - 1, i - 1] -= 1.0 / d
+                    got[k, pos, j, i] -= 1.0 / d
             gap = max(gap, float(np.max(np.abs(got))))
     return gap
 
 
 def _suite_schur(rule, cutoff, samples, seed):
     labels = enumerate_dual(rule.group, cutoff)
-    worst = _schur_gram_gap(rule, labels)
+    stacks = [irrep_stack(lab, rule) for lab in labels]
+    worst = _schur_gram_gap(rule, stacks)
     band = safe_band(rule)
     if band is not None and cutoff > band:
         raise ResolutionError(
             f"cutoff {cutoff} exceeds alias-free band {band} of {rule.rule_id}")
-    single = _schur_cell_gap(rule, labels)
+    single = _schur_cell_gap(rule, labels, stacks)
     return [
         {"name": "gram_block_pattern", "lhs": worst, "rhs": _IDENTITY_TOL,
          "satisfied": bool(worst <= _IDENTITY_TOL)},

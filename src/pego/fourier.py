@@ -37,7 +37,7 @@ the grid kernels builds an (N, d, d) irrep stack:
 * products: one factor axis at a time, each with its factor's own kernel,
   with the Kronecker entries gathered into (or scattered from) the slots;
 * finite rules (cyclic, dihedral, finite products) and hand-built rules:
-  one GEMM per label against the irrep stack cached on the rule.
+  one GEMM per label against the irrep stack, evaluated per call.
 
 Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
 trigonometric tensor per spin parity and builds no D-matrix; every other
@@ -407,7 +407,7 @@ def forward_batch(fs, dual):
     views ``[k]`` of those arrays.  The rule's kind picks the kernel
     (``_kernels``): an FFT on torus grids, a separable sum over the Euler
     axes on su2, one factor at a time on products, and per label one GEMM
-    against the cached irrep stack on finite and hand-built rules.  The
+    against its irrep stack on finite and hand-built rules.  The
     kernels get the functions' own value arrays and apply the weights
     themselves; on su2 the weights scale the per-beta gamma sums, so no
     weighted or stacked copy of the samples is made there.  The masses
@@ -492,7 +492,7 @@ def _stack_forward(vals, table, rule):
 
 
 def _stack_inverse(table, blocks, m, rule):
-    """Synthesis against the cached stacks, gathered per block."""
+    """Synthesis against the irrep stacks, one per label, gathered per block."""
     mats = [np.stack([irreps.irrep_stack(lab, rule) for lab in labs], axis=1)
             for labs in table.block_labels]
     return _synthesize(table, blocks, m, len(rule), mats)
@@ -728,8 +728,8 @@ def _synthesize_on_rule(table, blocks, m, rule):
     """Values (m, N) at a rule's nodes of m coefficient sets whose blocks are
     (m, n_b, d, d), through the rule's synthesis kernel (``_kernels``): an
     inverse FFT on torus grids, the separable Euler sum on su2, one factor at
-    a time on products, and one product per block with the rule's cached
-    stacks on finite and hand-built rules."""
+    a time on products, and one product per block with the irrep stacks
+    (``irreps.irrep_stack``) on finite and hand-built rules."""
     return _kernels(rule)[1](table, blocks, m, rule)
 
 

@@ -558,12 +558,9 @@ class QuadratureRule:
     ``meta["factor_rules"]`` and transforms one factor axis at a time with
     their kernels.  None of these builds an irrep stack to transform.
 
-    The irrep stacks computed on a rule (``irreps.irrep_stack``) are stored on
-    it and live exactly as long as the rule does.  Finite (``"finite"``) and
-    hand-built rules (no kind) transform against them; elsewhere they serve
-    matrix-entry functions and the Schur suite.  Stacks on an su2 Euler rule
-    are assembled from its d-matrices and phases; on other rules they are
-    evaluated at ``coords``.
+    A rule keeps no irrep stack.  Finite (``"finite"``) and hand-built rules
+    (no kind) transform against stacks evaluated per call
+    (``irreps.irrep_stack``).
     """
 
     def __init__(self, group, coords, weights, exactness_degree, resolution, meta=None):
@@ -580,7 +577,6 @@ class QuadratureRule:
         self.resolution = resolution
         self.meta = dict(meta or {})
         self._rule_id = None
-        self._stacks = {}
 
     @functools.cached_property
     def nodes(self):
@@ -687,7 +683,7 @@ def haar_quadrature(group, resolution=1):
     (exact for bands |k| <= R-1).  SU(2) uses an Euler-angle rule exact for
     matrix entries with 2l <= 2*resolution.  Products combine factor rules at
     the same resolution.  Every call with the same (group, resolution)
-    returns the same rule object, so callers share the stacks stored on it.
+    returns the same rule object.
     """
     if resolution < 1:
         raise ResolutionError("resolution must be >= 1")

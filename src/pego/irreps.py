@@ -352,11 +352,11 @@ def parse_label(group, text):
 # ---------------------------------------------------------------------------
 # Matrix evaluation.  A module-level "basis twist" can conjugate every irrep
 # by a fixed unitary; it exists so tests can certify basis independence of
-# all reported quantities.  While a twist is active, ``stacks`` holds the
-# stacks built under it, keyed by (rule, label); they are dropped when the
-# twist exits, so the untwisted stacks stored on rules never go stale.
+# all reported quantities.  No matrix is kept: every matrix and stack is
+# evaluated afresh on each call, from the grid tables an su2 Euler rule keeps
+# in its ``meta`` (``euler_grid_d``, ``euler_phases``) where it has them.
 
-_TWIST = {"table": None, "stacks": None}
+_TWIST = {"table": None}
 
 
 def random_unitary(dim, rng):
@@ -376,9 +376,8 @@ def basis_twist(group, cutoff=None, seed=0):
     per-label unitary drawn from ``seed``.  The twisted family is again a
     concrete realization of the same dual, so any basis-independent quantity
     must be unchanged; a 1x1 twist is a unit scalar that cancels, so it is
-    never applied (``block_twist``).  ``irrep_stack`` builds and keeps
-    twisted stacks for the duration of the context only; the stacks stored
-    on rules are neither used nor touched.  Twists do not nest.
+    never applied (``block_twist``).  Stacks (``irrep_stack``) evaluated
+    inside the context are twisted too.  Twists do not nest.
     """
     if _TWIST["table"] is not None:
         raise RuntimeError("basis_twist does not nest")
@@ -386,11 +385,11 @@ def basis_twist(group, cutoff=None, seed=0):
     table = {}
     for lab in enumerate_dual(group, cutoff):
         table[lab] = random_unitary(lab.dim, rng)
-    _TWIST.update(table=table, stacks={})
+    _TWIST["table"] = table
     try:
         yield table
     finally:
-        _TWIST.update(table=None, stacks=None)
+        _TWIST["table"] = None
 
 
 def twist_unitary(label):
@@ -413,29 +412,18 @@ def block_twist(labels):
 
 
 def _dihedral_matrix_arrays(label, rs, ss):
-    """Stack of dihedral irrep matrices for integer arrays rs, ss."""
-    n = label.group.n
+    """Dihedral irrep matrices at integer arrays rs, ss of length n, each
+    raveled: shape (n, d * d)."""
     tag = label.index[0]
-    if tag == "triv":
-        vals = np.ones_like(rs, dtype=complex)
-        return vals[..., None, None]
-    if tag == "sign":
-        vals = np.where(ss % 2 == 0, 1.0, -1.0).astype(complex)
-        return vals[..., None, None]
-    if tag == "alt":
-        vals = np.where(rs % 2 == 0, 1.0, -1.0).astype(complex)
-        return vals[..., None, None]
-    if tag == "altsign":
-        vals = (np.where(rs % 2 == 0, 1.0, -1.0) * np.where(ss % 2 == 0, 1.0, -1.0)).astype(complex)
-        return vals[..., None, None]
-    h = label.index[1]
-    om = np.exp(2j * np.pi * h * np.asarray(rs) / n)
-    out = np.zeros(np.shape(rs) + (2, 2), dtype=complex)
-    rot = ss % 2 == 0
-    out[rot, 0, 0] = om[rot]
-    out[rot, 1, 1] = om[rot].conj()
-    out[~rot, 0, 1] = om[~rot]
-    out[~rot, 1, 0] = om[~rot].conj()
+    if tag != "e":  # a character: -1 on odd s (sign), odd r (alt) or both
+        odd = {"triv": 0 * rs, "sign": ss, "alt": rs, "altsign": rs + ss}[tag] % 2
+        return (1.0 - 2.0 * odd).astype(complex)[:, None]
+    om = np.exp(2j * np.pi * label.index[1] * np.asarray(rs) / label.group.n)
+    # diag(om, conj om) at rotations, antidiag(om, conj om) at reflections
+    out = np.zeros((len(om), 4), dtype=complex)
+    rows, s = np.arange(len(om)), ss % 2
+    out[rows, s] = om
+    out[rows, 3 - s] = om.conj()
     return out
 
 
@@ -491,8 +479,8 @@ def _block_at(group, labels, coords):
         for a in range(1, group.n):
             phase = phase + coords[:, a : a + 1] * ks[:, a]
         return np.exp(1j * phase)
-    if fam == "dihedral":
-        return np.stack([_dihedral_matrix_arrays(lab, *coords.T) for lab in labels], axis=1)
+    if fam == "dihedral":  # (n, n_b * d * d), as ``_blocks_at`` reads it
+        return np.concatenate([_dihedral_matrix_arrays(lab, *coords.T) for lab in labels], axis=1)
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -630,34 +618,40 @@ def _euler_stack(label, rule):
 
 
 def irrep_stack(label, rule):
-    """Matrices of an irrep at every node of a rule, shape (n, d, d).
+    """Matrices of an irrep at every node of a rule, shape (n, d, d),
+    evaluated afresh on each call and kept nowhere.
 
-    Built once and stored on the rule, so it lives as long as the rule does;
-    inside ``basis_twist`` the twisted stack is kept by the twist instead.
-    The returned array is shared and read-only.  An su2 Euler rule combines
-    its grid d-matrices with the alpha and gamma phases (``_euler_stack``);
-    every other rule evaluates the label as a block of one at the rule's
-    coordinate arrays (``rule.coords``) and builds no GroupPoint.  The
-    transforms use stacks on dihedral, non-cyclic finite and hand-built rules
-    only (grid, su2 Euler and product rules transform factor by factor);
-    stacks elsewhere serve the callers that need every matrix entry at every
-    node: matrix-entry functions, ``char:`` specs and the Schur suite.
+    An su2 Euler rule combines its grid d-matrices with the alpha and gamma
+    phases (``_euler_stack``); a product rule Kronecker-combines the
+    factors' stacks on its factor rules, so each factor is evaluated at its
+    own rule's nodes only; every other rule evaluates the label as a block
+    of one at ``rule.coords`` and builds no GroupPoint.  The transforms use
+    stacks on dihedral, non-cyclic finite and hand-built rules only; stacks
+    elsewhere serve matrix-entry functions, ``char:`` specs and the Schur
+    suite.
     """
-    twisted = _TWIST["stacks"]
-    cache, key = (rule._stacks, label) if twisted is None else (twisted, (rule, label))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if label.group != rule.group:
         raise ValueError(f"label {label.name} is not an irrep of {rule.group.name}")
-    if rule.meta.get("kind") == "su2-euler":
+    return _stack(label, rule)
+
+
+def _stack(label, rule):
+    # as in ``_blocks_at``, twists apply at the level of the group whose dual
+    # they cover: a factor's in the factor's ``_stack``, a product's last
+    kind = rule.meta.get("kind")
+    if kind == "su2-euler":
         stack = _euler_stack(label, rule)
-        us = block_twist((label,))
-        if us is not None:
-            stack = us[0].conj().T @ stack @ us[0]
+    elif kind == "product":
+        stack = functools.reduce(_kron_nodes, map(_stack, label.index, rule.meta["factor_rules"]))
     else:
         coords = _euler_coords(rule.group, rule.coords)
-        stack = _blocks_at(rule.group, ((label,),), coords, len(rule))[0][:, 0]
-    stack.setflags(write=False)
-    cache[key] = stack
-    return stack
+        return _blocks_at(rule.group, ((label,),), coords, len(rule))[0][:, 0]
+    us = block_twist((label,))
+    return stack if us is None else us[0].conj().T @ stack @ us[0]
+
+
+def _kron_nodes(a, b):
+    """kron(a[s], b[t]) at every node pair (s, t), s slowest (``groups._product_coords``)."""
+    d = a.shape[-1] * b.shape[-1]
+    pairs = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]  # (s, t, i, k, j, l)
+    return pairs.reshape(len(a) * len(b), d, d)

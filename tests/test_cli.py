@@ -92,6 +92,31 @@ def test_verify_su2_identities(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("group,res,cutoff", [("torus:2", 11, 5), ("product(torus:1,su2)", 5, 2)])
+def test_schur_suite_evaluates_each_stack_once(tmp_path, capsys, monkeypatch, group, res, cutoff):
+    """One Schur op evaluates each label's stack once: the gram and every
+    matrix-entry function are cut from those stacks, not re-evaluated per
+    cell."""
+    from pego import irreps
+
+    calls = []
+    real = irreps.irrep_stack
+
+    def counted(label, rule):
+        calls.append(label)
+        return real(label, rule)
+
+    monkeypatch.setattr(irreps, "irrep_stack", counted)
+    monkeypatch.setattr(cli, "irrep_stack", counted)
+    rc, out, _ = run(
+        capsys, "verify", "--suite", "schur", "--group", group, "--resolution", str(res),
+        "--cutoff", str(cutoff), "--out", str(tmp_path),
+    )
+    assert rc == 0
+    assert "FAIL" not in out
+    assert calls == irreps.enumerate_dual(cli.parse_group(group), cutoff)
+
+
 def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
     def broken(rule, cutoff, samples, seed):
         return [{"name": "planted", "lhs": 1.0, "rhs": 0.0, "satisfied": False}]

@@ -20,14 +20,12 @@ from pego import (
     FourierCoefficients,
     GroupMismatchError,
     NeighborhoodSpec,
-    QuadratureRule,
     ResolutionError,
     SampledFunction,
     basis_twist,
     builtin_family,
     constant_function,
     convolve,
-    coords_of,
     cyclic,
     dihedral,
     dirac_net_element,
@@ -57,7 +55,7 @@ from pego import (
     translate,
     translate_spectral,
 )
-from pego import fourier
+from pego import fourier, irreps
 from pego.irreps import irrep_matrices
 
 TWO_PI = 2.0 * math.pi
@@ -345,15 +343,6 @@ def test_mixed_rule_arithmetic_raises():
         convolve(f, g)
 
 
-def _fresh_su2_rule(res):
-    """An su2 Euler rule equal to the canonical one but with no stacks built."""
-    canon = haar_quadrature(su2(), res)
-    return QuadratureRule(
-        su2(), coords_of(su2(), canon.nodes), canon.weights, canon.exactness_degree, res,
-        canon.meta
-    )
-
-
 def _assert_transforms_match_dense_oracle(rule, dual, twisted, seed, twist_cutoff):
     """forward_batch and inverse against sums over irrep_matrices at every
     node, plain or under basis_twist, at atol 1e-13."""
@@ -431,54 +420,52 @@ def test_forward_beyond_the_safe_band_equals_the_dense_sum(group, res, cutoff):
     _assert_transforms_match_dense_oracle(rule, dual, False, 11, None)
 
 
-def _fresh_rule(group, res):
-    """A rule equal to the canonical one, down to fresh factor rules, with no
-    stacks built."""
-    canon = haar_quadrature(group, res)
-    meta = {k: v for k, v in canon.meta.items() if not k.startswith("_")}
-    if "factor_rules" in meta:
-        meta["factor_rules"] = tuple(_fresh_rule(f, res) for f in group.factors)
-    return QuadratureRule(group, coords_of(group, canon.nodes), canon.weights,
-                          canon.exactness_degree, res, meta)
+def _count_stacks(monkeypatch):
+    """The labels of every ``irreps.irrep_stack`` call from here on."""
+    calls = []
+    real = irreps.irrep_stack
 
+    def counted(label, rule):
+        calls.append(label)
+        return real(label, rule)
 
-def _all_stacks(rule):
-    return [dict(rule._stacks)] + [
-        s for fr in rule.meta.get("factor_rules", ()) for s in _all_stacks(fr)
-    ]
+    monkeypatch.setattr(irreps, "irrep_stack", counted)
+    return calls
 
 
 @pytest.mark.parametrize("group,res", [(torus(2), 17), (product(torus(1), su2()), 5)], ids=str)
-def test_grid_and_product_transforms_build_no_stacks(group, res):
+def test_grid_and_product_transforms_build_no_stacks(group, res, monkeypatch):
     """Forward, inverse and off-grid translation on a torus grid and on a
-    product rule leave the rule and its factor rules without a stack."""
-    rule = _fresh_rule(group, res)
+    product rule evaluate no irrep stack, on the rule or its factor rules."""
+    rule = haar_quadrature(group, res)
     f = random_band_limited_function(rule, 2, seed=4)
+    calls = _count_stacks(monkeypatch)
     inverse_transform(forward_to_cutoff(f), rule)
     forward_batch([f, f], enumerate_dual(group, safe_band(rule)))
     y = sample_ball(group, NeighborhoodSpec(0.7, 3), seed=1)[-1]
     moved = translate(f, y)
+    assert calls == []
     npt.assert_allclose(moved.values, evaluate_at(forward_to_cutoff(f),
                         [multiply(x, y) for x in rule.nodes]), rtol=0, atol=1e-12)
-    assert all(stacks == {} for stacks in _all_stacks(rule))
 
 
-def test_su2_transforms_build_no_stacks():
-    rule = _fresh_su2_rule(6)
+def test_su2_transforms_build_no_stacks(monkeypatch):
+    rule = haar_quadrature(su2(), 6)
     f = random_band_limited_function(rule, 3, seed=4)
     g = random_band_limited_function(rule, 2, seed=5)
+    calls = _count_stacks(monkeypatch)
     forward_batch([f, g], enumerate_dual(su2(), 6))
     inverse_transform(forward_to_cutoff(f), rule)
     q = np.array([0.3, -0.5, 0.7, 0.2])
     translate(f, point(su2(), tuple(q / np.linalg.norm(q))))
     convolve(f, g, method="spectral")
-    assert rule._stacks == {}
+    assert calls == []
 
 
 def test_su2_transform_memory_stays_far_below_the_stacks():
     """Forward plus inverse at res 12, where the stacks of the alias-free
     dual would take n * sum d^2 * 16 = 209 MB."""
-    rule = _fresh_su2_rule(12)
+    rule = haar_quadrature(su2(), 12)
     dual = enumerate_dual(su2(), safe_band(rule))
     assert len(rule) * sum(lab.dim**2 for lab in dual) * 16 > 200e6
     f = constant_function(rule)

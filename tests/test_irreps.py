@@ -8,6 +8,7 @@ checked against closed forms, and Schur orthogonality is verified by explicit
 Haar quadrature.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -346,8 +347,8 @@ def test_basis_twist_changes_entries_but_not_traces():
             irrep_stack(lab, rule), irrep_matrices(lab, rule.nodes), atol=1e-14
         )
     npt.assert_allclose(irrep_matrix(lab, q), plain, atol=0)
-    # the untwisted stack stored on the rule outlives the twist untouched
-    assert irrep_stack(lab, rule) is plain_stack
+    # once the twist exits, stacks are the untwisted ones again, bit for bit
+    npt.assert_array_equal(irrep_stack(lab, rule), plain_stack)
 
 
 def test_basis_twist_does_not_nest():
@@ -360,8 +361,8 @@ def test_basis_twist_does_not_nest():
 
 def test_hand_built_rule_gets_its_own_stack_and_identity():
     """A rule built directly with the canonical group and resolution but
-    shifted nodes must not reuse the canonical rule's cached stack, nor pass
-    as the same rule in function arithmetic."""
+    shifted nodes must get the matrices at its own nodes, not the canonical
+    rule's, and must not pass as the same rule in function arithmetic."""
     from pego import GroupMismatchError, QuadratureRule, SampledFunction
     from pego.irreps import irrep_matrices
 
@@ -375,10 +376,10 @@ def test_hand_built_rule_gets_its_own_stack_and_identity():
         canon.resolution,
     )
     lab = parse_label(g, "torus:[1]")
-    irrep_stack(lab, canon)  # warm the cache on the canonical rule
     npt.assert_allclose(
         irrep_stack(lab, shifted), irrep_matrices(lab, shifted.nodes), atol=1e-14
     )
+    assert np.abs(irrep_stack(lab, shifted) - irrep_stack(lab, canon)).max() > 0.1
     assert canon.rule_id == "torus:1|res8"
     assert shifted.rule_id != canon.rule_id
     ones = np.ones(len(canon))
@@ -436,3 +437,32 @@ def test_su2_euler_stacks_take_one_d_matrix_per_grid_beta(monkeypatch):
         for lab in labels:
             npt.assert_allclose(irrep_stack(lab, rule), irrep_matrices(lab, rule.nodes),
                                 rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("group,res", [(product(torus(1), su2()), 5), (product(su2(), cyclic(3)), 3)],
+                         ids=str)
+def test_product_stacks_come_from_their_factor_rules(group, res, monkeypatch):
+    """A product stack is the Kronecker product of its factors' stacks on the
+    factor rules: it equals the matrices node by node, plain and twisted, and
+    no D-matrix is evaluated on more rows than the su2 factor rule has."""
+    from pego import _wigner
+    from pego.irreps import irrep_matrices
+
+    rule = haar_quadrature(group, res)
+    n_su2 = len(haar_quadrature(su2(), res))
+    labels = enumerate_dual(group, 2)
+    rows = []
+    real_D = _wigner.wigner_D
+
+    def counting_D(two_ls, alpha, beta, gamma):
+        rows.append(np.size(beta))
+        return real_D(two_ls, alpha, beta, gamma)
+
+    for twist in (contextlib.nullcontext(), basis_twist(group, 2, seed=3)):
+        with twist:
+            monkeypatch.setattr(_wigner, "wigner_D", counting_D)
+            stacks = [irrep_stack(lab, rule) for lab in labels]
+            monkeypatch.setattr(_wigner, "wigner_D", real_D)
+            for lab, stack in zip(labels, stacks):
+                npt.assert_allclose(stack, irrep_matrices(lab, rule.nodes), rtol=0, atol=1e-14)
+    assert all(r <= n_su2 for r in rows)

@@ -28,7 +28,9 @@ each tree, one child process runs through ``pego.cli.main``:
   fiber and -identity; and the irrep-matrix case: ``irreps.irrep_blocks``
   of the su2 spins 0 to 16 at seeded off-grid points, the beta = 0 and
   beta = pi fibers and +-identity, and at a batch of elements repeating
-  a few betas, and of product(torus:1,su2) to band 4 at its seeded points.
+  a few betas, and of product(torus:1,su2) to band 4 at its seeded points;
+  last, the stack case: ``irreps.irrep_stack`` of every label of the dual
+  of each verify group, on that group's verify rule.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -145,12 +147,12 @@ def run_tree(tree, out_dir):
             codes[f"{section}/{_slug(name)}"] = cli.main(argv + ["--out", case_dir])
     with open(os.path.join(out_dir, "exit_codes.json"), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, sort_keys=True)
-    _run_library(out_dir)
+    _run_library(out_dir, workloads)
 
 
-def _run_library(out_dir):
+def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
-    su2 transform and irrep-matrix cases, into ``library.npz``."""
+    su2 transform, irrep-matrix and stack cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -170,6 +172,8 @@ def _run_library(out_dir):
     rng = np.random.default_rng([LIBRARY_SEED, len(values)])
     for part, vals in _irrep_values(rng).items():
         values[f"irrep-{part}"] = vals
+    for group_name, cutoff, res in workloads.VERIFY_GROUPS:
+        values[f"stack-{group_name}"] = _stack_values(group_name, cutoff, res)
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -220,6 +224,17 @@ def _irrep_values(rng):
             blocks = irreps.irrep_blocks(table.block_labels, points)
             out[key] = np.concatenate([b.reshape(len(points), -1) for b in blocks], axis=1)
     return out
+
+
+def _stack_values(group_name, cutoff, res):
+    """The stack case of one verify group: ``irreps.irrep_stack`` of every
+    label of its dual on its verify rule, one row per node."""
+    from pego import groups, irreps
+
+    group = groups.parse_group(group_name)
+    rule = groups.haar_quadrature(group, res)
+    return np.concatenate([irreps.irrep_stack(lab, rule).reshape(len(rule), -1)
+                           for lab in irreps.enumerate_dual(group, cutoff)], axis=1)
 
 
 def _law_values(group, res, band, rng):
@@ -385,8 +400,9 @@ def compare(old_dir, new_dir):
 
 def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
-    cases, of the su2 transform case and of the irrep-matrix case of the
-    library section; True when all are within LIBRARY_TOL."""
+    cases, of the su2 transform case, of the irrep-matrix case and of the
+    stack case of the library section; True when all are within
+    LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
@@ -394,7 +410,7 @@ def _compare_library(old_dir, new_dir):
         gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
                 for name in old.files}
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
-             "irrep-": "irrep-matrix"}
+             "irrep-": "irrep-matrix", "stack-": "irrep-stack"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
