@@ -189,10 +189,15 @@ class BoundednessReport:
 @dataclass(frozen=True)
 class _Spectrum:
     """One forward transform of a whole family, read by every part of a
-    verdict: each member's coefficients against ``labels``, the members' L2
-    norms, and the (members, labels) table of dim(pi) ||coeff(pi)||_F^2."""
+    verdict: each member's coefficients against ``labels`` (``coeffs``), the
+    same coefficients stacked once per dimension block of their slot table as
+    (members, n_b, d, d) arrays (``stacks``), the members' L2 norms, and the
+    (members, labels) table of dim(pi) ||coeff(pi)||_F^2, built from the
+    stacks one block at a time (bitwise equal to each member's
+    ``label_masses``)."""
 
     coeffs: list
+    stacks: tuple
     l2: np.ndarray
     label_mass: np.ndarray
 
@@ -203,6 +208,14 @@ class _Spectrum:
         them."""
         return norms.floored_tails(self.l2**2, fourier.head_sums(self.label_mass, positions))
 
+    def prefix_tails(self, ends):
+        """``tails`` outside the leading labels ``labels[:end]`` for every
+        end (>= 1) of ``ends`` at once, as a (len(ends), members) array.  The
+        masses are summed once, one term at a time in label order, so each
+        partial sum is bitwise the ``head_sums`` of its prefix."""
+        heads = np.cumsum(self.label_mass, axis=1)[:, np.asarray(ends, dtype=int) - 1]
+        return norms.floored_tails(self.l2**2, heads.T)
+
 
 def _spectrum(family, labels=None):
     """Transform the family once, against ``labels`` (default: the canonical
@@ -210,8 +223,12 @@ def _spectrum(family, labels=None):
     if labels is None:
         labels = irreps.enumerate_dual(family.group, fourier.safe_band(family.rule))
     coeffs = fourier.forward_batch(family.members, labels)
-    label_mass = np.stack([c.label_masses() for c in coeffs])
-    return _Spectrum(coeffs, _member_norms(family, 2), label_mass)
+    table = coeffs[0].table
+    stacks = tuple(np.stack([c.blocks[b] for c in coeffs]) for b in range(len(table.dims)))
+    label_mass = np.empty((len(coeffs), len(table.labels)))
+    for d, mem, stack in zip(table.dims, table.members, stacks):
+        label_mass[:, mem] = d * np.sum(np.abs(stack) ** 2, axis=(2, 3))
+    return _Spectrum(coeffs, stacks, _member_norms(family, 2), label_mass)
 
 
 def _member_norms(family, p):
@@ -303,6 +320,13 @@ def _decay_profile(family, filtration, p, spectrum):
         spectrum = _spectrum(family, filtration.top.labels)
     top = filtration.top
     coeffs = spectrum.coeffs
+    labels = coeffs[0].labels
+    if p == 2.0 and all(labels[: len(s)] == s.labels for s in filtration):
+        # the steps of a shell filtration are prefixes of the transformed
+        # labels: every step's tails from one running sum of the masses
+        table = spectrum.prefix_tails([len(s) for s in filtration])
+        steps = [DecayStep(s, per, float(per.max())) for s, per in zip(filtration, table)]
+        return DecayProfile(family.name, p, steps, False)
     steps = []
     truncated = False
     for subset in filtration:
@@ -397,41 +421,58 @@ def _continuity_profile(family, mesh, ball_samples, p, seed, path, spectrum):
         per_point = _spectral_moduli(spectrum or _spectrum(family), pool)
     else:
         per_point = np.stack([_translation_moduli(f, pool, [p])[0] for f in family.members])
-    out = np.zeros((len(family), len(mesh)))
-    for k, delta in enumerate(mesh):
-        inside = dists <= delta + 1e-12
-        out[:, k] = per_point[:, inside].max(axis=1) if inside.any() else 0.0
+    # the points within a radius are a prefix of the pool sorted by
+    # distance, so each ball's sup is a running max read at its prefix end
+    order = np.argsort(dists, kind="stable")
+    running = np.maximum.accumulate(per_point[:, order], axis=1)
+    inside = np.searchsorted(dists[order], mesh + 1e-12, side="right")
+    out = np.where(inside > 0, running[:, inside - 1], 0.0)
     return ContinuityProfile(family.name, p, mesh, out, path, ball_samples, seed)
 
 
 def _spectral_moduli(spectrum, ys):
     """||R_y f - f||_2 for every member (rows) and every row y of the
-    coordinate array ``ys``, from
-    the coefficients: the sum over labels of dim ||(pi(y) - I) coeff(pi)||_F^2
-    plus four times the mass beyond the cutoff, which moves by at most a
-    factor 2 in norm.
+    coordinate array ``ys`` (columns), by Plancherel: the sum over labels of
+    dim ||(pi(y) - I) coeff(pi)||_F^2, plus four times the mass beyond the
+    cutoff, which moves by at most a factor 2 in norm.
 
-    Per dimension block, the action on all members and all y is one product
-    (elementwise on 1x1 blocks), in batches of members of at most
-    _ACTION_BLOCK_VALUES values.
+    Every term is a sum of squared moduli, so nothing cancels when f is
+    nearly invariant under y and no floor is needed.  No work runs once per
+    (member, y) pair; each dimension block of ``spectrum.stacks`` is one
+    product.  On characters |(chi(y) - 1) c|^2 = |chi(y) - 1|^2 |c|^2, so a
+    1-dim block is the real GEMM of the (members, n_b) label masses with the
+    (n_b, ys) table of |chi(y) - 1|^2.  On a block of dimension d >= 2, each
+    label's (pi(y) - I) C for every pair is one GEMM (ys*d, d) @ (d, members*d),
+    batched over the block's labels, whose entries are squared and summed.
+    Those products hold at most _ACTION_BLOCK_VALUES complex values: members
+    are taken a batch at a time.
     """
-    coeffs = spectrum.coeffs
-    table = coeffs[0].table
-    beyond = spectrum.tails(np.arange(len(table.labels))) ** 2
-    acc = np.zeros((len(coeffs), _rows(ys)))
-    for b, (d, mats) in enumerate(zip(table.dims, table.matrices_at(ys))):
-        act = mats - np.eye(d)  # (ys, n_b, d, d)
-        block = np.stack([c.blocks[b] for c in coeffs])  # (members, n_b, d, d)
-        per_batch = max(1, _ACTION_BLOCK_VALUES // act.size)
-        for lo in range(0, len(coeffs), per_batch):
-            part = block[lo : lo + per_batch]
-            if d == 1:
-                moved = act[None, :, :, 0, 0] * part[:, None, :, 0, 0]
-            else:
-                moved = act[None] @ part[:, None]
-            acc[lo : lo + per_batch] += d * np.sum(
-                np.abs(moved) ** 2, axis=tuple(range(2, moved.ndim))
-            )
+    table = spectrum.coeffs[0].table
+    beyond = spectrum.prefix_tails([len(table.labels)])[0] ** 2
+    n, m = _rows(ys), len(spectrum.coeffs)
+    acc = np.zeros((m, n))
+    blocks = zip(table.dims, table.members, spectrum.stacks, table.matrices_at(ys))
+    for d, mem, stack, mats in blocks:
+        if d == 1:
+            chi = mats[:, :, 0, 0]
+            chi -= 1.0
+            acc += spectrum.label_mass[:, mem] @ np.square(np.abs(chi)).T
+            continue
+        n_b = len(mem)
+        # (n_b, ys*d, d): row (y, i) of label l holds (pi_l(y) - I)[i, :]
+        act = (mats - np.eye(d)).transpose(1, 0, 2, 3).reshape(n_b, n * d, d)
+        per_batch = max(1, _ACTION_BLOCK_VALUES // (n_b * n * d * d))
+        for lo in range(0, m, per_batch):
+            part = stack[lo : lo + per_batch]
+            k = len(part)
+            # (n_b, d, k*d): column (member, c) of label l holds C_l[:, c]
+            moved = act @ part.transpose(1, 2, 0, 3).reshape(n_b, d, k * d)
+            # |z|^2 = re^2 + im^2: square the float view in place, then sum
+            # over the rows i, over the columns c and over the labels
+            sq = moved.view(float).reshape(n_b, n, d, k * 2 * d)
+            np.square(sq, out=sq)
+            per = sq.sum(axis=2).reshape(n_b * n * k, 2 * d) @ np.ones(2 * d)
+            acc[lo : lo + k] += d * per.reshape(n_b, n, k).sum(axis=0).T
     return np.sqrt(acc + 4.0 * beyond[:, None])
 
 
@@ -460,8 +501,9 @@ def _translation_moduli(f, ys, ps, transform=None):
     block, so the translates held at once stay bounded however many elements
     there are.  Every block shares one transform of f at the alias-free band
     (``transform``, as ``_band_transform`` gives it; by default one made on
-    first need).  Each block's difference from f is taken in place, and
-    every exponent's norms are read from that one difference array.
+    first need).  Each block's difference from f is taken in place and its
+    magnitudes |R_y f - f| once; every exponent's norms are taken from
+    those magnitudes (``norms._magnitude_norms``).
     """
     transform = transform or _band_transform(f)
     per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
@@ -469,8 +511,13 @@ def _translation_moduli(f, ys, ps, transform=None):
     for lo in range(0, _rows(ys), per_block):
         moved = fourier._translate_values(f, _take(ys, slice(lo, lo + per_block)), transform)
         moved -= f.values
+        mags = np.abs(moved)
+        del moved  # freed before an exponent's copy of the magnitudes is made
         for row, p in enumerate(ps):
-            out[row, lo : lo + len(moved)] = norms.lp_value_norms(f.rule.weights, moved, p)
+            # every exponent but the last works on a copy: the norms
+            # overwrite the magnitudes they are given
+            own = mags if row == len(ps) - 1 else mags.copy()
+            out[row, lo : lo + len(mags)] = norms._magnitude_norms(f.rule.weights, own, p)
     return out
 
 
@@ -829,13 +876,18 @@ def _embed_coefficients(coeffs):
     """The coefficients as one real vector whose Euclidean norm is the
     Plancherel norm: block after block, and within a block label by label,
     sqrt(dim) * coeff, real part then imaginary part, row-major."""
-    parts = [
-        math.sqrt(d) * np.stack([block.real, block.imag], axis=1).ravel()
-        for d, block in zip(coeffs.table.dims, coeffs.blocks)
-    ]
-    if not parts:
+    if not coeffs.blocks:
         return np.zeros(0)
-    return np.concatenate(parts)
+    return _embed_blocks(coeffs.table.dims, [b[None] for b in coeffs.blocks])[0]
+
+
+def _embed_blocks(dims, blocks):
+    """``_embed_coefficients`` of many members at once, from one or more
+    per-dimension (members, n_b, d, d) blocks: one row per member."""
+    return np.concatenate([
+        math.sqrt(d) * np.stack([block.real, block.imag], axis=2).reshape(len(block), -1)
+        for d, block in zip(dims, blocks)
+    ], axis=1)
 
 
 def _unembed_centers(vecs, subset, group):
@@ -853,18 +905,6 @@ def _unembed_centers(vecs, subset, group):
         fourier.FourierCoefficients.from_blocks(group, table, [b[k] for b in blocks])
         for k in range(len(vecs))
     ]
-
-
-def _prefix_coefficients(coeffs, table):
-    """The coefficients of ``coeffs`` on the labels of the slot table
-    ``table``, a prefix of ``coeffs.labels``: their blocks are leading slices
-    (views) of the blocks of ``coeffs``."""
-    if coeffs.labels[: len(table.labels)] != table.labels:
-        raise ValueError("the table's labels are not a prefix of the coefficients' labels")
-    blocks = dict(zip(coeffs.table.dims, coeffs.blocks))
-    return fourier.FourierCoefficients.from_blocks(coeffs.group, table, [
-        blocks[d][: len(labs)] for d, labs in zip(table.dims, table.block_labels)
-    ])
 
 
 def epsilon_net(
@@ -896,14 +936,15 @@ def epsilon_net(
     # the witness step: its per-member tails are the residuals outside it
     step = verdict.decay_profile.steps[verdict.decay_profile.witness_index(epsilon / 2.0)]
     subset = step.subset
-    if filtration is None:
-        # the witness is a step of the shell filtration, a prefix of the
-        # transformed dual: its blocks are prefixes of the dual's blocks
-        table = fourier.slot_table(subset.labels)
-        coeffs = [_prefix_coefficients(c, table) for c in spectrum.coeffs]
-    else:
-        coeffs = fourier.forward_batch(family.members, subset.labels)
-    vecs = np.stack([_embed_coefficients(c) for c in coeffs])
+    if filtration is not None:
+        spectrum = _spectrum(family, subset.labels)
+    # the witness is a prefix of the transformed labels (a step of the shell
+    # filtration, or all of them): its blocks lead the spectrum's stacks
+    stacks = dict(zip(spectrum.coeffs[0].table.dims, spectrum.stacks))
+    table = fourier.slot_table(subset.labels)
+    vecs = _embed_blocks(table.dims, [
+        stacks[d][:, : len(labs)] for d, labs in zip(table.dims, table.block_labels)
+    ])
     n_real = vecs.shape[1]
     cell = epsilon / math.sqrt(n_real) if n_real else epsilon
     # centered cells: a coordinate that is zero in exact arithmetic snaps to

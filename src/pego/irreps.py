@@ -468,20 +468,39 @@ def _blocks_at(group, block_labels, coords, n):
 
 
 def _block_at(group, labels, coords):
-    """Untwisted matrices of one block of a cyclic, torus or dihedral group."""
+    """Untwisted matrices of one block of a cyclic, torus or dihedral group.
+
+    A torus character is the product over axes of exp(i k_a theta_a): per
+    axis, exp(i k theta) is taken once for each k from the block's lowest
+    to its highest frequency (``_torus_frequencies``), and each label
+    gathers its factors from those tables.  A label's matrices thus do not
+    depend on the other labels of the block.
+    """
     fam = group.family
     if fam == "cyclic":
         ks = np.array([lab.index[0] for lab in labels], dtype=float)
         return np.exp(2j * np.pi * coords * ks / group.n)
     if fam == "torus":
-        ks = np.array([lab.index for lab in labels], dtype=float)
-        phase = coords[:, :1] * ks[:, 0]
-        for a in range(1, group.n):
-            phase = phase + coords[:, a : a + 1] * ks[:, a]
-        return np.exp(1j * phase)
+        offsets, low, high = _torus_frequencies(labels)
+        out = None
+        for a in range(group.n):
+            ks = np.arange(low[a], high[a] + 1, dtype=float)
+            part = np.take(np.exp(1j * (coords[:, a : a + 1] * ks)), offsets[a], axis=1)
+            out = part if out is None else np.multiply(out, part, out=out)
+        return out
     if fam == "dihedral":  # (n, n_b * d * d), as ``_blocks_at`` reads it
         return np.concatenate([_dihedral_matrix_arrays(lab, *coords.T) for lab in labels], axis=1)
     raise ValueError(f"unknown family {fam!r}")
+
+
+@functools.cache
+def _torus_frequencies(labels):
+    """A block of torus labels' frequencies as (rank, n_b) offsets from the
+    lowest frequency of each axis, with the lowest and highest frequency per
+    axis; built once per label tuple, like ``fourier.slot_table``."""
+    ks = np.array([lab.index for lab in labels]).reshape(len(labels), -1).T
+    low, high = ks.min(axis=1), ks.max(axis=1)
+    return np.ascontiguousarray(ks - low[:, None]), low.tolist(), high.tolist()
 
 
 def _product_blocks_at(group, block_labels, coords, n):

@@ -136,14 +136,19 @@ def lp_function_norm(f, p):
 def lp_value_norms(weights, values, p):
     """Quadrature L^p norms of the rows of a (k, N) value array against the
     rule weights; p = inf takes the max over nodes (0 with no nodes)."""
+    return _magnitude_norms(weights, np.abs(values), p)
+
+
+def _magnitude_norms(weights, mags, p):
+    """``lp_value_norms`` from the magnitudes ``mags`` = |values|.  Unless p
+    is inf the power is taken in place, so ``mags`` is overwritten."""
     if p != math.inf and p < 1:
         raise ValueError("exponent must be >= 1 or inf")
-    a = np.abs(values)
     if p == math.inf:
-        return a.max(axis=1, initial=0.0)
-    a **= p
-    a *= weights
-    return np.sum(a, axis=1) ** (1.0 / p)
+        return mags.max(axis=1, initial=0.0)
+    mags **= p
+    mags *= weights
+    return np.sum(mags, axis=1) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

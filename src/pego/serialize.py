@@ -25,8 +25,107 @@ class FormatError(ValueError):
 
 
 def dumps(doc):
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False) + "\n"``, written by a small recursive writer instead
+    of the pure-Python encoder that ``json`` falls back to when it indents:
+    strings through ``json``'s C escaper, floats as ``float.__repr__``,
+    parts joined once.  NaN and infinities raise ValueError, and anything
+    ``json`` cannot write raises TypeError, as there.
+    """
+    parts = []
+    _write(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x):
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_TEXT = {
+    str: _escape,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _scalar(o):
+    """The JSON text of a string, None, bool, int or float; None for
+    containers and other objects.  Subclasses are tested in ``json``'s
+    order: str, int, float."""
+    to_text = _TEXT.get(type(o))
+    if to_text is not None:
+        return to_text(o)
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _key(k):
+    """A dict key as ``json`` writes it: a string escaped, a scalar as its
+    JSON text in quotes."""
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(o, parts, newline):
+    """Append the JSON text of ``o`` to ``parts``; ``newline`` is the line
+    break and indent of ``o``'s own level.  Scalars inside a container are
+    written in its loop, and a list of scalars is joined in one part."""
+    inner = newline + "  "
+    if isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            head = sep + _key(k) + ": "
+            text = _scalar(v)
+            if text is None:
+                parts.append(head)
+                _write(v, parts, inner)
+            else:
+                parts.append(head + text)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        texts = [_scalar(item) for item in o]
+        if None not in texts:
+            parts.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
+        sep = "[" + inner
+        for item, text in zip(o, texts):
+            if text is None:
+                parts.append(sep)
+                _write(item, parts, inner)
+            else:
+                parts.append(sep + text)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        text = _scalar(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        parts.append(text)
 
 
 def _cpair(z):

@@ -29,8 +29,11 @@ each tree, one child process runs through ``pego.cli.main``:
   of the su2 spins 0 to 16 at seeded off-grid points, the beta = 0 and
   beta = pi fibers and +-identity, and at a batch of elements repeating
   a few betas, and of product(torus:1,su2) to band 4 at its seeded points;
-  last, the stack case: ``irreps.irrep_stack`` of every label of the dual
-  of each verify group, on that group's verify rule.
+  then the stack case: ``irreps.irrep_stack`` of every label of the dual
+  of each verify group, on that group's verify rule; last, the continuity
+  case: ``compactness.equicontinuity_profile`` of the seven audit families
+  (default mesh, the audit's ball samples, seed 1), one array of
+  per-member moduli per family.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -132,6 +135,16 @@ def run_tree(tree, out_dir):
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
+
+    codes = run_cases(out_dir, workloads)
+    with open(os.path.join(out_dir, "exit_codes.json"), "w", encoding="utf-8") as fh:
+        json.dump(codes, fh, sort_keys=True)
+    _run_library(out_dir, workloads)
+
+
+def run_cases(out_dir, workloads):
+    """Run every CLI case with the imported pego, outputs under ``out_dir``;
+    return the exit codes by case."""
     from pego import cli
 
     codes = {}
@@ -145,14 +158,13 @@ def run_tree(tree, out_dir):
             argv = argv + ["--family", path]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes[f"{section}/{_slug(name)}"] = cli.main(argv + ["--out", case_dir])
-    with open(os.path.join(out_dir, "exit_codes.json"), "w", encoding="utf-8") as fh:
-        json.dump(codes, fh, sort_keys=True)
-    _run_library(out_dir, workloads)
+    return codes
 
 
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
-    su2 transform, irrep-matrix and stack cases, into ``library.npz``."""
+    su2 transform, irrep-matrix, stack and continuity cases, into
+    ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -174,6 +186,9 @@ def _run_library(out_dir, workloads):
         values[f"irrep-{part}"] = vals
     for group_name, cutoff, res in workloads.VERIFY_GROUPS:
         values[f"stack-{group_name}"] = _stack_values(group_name, cutoff, res)
+    for name, doc, _, _ in workloads.AUDIT_FAMILIES:
+        values[f"continuity-{name}"] = _continuity_values(
+            dict(doc, name=name, seed=DIAGNOSE_SEED), workloads.AUDIT_BALL_SAMPLES)
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -235,6 +250,17 @@ def _stack_values(group_name, cutoff, res):
     rule = groups.haar_quadrature(group, res)
     return np.concatenate([irreps.irrep_stack(lab, rule).reshape(len(rule), -1)
                            for lab in irreps.enumerate_dual(group, cutoff)], axis=1)
+
+
+def _continuity_values(doc, ball_samples):
+    """The continuity case of one audit family: the (members, mesh) moduli
+    of ``compactness.equicontinuity_profile`` at the default mesh."""
+    from pego import compactness, serialize
+
+    family, _ = serialize.family_from_json(doc)
+    profile = compactness.equicontinuity_profile(family, ball_samples=ball_samples,
+                                                 seed=DIAGNOSE_SEED)
+    return profile.per_member
 
 
 def _law_values(group, res, band, rng):
@@ -400,9 +426,9 @@ def compare(old_dir, new_dir):
 
 def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
-    cases, of the su2 transform case, of the irrep-matrix case and of the
-    stack case of the library section; True when all are within
-    LIBRARY_TOL."""
+    cases, of the su2 transform case, of the irrep-matrix case, of the
+    stack case and of the continuity case of the library section; True
+    when all are within LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
@@ -410,7 +436,7 @@ def _compare_library(old_dir, new_dir):
         gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
                 for name in old.files}
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
-             "irrep-": "irrep-matrix", "stack-": "irrep-stack"}
+             "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
