@@ -191,30 +191,24 @@ class _Spectrum:
     """One forward transform of a whole family, read by every part of a
     verdict: each member's coefficients against ``labels`` (``coeffs``), the
     same coefficients stacked once per dimension block of their slot table as
-    (members, n_b, d, d) arrays (``stacks``), the members' L2 norms, and the
+    (members, n_b, d, d) arrays (``stacks``), the members' L2 norms, the
     (members, labels) table of dim(pi) ||coeff(pi)||_F^2, built from the
     stacks one block at a time (bitwise equal to each member's
-    ``label_masses``)."""
+    ``label_masses``), and each member's squared mass beyond the labels
+    (``beyond``, bitwise ``norms.beyond_cutoff_mass``)."""
 
     coeffs: list
     stacks: tuple
     l2: np.ndarray
     label_mass: np.ndarray
+    beyond: np.ndarray
 
-    def tails(self, positions):
-        """Per member, the l2 tail outside the labels at ``positions``: the
-        Plancherel residual sqrt(||f||^2 - head) under ``norms.floored_tails``,
-        with the heads summed by ``fourier.head_sums``, as ``head_mass`` sums
-        them."""
-        return norms.floored_tails(self.l2**2, fourier.head_sums(self.label_mass, positions))
-
-    def prefix_tails(self, ends):
-        """``tails`` outside the leading labels ``labels[:end]`` for every
-        end (>= 1) of ``ends`` at once, as a (len(ends), members) array.  The
-        masses are summed once, one term at a time in label order, so each
-        partial sum is bitwise the ``head_sums`` of its prefix."""
-        heads = np.cumsum(self.label_mass, axis=1)[:, np.asarray(ends, dtype=int) - 1]
-        return norms.floored_tails(self.l2**2, heads.T)
+    def tails(self, outside):
+        """Per member, the l2 tail outside a subset of the labels, given by
+        the boolean mask ``outside`` over them, or by a (steps, labels) stack
+        of masks for a (steps, members) array: sqrt(beyond + the masses
+        outside), summed as ``norms.plancherel_residual`` sums them."""
+        return norms._summed_tails(self.label_mass, np.asarray(outside)[..., None, :], self.beyond)
 
 
 def _spectrum(family, labels=None):
@@ -228,7 +222,8 @@ def _spectrum(family, labels=None):
     label_mass = np.empty((len(coeffs), len(table.labels)))
     for d, mem, stack in zip(table.dims, table.members, stacks):
         label_mass[:, mem] = d * np.sum(np.abs(stack) ** 2, axis=(2, 3))
-    return _Spectrum(coeffs, stacks, _member_norms(family, 2), label_mass)
+    l2 = _member_norms(family, 2)
+    return _Spectrum(coeffs, stacks, l2, label_mass, norms._beyond_masses(l2**2, label_mass))
 
 
 def _member_norms(family, p):
@@ -270,8 +265,10 @@ class DecayStep:
 
 @dataclass
 class DecayProfile:
-    """l2-oplus tails of every member along a dual filtration (p = 2 uses the
-    Plancherel residual, so mass beyond the computed cutoff is included)."""
+    """l2-oplus tails of every member along a dual filtration.  At p = 2 a
+    tail is the Plancherel residual: the masses outside the step summed in
+    label order plus the mass beyond the computed cutoff, so tails far below
+    ||f|| keep their digits."""
 
     family_name: str
     p: float
@@ -284,26 +281,25 @@ class DecayProfile:
 
     def witness_index(self, eps):
         """Index of the first subset with sup tail < eps, None if absent."""
-        for i, s in enumerate(self.steps):
-            if s.sup_tail < eps:
-                return i
-        return None
+        return _first_below(self.sup_tails, eps)
 
     def member_witness_indices(self, eps):
         table = np.stack([s.per_member for s in self.steps])  # (steps, m)
-        out = []
-        for j in range(table.shape[1]):
-            idx = np.nonzero(table[:, j] < eps)[0]
-            out.append(int(idx[0]) if idx.size else None)
-        return out
+        return [_first_below(col, eps) for col in table.T]
+
+
+def _first_below(values, eps):
+    """Index of the first entry of ``values`` below eps, None if absent."""
+    idx = np.flatnonzero(np.asarray(values) < eps)
+    return int(idx[0]) if idx.size else None
 
 
 def tail_decay_profile(family, filtration=None, p=2.0):
     """Tails of every member outside each filtration step.
 
-    p = 2 tails are Plancherel residuals (exact including beyond-cutoff
-    mass); other exponents are summed over the computed dual only and the
-    profile is marked truncated.
+    p = 2 tails are Plancherel residuals (``norms.plancherel_residual``,
+    beyond-cutoff mass included); other exponents are summed over the
+    computed dual only and the profile is marked truncated.
     """
     return _decay_profile(family, filtration, p, None)
 
@@ -318,38 +314,32 @@ def _decay_profile(family, filtration, p, spectrum):
         spectrum = spectrum or _spectrum(family)
     else:
         spectrum = _spectrum(family, filtration.top.labels)
-    top = filtration.top
     coeffs = spectrum.coeffs
-    labels = coeffs[0].labels
-    if p == 2.0 and all(labels[: len(s)] == s.labels for s in filtration):
-        # the steps of a shell filtration are prefixes of the transformed
-        # labels: every step's tails from one running sum of the masses
-        table = spectrum.prefix_tails([len(s) for s in filtration])
-        steps = [DecayStep(s, per, float(per.max())) for s, per in zip(filtration, table)]
+    if p == 2.0:
+        # every step's tails from one running sum of the masked mass table
+        outside = np.ones((len(filtration), len(coeffs[0].labels)), dtype=bool)
+        for row, subset in zip(outside, filtration):
+            row[coeffs[0].positions(subset)] = False
+        tails = spectrum.tails(outside)
+        steps = [DecayStep(s, per, float(per.max())) for s, per in zip(filtration, tails)]
         return DecayProfile(family.name, p, steps, False)
     steps = []
-    truncated = False
     for subset in filtration:
-        if p == 2.0:
-            # each step's heads are the head_sums that
-            # FourierCoefficients.head_mass takes, so they agree bitwise
-            per = spectrum.tails(coeffs[0].positions(subset))
-        else:
-            comp = subset.complement_within(top.labels)
-            per = np.array([norms.lp_oplus_norm(c, p, comp).value for c in coeffs])
-            truncated = not family.group.is_finite
+        comp = subset.complement_within(filtration.top.labels)
+        per = np.array([norms.lp_oplus_norm(c, p, comp).value for c in coeffs])
         steps.append(DecayStep(subset, per, float(per.max())))
-    return DecayProfile(family.name, p, steps, truncated)
+    return DecayProfile(family.name, p, steps, not family.group.is_finite)
 
 
 @dataclass
 class ContinuityProfile:
     """Sampled modulus of L^p continuity over shrinking identity balls.
 
-    ``path`` records how moduli were computed: "spectral" squares the
-    coefficient-side action (exact for band-limited members, with the beyond-
-    cutoff tail bounded via the Plancherel residual) and "direct" translates
-    samples.  omegas[k] = sup over members and ball samples at deltas[k].
+    ``path`` records how moduli were computed, which follows from p:
+    "spectral" at p = 2 squares the coefficient-side action (exact for
+    band-limited members, with twice the beyond-cutoff mass bounding the
+    rest) and "direct" at any other p translates samples.  omegas[k] = sup
+    over members and ball samples at deltas[k].
     """
 
     family_name: str
@@ -366,18 +356,11 @@ class ContinuityProfile:
 
     def witness_delta(self, eps):
         """Largest delta in the mesh with omega(delta) < eps, None if absent."""
-        om = self.omegas
-        for k in range(len(self.deltas)):
-            if om[k] < eps:
-                return float(self.deltas[k])
-        return None
+        k = _first_below(self.omegas, eps)
+        return None if k is None else float(self.deltas[k])
 
     def member_witness_indices(self, eps):
-        out = []
-        for j in range(self.per_member.shape[0]):
-            idx = np.nonzero(self.per_member[j] < eps)[0]
-            out.append(int(idx[0]) if idx.size else None)
-        return out
+        return [_first_below(row, eps) for row in self.per_member]
 
 
 def default_mesh(group):
@@ -387,19 +370,18 @@ def default_mesh(group):
     return np.geomspace(1.0, 1e-4, 13)
 
 
-def equicontinuity_profile(
-    family, mesh=None, ball_samples=8, p=2.0, seed=0, path="auto"
-):
+def equicontinuity_profile(family, mesh=None, ball_samples=8, p=2.0, seed=0):
     """Sampled modulus ||R_y f - f||_p over y in shrinking identity balls.
 
     The mesh must be strictly decreasing.  The same seed redraws the same
     ball directions at every radius, so the sampled modulus shrinks along
-    rays.  p = 2 defaults to the spectral path; any p can force "direct".
+    rays.  p = 2 takes the spectral path, any other p translates samples
+    ("direct").
     """
-    return _continuity_profile(family, mesh, ball_samples, p, seed, path, None)
+    return _continuity_profile(family, mesh, ball_samples, p, seed, None)
 
 
-def _continuity_profile(family, mesh, ball_samples, p, seed, path, spectrum):
+def _continuity_profile(family, mesh, ball_samples, p, seed, spectrum):
     """``equicontinuity_profile``; the spectral path reads ``spectrum`` (one
     is computed when None)."""
     if mesh is None:
@@ -409,10 +391,7 @@ def _continuity_profile(family, mesh, ball_samples, p, seed, path, spectrum):
         raise ValueError("mesh must be a strictly decreasing array of radii")
     if np.any(mesh <= 0):
         raise ValueError("mesh radii must be positive")
-    if path == "auto":
-        path = "spectral" if p == 2.0 else "direct"
-    if path == "spectral" and p != 2.0:
-        raise ValueError("the spectral path computes L^2 moduli only")
+    path = "spectral" if p == 2.0 else "direct"
     # one pooled sample across all radii: each ball's modulus is taken over
     # every pooled point inside it, so sample sets are nested and the sampled
     # omega is genuinely nonincreasing as delta shrinks
@@ -448,7 +427,7 @@ def _spectral_moduli(spectrum, ys):
     are taken a batch at a time.
     """
     table = spectrum.coeffs[0].table
-    beyond = spectrum.prefix_tails([len(table.labels)])[0] ** 2
+    beyond = spectrum.beyond
     n, m = _rows(ys), len(spectrum.coeffs)
     acc = np.zeros((m, n))
     blocks = zip(table.dims, table.members, spectrum.stacks, table.matrices_at(ys))
@@ -557,7 +536,8 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     the final norms depend on the exponent, so every pair shares the Dirac
     element, its transform and A, one transform of f, and one sweep of
     translates over the ball (``_translation_moduli``), which gives the
-    moduli at every p.
+    moduli at every p.  At p' = 2 the tail is ``norms.plancherel_residual``:
+    the complement's masses summed, plus the mass beyond the cutoff.
     """
     pairs = [ExponentPair.of(pair) for pair in pairs]
     rule = f.rule
@@ -580,12 +560,7 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     for pair, row in zip(pairs, moduli):
         q = pair.p_conj
         if q == 2.0:
-            # coefficient-side sum over the computed complement, plus any
-            # genuine mass beyond the cutoff; using the raw Plancherel
-            # residual here would floor an exactly-zero tail at
-            # sqrt(float cancellation) ~ 1e-8
-            within = fc.head_mass(comp)
-            tail = math.sqrt(within + norms.beyond_cutoff_mass(f, fc))
+            tail = norms.plancherel_residual(f, fc, subset)
             truncated = False
         else:
             tail = norms.lp_oplus_norm(fc, q, comp).value
@@ -814,7 +789,7 @@ def _profiles(family, filtration, mesh, ball_samples, seed):
     spectrum = _spectrum(family)
     bnd = _boundedness(family, spectrum.l2)
     decay = _decay_profile(family, filtration, 2.0, spectrum)
-    conti = _continuity_profile(family, mesh, ball_samples, 2.0, seed, "auto", spectrum)
+    conti = _continuity_profile(family, mesh, ball_samples, 2.0, seed, spectrum)
     return spectrum, bnd, decay, conti
 
 

@@ -208,8 +208,9 @@ def head_sums(masses, positions):
     """Sums of ``masses[..., positions]``, added one term at a time in the
     given order (0 for no positions).
 
-    The one summation behind every head mass: ``head_mass`` and the p = 2
-    tail profile both call it, so their heads agree bitwise.
+    The one summation behind every head mass and every p = 2 tail:
+    ``head_mass``, the mass beyond a coverage and the tails of
+    ``norms.plancherel_residual`` and the decay profile all call it.
     """
     picked = masses[..., positions]
     if picked.shape[-1] == 0:
@@ -226,8 +227,10 @@ class FourierCoefficients:
     tuple's ``slot_table`` (``table``); ``coeffs[lab]`` is a view into its
     block.  ``cutoff`` records the shell cutoff when the coverage came from
     ``enumerate_dual`` (None for ad-hoc label sets).  ``l2_mass_total``
-    carries ||f||_2^2 of the source function when known, which lets tail
-    computations account for mass outside the coverage.
+    carries ||f||_2^2 of the source function when known (every forward
+    transform sets it).  It is written to and read from JSON
+    (``serialize``); no tail reads it, since every p = 2 tail takes ||f||_2
+    from the samples (``norms.beyond_cutoff_mass``).
 
     Built from a dict ``{label: matrix}`` by the constructor, or from packed
     blocks by ``from_blocks``.

@@ -7,6 +7,16 @@ The dual-side norm at exponent p weights each irrep by its dimension,
 
 with the p = inf case the plain supremum of operator norms.  At p = 2 the
 norm squares to the Plancherel mass and matches ||f||_2 exactly.
+
+Every p = 2 tail is summed, never subtracted: the tail outside a subset A
+of the coverage is
+
+    sqrt(beyond + sum over pi in the coverage outside A of dim(pi) ||c(pi)||_F^2),
+
+the complement added in coverage order.  ``beyond`` = ||f||_2^2 minus the
+full head is the mass beyond the coverage (``beyond_cutoff_mass``), the
+one subtraction and the one roundoff floor, so a small tail keeps its
+digits.
 """
 
 from __future__ import annotations
@@ -21,17 +31,14 @@ from . import fourier
 __all__ = [
     "ExponentPair",
     "NormReport",
-    "ResidualReport",
     "HausdorffYoungCheck",
     "schatten_norm",
     "schatten_norms",
     "lp_oplus_norm",
     "lp_function_norm",
     "lp_value_norms",
-    "floored_tail",
-    "floored_tails",
+    "beyond_cutoff_mass",
     "plancherel_residual",
-    "plancherel_residual_report",
     "hausdorff_young_check",
     "hausdorff_young_checks",
 ]
@@ -151,54 +158,44 @@ def _magnitude_norms(weights, mags, p):
     return np.sum(mags, axis=1) ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Tail mass outside a subset: value, and the roundoff clamp applied."""
+def _beyond_masses(total, label_mass):
+    """The squared l2 mass beyond the coverage: ||f||^2 (``total``) minus
+    the sum of the (..., labels) ``label_mass`` rows in label order
+    (``fourier.head_sums``), elementwise.
 
-    value: float
-    clamp: float
-    subset_names: tuple
-
-
-def floored_tail(mass, head):
-    """sqrt(mass - head) under the one roundoff floor, and the clamp applied.
-
-    A difference within 1e-12 * max(mass, 1) of zero is cancellation noise,
-    not spectrum, and reads as a zero tail (at full coverage the raw root
-    would read ~1e-8).  The clamp records how far a negative difference went
-    below zero, so larger roundoff stays visible.
+    The one place a head is subtracted from ||f||^2, under the one roundoff
+    floor: a difference within 1e-12 * max(||f||^2, 1) of zero is cancellation
+    noise, not spectrum, and reads as 0, so a band-limited f has exactly 0
+    mass beyond its band.
     """
-    return float(floored_tails(mass, head)), max(0.0, -(mass - head))
+    head = fourier.head_sums(label_mass, slice(None))
+    diff = np.asarray(total - head, dtype=float)
+    noise = np.abs(diff) <= 1e-12 * np.maximum(total, 1.0)
+    return np.where(noise, 0.0, np.maximum(diff, 0.0))
 
 
-def floored_tails(mass, head):
-    """The values of ``floored_tail`` for arrays of masses and heads,
-    elementwise."""
-    diff = np.asarray(mass - head, dtype=float)
-    noise = np.abs(diff) <= 1e-12 * np.maximum(mass, 1.0)
-    return np.sqrt(np.where(noise, 0.0, np.maximum(diff, 0.0)))
-
-
-def plancherel_residual_report(f, coeffs, subset):
-    """sqrt of ||f||_2^2 minus the head mass on ``subset``, with clamp info,
-    under the roundoff floor of ``floored_tail``.  The head is the
-    coefficients' sequential ``head_mass``."""
-    value, clamp = floored_tail(lp_function_norm(f, 2) ** 2, coeffs.head_mass(subset))
-    return ResidualReport(value, clamp, tuple(lab.name for lab in subset))
-
-
-def plancherel_residual(f, coeffs, subset):
-    """The l2 tail of f outside ``subset``, through the Plancherel identity."""
-    return plancherel_residual_report(f, coeffs, subset).value
+def _summed_tails(label_mass, outside, beyond):
+    """sqrt(beyond + the label masses where ``outside`` holds), the masses
+    added in label order; ``outside`` broadcasts against the (..., labels)
+    ``label_mass``.  Masked-out labels add an exact zero, so a stack of
+    masks is summed in one pass and each sum is bitwise the in-order sum
+    of its complement alone."""
+    masked = np.where(outside, label_mass, 0.0)
+    return np.sqrt(beyond + fourier.head_sums(masked, slice(None)))
 
 
 def beyond_cutoff_mass(f, coeffs):
-    """Squared l2 mass of f beyond the labels held in ``coeffs``.
+    """Squared l2 mass of f beyond the labels held in ``coeffs``
+    (``_beyond_masses``)."""
+    return float(_beyond_masses(lp_function_norm(f, 2) ** 2, coeffs.label_masses()))
 
-    The squared Plancherel residual over the full coverage, under the same
-    roundoff floor, so a band-limited f has exactly 0 mass beyond it.
-    """
-    return floored_tail(lp_function_norm(f, 2) ** 2, coeffs.head_mass(coeffs.labels))[0] ** 2
+
+def plancherel_residual(f, coeffs, subset):
+    """The l2 tail of f outside ``subset``: ``_summed_tails`` of the labels of
+    the coverage outside it, plus the mass beyond the coverage."""
+    outside = np.ones(len(coeffs.labels), dtype=bool)
+    outside[coeffs.positions(subset)] = False
+    return float(_summed_tails(coeffs.label_masses(), outside, beyond_cutoff_mass(f, coeffs)))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,15 @@ from pego import (
     torus,
     translate,
 )
-from pego.compactness import _embed_coefficients, _escape_certificate, default_mesh
+from pego.compactness import (
+    _embed_coefficients,
+    _escape_certificate,
+    _spectral_moduli,
+    _spectrum,
+    _translation_moduli,
+    default_mesh,
+)
+from pego.groups import _ball_pool, _rows
 from pego.irreps import enumerate_dual
 
 
@@ -81,15 +89,17 @@ def test_decay_profile_witness_and_member_indices():
 def test_equicontinuity_modulus_single_character_closed_form():
     """omega(delta) = |e^(i delta) - 1| = 2 sin(delta/2) for f = e^(i theta).
 
-    The mesh radii divide each other so the pooled one-dimensional ball
-    samples land exactly on the smaller radii endpoints.
+    R_y f - f = (e^(i y) - 1) f has constant modulus, so the L^1 modulus
+    (translated samples) equals the L^2 one (spectral).  The mesh radii
+    divide each other so the pooled one-dimensional ball samples land
+    exactly on the smaller radii endpoints.
     """
     rule = haar_quadrature(torus(1), 17)
     f = sample(rule, lambda p: np.exp(1j * p.coords[0]))
     fam = _one_member_family(f)
     mesh = np.array([1.0, 0.5, 0.25])
-    for path in ("spectral", "direct"):
-        prof = equicontinuity_profile(fam, mesh=mesh, ball_samples=9, path=path)
+    for p, path in ((1.0, "direct"), (2.0, "spectral")):
+        prof = equicontinuity_profile(fam, mesh=mesh, ball_samples=9, p=p)
         expect = 2.0 * np.sin(mesh / 2.0)
         npt.assert_allclose(prof.omegas, expect, atol=1e-10)
         assert prof.path == path
@@ -115,8 +125,6 @@ def test_equicontinuity_mesh_validation():
         equicontinuity_profile(fam, mesh=[0.5, 1.0])
     with pytest.raises(ValueError):
         equicontinuity_profile(fam, mesh=[1.0, -0.5])
-    with pytest.raises(ValueError):
-        equicontinuity_profile(fam, mesh=[1.0, 0.5], p=1.0, path="spectral")
 
 
 @pytest.mark.parametrize(
@@ -126,18 +134,18 @@ def test_equicontinuity_mesh_validation():
 )
 def test_equicontinuity_direct_matches_spectral_at_p2(group, res, band):
     """The coefficient-side action (pi(y) - I) coeff(pi) matches translating
-    the samples, also where irreps are matrices (d > 1)."""
+    the samples at every pooled point, also where irreps are matrices
+    (d > 1)."""
     rule = haar_quadrature(group, res)
     fam = FamilySpec(
         [random_band_limited_function(rule, band, seed=s) for s in range(3)],
         name="rand3",
     )
-    mesh = np.array([0.8, 0.3, 0.1])
-    spec = equicontinuity_profile(fam, mesh=mesh, ball_samples=7, seed=1)
-    direct = equicontinuity_profile(
-        fam, mesh=mesh, ball_samples=7, seed=1, path="direct"
-    )
-    npt.assert_allclose(spec.per_member, direct.per_member, atol=1e-9)
+    pool, _ = _ball_pool(group, np.array([0.8, 0.3, 0.1]), 7, seed=1)
+    spec = _spectral_moduli(_spectrum(fam), pool)
+    direct = np.stack([_translation_moduli(f, pool, [2.0])[0] for f in fam.members])
+    assert spec.shape == (3, _rows(pool))
+    npt.assert_allclose(spec, direct, atol=1e-9)
 
 
 def test_profiles_invariant_under_member_translation():

@@ -53,7 +53,7 @@ def _oracle_moduli(spectrum, ys):
     mass beyond the cutoff, square-rooted."""
     coeffs = spectrum.coeffs
     table = coeffs[0].table
-    beyond = spectrum.tails(np.arange(len(table.labels))) ** 2
+    beyond = spectrum.beyond
     acc = np.zeros((len(coeffs), _rows(ys)))
     for b, (d, mats) in enumerate(zip(table.dims, table.matrices_at(ys))):
         act = mats - np.eye(d)  # (ys, n_b, d, d)
@@ -122,7 +122,7 @@ def test_spectral_moduli_at_identity_read_twice_the_beyond_tail(name):
     spectrum = _spectrum(family, shell_subset(group, _band(family.rule) - 1).labels)
     table = slot_table(spectrum.coeffs[0].labels)
     e = coords_of(group, [identity(group)])
-    beyond = spectrum.tails(np.arange(len(table.labels)))
+    beyond = np.sqrt(spectrum.beyond)
     got = _spectral_moduli(spectrum, e)[:, 0]
     assert np.all(beyond > 0)
     exact = all(np.array_equal(m[0], np.broadcast_to(np.eye(m.shape[-1]), m.shape[1:]))

@@ -40,8 +40,11 @@ The workload definitions are read from the ``bench/workloads.py`` beside
 this script and are not changed.  The report says whether the diagnose
 conclusions, the verify verdicts and the exit codes are equal, how many
 output files are byte-identical, and the largest gap between corresponding
-numbers (JSON numbers and CSV cells) with the file it occurs in; for the
-library section, the largest gap between the two trees' values per case.
+numbers (JSON numbers and CSV cells) with the file it occurs in, and then
+the largest gap per top-level JSON key and per CSV file name, across the
+runs that write that file, with the file and key path it occurs at (a
+count stands for the keys and files holding numbers without a gap); for the library
+section, the largest gap between the two trees' values per case.
 The exit code is 0 when conclusions, verdicts, exit codes and the
 non-numeric content of every file agree and no library gap exceeds
 ``LIBRARY_TOL``, 1 otherwise.
@@ -339,9 +342,11 @@ def _number(text):
         return None
 
 
-def _gap(a, b, where, acc):
-    """Walk two parsed documents together: the largest numeric gap goes into
-    ``acc["gap"]``, a structural or textual difference into ``acc["other"]``."""
+def _gap(a, b, where, acc, path=()):
+    """Walk two parsed documents of the file ``where`` together.  Per group
+    (``_group``), the largest numeric gap and the file and key path where it
+    occurs go into ``acc["gaps"]``; a structural or textual difference goes
+    into ``acc["other"]``."""
     if isinstance(a, bool) or isinstance(b, bool) or a is None or b is None:
         if a != b:
             acc["other"].append(where)
@@ -351,20 +356,35 @@ def _gap(a, b, where, acc):
                 acc["other"].append(where)
             return
         gap = abs(a - b)
-        if gap > acc["gap"][0]:
-            acc["gap"] = (gap, where)
+        group = _group(where, path)
+        if gap > acc["gaps"].setdefault(group, (0.0, None))[0]:
+            acc["gaps"][group] = (gap, f"{where} {_key_path(path)}")
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             acc["other"].append(where)
         for k in a.keys() & b.keys():
-            _gap(a[k], b[k], where, acc)
+            _gap(a[k], b[k], where, acc, path + (k,))
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             acc["other"].append(where)
-        for x, y in zip(a, b):
-            _gap(x, y, where, acc)
+        for i, (x, y) in enumerate(zip(a, b)):
+            _gap(x, y, where, acc, path + (i,))
     elif a != b:
         acc["other"].append(where)
+
+
+def _group(where, path):
+    """The group a number of the file ``where`` at key ``path`` counts
+    toward: the file's name and its top-level key for a JSON object, the
+    file's name for a CSV file.  A group spans the runs of every case that
+    writes that file name."""
+    name = Path(where).name
+    return f"{name}:{path[0]}" if path and isinstance(path[0], str) else name
+
+
+def _key_path(path):
+    """A key path as text: ``verdicts[0].uniform_decay``, or ``[row][col]``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
 
 
 def _parse(path):
@@ -400,7 +420,7 @@ def compare(old_dir, new_dir):
         if files != new_files:
             ok = False
             print(f"{section}: output file names differ")
-        acc = {"gap": (0.0, None), "other": []}
+        acc = {"gaps": {}, "other": []}
         same_bytes = 0
         same_verdicts = True
         runs = 0
@@ -415,10 +435,16 @@ def compare(old_dir, new_dir):
                 kind = "verify" if rel.name.startswith("verify_") else "diagnose"
                 same_verdicts &= _verdicts(a, kind) == _verdicts(b, kind)
         ok = ok and same_verdicts and not acc["other"]
-        gap, where = acc["gap"]
+        gap, where = max(acc["gaps"].values(), key=lambda g: g[0], default=(0.0, None))
         print(f"{section}: {runs} runs, conclusions equal: {same_verdicts}, "
               f"files byte-identical {same_bytes}/{len(files)}, "
               f"largest numeric gap {gap:.3e}" + (f" ({where})" if where else ""))
+        moved = sorted(g for g, (gap, _) in acc["gaps"].items() if gap > 0)
+        for group in moved:
+            gap, where = acc["gaps"][group]
+            print(f"  {group}: largest gap {gap:.3e} ({where})")
+        print(f"  {len(acc['gaps']) - len(moved)} other top-level keys and CSV files "
+              "holding numbers: no gap")
         for where in sorted(set(acc["other"])):
             print(f"  non-numeric difference in {where}")
     return _compare_library(old_dir, new_dir) and ok
