@@ -37,7 +37,9 @@ the grid kernels builds an (N, d, d) irrep stack:
 * products: one factor axis at a time, each with its factor's own kernel,
   with the Kronecker entries gathered into (or scattered from) the slots;
 * finite rules (cyclic, dihedral, finite products) and hand-built rules:
-  one GEMM per label against the irrep stack, evaluated per call.
+  one GEMM per label against its irrep stack (``irreps.irrep_stack``)
+  forward, and a synthesis against the stacks of all labels from one
+  ``irreps._blocks_at`` request, evaluated per call.
 
 Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
 trigonometric tensor per spin parity and builds no D-matrix; every other
@@ -174,10 +176,10 @@ class SlotTable:
         """The irrep matrices at the rows of a coordinate array
         (``groups.coords_of``), laid out like the blocks: per block one
         (m, n_b, d, d) array whose ``[k, pos]`` is pi at row k for the label
-        at ``pos``.  All blocks come from one ``irreps.irrep_blocks``
+        at ``pos``.  All blocks come from one ``irreps._blocks_at``
         request (on su2 one ``_wigner.wigner_D`` call for every spin),
         bitwise equal to ``irrep_matrices`` label by label."""
-        return irreps._irrep_blocks(self.block_labels, coords)
+        return irreps._blocks_at(self.block_labels, coords)
 
 
 @functools.cache
@@ -495,10 +497,9 @@ def _stack_forward(vals, table, rule):
 
 
 def _stack_inverse(table, blocks, m, rule):
-    """Synthesis against the irrep stacks, one per label, gathered per block."""
-    mats = [np.stack([irreps.irrep_stack(lab, rule) for lab in labs], axis=1)
-            for labs in table.block_labels]
-    return _synthesize(table, blocks, m, len(rule), mats)
+    """Synthesis against the irrep stacks of every block, one
+    ``irreps._blocks_at`` request at the rule's nodes."""
+    return _synthesize(table, blocks, m, len(rule), irreps._blocks_at(table.block_labels, rule))
 
 
 @functools.cache
@@ -731,8 +732,8 @@ def _synthesize_on_rule(table, blocks, m, rule):
     """Values (m, N) at a rule's nodes of m coefficient sets whose blocks are
     (m, n_b, d, d), through the rule's synthesis kernel (``_kernels``): an
     inverse FFT on torus grids, the separable Euler sum on su2, one factor at
-    a time on products, and one product per block with the irrep stacks
-    (``irreps.irrep_stack``) on finite and hand-built rules."""
+    a time on products, and one product per block with the irrep stacks of
+    one ``irreps._blocks_at`` request on finite and hand-built rules."""
     return _kernels(rule)[1](table, blocks, m, rule)
 
 

@@ -559,8 +559,9 @@ class QuadratureRule:
     their kernels.  None of these builds an irrep stack to transform.
 
     A rule keeps no irrep stack.  Finite (``"finite"``) and hand-built rules
-    (no kind) transform against stacks evaluated per call
-    (``irreps.irrep_stack``).
+    (no kind) transform against stacks evaluated per call: one
+    ``irreps.irrep_stack`` per label forward, one ``irreps._blocks_at``
+    request for all labels in the synthesis.
     """
 
     def __init__(self, group, coords, weights, exactness_degree, resolution, meta=None):

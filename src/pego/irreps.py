@@ -11,9 +11,12 @@ Each irreducible representation is fixed in one concrete orthonormal basis:
   ``two_l = 2*l`` so half-integer spins stay exact;
 * product irreps are Kronecker products of factor irreps.
 
-Matrices are evaluated a block of same-dimension labels at a time
-(``irrep_blocks``); ``irrep_matrices`` is that evaluator on a block of one
-label, so both agree bitwise.
+Matrices come from one evaluator, ``_blocks_at``, a block of same-dimension
+labels at a time, at the rows of a coordinate array or at every node of a
+quadrature rule.  ``irrep_matrix``, ``irrep_matrices``, ``irrep_blocks``,
+``irrep_stack`` and ``fourier.SlotTable.matrices_at`` are thin calls of it,
+and a label's matrices do not depend on the other labels of a request, so
+they all agree bitwise.
 
 Every reported norm downstream is basis independent; :func:`basis_twist`
 conjugates the whole dual by seeded random unitaries so tests can assert
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _wigner
-from .groups import GroupDescriptor, _rows, _split_top_level, coords_of
+from .groups import GroupDescriptor, QuadratureRule, _split_top_level, coords_of
 
 __all__ = [
     "IrrepLabel",
@@ -49,7 +52,6 @@ __all__ = [
     "irrep_stack",
     "euler_grid_d",
     "euler_phases",
-    "twist_unitary",
     "block_twist",
     "character",
     "random_unitary",
@@ -350,11 +352,13 @@ def parse_label(group, text):
 
 
 # ---------------------------------------------------------------------------
-# Matrix evaluation.  A module-level "basis twist" can conjugate every irrep
-# by a fixed unitary; it exists so tests can certify basis independence of
-# all reported quantities.  No matrix is kept: every matrix and stack is
-# evaluated afresh on each call, from the grid tables an su2 Euler rule keeps
-# in its ``meta`` (``euler_grid_d``, ``euler_phases``) where it has them.
+# Matrix evaluation.  ``_blocks_at`` is the one evaluator, at points and on
+# rules alike; it applies every twist, and ``_kron`` is its one Kronecker
+# product.  A module-level "basis twist" can conjugate every irrep by a fixed
+# unitary; it exists so tests can certify basis independence of all reported
+# quantities.  No matrix is kept: every matrix and stack is evaluated afresh
+# on each call, from the grid tables an su2 Euler rule keeps in its ``meta``
+# (``euler_grid_d``, ``euler_phases``) where it has them.
 
 _TWIST = {"table": None}
 
@@ -392,20 +396,15 @@ def basis_twist(group, cutoff=None, seed=0):
         _TWIST["table"] = None
 
 
-def twist_unitary(label):
-    """The unitary U with which the active ``basis_twist`` realizes ``label``
-    as ``U* pi U``; None outside a twist or for a label it does not cover."""
-    table = _TWIST["table"]
-    return None if table is None else table.get(label)
-
-
 def block_twist(labels):
     """Stacked unitaries (n_b, d, d) of the active ``basis_twist`` for labels
     of one dimension d > 1, identity for labels it does not cover; None when
-    none is covered or d == 1 (a 1x1 twist is a unit scalar and cancels)."""
-    if labels[0].dim == 1 or _TWIST["table"] is None:
+    none is covered or d == 1 (a 1x1 twist is a unit scalar and cancels).
+    The twist realizes a covered label as U* pi U."""
+    table = _TWIST["table"]
+    if labels[0].dim == 1 or table is None:
         return None
-    us = [twist_unitary(lab) for lab in labels]
+    us = [table.get(lab) for lab in labels]
     if all(u is None for u in us):
         return None
     return np.stack([np.eye(lab.dim) if u is None else u for lab, u in zip(labels, us)])
@@ -427,38 +426,46 @@ def _dihedral_matrix_arrays(label, rs, ss):
     return out
 
 
-def _euler_coords(group, coords):
-    """A coordinate array (``groups.coords_of``) in the form ``_blocks_at``
-    reads: every su2 quaternion array becomes Euler angles."""
-    if group.family == "su2":
-        return _wigner.euler_from_quaternion(*coords.T)
-    if group.family == "product":
-        return tuple(_euler_coords(f, c) for f, c in zip(group.factors, coords))
-    return coords
+def _blocks_at(block_labels, at):
+    """Matrices of every block of a request: per tuple of labels of one
+    dimension d, all of one group, one (n, n_b, d, d) array.
 
-
-def _blocks_at(group, block_labels, coords, n):
-    """Matrices at n points of every block of a request: per tuple of labels
-    of one dimension d, one (n, n_b, d, d) array.
-
+    ``at`` is a coordinate array (``groups.coords_of``), whose n rows are the
+    points, or a ``QuadratureRule``, whose n nodes are read in rule order.
     Every entry is computed elementwise, so a label's matrices do not depend
-    on the other labels of the request: torus phases exp(i sum_a ang_a k_a)
-    are summed axis by axis, all su2 spins come from one
-    ``_wigner.wigner_D`` call, and product labels Kronecker-combine their
-    factors' matrices, each distinct factor label evaluated once.  Twists
-    apply per block, at the level of the group whose dual they cover.
+    on the other labels of the request:
+
+    * torus phases exp(i sum_a ang_a k_a) are multiplied axis by axis
+      (``_block_at``);
+    * an su2 Euler rule combines its grid d-matrices with its phases, one
+      ``_euler_stack`` per spin; any other su2 input takes the Euler angles
+      of its quaternions and one ``_wigner.wigner_D`` call for all spins;
+    * product labels are Kronecker products of their factors' matrices, each
+      distinct factor label evaluated once (``_product_blocks``).
+
+    Twists apply per block, at the level of the group whose dual they cover.
     """
-    fam = group.family
-    if fam == "su2":  # every spin has its own dimension: one label per block
-        raw = _wigner.wigner_D([lab.index[0] for (lab,) in block_labels], *coords)
-    elif fam == "product":
-        raw = _product_blocks_at(group, block_labels, coords, n)
+    if not block_labels:
+        return []
+    group = block_labels[0][0].group
+    rule = at if isinstance(at, QuadratureRule) else None
+    kind = None if rule is None else rule.meta.get("kind")
+    coords = at if rule is None else rule.coords
+    if group.family == "su2" and kind == "su2-euler":
+        raw = [_euler_stack(lab, rule) for (lab,) in block_labels]
+    elif group.family == "su2":  # every spin has its own dimension: one label per block
+        angles = _wigner.euler_from_quaternion(*coords.T)
+        raw = _wigner.wigner_D([lab.index[0] for (lab,) in block_labels], *angles)
+    elif kind == "product":
+        raw = _product_blocks(block_labels, rule.meta["factor_rules"], crossed=True)
+    elif group.family == "product":
+        raw = _product_blocks(block_labels, coords, crossed=False)
     else:
         raw = [_block_at(group, labels, coords) for labels in block_labels]
     out = []
     for labels, mats in zip(block_labels, raw):
         d = labels[0].dim
-        mats = np.ascontiguousarray(mats, dtype=complex).reshape(n, len(labels), d, d)
+        mats = np.ascontiguousarray(mats, dtype=complex).reshape(-1, len(labels), d, d)
         us = block_twist(labels)
         if us is not None:
             for k, u in enumerate(us):
@@ -503,47 +510,58 @@ def _torus_frequencies(labels):
     return np.ascontiguousarray(ks - low[:, None]), low.tolist(), high.tolist()
 
 
-def _product_blocks_at(group, block_labels, coords, n):
-    # per factor and dimension, the block of the distinct factor labels the
-    # request uses and their positions in it, one ``_blocks_at`` per factor
+def _product_blocks(block_labels, factor_at, crossed):
+    """Untwisted matrices of the blocks of a product group, from its
+    factors' matrices (the product factorization of Maslen and Rockmore,
+    "Generalized FFTs", DIMACS 28, 1997).  Per factor, the distinct factor
+    labels of the request are evaluated in one ``_blocks_at`` at
+    ``factor_at[k]``: the factor rules of a product rule (``crossed``) or
+    the factor coordinate arrays.  Labels of a block with the same factor
+    dimensions are then Kronecker-combined together (``_kron``)."""
     labels = [lab for labs in block_labels for lab in labs]
-    factor_blocks = []
-    for k, fgroup in enumerate(group.factors):
+    factor_blocks = []  # per factor and dimension: the block and each label's position in it
+    for k, at in enumerate(factor_at):
         by_dim = {}
         for comp in dict.fromkeys(lab.index[k] for lab in labels):
             by_dim.setdefault(comp.dim, []).append(comp)
-        mats = _blocks_at(fgroup, [tuple(comps) for comps in by_dim.values()], coords[k], n)
+        mats = _blocks_at([tuple(comps) for comps in by_dim.values()], at)
         factor_blocks.append({
             d: (block, {c: i for i, c in enumerate(comps)})
             for (d, comps), block in zip(by_dim.items(), mats)
         })
-    return [_kronecker_block(labels, factor_blocks, n) for labels in block_labels]
-
-
-def _kronecker_block(labels, factor_blocks, n):
-    # labels with the same factor dimensions are Kronecker-combined together
-    by_dims = {}
-    for i, lab in enumerate(labels):
-        by_dims.setdefault(tuple(c.dim for c in lab.index), []).append(i)
-    parts = []
-    for dims, idx in by_dims.items():
-        acc = None
-        for k, d in enumerate(dims):
-            block, pos = factor_blocks[k][d]
-            take = [pos[labels[i].index[k]] for i in idx]
-            part = block if take == list(range(block.shape[1])) else block[:, take]
-            if acc is None:
-                acc = part
-            else:
-                big = acc.shape[-1] * d
-                acc = np.einsum("tsij,tskl->tsikjl", acc, part).reshape(n, len(idx), big, big)
-        parts.append((idx, acc))
-    if len(parts) == 1:
-        return parts[0][1]
-    out = np.empty((n, len(labels)) + parts[0][1].shape[2:], dtype=complex)
-    for idx, acc in parts:
-        out[:, idx] = acc
+    out = []
+    for labs in block_labels:
+        by_dims = {}
+        for i, lab in enumerate(labs):
+            by_dims.setdefault(tuple(c.dim for c in lab.index), []).append(i)
+        parts = []
+        for dims, idx in by_dims.items():
+            factors = []
+            for k, d in enumerate(dims):
+                block, pos = factor_blocks[k][d]
+                take = [pos[labs[i].index[k]] for i in idx]
+                factors.append(block if take == list(range(block.shape[1])) else block[:, take])
+            parts.append((idx, functools.reduce(lambda a, b: _kron(a, b, crossed), factors)))
+        if len(parts) == 1:
+            out.append(parts[0][1])
+            continue
+        first = parts[0][1]
+        block = np.empty((len(first), len(labs)) + first.shape[2:], dtype=complex)
+        for idx, acc in parts:
+            block[:, idx] = acc
+        out.append(block)
     return out
+
+
+def _kron(a, b, crossed):
+    """kron(a, b) label by label, for (s, n_b, i, i) and (t, n_b, j, j)
+    matrices: node by node (s == t), or at every node pair (s, t) with a's
+    node slowest when ``crossed``, as ``groups._product_coords`` orders a
+    product rule's nodes."""
+    if crossed:
+        a, b = a[:, None], b[None]
+    d = a.shape[-1] * b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(-1, a.shape[-3], d, d)
 
 
 def irrep_blocks(block_labels, points):
@@ -552,30 +570,22 @@ def irrep_blocks(block_labels, points):
     ``block_labels`` holds tuples of labels of one dimension each, all of one
     group; the result has one (n, n_b, d, d) array per tuple, whose ``[k, i]``
     is pi(points[k]) for its i-th label.  The points' coordinates are read
-    once for all blocks (``_irrep_blocks``).
+    once for all blocks (``_blocks_at``).
     """
     if not block_labels:
         return []
-    return _irrep_blocks(block_labels, coords_of(block_labels[0][0].group, points))
-
-
-def _irrep_blocks(block_labels, coords):
-    """``irrep_blocks`` at the rows of a coordinate array (``groups.coords_of``)."""
-    if not block_labels:
-        return []
-    group = block_labels[0][0].group
-    return _blocks_at(group, block_labels, _euler_coords(group, coords), _rows(coords))
+    return _blocks_at(block_labels, coords_of(block_labels[0][0].group, points))
 
 
 def irrep_matrices(label, points):
     """Unitary matrices of an irrep at a batch of points, shape (n, d, d):
-    ``irrep_blocks`` on a block of one label."""
-    return irrep_blocks(((label,),), points)[0][:, 0]
+    ``_blocks_at`` on a block of one label."""
+    return _blocks_at(((label,),), coords_of(label.group, points))[0][:, 0]
 
 
 def irrep_matrix(label, g):
     """The unitary matrix of one irrep at one group element."""
-    return irrep_matrices(label, [g])[0]
+    return _blocks_at(((label,),), coords_of(label.group, [g]))[0][0, 0]
 
 
 def character(label, g):
@@ -637,40 +647,18 @@ def _euler_stack(label, rule):
 
 
 def irrep_stack(label, rule):
-    """Matrices of an irrep at every node of a rule, shape (n, d, d),
-    evaluated afresh on each call and kept nowhere.
+    """Matrices of an irrep at every node of a rule, shape (n, d, d):
+    ``_blocks_at`` on a block of one label, evaluated afresh on each call
+    and kept nowhere.
 
     An su2 Euler rule combines its grid d-matrices with the alpha and gamma
     phases (``_euler_stack``); a product rule Kronecker-combines the
     factors' stacks on its factor rules, so each factor is evaluated at its
-    own rule's nodes only; every other rule evaluates the label as a block
-    of one at ``rule.coords`` and builds no GroupPoint.  The transforms use
-    stacks on dihedral, non-cyclic finite and hand-built rules only; stacks
-    elsewhere serve matrix-entry functions, ``char:`` specs and the Schur
-    suite.
+    own rule's nodes only; every other rule evaluates the label at
+    ``rule.coords`` and builds no GroupPoint.  The transforms use stacks on
+    dihedral, non-cyclic finite and hand-built rules only; stacks elsewhere
+    serve matrix-entry functions, ``char:`` specs and the Schur suite.
     """
     if label.group != rule.group:
         raise ValueError(f"label {label.name} is not an irrep of {rule.group.name}")
-    return _stack(label, rule)
-
-
-def _stack(label, rule):
-    # as in ``_blocks_at``, twists apply at the level of the group whose dual
-    # they cover: a factor's in the factor's ``_stack``, a product's last
-    kind = rule.meta.get("kind")
-    if kind == "su2-euler":
-        stack = _euler_stack(label, rule)
-    elif kind == "product":
-        stack = functools.reduce(_kron_nodes, map(_stack, label.index, rule.meta["factor_rules"]))
-    else:
-        coords = _euler_coords(rule.group, rule.coords)
-        return _blocks_at(rule.group, ((label,),), coords, len(rule))[0][:, 0]
-    us = block_twist((label,))
-    return stack if us is None else us[0].conj().T @ stack @ us[0]
-
-
-def _kron_nodes(a, b):
-    """kron(a[s], b[t]) at every node pair (s, t), s slowest (``groups._product_coords``)."""
-    d = a.shape[-1] * b.shape[-1]
-    pairs = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]  # (s, t, i, k, j, l)
-    return pairs.reshape(len(a) * len(b), d, d)
+    return _blocks_at(((label,),), rule)[0][:, 0]

@@ -192,10 +192,13 @@ def beyond_cutoff_mass(f, coeffs):
 
 def plancherel_residual(f, coeffs, subset):
     """The l2 tail of f outside ``subset``: ``_summed_tails`` of the labels of
-    the coverage outside it, plus the mass beyond the coverage."""
+    the coverage outside it, plus the mass beyond the coverage; the label
+    masses are taken once, for both."""
     outside = np.ones(len(coeffs.labels), dtype=bool)
     outside[coeffs.positions(subset)] = False
-    return float(_summed_tails(coeffs.label_masses(), outside, beyond_cutoff_mass(f, coeffs)))
+    masses = coeffs.label_masses()
+    beyond = _beyond_masses(lp_function_norm(f, 2) ** 2, masses)
+    return float(_summed_tails(masses, outside, beyond))
 
 
 @dataclass(frozen=True)

@@ -224,3 +224,29 @@ def test_exponent_pair_conjugates():
     assert ExponentPair.of(1.0).p_conj == INF
     assert abs(ExponentPair.of(4.0 / 3.0).p_conj - 4.0) < 1e-12
     assert ExponentPair.of(2.0).p_conj == 2.0
+
+
+def test_plancherel_residual_takes_the_label_masses_once(monkeypatch):
+    """One residual reads the coverage's label masses once, for the tail and
+    for the mass beyond the coverage, and its value is the summed tail with
+    ``beyond_cutoff_mass`` bit for bit."""
+    from pego.fourier import FourierCoefficients
+    from pego.norms import _summed_tails
+
+    rule = haar_quadrature(su2(), 4)
+    f = random_band_limited_function(rule, 4, seed=5)
+    fc = forward_to_cutoff(f, 2)  # mass beyond the coverage too
+    sub = shell_subset(su2(), 1, cutoff=2)
+    outside = np.array([lab not in sub for lab in fc.labels])
+    want = float(_summed_tails(fc.label_masses(), outside, beyond_cutoff_mass(f, fc)))
+    assert beyond_cutoff_mass(f, fc) > 0
+    calls = []
+    real = FourierCoefficients.label_masses
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FourierCoefficients, "label_masses", counting)
+    assert plancherel_residual(f, fc, sub) == want
+    assert calls == [fc]

@@ -30,7 +30,12 @@ each tree, one child process runs through ``pego.cli.main``:
   beta = pi fibers and +-identity, and at a batch of elements repeating
   a few betas, and of product(torus:1,su2) to band 4 at its seeded points;
   then the stack case: ``irreps.irrep_stack`` of every label of the dual
-  of each verify group, on that group's verify rule; last, the continuity
+  of each verify group, on that group's verify rule, and on the two
+  hand-built rules of ``HAND_BUILT_RULES`` (an su2 rule and a
+  product(torus:1,su2) rule whose nodes are the canonical rule's times a
+  fixed element, built through ``QuadratureRule`` with no kind, so their
+  stacks are evaluated at the nodes' coordinates without grid structure);
+  last, the continuity
   case: ``compactness.equicontinuity_profile`` of the seven audit families
   (default mesh, the audit's ball samples, seed 1), one array of
   per-member moduli per family.
@@ -94,6 +99,12 @@ SPECTRAL_ELEMENTS = 5
 # product bands, and the betas and elements per beta of its repeated batch.
 IRREP_BANDS = (("su2", 16), ("product(torus:1,su2)", 4))
 IRREP_REPEATS = (4, 5)
+# The hand-built rules of the stack case, appended after the verify groups:
+# (group, resolution, cutoff, raw coordinates of the element that shifts the
+# canonical rule's nodes).
+_QUATERNION = (0.6, -0.2, 0.7, 0.3316624790355399)
+HAND_BUILT_RULES = (("su2", 4, 4, _QUATERNION),
+                    ("product(torus:1,su2)", 3, 3, ((0.4,), _QUATERNION)))
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -189,6 +200,8 @@ def _run_library(out_dir, workloads):
         values[f"irrep-{part}"] = vals
     for group_name, cutoff, res in workloads.VERIFY_GROUPS:
         values[f"stack-{group_name}"] = _stack_values(group_name, cutoff, res)
+    for group_name, res, cutoff, shift in HAND_BUILT_RULES:
+        values[f"stack-{group_name}-hand-built"] = _stack_values(group_name, cutoff, res, shift)
     for name, doc, _, _ in workloads.AUDIT_FAMILIES:
         values[f"continuity-{name}"] = _continuity_values(
             dict(doc, name=name, seed=DIAGNOSE_SEED), workloads.AUDIT_BALL_SAMPLES)
@@ -244,13 +257,20 @@ def _irrep_values(rng):
     return out
 
 
-def _stack_values(group_name, cutoff, res):
-    """The stack case of one verify group: ``irreps.irrep_stack`` of every
-    label of its dual on its verify rule, one row per node."""
+def _stack_values(group_name, cutoff, res, shift=None):
+    """The stack case of one rule: ``irreps.irrep_stack`` of every label of
+    the group's dual, one row per node, on the canonical rule at ``res`` or,
+    given ``shift``, on the hand-built rule whose nodes are the canonical
+    nodes times the point with coordinates ``shift``."""
     from pego import groups, irreps
 
     group = groups.parse_group(group_name)
     rule = groups.haar_quadrature(group, res)
+    if shift is not None:
+        y = groups.point(group, shift)
+        nodes = [groups.multiply(x, y) for x in rule.nodes]
+        rule = groups.QuadratureRule(group, groups.coords_of(group, nodes), rule.weights,
+                                     rule.exactness_degree, res)
     return np.concatenate([irreps.irrep_stack(lab, rule).reshape(len(rule), -1)
                            for lab in irreps.enumerate_dual(group, cutoff)], axis=1)
 
