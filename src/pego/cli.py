@@ -400,32 +400,34 @@ def cmd_diagnose(args):
 
 # -- report -------------------------------------------------------------------
 
+_DECAY_HEAD = ("family", "step", "shell", "sup_tail")
+_EQUI_HEAD = ("family", "delta", "omega")
+
+
 def _rows_from_input(path):
-    """Extract (decay_rows, equi_rows) from a diagnose JSON or merged CSV."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Extract (decay_rows, equi_rows) from a diagnose JSON or merged CSV,
+    each row a tuple of field strings."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
         fam = doc.get("family", "unknown")
         decay = [
-            f"{fam},{s['step']},{s['shell']},{float(s['sup_tail'])!r}"
+            (fam, str(s["step"]), str(s["shell"]), repr(float(s["sup_tail"])))
             for s in doc.get("decay_profile", {}).get("steps", [])
         ]
         cont = doc.get("continuity_profile", {})
         equi = [
-            f"{fam},{float(d)!r},{float(w)!r}"
+            (fam, repr(float(d)), repr(float(w)))
             for d, w in zip(cont.get("deltas", []), cont.get("omegas", []))
         ]
         return decay, equi
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return [], []
-    head = lines[0]
-    if head == "family,step,shell,sup_tail":
-        return lines[1:], []
-    if head == "family,delta,omega":
-        return [], lines[1:]
+    head, rows = ser.report_from_csv(text)
+    if head in ((), _DECAY_HEAD):
+        return rows, []
+    if head == _EQUI_HEAD:
+        return [], rows
     raise ser.FormatError(f"unrecognized report input {path!r}")
 
 
@@ -442,20 +444,16 @@ def cmd_report(args):
             return 2
         decay_rows.extend(d)
         equi_rows.extend(e)
-    decay_rows = sorted(set(decay_rows),
-                        key=lambda r: (r.split(",")[0], int(r.split(",")[1])))
-    equi_rows = sorted(set(equi_rows),
-                       key=lambda r: (r.split(",")[0], -float(r.split(",")[1])))
+    decay_rows = sorted(set(decay_rows), key=lambda r: (r[0], int(r[1])))
+    equi_rows = sorted(set(equi_rows), key=lambda r: (r[0], -float(r[1])))
     out = _out_dir(args)
     wrote = []
-    if decay_rows:
-        path = os.path.join(out, "report_decay.csv")
-        _write(path, "family,step,shell,sup_tail\n" + "\n".join(decay_rows) + "\n")
-        wrote.append(path)
-    if equi_rows:
-        path = os.path.join(out, "report_equicontinuity.csv")
-        _write(path, "family,delta,omega\n" + "\n".join(equi_rows) + "\n")
-        wrote.append(path)
+    for name, head, rows in (("report_decay.csv", _DECAY_HEAD, decay_rows),
+                             ("report_equicontinuity.csv", _EQUI_HEAD, equi_rows)):
+        if rows:
+            path = os.path.join(out, name)
+            _write(path, ser.report_csv(head, rows))
+            wrote.append(path)
     if not wrote:
         print("error: inputs contained no profile rows", file=sys.stderr)
         return 2

@@ -455,40 +455,26 @@ def _spectral_moduli(spectrum, ys):
     return np.sqrt(acc + 4.0 * beyond[:, None])
 
 
-def _band_transform(f):
-    """f's transform at the rule's alias-free band, the one its translates
-    start from, as the zero-argument callable ``fourier._translate_values``
-    takes: made on the first call and kept."""
-    return functools.cache(lambda: fourier.forward_to_cutoff(f))
-
-
-def _transforms(f, cutoff):
-    """f's transform against the dual at ``cutoff``, and ``_band_transform``
-    of f: when ``cutoff`` is the alias-free band, both are one transform."""
-    if cutoff == fourier.safe_band(f.rule):
-        fc = fourier.forward_to_cutoff(f)
-        return fc, lambda: fc
-    return fourier.forward(f, irreps.enumerate_dual(f.group, cutoff)), _band_transform(f)
-
-
-def _translation_moduli(f, ys, ps, transform=None):
+def _translation_moduli(f, ys, ps, coeffs=None):
     """||R_y f - f||_p for every p of ``ps`` (rows) and every row y of the
     coordinate array ``ys`` (columns), in order.
 
     Translates come from one sweep of ``fourier._translate_values`` a block
     of elements at a time, at most _TRANSLATE_BLOCK_VALUES sampled values per
     block, so the translates held at once stay bounded however many elements
-    there are.  Every block shares one transform of f at the alias-free band
-    (``transform``, as ``_band_transform`` gives it; by default one made on
-    first need).  Each block's difference from f is taken in place and its
-    magnitudes |R_y f - f| once; every exponent's norms are taken from
-    those magnitudes (``norms._magnitude_norms``).
+    there are.  Every block shares ``coeffs``, f's transform at the
+    alias-free band, made up front when None and some element does not
+    permute the nodes (``fourier._permutes``).  Each block's difference from
+    f is taken in place and its magnitudes |R_y f - f| once; every
+    exponent's norms are taken from those magnitudes
+    (``norms._magnitude_norms``).
     """
-    transform = transform or _band_transform(f)
+    if coeffs is None and not fourier._permutes(f.rule, ys).all():
+        coeffs = fourier.forward_to_cutoff(f)
     per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
     out = np.empty((len(ps), _rows(ys)))
     for lo in range(0, _rows(ys), per_block):
-        moved = fourier._translate_values(f, _take(ys, slice(lo, lo + per_block)), transform)
+        moved = fourier._translate_values(f, _take(ys, slice(lo, lo + per_block)), coeffs)
         moved -= f.values
         mags = np.abs(moved)
         del moved  # freed before an exponent's copy of the magnitudes is made
@@ -534,10 +520,11 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     Dirac element exactly as in the proof; the sup over U is sampled over the
     quadrature nodes supporting e_U, which is the whole discrete ball.  Only
     the final norms depend on the exponent, so every pair shares the Dirac
-    element, its transform and A, one transform of f, and one sweep of
-    translates over the ball (``_translation_moduli``), which gives the
-    moduli at every p.  At p' = 2 the tail is ``norms.plancherel_residual``:
-    the complement's masses summed, plus the mass beyond the cutoff.
+    element, its transform and A, one transform of f (handed to the sweep
+    when ``cutoff`` is the alias-free band), and one sweep of translates over
+    the ball (``_translation_moduli``), which gives the moduli at every p.
+    At p' = 2 the tail is ``norms.plancherel_residual``: the complement's
+    masses summed, plus the mass beyond the cutoff.
     """
     pairs = [ExponentPair.of(pair) for pair in pairs]
     rule = f.rule
@@ -551,11 +538,12 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     op_norms = norms.schatten_norms(ehat, math.inf)
     a_labels = [lab for lab, v in zip(dual, op_norms.tolist()) if v > 0.5]
     subset = DualSubset.from_labels(f.group, a_labels)
-    fc, band_fc = _transforms(f, cutoff)
+    band = cutoff == fourier.safe_band(rule)
+    fc = fourier.forward_to_cutoff(f) if band else fourier.forward(f, dual)
     comp = subset.complement_within(dual)
     support = np.nonzero(np.abs(e_u.values) > 0)[0]
     ys = _inverse(rule.group, _take(rule.coords, support))
-    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], band_fc)
+    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], fc if band else None)
     out = []
     for pair, row in zip(pairs, moduli):
         q = pair.p_conj
@@ -611,8 +599,8 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
     pair) of ``cases``, in order.
 
     Every case shares one transform of f against the dual at ``cutoff``,
-    which the translates reuse when ``cutoff`` is the alias-free band, and
-    one ``fourier._translate_values`` call that translates f by all the
+    which the translates are handed when ``cutoff`` is the alias-free band,
+    and one ``fourier._translate_values`` call that translates f by all the
     elements at once; each case's difference from f is taken in place.
     """
     cases = [(y, subset, ExponentPair.of(pair)) for y, subset, pair in cases]
@@ -624,9 +612,10 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
         for lab in subset:
             if lab not in have:
                 raise ValueError(f"head label {lab.name} beyond the computed dual")
-    fc, band_fc = _transforms(f, cutoff)
+    band = cutoff == fourier.safe_band(f.rule)
+    fc = fourier.forward_to_cutoff(f) if band else fourier.forward(f, dual)
     ys = coords_of(f.group, [y for y, _, _ in cases])
-    moved = fourier._translate_values(f, ys, band_fc)
+    moved = fourier._translate_values(f, ys, fc if band else None)
     moved -= f.values
     out = []
     for k, ((_, subset, pair), diff) in enumerate(zip(cases, moved)):

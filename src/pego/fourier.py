@@ -9,9 +9,10 @@ matrix per irreducible representation:
 Convolution ``(f*g)(x) = integral f(x y^-1) g(y) dm(y)`` transforms to the
 matrix product ``ghat @ fhat`` (order matters on noncommutative groups), and
 the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.  Right
-translates come in batches (``translate_batch``): node re-indexing where
-x -> x*y permutes the grid, and otherwise one transform of f, one batched
-``pi(y) @ fhat`` per dimension block for all the elements, and one synthesis.
+translates come in batches (``translate_batch``): one mask picks the elements
+whose x -> x*y permutes the grid, which gather the samples through one (m, N)
+node index; the others share one transform of f, one batched ``pi(y) @ fhat``
+per dimension block, and one synthesis.
 
 Everything is computed against a fixed rule.  For band-limited functions
 whose frequency content fits inside the rule's exactness degree the discrete
@@ -799,27 +800,20 @@ def _su2_values(coeffs, coords):
     return vals
 
 
-def _may_permute(rule):
-    """Whether x -> x*y permutes the nodes for some y: on finite rules, torus
-    grids and products of those; never on su2 Euler or hand-built rules."""
+def _permutes(rule, ys):
+    """Whether x -> x*y permutes the rule's nodes, one bool per row y of the
+    coordinate array ``ys``, decided on the elements alone: on finite rules
+    always, on torus grids when y lies on the grid (every angle within 1e-9
+    grid steps of one), on products when every factor does, and never on
+    su2 Euler or hand-built rules."""
     kind = rule.meta.get("kind")
     if kind == "product":
-        return all(_may_permute(fr) for fr in rule.meta["factor_rules"])
-    return kind in ("finite", "torus-grid")
-
-
-def _permutes(rule, y):
-    """Whether x -> x*y permutes the rule's nodes, for y a one-row coordinate
-    array: on finite rules always, on torus grids when y lies on the grid
-    (every angle within 1e-9 grid steps of one), on products when every
-    factor does."""
-    kind = rule.meta.get("kind")
-    if kind == "product":
-        return all(_permutes(fr, yc) for fr, yc in zip(rule.meta["factor_rules"], y))
+        return np.logical_and.reduce(
+            [_permutes(fr, yc) for fr, yc in zip(rule.meta["factor_rules"], ys)])
     if kind == "torus-grid":
-        k = y * rule.meta["shape"][0] / (2.0 * math.pi)
-        return bool(np.all(np.abs(k - np.rint(k)) <= 1e-9))
-    return kind == "finite"
+        k = ys * rule.meta["shape"][0] / (2.0 * math.pi)
+        return np.all(np.abs(k - np.rint(k)) <= 1e-9, axis=-1)
+    return np.full(_rows(ys), kind == "finite")
 
 
 def _node_index(rule, coords):
@@ -840,18 +834,13 @@ def _node_index(rule, coords):
     return idx
 
 
-def _reindex_plan(rule, y):
-    """Node permutation realizing x -> x*y on the rule's node grid, or None.
-
-    ``y`` is one element as a one-row coordinate array.  Translated values
-    are ``vals[perm]``: exact re-indexing, available on finite groups, on
-    torus grids when y lies on the grid, and on products of those.  The
-    rule decides first (``_permutes``); then all nodes are multiplied by y
-    in one ``_multiply`` and located by ``_node_index``.
-    """
-    if not _permutes(rule, y):
-        return None
-    return _node_index(rule, _multiply(rule.group, rule.coords, y))
+def _translated_nodes(rule, ys):
+    """The (m, N) node index of x*y, row k for the row y = ys[k] of a
+    coordinate array whose every element permutes the nodes (``_permutes``):
+    one ``_multiply`` of the nodes, as a (1, N) row, by the elements, as an
+    (m, 1) column, located by ``_node_index``."""
+    moved = _multiply(rule.group, _take(rule.coords, None), _take(ys, (slice(None), None)))
+    return _node_index(rule, moved)
 
 
 def translate(f, y):
@@ -862,12 +851,13 @@ def translate(f, y):
 def translate_batch(f, ys):
     """Right translates R_y f, one per element of ``ys``, in order.
 
-    An element whose x -> x*y permutes the rule's nodes (finite groups, grid
-    translations of the torus, products of those) re-indexes the samples
-    exactly.  All the others share one transform of f at the rule's
-    alias-free band, one coefficient-side action per dimension block
-    (``_right_action``) and one synthesis, which is exact for band-limited
-    functions.  ``translate_values`` gives the same translates as one array.
+    The elements whose x -> x*y permutes the rule's nodes (``_permutes``:
+    finite groups, grid translations of the torus, products of those)
+    re-index the samples exactly, through one node index for all of them.
+    The others share one transform of f at the rule's alias-free band, one
+    coefficient-side action per dimension block (``_right_action``) and one
+    synthesis, exact for band-limited functions.  ``translate_values``
+    gives the same translates as one array.
     """
     return [SampledFunction(f.rule, v) for v in translate_values(f, ys)]
 
@@ -876,31 +866,28 @@ def translate_values(f, ys):
     """The values of the right translates R_y f as one (len(ys), N) array,
     row k for ``ys[k]``: ``translate_batch`` without a SampledFunction per
     translate."""
-    return _translate_values(f, coords_of(f.group, ys), lambda: forward_to_cutoff(f))
+    return _translate_values(f, coords_of(f.group, ys))
 
 
-def _translate_values(f, ys, transform):
-    """``translate_values`` at the rows of a coordinate array ``ys``, where
-    ``transform()`` gives the coefficients of f at the rule's alias-free
-    band and is called only when some element needs the spectral path.  A
-    caller that translates f a block of elements at a time passes one
-    cached transform to every block."""
+def _translate_values(f, ys, coeffs=None):
+    """``translate_values`` at the rows of a coordinate array ``ys``: the rows
+    of one ``_permutes`` mask gather the samples, the others take one
+    ``_right_action`` and one synthesis on ``coeffs``, f's transform at the
+    rule's alias-free band (made here if None and needed)."""
     m = _rows(ys)
-    perms = ([_reindex_plan(f.rule, _take(ys, slice(k, k + 1))) for k in range(m)]
-             if _may_permute(f.rule) else [None] * m)  # the rule decides once per batch
-    spectral = [k for k, perm in enumerate(perms) if perm is None]
-    if spectral:
-        coeffs = transform()
-        blocks = _right_action(coeffs, _take(ys, spectral))
-        moved = _synthesize_on_rule(coeffs.table, blocks, len(spectral), f.rule)
-        if len(spectral) == m:
-            return moved
+    if m == 0:
+        return np.empty((0, len(f.rule)), dtype=complex)
+    hit = _permutes(f.rule, ys)
+    if hit.all():
+        return f.values[_translated_nodes(f.rule, ys)]
+    if coeffs is None:
+        coeffs = forward_to_cutoff(f)
+    if not hit.any():
+        return _synthesize_on_rule(coeffs.table, _right_action(coeffs, ys), m, f.rule)
     out = np.empty((m, len(f.rule)), dtype=complex)
-    for k, perm in enumerate(perms):
-        if perm is not None:
-            out[k] = f.values[perm]
-    if spectral:
-        out[spectral] = moved
+    out[hit] = f.values[_translated_nodes(f.rule, _take(ys, hit))]
+    blocks = _right_action(coeffs, _take(ys, ~hit))
+    out[~hit] = _synthesize_on_rule(coeffs.table, blocks, m - int(hit.sum()), f.rule)
     return out
 
 
@@ -925,14 +912,13 @@ def _convolve_reindex(f, g):
     """Direct quadrature convolution on node grids (finite groups, torus grids).
 
     (f*g)(x) = sum_j w_j g(y_j) f(x y_j^-1); entry (i, j) of the cached index
-    is the node index of x_i y_j^-1, from one ``_multiply`` of every node by
-    every inverse node.
+    is the node index of x_i y_j^-1, the transposed ``_translated_nodes`` of
+    the inverse nodes, made C-contiguous.
     """
     rule = f.rule
     idx = rule.meta.get("_conv_index")
     if idx is None:
-        x = _take(rule.coords, (slice(None), None))
-        idx = _node_index(rule, _multiply(rule.group, x, _inverse(rule.group, rule.coords)))
+        idx = np.ascontiguousarray(_translated_nodes(rule, _inverse(rule.group, rule.coords)).T)
         rule.meta["_conv_index"] = idx
     return SampledFunction(rule, f.values[idx] @ (rule.weights * g.values))
 

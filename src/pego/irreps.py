@@ -636,13 +636,16 @@ def euler_phases(rule, top):
 def _euler_stack(label, rule):
     """pi(a, b, c) = e^{-i m_p a} d_pq(b) e^{-i m_q c} at every node of an su2
     Euler rule, whose nodes run over (alpha, beta, gamma) with gamma fastest.
-    The d-matrices come from ``euler_grid_d``, one per distinct beta."""
+    The d-matrices come from ``euler_grid_d``, one per distinct beta; the
+    product is written C-ordered, so the reshape to (n, d, d) copies nothing."""
     two_l = label.index[0]
     ph_a, ph_c = euler_phases(rule, two_l)
     cols = two_l + _wigner.two_m_values(two_l)
+    d_grid = euler_grid_d(label, rule)
+    stack = np.empty((len(ph_a), len(d_grid), len(ph_c), label.dim, label.dim), dtype=complex)
     ph_a = ph_a[:, cols].conj()[:, None, None, :, None]
     ph_c = ph_c[:, cols].conj()[None, None, :, None, :]
-    stack = ph_a * euler_grid_d(label, rule)[None, :, None] * ph_c
+    np.multiply(ph_a * d_grid[None, :, None], ph_c, out=stack)
     return stack.reshape(len(rule), label.dim, label.dim)
 
 

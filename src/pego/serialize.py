@@ -7,6 +7,8 @@ string forms, and nothing time- or path-dependent is ever written.  Identical
 inputs therefore serialize to byte-identical text.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -303,6 +305,24 @@ def continuity_profile_csv(profile):
     head = "delta,omega"
     lines = [f"{float(d)!r},{float(w)!r}" for d, w in zip(profile.deltas, profile.omegas)]
     return head + "\n" + "\n".join(lines) + "\n"
+
+
+def report_csv(head, rows):
+    """A ``pego report`` CSV of rows of field strings under ``head``, by the
+    csv module with minimal quoting: a family name holding a comma, a quote
+    or a newline reads back whole (``report_from_csv``)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([head, *rows])
+    return buf.getvalue()
+
+
+def report_from_csv(text):
+    """The header and the rows of a ``report_csv`` text, as tuples of field
+    strings, blank lines skipped."""
+    rows = [tuple(r) for r in csv.reader(io.StringIO(text, newline="")) if "".join(r).strip()]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise FormatError("report rows and header differ in length")
+    return (rows[0], rows[1:]) if rows else ((), [])
 
 
 def _flag_to_json(flag):

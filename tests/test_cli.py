@@ -235,6 +235,39 @@ def test_report_merges_and_is_idempotent(tmp_path, capsys):
     assert (r2 / "report_equicontinuity.csv").read_text() == equi
 
 
+def test_report_keeps_a_family_name_with_a_comma(tmp_path, capsys):
+    """The report rows are CSV: a family named "pair,one" is quoted once,
+    read back whole, and a report of the report reproduces it byte for
+    byte."""
+    fam = _family_file(tmp_path, {"group": "torus:1", "resolution": 9,
+                                  "kind": "scaled_constants", "name": "pair,one"})
+    rc, _, _ = run(capsys, "diagnose", "--family", str(fam), "--out", str(tmp_path))
+    assert rc == 0
+    diag = next(tmp_path.glob("diagnose_*.json"))
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    r1.mkdir()
+    r2.mkdir()
+    rc, _, err = run(capsys, "report", str(diag), "--out", str(r1))
+    assert rc == 0, err
+    decay = (r1 / "report_decay.csv").read_text()
+    equi = (r1 / "report_equicontinuity.csv").read_text()
+    assert decay.splitlines()[1].startswith('"pair,one",0,')
+    assert all(line.startswith('"pair,one",') for line in equi.splitlines()[1:])
+    rc, _, err = run(capsys, "report", str(r1 / "report_decay.csv"),
+                     str(r1 / "report_equicontinuity.csv"), str(diag), "--out", str(r2))
+    assert rc == 0, err
+    assert (r2 / "report_decay.csv").read_text() == decay
+    assert (r2 / "report_equicontinuity.csv").read_text() == equi
+
+
+def test_report_refuses_a_row_short_of_its_header(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("family,step,shell,sup_tail\npair,0,1\n")
+    rc, _, err = run(capsys, "report", str(bad), "--out", str(tmp_path))
+    assert rc == 2
+    assert "differ in length" in err
+
+
 def test_report_without_inputs_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "report", "--out", str(tmp_path))
     assert rc == 2

@@ -4,9 +4,9 @@
 The oracle is the single-point law as it was written before the kernels, one
 family branch at a time, kept here.  Kernels and wrappers must equal it with
 ``==``, on every family and on batches that broadcast one row against many.
-Node re-indexing (``fourier._reindex_plan``), which multiplies every node by
-an element with one kernel call and locates the products arithmetically, is
-checked against a search of the node list.
+Node re-indexing (``fourier._translated_nodes``), which multiplies every node
+by a batch of elements with one kernel call and locates the products
+arithmetically, is checked against a search of the node list.
 """
 
 import math
@@ -192,60 +192,55 @@ def test_the_public_edge_refuses_a_point_of_another_group():
 @pytest.mark.parametrize("name, step", [("cyclic:5", 1), ("dihedral:4", 1),
                                         ("product(cyclic:3,dihedral:3)", 1), ("torus:2", 7),
                                         ("product(torus:1,cyclic:3)", 1)])
-def test_reindex_plan_equals_a_search_of_the_nodes(name, step):
+def test_translated_nodes_equals_a_search_of_the_nodes(name, step):
     """Every step-th node as y: all elements of the finite groups, grid hits
-    on the torus."""
+    on the torus; one C-ordered row per element."""
     group = parse_group(name)
     rule = haar_quadrature(group, 5)
-    for y in rule.nodes[::step]:
-        plan = fourier._reindex_plan(rule, coords_of(group, [y]))
-        assert plan.tolist() == [rule.nodes.index(multiply(x, y)) for x in rule.nodes]
+    ys = _take(rule.coords, slice(None, None, step))
+    idx = fourier._translated_nodes(rule, ys)
+    assert idx.flags.c_contiguous
+    assert idx.tolist() == [[rule.nodes.index(multiply(x, y)) for x in rule.nodes]
+                            for y in rule.nodes[::step]]
 
 
-def test_reindex_plan_refuses_before_multiplying_any_node(monkeypatch):
-    """Off-grid torus elements and every element of product(torus:1,su2)
-    get None, decided on the element alone: no node is multiplied."""
+def test_permutes_decides_without_multiplying_any_node(monkeypatch):
+    """Off-grid torus elements, off-grid torus factors and every element of
+    product(torus:1,su2) are refused, grid hits accepted, all on the
+    elements alone: no node is multiplied."""
     multiplied = []
     real = fourier._multiply
     monkeypatch.setattr(fourier, "_multiply", lambda g, a, b: multiplied.append(g) or real(g, a, b))
     torus2 = haar_quadrature(parse_group("torus:2"), 5)
-    assert fourier._reindex_plan(torus2, np.array([[0.0, 0.1]])) is None
+    assert fourier._permutes(torus2, np.array([[0.0, 0.1]])).tolist() == [False]
+    assert fourier._permutes(torus2, torus2.coords).all()
     mixed = haar_quadrature(parse_group("product(torus:1,cyclic:3)"), 5)
-    assert fourier._reindex_plan(mixed, (np.array([[0.3]]), np.array([[1]]))) is None
+    assert fourier._permutes(mixed, (np.array([[0.3]]), np.array([[1]]))).tolist() == [False]
+    assert fourier._permutes(mixed, mixed.coords).all()
     prod = haar_quadrature(parse_group("product(torus:1,su2)"), 5)
-    for k in range(0, len(prod), 97):  # on the torus grid, but su2 never re-indexes
-        assert fourier._reindex_plan(prod, _take(prod.coords, slice(k, k + 1))) is None
+    ys = _take(prod.coords, slice(None, None, 97))  # on the torus grid, but su2 never re-indexes
+    assert not fourier._permutes(prod, ys).any()
     assert multiplied == []
-    assert fourier._reindex_plan(mixed, _take(mixed.coords, slice(4, 5))) is not None
-    assert multiplied == [mixed.group]
 
 
-def test_translate_values_asks_for_no_reindex_plan_on_rules_that_never_permute(monkeypatch):
-    """The rule decides once per batch: product(torus:1,su2) never re-indexes,
-    so no element is asked for a plan, and the translates equal bit for bit
-    the ones the per-element decision gives; product(torus:1,cyclic:3) asks
-    for one plan per element."""
-    asked = []
-    real = fourier._reindex_plan
-    monkeypatch.setattr(fourier, "_reindex_plan", lambda r, y: asked.append(r) or real(r, y))
-    prod = haar_quadrature(parse_group("product(torus:1,su2)"), 5)
-    f = random_band_limited_function(prod, 2, seed=6)
-    ys = prod.nodes_at([0, 7, 200, 911])
-    moved = translate_values(f, ys)
-    assert asked == []
-    with monkeypatch.context() as patch:
-        patch.setattr(fourier, "_may_permute", lambda rule: True)
-        per_element = translate_values(f, ys)
-    assert asked == [prod] * len(ys)
-    assert np.array_equal(moved, per_element)
+def test_translate_values_mixes_grid_hits_and_misses_row_by_row():
+    """A product(torus:1,cyclic:3) batch alternating grid nodes and off-grid
+    torus angles: the factor masks AND to every other row, and each row of
+    the split batch equals its one-element call bit for bit."""
     mixed = haar_quadrature(parse_group("product(torus:1,cyclic:3)"), 5)
-    translate_values(random_band_limited_function(mixed, 2, seed=6), mixed.nodes_at([1, 4]))
-    assert asked[len(ys):] == [mixed] * 2
+    f = random_band_limited_function(mixed, 2, seed=6)
+    grid = mixed.nodes_at([1, 4, 8, 13])
+    off = [point(mixed.group, ((a,), (k,))) for a, k in ((0.3, 1), (2.0, 0), (4.4, 2), (5.9, 1))]
+    ys = [y for pair in zip(grid, off) for y in pair]
+    assert fourier._permutes(mixed, coords_of(mixed.group, ys)).tolist() == [True, False] * 4
+    moved = translate_values(f, ys)
+    for row, y in zip(moved, ys):
+        assert np.array_equal(row, translate_values(f, [y])[0])
 
 
-def test_translate_values_is_one_kernel_call_per_element_on_finite_rules(monkeypatch):
-    """A finite translate re-indexes through one array product of all nodes
-    by y, and builds no point."""
+def test_translate_values_is_one_kernel_call_on_finite_rules(monkeypatch):
+    """A finite batch re-indexes through one array product of all nodes by
+    all its elements, and builds no point."""
     rule = haar_quadrature(parse_group("product(cyclic:3,dihedral:3)"), 1)
     f = random_band_limited_function(rule, 2, seed=4)
     ys = rule.nodes_at([0, 5, 17])
@@ -253,7 +248,7 @@ def test_translate_values_is_one_kernel_call_per_element_on_finite_rules(monkeyp
     real = groups._multiply
 
     def counted(group, a, b):
-        calls.append(groups._rows(a))
+        calls.append((groups._rows(a), groups._rows(b)))
         return real(group, a, b)
 
     monkeypatch.setattr(fourier, "_multiply", counted)
@@ -262,6 +257,6 @@ def test_translate_values_is_one_kernel_call_per_element_on_finite_rules(monkeyp
     monkeypatch.setattr(GroupPoint, "__post_init__",
                         lambda self: built.append(self) or real_post(self))
     moved = translate_values(f, ys)
-    assert calls == [len(rule)] * 3 and built == []
+    assert calls == [(1, 3)] and built == []
     for row, y in zip(moved, ys):
         assert row.tolist() == [f.values[rule.nodes.index(multiply(x, y))] for x in rule.nodes]

@@ -398,6 +398,32 @@ def test_haar_quadrature_returns_one_rule_per_group_and_resolution():
     assert prod_rule.meta["factor_rules"][1] is haar_quadrature(su2(), 2)
 
 
+@pytest.mark.parametrize("two_l", [10, 16])
+def test_su2_euler_stack_is_written_once_in_node_order(two_l):
+    """The stack equals the broadcast product of the phases and d-matrices
+    bit for bit, and is built without a second copy of itself: the product
+    is written C-ordered, so the reshape to (n, d, d) copies nothing."""
+    import tracemalloc
+
+    from pego.irreps import _euler_stack, euler_grid_d, euler_phases
+
+    rule = haar_quadrature(su2(), 5)
+    label = next(lab for lab in enumerate_dual(su2(), two_l) if lab.index[0] == two_l)
+    ph_a, ph_c = euler_phases(rule, two_l)
+    cols = two_l + two_m_values(two_l)
+    want = (ph_a[:, cols].conj()[:, None, None, :, None] * euler_grid_d(label, rule)[None, :, None]
+            * ph_c[:, cols].conj()[None, None, :, None, :]).reshape(len(rule), label.dim, label.dim)
+    tracemalloc.start()
+    try:
+        stack = _euler_stack(label, rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(stack, want)
+    assert stack.flags.c_contiguous
+    assert peak < 1.5 * stack.nbytes
+
+
 def test_su2_euler_stacks_take_one_d_matrix_per_grid_beta(monkeypatch):
     """On an su2 Euler rule a stack is built from the d-matrices at the grid's
     distinct betas and the alpha/gamma phases, not from wigner_d at every

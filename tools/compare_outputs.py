@@ -35,10 +35,14 @@ each tree, one child process runs through ``pego.cli.main``:
   product(torus:1,su2) rule whose nodes are the canonical rule's times a
   fixed element, built through ``QuadratureRule`` with no kind, so their
   stacks are evaluated at the nodes' coordinates without grid structure);
-  last, the continuity
+  then the continuity
   case: ``compactness.equicontinuity_profile`` of the seven audit families
   (default mesh, the audit's ball samples, seed 1), one array of
-  per-member moduli per family.
+  per-member moduli per family; last, the batched translate case:
+  ``fourier.translate_values`` of a seeded function on product(torus:1,
+  cyclic:3) at its grid nodes interleaved with seeded off-grid elements,
+  which splits one batch between node re-indexing and the spectral path,
+  and on torus:2 at grid nodes only, which re-indexes the whole batch.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -105,6 +109,12 @@ IRREP_REPEATS = (4, 5)
 _QUATERNION = (0.6, -0.2, 0.7, 0.3316624790355399)
 HAND_BUILT_RULES = (("su2", 4, 4, _QUATERNION),
                     ("product(torus:1,su2)", 3, 3, ((0.4,), _QUATERNION)))
+# The batched translate case, appended last: (case name, group, resolution,
+# band, node stride); every stride-th node is an element, and on a product
+# with a torus factor each is followed by a seeded off-grid element.
+TRANSLATE_CASES = (("translate-mixed-product(torus:1,cyclic:3)", "product(torus:1,cyclic:3)",
+                    5, 2, 2),
+                   ("translate-grid-torus:2", "torus:2", 11, 4, 7))
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -177,8 +187,8 @@ def run_cases(out_dir, workloads):
 
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
-    su2 transform, irrep-matrix, stack and continuity cases, into
-    ``library.npz``."""
+    su2 transform, irrep-matrix, stack, continuity and batched translate
+    cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -205,6 +215,9 @@ def _run_library(out_dir, workloads):
     for name, doc, _, _ in workloads.AUDIT_FAMILIES:
         values[f"continuity-{name}"] = _continuity_values(
             dict(doc, name=name, seed=DIAGNOSE_SEED), workloads.AUDIT_BALL_SAMPLES)
+    rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+    for name, group_name, res, band, stride in TRANSLATE_CASES:
+        values[name] = _translate_values(group_name, res, band, stride, rng)
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -284,6 +297,24 @@ def _continuity_values(doc, ball_samples):
     profile = compactness.equicontinuity_profile(family, ball_samples=ball_samples,
                                                  seed=DIAGNOSE_SEED)
     return profile.per_member
+
+
+def _translate_values(group_name, res, band, stride, rng):
+    """One batched translate case: ``fourier.translate_values`` of a seeded
+    band-limited function at every ``stride``-th node of the rule at
+    ``res``; on product(torus:1, cyclic:3) each node is followed by a seeded
+    off-grid element (a uniform torus angle, a seeded residue)."""
+    from pego import fourier, groups
+
+    group = groups.parse_group(group_name)
+    rule = groups.haar_quadrature(group, res)
+    f = fourier.random_band_limited_function(rule, band, seed=int(rng.integers(1000)))
+    ys = list(rule.nodes[::stride])
+    if group.family == "product":
+        off = [groups.point(group, ((a,), (int(k),)))
+               for a, k in zip(rng.uniform(0, 2 * math.pi, len(ys)), rng.integers(3, size=len(ys)))]
+        ys = [y for pair in zip(ys, off) for y in pair]
+    return fourier.translate_values(f, ys)
 
 
 def _law_values(group, res, band, rng):
@@ -473,8 +504,8 @@ def compare(old_dir, new_dir):
 def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
     cases, of the su2 transform case, of the irrep-matrix case, of the
-    stack case and of the continuity case of the library section; True
-    when all are within LIBRARY_TOL."""
+    stack case, of the continuity case and of the batched translate case of
+    the library section; True when all are within LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
@@ -482,7 +513,8 @@ def _compare_library(old_dir, new_dir):
         gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
                 for name in old.files}
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
-             "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity"}
+             "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
+             "translate-": "batched translate"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
