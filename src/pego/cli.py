@@ -72,7 +72,7 @@ def _default_rule(group, resolution, cutoff):
             cutoff = _DEFAULT_CUTOFF.get(group.family, 4)
     if resolution is None:
         if group.family == "su2":
-            resolution = cutoff
+            resolution = max(cutoff, 1)  # an su2 rule needs resolution >= 1
         elif not group.is_finite:
             resolution = 2 * cutoff + 1
         else:
@@ -155,95 +155,84 @@ def _max_gap(blocks, others):
     return max(float(np.max(np.abs(x - y))) for x, y in zip(blocks, others))
 
 
+def _checks(rows, rhs):
+    """One check dict per name of the per-sample ``(name, margin, ok)``
+    rows, in first-seen order: lhs is the name's worst margin, and the check
+    is satisfied when every sample's ok holds and lhs <= rhs."""
+    worst = {}
+    for name, margin, ok in rows:
+        lhs, all_ok = worst.get(name, (-math.inf, True))
+        worst[name] = (max(lhs, margin), all_ok and ok)
+    return [{"name": name, "lhs": float(lhs), "rhs": rhs,
+             "satisfied": bool(ok and lhs <= rhs)}
+            for name, (lhs, ok) in worst.items()]
+
+
 def _suite_identities(rule, cutoff, samples, seed):
     band = cutoff
-    group = rule.group
     rng = np.random.default_rng(seed)
-    checks = []
-    worst = {k: 0.0 for k in ("roundtrip", "plancherel_rel", "convolution",
-                              "translation", "linearity", "haar_invariance")}
+    rows = []
     for k in range(samples):
         f = random_band_limited_function(rule, band, seed=seed + 17 * k + 1)
         g = random_band_limited_function(rule, band, seed=seed + 17 * k + 2)
         fc = forward_to_cutoff(f, cutoff=cutoff)
         gc = forward_to_cutoff(g, cutoff=cutoff)
         back = inverse(fc, rule)
-        worst["roundtrip"] = max(worst["roundtrip"],
-                                 float(np.max(np.abs(back.values - f.values))))
         mass = fc.head_mass(fc.labels)
         l2 = lp_function_norm(f, 2)
-        worst["plancherel_rel"] = max(worst["plancherel_rel"],
-                                      abs(mass - l2 ** 2) / l2 ** 2)
         hc = forward_to_cutoff(convolve(f, g), cutoff=cutoff)
-        worst["convolution"] = max(worst["convolution"], _max_gap(
-            hc.blocks, [gb @ fb for gb, fb in zip(gc.blocks, fc.blocks)]))
         y = _random_nodes(rule, 1, rng)[0]
         moved = translate(f, y)
         tc = forward_to_cutoff(moved, cutoff=cutoff)
         ts = translate_spectral(fc, y)
-        worst["translation"] = max(worst["translation"], _max_gap(tc.blocks, ts.blocks))
         a, b = rng.standard_normal(2)
         combc = forward_to_cutoff(f * a + g * b, cutoff=cutoff)
-        worst["linearity"] = max(worst["linearity"], _max_gap(
-            combc.blocks, [a * fb + b * gb for fb, gb in zip(fc.blocks, gc.blocks)]))
         base = rule.integrate(f.values)
         left = rule.integrate(moved.values)
-        worst["haar_invariance"] = max(worst["haar_invariance"],
-                                       abs(left - base))
-    for name, err in worst.items():
-        checks.append({"name": name, "lhs": float(err), "rhs": _IDENTITY_TOL,
-                       "satisfied": bool(err <= _IDENTITY_TOL)})
-    return checks
+        rows += [
+            ("roundtrip", float(np.max(np.abs(back.values - f.values))), True),
+            ("plancherel_rel", abs(mass - l2 ** 2) / l2 ** 2, True),
+            ("convolution", _max_gap(
+                hc.blocks, [gb @ fb for gb, fb in zip(gc.blocks, fc.blocks)]), True),
+            ("translation", _max_gap(tc.blocks, ts.blocks), True),
+            ("linearity", _max_gap(
+                combc.blocks, [a * fb + b * gb for fb, gb in zip(fc.blocks, gc.blocks)]), True),
+            ("haar_invariance", abs(left - base), True),
+        ]
+    return _checks(rows, _IDENTITY_TOL)
 
 
 # The three inequality suites loop over samples outermost: each sample is
-# synthesized once and checked at every exponent by one batch call, and the
-# worst margin of each exponent is kept in sample order.
+# synthesized once and checked at every exponent by one batch call, and
+# gives one (name, margin, ok) row per exponent, which ``_checks`` reduces
+# to the worst margin of each name in sample order.
 
 def _suite_hausdorff_young(rule, cutoff, samples, seed, p_values):
-    directions = ("forward", "reverse")
-    cases = [(ExponentPair.of(p), direction) for p in p_values for direction in directions]
-    worst = [-math.inf] * len(cases)  # case i is exponent i // 2, direction i % 2
-    worst_eq = [0.0] * len(p_values)
+    cases = [(ExponentPair.of(p), direction) for p in p_values
+             for direction in ("forward", "reverse")]
+    rows = []
     for k in range(samples):
         f = random_band_limited_function(rule, cutoff, seed=seed + 31 * k)
-        for i, chk in enumerate(hausdorff_young_checks(f, cases, cutoff=cutoff)):
-            margin = chk.lhs - chk.rhs
-            worst[i] = max(worst[i], margin)
-            if chk.p == 2.0:
-                worst_eq[i // 2] = max(worst_eq[i // 2], abs(margin))
-    checks = []
-    for i, p in enumerate(p_values):
-        for direction, err in zip(directions, worst[2 * i:2 * i + 2]):
-            checks.append({"name": f"{direction}_p={p:g}", "lhs": float(err),
-                           "rhs": _IDENTITY_TOL,
-                           "satisfied": bool(err <= _IDENTITY_TOL)})
-        if p == 2.0:
-            checks.append({"name": "equality_p=2", "lhs": float(worst_eq[i]),
-                           "rhs": _IDENTITY_TOL,
-                           "satisfied": bool(worst_eq[i] <= _IDENTITY_TOL)})
-    return checks
-
-
-def _lemma_checks(name, p_values, worst, all_ok):
-    return [{"name": f"{name}_p={p:g}", "lhs": float(err), "rhs": _LEMMA_SLACK,
-             "satisfied": bool(ok and err <= _LEMMA_SLACK)}
-            for p, err, ok in zip(p_values, worst, all_ok)]
+        chks = hausdorff_young_checks(f, cases, cutoff=cutoff)
+        for p, fwd, rev in zip(p_values, chks[::2], chks[1::2]):
+            m_fwd, m_rev = fwd.lhs - fwd.rhs, rev.lhs - rev.rhs
+            rows += [(f"forward_p={p:g}", m_fwd, True), (f"reverse_p={p:g}", m_rev, True)]
+            if p == 2.0:
+                rows.append(("equality_p=2", max(abs(m_fwd), abs(m_rev)), True))
+    return _checks(rows, _IDENTITY_TOL)
 
 
 def _suite_lemma31(rule, cutoff, samples, seed, p_values):
     radii = _BALL_RADII[rule.group.family]
     pairs = [ExponentPair.of(p) for p in p_values]
-    worst = [-math.inf] * len(pairs)
-    all_ok = [True] * len(pairs)
+    rows = []
     for k in range(samples):
         f = random_band_limited_function(rule, cutoff, seed=seed + 13 * k)
         delta = radii[k % len(radii)]
         chks = lemma31_bound_checks(f, NeighborhoodSpec(delta, 8), pairs, cutoff=cutoff)
-        for i, chk in enumerate(chks):
-            worst[i] = max(worst[i], chk.tail - chk.rhs)
-            all_ok[i] = all_ok[i] and chk.satisfied
-    return _lemma_checks("tail_le_2sup", p_values, worst, all_ok)
+        rows += [(f"tail_le_2sup_p={p:g}", chk.tail - chk.rhs, chk.satisfied)
+                 for p, chk in zip(p_values, chks)]
+    return _checks(rows, _LEMMA_SLACK)
 
 
 def _suite_lemma32(rule, cutoff, samples, seed, p_values):
@@ -252,17 +241,17 @@ def _suite_lemma32(rule, cutoff, samples, seed, p_values):
     pairs = [ExponentPair.of(p) for p in p_values]
     # the elements are drawn exponent by exponent, sample by sample
     ys = [[_random_nodes(rule, 1, rng)[0] for _ in range(samples)] for _ in pairs]
-    worst = [-math.inf] * len(pairs)
-    all_ok = [True] * len(pairs)
+    rows = []
     for k in range(samples):
         f = random_band_limited_function(rule, cutoff, seed=seed + 7 * k)
         shell = min(1 + k % 2, max_shell)
         A = shell_subset(rule.group, shell, cutoff=cutoff)
         cases = [(ys[i][k], A, pair) for i, pair in enumerate(pairs)]
-        for i, chk in enumerate(lemma32_bound_checks(f, cases, cutoff=cutoff)):
-            worst[i] = max(worst[i], chk.lhs - (chk.head_term + chk.tail_term))
-            all_ok[i] = all_ok[i] and chk.satisfied
-    return _lemma_checks("lhs_le_head_plus_tail", p_values, worst, all_ok)
+        chks = lemma32_bound_checks(f, cases, cutoff=cutoff)
+        rows += [(f"lhs_le_head_plus_tail_p={p:g}",
+                  chk.lhs - (chk.head_term + chk.tail_term), chk.satisfied)
+                 for p, chk in zip(p_values, chks)]
+    return _checks(rows, _LEMMA_SLACK)
 
 
 def _schur_gram_gap(rule, stacks):
@@ -305,18 +294,14 @@ def _schur_cell_gap(rule, labels, stacks):
 def _suite_schur(rule, cutoff, samples, seed):
     labels = enumerate_dual(rule.group, cutoff)
     stacks = [irrep_stack(lab, rule) for lab in labels]
-    worst = _schur_gram_gap(rule, stacks)
+    gram = _schur_gram_gap(rule, stacks)
     band = safe_band(rule)
     if band is not None and cutoff > band:
         raise ResolutionError(
             f"cutoff {cutoff} exceeds alias-free band {band} of {rule.rule_id}")
     single = _schur_cell_gap(rule, labels, stacks)
-    return [
-        {"name": "gram_block_pattern", "lhs": worst, "rhs": _IDENTITY_TOL,
-         "satisfied": bool(worst <= _IDENTITY_TOL)},
-        {"name": "entry_transform_single_cell", "lhs": single,
-         "rhs": _IDENTITY_TOL, "satisfied": bool(single <= _IDENTITY_TOL)},
-    ]
+    return _checks([("gram_block_pattern", gram, True),
+                    ("entry_transform_single_cell", single, True)], _IDENTITY_TOL)
 
 
 def cmd_verify(args):
@@ -464,16 +449,19 @@ def cmd_report(args):
 
 # -- entry point ---------------------------------------------------------------
 
-def _positive_int(text):
-    """An argparse type: an integer >= 1.  A suite over no samples would
-    pass vacuously or report a worst margin of -inf."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer >= ``low``.  A suite over no samples
+    would pass vacuously or report a worst margin of -inf, and a negative
+    cutoff leaves an empty dual, so every transform would be empty."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser():
@@ -488,7 +476,7 @@ def _build_parser():
     t.add_argument("--f", required=True, metavar="SPEC",
                    help="const:C | char:K | entry:LABEL:I:J | file:PATH")
     t.add_argument("--resolution", type=int)
-    t.add_argument("--cutoff", type=int)
+    t.add_argument("--cutoff", type=_int_at_least(0))
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--format", choices=["json", "csv"], default="json")
     t.add_argument("--out")
@@ -499,9 +487,9 @@ def _build_parser():
                             "lemma32", "schur"])
     v.add_argument("--group", default="dihedral:3")
     v.add_argument("--resolution", type=int)
-    v.add_argument("--cutoff", type=int)
+    v.add_argument("--cutoff", type=_int_at_least(0))
     v.add_argument("--p", type=float)
-    v.add_argument("--samples", type=_positive_int, default=25)
+    v.add_argument("--samples", type=_int_at_least(1), default=25)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out")
 

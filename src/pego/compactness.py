@@ -10,10 +10,11 @@ For a bounded family K the two sampled certificates are
 
 Each implies the other with explicit constants; both (plus boundedness) are
 equivalent to precompactness.  The two quantitative implications are exposed
-as `lemma31_bound_check` (equicontinuity controls the tail through a Dirac
-net element) and `lemma32_bound_check` (a head/tail split controls the
-modulus), and the verdict engine requires the sampled flags to agree, raising
-a diagnostic instead of emitting a silent verdict when they do not.
+as `lemma31_bound_checks` (equicontinuity controls the tail through a Dirac
+net element) and `lemma32_bound_checks` (a head/tail split controls the
+modulus), with one-case faces `lemma31_bound_check` and `lemma32_bound_check`.
+The verdict engine requires the sampled flags to agree, raising a diagnostic
+instead of emitting a silent verdict when they do not.
 
 For families given by a generator over an unbounded integer grid, monotone
 escape of the per-member witnesses across the grid is treated as a
@@ -486,6 +487,32 @@ def _translation_moduli(f, ys, ps, coeffs=None):
     return out
 
 
+def _lemma_transform(f, cutoff):
+    """(dual, fc, band_fc) of a lemma check: the dual at ``cutoff``
+    (default: the alias-free band), f's transform against it, and that
+    transform again when it is the band's, which the translates share, else
+    None."""
+    band = fourier.safe_band(f.rule)
+    if cutoff is None:
+        cutoff = band
+    dual = irreps.enumerate_dual(f.group, cutoff)
+    if cutoff == band:
+        fc = fourier.forward_to_cutoff(f)
+        return dual, fc, fc
+    return dual, fourier.forward(f, dual), None
+
+
+def _tail(f, fc, subset, dual, p):
+    """(tail, truncated): f's l^p tail outside ``subset``.  At p = 2 it is
+    ``norms.plancherel_residual``, the mass beyond the cutoff included;
+    otherwise ``fc``'s l^p norm over the rest of ``dual``, truncated on an
+    infinite group."""
+    if p == 2.0:
+        return norms.plancherel_residual(f, fc, subset), False
+    comp = subset.complement_within(dual)
+    return norms.lp_oplus_norm(fc, p, comp).value, not f.group.is_finite
+
+
 @dataclass
 class Lemma31Check:
     """Equicontinuity controls the dual tail: through the Dirac element e_U,
@@ -520,39 +547,28 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     Dirac element exactly as in the proof; the sup over U is sampled over the
     quadrature nodes supporting e_U, which is the whole discrete ball.  Only
     the final norms depend on the exponent, so every pair shares the Dirac
-    element, its transform and A, one transform of f (handed to the sweep
-    when ``cutoff`` is the alias-free band), and one sweep of translates over
-    the ball (``_translation_moduli``), which gives the moduli at every p.
-    At p' = 2 the tail is ``norms.plancherel_residual``: the complement's
-    masses summed, plus the mass beyond the cutoff.
+    element, its transform and A, one transform of f (``_lemma_transform``,
+    handed to the sweep when ``cutoff`` is the alias-free band), and one
+    sweep of translates over the ball (``_translation_moduli``), which gives
+    the moduli at every p.  The tail at p' is ``_tail``'s.
     """
     pairs = [ExponentPair.of(pair) for pair in pairs]
     rule = f.rule
     if not isinstance(ball, NeighborhoodSpec):
         ball = NeighborhoodSpec(float(ball))
     e_u = fourier.dirac_net_element(f.group, ball, rule)
-    if cutoff is None:
-        cutoff = fourier.safe_band(rule)
-    dual = irreps.enumerate_dual(f.group, cutoff)
+    dual, fc, band_fc = _lemma_transform(f, cutoff)
     ehat = fourier.forward(e_u, dual)
     op_norms = norms.schatten_norms(ehat, math.inf)
     a_labels = [lab for lab, v in zip(dual, op_norms.tolist()) if v > 0.5]
     subset = DualSubset.from_labels(f.group, a_labels)
-    band = cutoff == fourier.safe_band(rule)
-    fc = fourier.forward_to_cutoff(f) if band else fourier.forward(f, dual)
-    comp = subset.complement_within(dual)
     support = np.nonzero(np.abs(e_u.values) > 0)[0]
     ys = _inverse(rule.group, _take(rule.coords, support))
-    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], fc if band else None)
+    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], band_fc)
     out = []
     for pair, row in zip(pairs, moduli):
         q = pair.p_conj
-        if q == 2.0:
-            tail = norms.plancherel_residual(f, fc, subset)
-            truncated = False
-        else:
-            tail = norms.lp_oplus_norm(fc, q, comp).value
-            truncated = not f.group.is_finite
+        tail, truncated = _tail(f, fc, subset, dual, q)
         rhs = 2.0 * float(np.max(row, initial=0.0))
         out.append(Lemma31Check(
             subset,
@@ -598,28 +614,25 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
     """``Lemma32Check`` of one function for each (element, head set, exponent
     pair) of ``cases``, in order.
 
-    Every case shares one transform of f against the dual at ``cutoff``,
-    which the translates are handed when ``cutoff`` is the alias-free band,
-    and one ``fourier._translate_values`` call that translates f by all the
-    elements at once; each case's difference from f is taken in place.
+    Every case shares one transform of f against the dual at ``cutoff``
+    (``_lemma_transform``) and one sweep of translates over all the elements
+    (``_translation_moduli``), which takes them in bounded blocks, is handed
+    the transform when ``cutoff`` is the alias-free band, and gives the
+    moduli at every distinct p' of the cases.  The tail at p is ``_tail``'s.
     """
     cases = [(y, subset, ExponentPair.of(pair)) for y, subset, pair in cases]
-    if cutoff is None:
-        cutoff = fourier.safe_band(f.rule)
-    dual = irreps.enumerate_dual(f.group, cutoff)
+    dual, fc, band_fc = _lemma_transform(f, cutoff)
     have = set(dual)
     for _, subset, _ in cases:
         for lab in subset:
             if lab not in have:
                 raise ValueError(f"head label {lab.name} beyond the computed dual")
-    band = cutoff == fourier.safe_band(f.rule)
-    fc = fourier.forward_to_cutoff(f) if band else fourier.forward(f, dual)
     ys = coords_of(f.group, [y for y, _, _ in cases])
-    moved = fourier._translate_values(f, ys, fc if band else None)
-    moved -= f.values
+    ps = list(dict.fromkeys(pair.p_conj for _, _, pair in cases))
+    moduli = _translation_moduli(f, ys, ps, band_fc)
     out = []
-    for k, ((_, subset, pair), diff) in enumerate(zip(cases, moved)):
-        lhs = float(norms.lp_value_norms(f.rule.weights, diff[None], pair.p_conj)[0])
+    for k, (_, subset, pair) in enumerate(cases):
+        lhs = float(moduli[ps.index(pair.p_conj), k])
         # pi(y) - I on every head label, packed by dimension, so the operator
         # norms are one Schatten kernel call per block
         table = fourier.slot_table(tuple(subset))
@@ -630,13 +643,7 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
         head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
         head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
         head_term = head_sup * head_norm
-        if pair.p == 2.0:
-            tail = norms.plancherel_residual(f, fc, subset)
-            truncated = False
-        else:
-            comp = subset.complement_within(dual)
-            tail = norms.lp_oplus_norm(fc, pair.p, comp).value
-            truncated = not f.group.is_finite
+        tail, truncated = _tail(f, fc, subset, dual, pair.p)
         tail_term = 2.0 * tail
         rhs = head_term + tail_term
         out.append(Lemma32Check(
@@ -710,23 +717,11 @@ def _escape_certificate(family, witness_indices, side):
     return None
 
 
-def _decay_flag(family, profile, eps):
-    witness_idx = profile.witness_index(eps)
-    cert = _escape_certificate(family, profile.member_witness_indices(eps), "decay")
-    flag = witness_idx is not None and cert is None
-    witness = None
-    if witness_idx is not None:
-        witness = profile.steps[witness_idx].subset
-    return FlagReport(flag, witness, cert)
-
-
-def _equi_flag(family, profile, eps):
-    witness = profile.witness_delta(eps)
-    cert = _escape_certificate(
-        family, profile.member_witness_indices(eps), "equicontinuity"
-    )
-    flag = witness is not None and cert is None
-    return FlagReport(flag, witness, cert)
+def _flag(family, witness, member_indices, side):
+    """One criterion's flag: it holds when the family has a ``witness`` (None
+    when it has none) and its per-member witness indices certify no escape."""
+    cert = _escape_certificate(family, member_indices, side)
+    return FlagReport(witness is not None and cert is None, witness, cert)
 
 
 def pego_verdict(
@@ -784,8 +779,11 @@ def _profiles(family, filtration, mesh, ball_samples, seed):
 
 def _combine(family, epsilon, bnd, decay, conti, ball_samples, seed):
     """The verdict at one epsilon from the epsilon-free reports."""
-    dflag = _decay_flag(family, decay, epsilon)
-    eflag = _equi_flag(family, conti, epsilon)
+    step = decay.witness_index(epsilon)
+    dflag = _flag(family, None if step is None else decay.steps[step].subset,
+                  decay.member_witness_indices(epsilon), "decay")
+    eflag = _flag(family, conti.witness_delta(epsilon),
+                  conti.member_witness_indices(epsilon), "equicontinuity")
     if dflag.flag != eflag.flag:
         raise CoherenceError(
             f"criteria disagree at epsilon={epsilon}: uniform decay says "

@@ -131,6 +131,45 @@ def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
     assert doc["all_passed"] is False
 
 
+def test_checks_keep_the_worst_margin_per_name_in_first_seen_order():
+    rows = [("b", -1.0, True), ("a", 0.5, True), ("b", -3.0, True),
+            ("a", 2.0, True), ("c", -1.0, True), ("c", -2.0, False)]
+    assert cli._checks(rows, 1.0) == [
+        {"name": "b", "lhs": -1.0, "rhs": 1.0, "satisfied": True},
+        {"name": "a", "lhs": 2.0, "rhs": 1.0, "satisfied": False},
+        # within rhs, but one sample's own check failed
+        {"name": "c", "lhs": -1.0, "rhs": 1.0, "satisfied": False},
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "identities", "--group", "su2", "--samples", "1"],
+    ["transform", "--group", "su2", "--f", "const:1"],
+])
+def test_su2_cutoff_zero_defaults_to_resolution_one(tmp_path, capsys, argv):
+    """The default su2 resolution follows the cutoff but is at least 1."""
+    rc, _, err = run(capsys, *argv, "--cutoff", "0", "--out", str(tmp_path))
+    assert rc == 0, err
+    (path,) = tmp_path.glob("*.json")
+    assert json.loads(path.read_text())["config"]["resolution"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "identities", "--group", "torus:1", "--resolution", "3",
+     "--samples", "1"],
+    ["transform", "--group", "su2", "--f", "const:1", "--resolution", "2"],
+    ["verify", "--suite", "lemma31", "--group", "su2", "--resolution", "2", "--samples", "1"],
+])
+def test_negative_cutoff_is_refused_at_parse_time(tmp_path, capsys, argv):
+    """A negative cutoff leaves an empty dual: identities divided by a zero
+    norm, a transform reported empty coverage and lemma31 passed vacuously."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--cutoff", "-1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _family_file(tmp_path, doc, name="family.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))

@@ -230,6 +230,24 @@ def test_lemma31_batch_transforms_f_once_for_its_whole_sweep(monkeypatch, cutoff
     assert len(forwards) == f_transforms + 1  # and the Dirac element, once
 
 
+@pytest.mark.parametrize("cutoff", [2, 1])
+def test_lemma32_batch_takes_its_translates_in_bounded_blocks(monkeypatch, cutoff):
+    """Lemma 3.2's translates go through Lemma 3.1's bounded sweep, at the
+    alias-free band (2 here) and below it; each batch entry still equals
+    its single check."""
+    rule, _, f = _product_case()
+    monkeypatch.setattr(compactness, "_TRANSLATE_BLOCK_VALUES", 4 * len(rule))
+    ys = cli._random_nodes(rule, 10, np.random.default_rng(4))
+    subsets = [shell_subset(rule.group, s, cutoff=cutoff) for s in (0, 1)]
+    ps = [1.0, 1.5, 2.0]
+    cases = [(y, subsets[k % 2], ps[k % 3]) for k, y in enumerate(ys)]
+    blocks = _count(monkeypatch, "_translate_values")
+    chks = lemma32_bound_checks(f, cases, cutoff)
+    assert len(blocks) == math.ceil(10 / 4)
+    for (y, subset, p), chk in zip(cases, chks):
+        _same_fields(chk, lemma32_bound_check(f, y, subset, p, cutoff))
+
+
 def test_lemma31_suite_synthesizes_and_transforms_once_per_sample(monkeypatch):
     rule, cutoff, _ = _product_case()
     syntheses = _count(monkeypatch, "inverse_batch")

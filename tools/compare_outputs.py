@@ -42,7 +42,15 @@ each tree, one child process runs through ``pego.cli.main``:
   ``fourier.translate_values`` of a seeded function on product(torus:1,
   cyclic:3) at its grid nodes interleaved with seeded off-grid elements,
   which splits one batch between node re-indexing and the spectral path,
-  and on torus:2 at grid nodes only, which re-indexes the whole batch.
+  and on torus:2 at grid nodes only, which re-indexes the whole batch;
+  last, the lemma case: ``compactness.lemma31_bound_checks`` and
+  ``compactness.lemma32_bound_checks`` of a seeded function on torus:2 at
+  res 11 and on product(torus:1,su2) at res 5, each at the rule's
+  alias-free band and one shell below it (where no CLI run reaches the
+  lemmas), Lemma 3.2 over 12 seeded cases of grid nodes interleaved with
+  off-grid elements, seeded head shells and cycled exponents (on the
+  product that is two blocks of translates), one row of every numeric
+  field per check.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -115,6 +123,13 @@ HAND_BUILT_RULES = (("su2", 4, 4, _QUATERNION),
 TRANSLATE_CASES = (("translate-mixed-product(torus:1,cyclic:3)", "product(torus:1,cyclic:3)",
                     5, 2, 2),
                    ("translate-grid-torus:2", "torus:2", 11, 4, 7))
+# The lemma case, appended last: (group, resolution) of each rule, the ball
+# radius of Lemma 3.1, the exponents (cycled over Lemma 3.2's cases) and
+# Lemma 3.2's case count.
+LEMMA_RULES = (("torus:2", 11), ("product(torus:1,su2)", 5))
+LEMMA_RADIUS = 1.0
+LEMMA_PAIRS = (1.0, 1.5, 2.0)
+LEMMA32_CASES = 12
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -187,8 +202,8 @@ def run_cases(out_dir, workloads):
 
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
-    su2 transform, irrep-matrix, stack, continuity and batched translate
-    cases, into ``library.npz``."""
+    su2 transform, irrep-matrix, stack, continuity, batched translate and
+    lemma cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -218,6 +233,10 @@ def _run_library(out_dir, workloads):
     rng = np.random.default_rng([LIBRARY_SEED, len(values)])
     for name, group_name, res, band, stride in TRANSLATE_CASES:
         values[name] = _translate_values(group_name, res, band, stride, rng)
+    rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+    for group_name, res in LEMMA_RULES:
+        for part, vals in _lemma_values(group_name, res, rng).items():
+            values[f"lemma-{group_name}-{part}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -315,6 +334,38 @@ def _translate_values(group_name, res, band, stride, rng):
                for a, k in zip(rng.uniform(0, 2 * math.pi, len(ys)), rng.integers(3, size=len(ys)))]
         ys = [y for pair in zip(ys, off) for y in pair]
     return fourier.translate_values(f, ys)
+
+
+def _lemma_values(group_name, res, rng):
+    """The lemma case of one rule: at the alias-free band b and at b - 1,
+    the checks of ``lemma31_bound_checks`` over the ball of ``LEMMA_RADIUS``
+    at every exponent of ``LEMMA_PAIRS`` and of ``lemma32_bound_checks`` over
+    ``LEMMA32_CASES`` seeded cases, one row per check of its int, float and
+    bool fields in field order."""
+    from pego import compactness, fourier, groups, irreps
+
+    group = groups.parse_group(group_name)
+    rule = groups.haar_quadrature(group, res)
+    band = fourier.safe_band(rule)
+    f = fourier.random_band_limited_function(rule, band, seed=int(rng.integers(1000)))
+    nodes = rule.nodes_at(rng.integers(len(rule), size=LEMMA32_CASES // 2))
+    off = _library_points(group, rng)[:LEMMA32_CASES // 2]
+    ys = [y for pair in zip(nodes, off) for y in pair]
+    shells = rng.integers(band, size=LEMMA32_CASES)
+
+    def rows(checks):
+        return np.array([[float(v) for v in vars(c).values()
+                          if isinstance(v, (int, float))] for c in checks])
+
+    out = {}
+    for cutoff in (band, band - 1):
+        cases = [(y, irreps.shell_subset(group, int(min(s, cutoff)), cutoff=cutoff),
+                  LEMMA_PAIRS[k % len(LEMMA_PAIRS)])
+                 for k, (y, s) in enumerate(zip(ys, shells))]
+        out[f"31-b{cutoff}"] = rows(compactness.lemma31_bound_checks(
+            f, LEMMA_RADIUS, LEMMA_PAIRS, cutoff=cutoff))
+        out[f"32-b{cutoff}"] = rows(compactness.lemma32_bound_checks(f, cases, cutoff=cutoff))
+    return out
 
 
 def _law_values(group, res, band, rng):
@@ -504,17 +555,17 @@ def compare(old_dir, new_dir):
 def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
     cases, of the su2 transform case, of the irrep-matrix case, of the
-    stack case, of the continuity case and of the batched translate case of
-    the library section; True when all are within LIBRARY_TOL."""
+    stack case, of the continuity case, of the batched translate case and
+    of the lemma case of the library section; True when all are within
+    LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
             return False
-        gaps = {name: float(np.max(np.abs(old[name] - new[name]), initial=0.0))
-                for name in old.files}
+        gaps = {name: _array_gap(old[name], new[name]) for name in old.files}
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
              "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
-             "translate-": "batched translate"}
+             "translate-": "batched translate", "lemma-": "lemma check"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
@@ -523,7 +574,14 @@ def _compare_library(old_dir, new_dir):
         name = max(names, key=gaps.get)
         parts.append(f"{len(names)} {kind} arrays, largest gap {gaps[name]:.3e} ({name})")
     print(f"library: {'; '.join(parts)}; tolerance {LIBRARY_TOL:.0e}")
-    return max(gaps.values()) <= LIBRARY_TOL
+    return all(gap <= LIBRARY_TOL for gap in gaps.values())  # a NaN gap fails
+
+
+def _array_gap(a, b):
+    """The largest |a - b| over two arrays of one shape; equal entries, the
+    infinite exponents of the lemma case included, have gap 0."""
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.where(a == b, 0.0, np.abs(a - b)), initial=0.0))
 
 
 def main(argv=None):
