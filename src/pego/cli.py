@@ -26,13 +26,13 @@ from .compactness import (
     pego_verdicts,
 )
 from .fourier import (
-    SampledFunction,
+    _kernels,
     convolve,
-    forward_batch,
     forward_to_cutoff,
     inverse,
     random_band_limited_function,
     safe_band,
+    slot_table,
     translate,
     translate_spectral,
 )
@@ -43,7 +43,7 @@ from .groups import (
     haar_quadrature,
     parse_group,
 )
-from .irreps import enumerate_dual, irrep_stack, shell_subset
+from .irreps import _blocks_at, enumerate_dual, shell_subset
 from .norms import (
     ExponentPair,
     hausdorff_young_checks,
@@ -254,52 +254,49 @@ def _suite_lemma32(rule, cutoff, samples, seed, p_values):
     return _checks(rows, _LEMMA_SLACK)
 
 
-def _schur_gram_gap(rule, stacks):
-    """Every matrix entry of every label is one column of E, and Schur says
-    E^T W conj(E) = diag(1/dim).  E is cut from the stacks and multiplied a
-    block of nodes at a time, so no full copy of the stacks is ever made."""
-    want = np.concatenate([np.full(s.shape[1] ** 2, 1.0 / s.shape[1]) for s in stacks])
+def _schur_gram_gap(rule, dims, views):
+    """Every matrix entry of every label is one column of E, the blocks'
+    (n, n_b*d*d) views side by side, and Schur says E^T W conj(E) =
+    diag(1/dim).  E is multiplied a block of nodes at a time, so no full
+    copy of it is ever made."""
+    want = np.concatenate([np.full(v.shape[1], 1.0 / d) for d, v in zip(dims, views)])
     gram = np.zeros((len(want), len(want)), dtype=complex)
     for lo in range(0, len(rule), _SCHUR_BLOCK_NODES):
         rows = slice(lo, lo + _SCHUR_BLOCK_NODES)
-        block = np.concatenate([s[rows].reshape(-1, s.shape[1] ** 2) for s in stacks], axis=1)
+        block = np.concatenate([v[rows] for v in views], axis=1)
         gram += (block.T * rule.weights[rows]) @ block.conj()
     return float(np.max(np.abs(gram - np.diag(want))))
 
 
-def _schur_cell_gap(rule, labels, stacks):
-    """The transform of entry (i, j) of pi is the single cell [j, i] = 1/dim
-    at pi.  Entry functions are cut from the stacks, transformed in batches
-    of at most _SCHUR_BLOCK_NODES * sum(dim^2) values, the gram's bound, and
-    compared with that one-hot pattern a dimension block at a time."""
-    cells = [(lab, s, i, j) for lab, s in zip(labels, stacks)
-             for i in range(lab.dim) for j in range(lab.dim)]
-    per_batch = max(1, _SCHUR_BLOCK_NODES * len(cells) // len(rule))
+def _schur_cell_gap(rule, table, views):
+    """Column c = pos*d*d + i*d + j of a block's view is pi(t)[i, j] for the
+    label at pos, whose transform is 1/dim at cell [j, i] of pi: with the
+    coefficient blocks transposed and flattened like the views, 1/d at
+    column c of its own block and 0 elsewhere.  The columns reach the rule's
+    forward kernel as one value array per batch of at most
+    _SCHUR_BLOCK_NODES * sum(dim^2) values, the gram's bound."""
+    forward = _kernels(rule)[0]
+    per_batch = max(1, _SCHUR_BLOCK_NODES * sum(v.shape[1] for v in views) // len(rule))
     gap = 0.0
-    for lo in range(0, len(cells), per_batch):
-        batch = cells[lo:lo + per_batch]
-        fns = [SampledFunction(rule, s[:, i, j].copy()) for _, s, i, j in batch]
-        coeffs = forward_batch(fns, labels)
-        table = coeffs[0].table
-        for b, d in enumerate(table.dims):
-            got = np.stack([c.blocks[b] for c in coeffs])  # (functions, n_b, d, d)
-            for k, (lab, _, i, j) in enumerate(batch):
-                blk, pos = table.slot(lab)
-                if blk == b:
-                    got[k, pos, j, i] -= 1.0 / d
-            gap = max(gap, float(np.max(np.abs(got))))
+    for b, (d, view) in enumerate(zip(table.dims, views)):
+        for lo in range(0, view.shape[1], per_batch):
+            vals = np.ascontiguousarray(view[:, lo:lo + per_batch].T)
+            got = [c.transpose(0, 1, 3, 2).reshape(len(vals), -1)
+                   for c in forward(vals, table, rule)]
+            got[b][np.arange(len(vals)), lo + np.arange(len(vals))] -= 1.0 / d
+            gap = max(gap, *(float(np.max(np.abs(g))) for g in got))
     return gap
 
 
 def _suite_schur(rule, cutoff, samples, seed):
-    labels = enumerate_dual(rule.group, cutoff)
-    stacks = [irrep_stack(lab, rule) for lab in labels]
-    gram = _schur_gram_gap(rule, stacks)
+    table = slot_table(tuple(enumerate_dual(rule.group, cutoff)))
+    views = [b.reshape(len(rule), -1) for b in _blocks_at(table.block_labels, rule)]
+    gram = _schur_gram_gap(rule, table.dims, views)
     band = safe_band(rule)
     if band is not None and cutoff > band:
         raise ResolutionError(
             f"cutoff {cutoff} exceeds alias-free band {band} of {rule.rule_id}")
-    single = _schur_cell_gap(rule, labels, stacks)
+    single = _schur_cell_gap(rule, table, views)
     return _checks([("gram_block_pattern", gram, True),
                     ("entry_transform_single_cell", single, True)], _IDENTITY_TOL)
 

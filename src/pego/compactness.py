@@ -756,13 +756,13 @@ def pego_verdicts(
     """``pego_verdict`` at each of several epsilons, in order.
 
     The epsilon only enters the flags, so boundedness and both profiles are
-    computed once and every verdict shares them.  Any nonpositive epsilon
-    raises ValueError before work starts, and the first incoherent epsilon
-    raises CoherenceError.
+    computed once and every verdict shares them.  An epsilon that is not
+    positive and finite (NaN included) raises ValueError before work starts,
+    and the first incoherent epsilon raises CoherenceError.
     """
     epsilons = list(epsilons)
-    if any(eps <= 0 for eps in epsilons):
-        raise ValueError("epsilon must be positive")
+    if not all(0 < eps < math.inf for eps in epsilons):
+        raise ValueError("epsilon must be positive and finite")
     _, *reports = _profiles(family, filtration, mesh, ball_samples, seed)
     return [_combine(family, eps, *reports, ball_samples, seed) for eps in epsilons]
 
@@ -882,8 +882,8 @@ def epsilon_net(
     the witness property, so every member provably lies within epsilon of its
     center; the code still verifies each distance explicitly.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     spectrum, *reports = _profiles(family, filtration, mesh, ball_samples, seed)
     verdict = _combine(family, epsilon / 2.0, *reports, ball_samples, seed)
     if verdict.conclusion != "precompact":

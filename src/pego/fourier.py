@@ -48,6 +48,10 @@ group synthesizes against the block matrices of ``SlotTable.matrices_at``.
 The right action pi(y) @ fhat takes its matrices from
 ``SlotTable.matrices_at`` on every group; on su2 and on su2 factors they
 come from one ``_wigner.wigner_D`` call for all spins of the request.
+
+Inside an ``irreps.basis_twist``, the su2 and product kernels and the su2
+``evaluate_at``, which build no irrep matrix, pass their coefficient blocks
+through ``irreps._twisted``, the step that also twists every matrix.
 """
 
 from __future__ import annotations
@@ -468,19 +472,6 @@ def _kernels(rule):
     return _stack_forward, _stack_inverse
 
 
-def _twisted(table, blocks, forward):
-    """Coefficient blocks in the active ``basis_twist``: U* C U per label for
-    a forward transform, U C U* before a synthesis (``irreps.block_twist``)."""
-    out = []
-    for labs, block in zip(table.block_labels, blocks):
-        u = irreps.block_twist(labs)
-        if u is not None:
-            uh = u.conj().transpose(0, 2, 1)
-            block = uh @ block @ u if forward else u @ block @ uh
-        out.append(block)
-    return out
-
-
 def _stack_forward(vals, table, rule):
     """Per label one GEMM of conj(w * f) against the stack viewed as
     (N, d*d); each block is conjugated and transposed back once, so no
@@ -597,7 +588,7 @@ def _product_forward(vals, table, rule):
     factor weights, so for a product label coeff[(i_1, i_2), (j_1, j_2)] =
     sum w f conj(pi_1[j_1, i_1]) conj(pi_2[j_2, i_2]) is then one entry of
     the contracted array, and each block is one gather from it
-    (``_product_plan``).  A twist of the product labels is applied last.
+    (``_product_plan``).
     """
     if not table.labels:
         return []
@@ -612,21 +603,21 @@ def _product_forward(vals, table, rule):
         flat = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
         x = np.moveaxis(flat.reshape(moved.shape[:-1] + (flat.shape[1],)), -1, t + 1)
     x = x.reshape(m, -1)
-    return _twisted(table, [x[:, idx] for idx in index], True)
+    return irreps._twisted(table.block_labels, [x[:, idx] for idx in index], True)
 
 
 def _product_inverse(table, blocks, m, rule):
     """Synthesis on a product rule, the transpose of ``_product_forward``:
-    the coefficients, twisted back, are scattered into the outer product of
-    the factors' entry axes, and each factor's synthesis turns its entry
-    axis into its node axis, the smallest node axis first."""
+    the coefficients are scattered into the outer product of the factors'
+    entry axes, and each factor's synthesis turns its entry axis into its
+    node axis, the smallest node axis first."""
     if not table.labels:
         return np.zeros((m, len(rule)), dtype=complex)
     frules = rule.meta["factor_rules"]
     ftabs, starts, index = _product_plan(table)
     sizes = tuple(int(st[-1]) for st in starts)
     x = np.zeros((m, math.prod(sizes)), dtype=complex)
-    for block, idx in zip(_twisted(table, blocks, False), index):
+    for block, idx in zip(irreps._twisted(table.block_labels, blocks, False), index):
         x[:, idx] = block
     x = x.reshape((m,) + sizes)
     for t in sorted(range(len(frules)), key=lambda t: len(frules[t])):
@@ -653,9 +644,8 @@ def _su2_forward(vals, table, rule):
     The gamma GEMM runs per function, from its unweighted values into one
     (m, n_a, n_b, K) array, which the node weights of each beta (all nodes
     of one beta share a weight) then scale in place: no weighted or stacked
-    copy of the samples is made.  Inside a ``basis_twist`` each coefficient
-    becomes U* coeff U.  Every su2 spin has its own dimension, so each block
-    holds one label.
+    copy of the samples is made.  Every su2 spin has its own dimension, so
+    each block holds one label.
     """
     top = max((lab.index[0] for lab in table.labels), default=0)
     ph_a, ph_c = irreps.euler_phases(rule, top)
@@ -672,20 +662,20 @@ def _su2_forward(vals, table, rule):
         sub = g[:, :, cols, cols]  # (m, b, q, p)
         coeff = (irreps.euler_grid_d(lab, rule) * sub).sum(axis=1).transpose(0, 2, 1)
         blocks.append(coeff[:, None])
-    return _twisted(table, blocks, True)
+    return irreps._twisted(table.block_labels, blocks, True)
 
 
 def _su2_inverse(table, blocks, m, rule):
     """Separable synthesis on the su2 Euler grid, the transpose of
     ``_su2_forward``: H[b, m_p, m_q] = sum over spins of dim C[q, p] d_pq(b),
     then the alpha GEMM on that small (n_b, K, K) array and one gamma GEMM
-    that writes the (m, N) values, for m coefficient sets at once.  Inside a
-    ``basis_twist`` each label synthesizes from U C U*."""
+    that writes the (m, N) values, for m coefficient sets at once."""
     top = max((lab.index[0] for lab in table.labels), default=0)
     ph_a, ph_c = irreps.euler_phases(rule, top)
     k = 2 * top + 1
     h = np.zeros((m, len(rule.meta["betas"]), k, k), dtype=complex)
-    for (lab,), block in zip(table.block_labels, _twisted(table, blocks, False)):
+    blocks = irreps._twisted(table.block_labels, blocks, False)
+    for (lab,), block in zip(table.block_labels, blocks):
         cols = _wigner._spin_columns(top, lab.index[0])
         h[:, :, cols, cols] += (
             lab.dim * block[:, 0].transpose(0, 2, 1)[:, None] * irreps.euler_grid_d(lab, rule)
@@ -769,13 +759,12 @@ def _su2_values(coeffs, coords):
     dimension-scaled, transposed coefficients times its ``_wigner.trig_cube``
     into the centered cube of its own weights.  The points are then taken
     ``_POINT_BLOCK`` at a time: one (P, K) @ (K, K^2) GEMM against the alpha
-    phases and a K^2 contraction against the gamma and beta phases.  Inside
-    a ``basis_twist`` each label synthesizes from U C U*.
+    phases and a K^2 contraction against the gamma and beta phases.
     """
     alpha, beta, gamma = _wigner.euler_from_quaternion(*coords.T)
     vals = np.zeros(len(coords), dtype=complex)
     two_ls = [lab.index[0] for (lab,) in coeffs.table.block_labels]
-    blocks = _twisted(coeffs.table, coeffs.blocks, False)
+    blocks = irreps._twisted(coeffs.table.block_labels, coeffs.blocks, False)
     for parity in (0, 1):
         mine = [b for b, t in enumerate(two_ls) if t % 2 == parity]
         if not mine:

@@ -52,7 +52,6 @@ __all__ = [
     "irrep_stack",
     "euler_grid_d",
     "euler_phases",
-    "block_twist",
     "character",
     "random_unitary",
     "basis_twist",
@@ -353,12 +352,12 @@ def parse_label(group, text):
 
 # ---------------------------------------------------------------------------
 # Matrix evaluation.  ``_blocks_at`` is the one evaluator, at points and on
-# rules alike; it applies every twist, and ``_kron`` is its one Kronecker
-# product.  A module-level "basis twist" can conjugate every irrep by a fixed
-# unitary; it exists so tests can certify basis independence of all reported
-# quantities.  No matrix is kept: every matrix and stack is evaluated afresh
-# on each call, from the grid tables an su2 Euler rule keeps in its ``meta``
-# (``euler_grid_d``, ``euler_phases``) where it has them.
+# rules alike, ``_kron`` its one Kronecker product and ``_twisted`` its one
+# twist step.  A module-level "basis twist" can conjugate every irrep by a
+# fixed unitary; it exists so tests can certify basis independence of all
+# reported quantities.  No matrix is kept: every matrix and stack is evaluated
+# afresh on each call, from the grid tables an su2 Euler rule keeps in its
+# ``meta`` (``euler_grid_d``, ``euler_phases``) where it has them.
 
 _TWIST = {"table": None}
 
@@ -380,8 +379,8 @@ def basis_twist(group, cutoff=None, seed=0):
     per-label unitary drawn from ``seed``.  The twisted family is again a
     concrete realization of the same dual, so any basis-independent quantity
     must be unchanged; a 1x1 twist is a unit scalar that cancels, so it is
-    never applied (``block_twist``).  Stacks (``irrep_stack``) evaluated
-    inside the context are twisted too.  Twists do not nest.
+    never applied.  Stacks and transforms evaluated inside the context are
+    twisted too (``_twisted``).  Twists do not nest.
     """
     if _TWIST["table"] is not None:
         raise RuntimeError("basis_twist does not nest")
@@ -396,18 +395,23 @@ def basis_twist(group, cutoff=None, seed=0):
         _TWIST["table"] = None
 
 
-def block_twist(labels):
-    """Stacked unitaries (n_b, d, d) of the active ``basis_twist`` for labels
-    of one dimension d > 1, identity for labels it does not cover; None when
-    none is covered or d == 1 (a 1x1 twist is a unit scalar and cancels).
-    The twist realizes a covered label as U* pi U."""
+def _twisted(block_labels, blocks, forward):
+    """Per-dimension blocks (..., n_b, d, d) of matrices or coefficients, any
+    leading axes, in the active ``basis_twist``: U* B U per covered label of
+    d > 1 for matrices and forward coefficients (``forward``), U C U* for
+    coefficients about to be synthesized.  The one reader of ``_TWIST``."""
     table = _TWIST["table"]
-    if labels[0].dim == 1 or table is None:
-        return None
-    us = [table.get(lab) for lab in labels]
-    if all(u is None for u in us):
-        return None
-    return np.stack([np.eye(lab.dim) if u is None else u for lab, u in zip(labels, us)])
+    if table is None:
+        return blocks
+    out = []
+    for labels, block in zip(block_labels, blocks):
+        us = [table.get(lab) for lab in labels]
+        if labels[0].dim > 1 and any(u is not None for u in us):
+            u = np.stack([np.eye(lab.dim) if v is None else v for lab, v in zip(labels, us)])
+            uh = u.conj().transpose(0, 2, 1)
+            block = uh @ block @ u if forward else u @ block @ uh
+        out.append(block)
+    return out
 
 
 def _dihedral_matrix_arrays(label, rs, ss):
@@ -443,7 +447,8 @@ def _blocks_at(block_labels, at):
     * product labels are Kronecker products of their factors' matrices, each
       distinct factor label evaluated once (``_product_blocks``).
 
-    Twists apply per block, at the level of the group whose dual they cover.
+    Twists apply per block (``_twisted``), at the level of the group whose
+    dual they cover.
     """
     if not block_labels:
         return []
@@ -462,16 +467,9 @@ def _blocks_at(block_labels, at):
         raw = _product_blocks(block_labels, coords, crossed=False)
     else:
         raw = [_block_at(group, labels, coords) for labels in block_labels]
-    out = []
-    for labels, mats in zip(block_labels, raw):
-        d = labels[0].dim
-        mats = np.ascontiguousarray(mats, dtype=complex).reshape(-1, len(labels), d, d)
-        us = block_twist(labels)
-        if us is not None:
-            for k, u in enumerate(us):
-                mats[:, k] = u.conj().T @ np.ascontiguousarray(mats[:, k]) @ u
-        out.append(mats)
-    return out
+    mats = [np.ascontiguousarray(m, dtype=complex).reshape(-1, len(labs), labs[0].dim, labs[0].dim)
+            for labs, m in zip(block_labels, raw)]
+    return _twisted(block_labels, mats, True)
 
 
 def _block_at(group, labels, coords):
@@ -660,7 +658,7 @@ def irrep_stack(label, rule):
     own rule's nodes only; every other rule evaluates the label at
     ``rule.coords`` and builds no GroupPoint.  The transforms use stacks on
     dihedral, non-cyclic finite and hand-built rules only; stacks elsewhere
-    serve matrix-entry functions, ``char:`` specs and the Schur suite.
+    serve matrix-entry functions and ``char:`` specs.
     """
     if label.group != rule.group:
         raise ValueError(f"label {label.name} is not an irrep of {rule.group.name}")

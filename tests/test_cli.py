@@ -93,28 +93,40 @@ def test_verify_su2_identities(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("group,res,cutoff", [("torus:2", 11, 5), ("product(torus:1,su2)", 5, 2)])
-def test_schur_suite_evaluates_each_stack_once(tmp_path, capsys, monkeypatch, group, res, cutoff):
-    """One Schur op evaluates each label's stack once: the gram and every
-    matrix-entry function are cut from those stacks, not re-evaluated per
-    cell."""
-    from pego import irreps
+def test_schur_suite_reads_its_matrices_from_one_block_request(
+        tmp_path, capsys, monkeypatch, group, res, cutoff):
+    """One Schur op makes one ``_blocks_at`` request at its rule, for every
+    block of the dual, and no ``irrep_stack`` call: the gram and every
+    matrix-entry function are cut from those blocks.  A product's factor
+    requests are made at its factor rules."""
+    from pego import fourier, groups, irreps
 
-    calls = []
-    real = irreps.irrep_stack
+    requests, stacks = [], []
+    real_blocks, real_stack = irreps._blocks_at, irreps.irrep_stack
 
-    def counted(label, rule):
-        calls.append(label)
-        return real(label, rule)
+    def blocks_at(block_labels, at):
+        requests.append((block_labels, at))
+        return real_blocks(block_labels, at)
 
-    monkeypatch.setattr(irreps, "irrep_stack", counted)
-    monkeypatch.setattr(cli, "irrep_stack", counted)
+    def irrep_stack(label, rule):
+        stacks.append(label)
+        return real_stack(label, rule)
+
+    for module in (irreps, cli):
+        monkeypatch.setattr(module, "_blocks_at", blocks_at)
+    monkeypatch.setattr(irreps, "irrep_stack", irrep_stack)
     rc, out, _ = run(
         capsys, "verify", "--suite", "schur", "--group", group, "--resolution", str(res),
         "--cutoff", str(cutoff), "--out", str(tmp_path),
     )
     assert rc == 0
     assert "FAIL" not in out
-    assert calls == irreps.enumerate_dual(cli.parse_group(group), cutoff)
+    g = cli.parse_group(group)
+    rule = groups.haar_quadrature(g, resolution=res)
+    table = fourier.slot_table(tuple(irreps.enumerate_dual(g, cutoff)))
+    assert [labels for labels, at in requests if at is rule] == [table.block_labels]
+    assert all(labels[0][0].group != g for labels, at in requests if at is not rule)
+    assert stacks == []
 
 
 def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
@@ -209,6 +221,23 @@ def test_diagnose_explicit_members_and_epsilon(tmp_path, capsys):
     doc = json.loads((tmp_path / "diagnose_two_chars.json").read_text())
     assert len(doc["verdicts"]) == 1
     assert doc["verdicts"][0]["epsilon"] == 0.25
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_diagnose_non_finite_epsilon_exits_2_before_any_verdict(tmp_path, capsys, eps):
+    fam = _family_file(
+        tmp_path,
+        {"group": "torus:2", "resolution": 9, "kind": "heat_kernel"},
+    )
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc, out, err = run(
+        capsys, "diagnose", "--family", str(fam), "--epsilon", eps, "--out", str(out_dir),
+    )
+    assert rc == 2
+    assert "->" not in out
+    assert "finite" in err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_diagnose_missing_file_exits_2(tmp_path, capsys):

@@ -375,6 +375,23 @@ def test_verdict_epsilon_validation():
         pego_verdict(fam, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_epsilon_is_refused_before_any_profile(monkeypatch, bad):
+    """NaN passes an ``eps <= 0`` test and inf reads as "precompact"; both
+    are refused before the profiles are computed."""
+    from pego import compactness
+
+    def no_profiles(*args):
+        raise AssertionError("profiles computed for a non-finite epsilon")
+
+    monkeypatch.setattr(compactness, "_profiles", no_profiles)
+    fam = builtin_family("scaled_constants", haar_quadrature(cyclic(4)))
+    with pytest.raises(ValueError, match="finite"):
+        compactness.pego_verdicts(fam, [0.5, bad])
+    with pytest.raises(ValueError, match="finite"):
+        epsilon_net(fam, bad)
+
+
 # -- epsilon nets ------------------------------------------------------------
 
 

@@ -345,7 +345,8 @@ def test_mixed_rule_arithmetic_raises():
 
 def _assert_transforms_match_dense_oracle(rule, dual, twisted, seed, twist_cutoff):
     """forward_batch and inverse against sums over irrep_matrices at every
-    node, plain or under basis_twist, at atol 1e-13."""
+    node, plain or under basis_twist of the group ``twisted`` (the rule's
+    group or one of its factors; None for plain), at atol 1e-13."""
     g = rule.group
     rng = np.random.default_rng(seed)
     fs = [
@@ -358,7 +359,8 @@ def _assert_transforms_match_dense_oracle(rule, dual, twisted, seed, twist_cutof
         for lab in dual
     }
     coeffs = FourierCoefficients(g, tuple(dual), entries)
-    with basis_twist(g, cutoff=twist_cutoff, seed=5) if twisted else contextlib.nullcontext():
+    twist = contextlib.nullcontext() if twisted is None else basis_twist(twisted, twist_cutoff, 5)
+    with twist:
         got = forward_batch(fs, dual)
         synth = inverse_transform(coeffs, rule).values
         mats = {lab: irrep_matrices(lab, rule.nodes) for lab in dual}
@@ -380,7 +382,7 @@ def test_separable_su2_transforms_match_dense_oracle(twisted):
     for res in range(1, 9):
         rule = haar_quadrature(g, res)
         dual = enumerate_dual(g, safe_band(rule))
-        _assert_transforms_match_dense_oracle(rule, dual, twisted, res, res)
+        _assert_transforms_match_dense_oracle(rule, dual, g if twisted else None, res, res)
 
 
 _DENSE_CASES = {
@@ -394,15 +396,22 @@ _DENSE_CASES = {
 }
 
 
-@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
-@pytest.mark.parametrize("name", sorted(_DENSE_CASES))
-def test_grid_and_product_transforms_match_dense_oracle(name, twisted):
+@pytest.mark.parametrize("name,twist", [
+    (name, twist) for name in sorted(_DENSE_CASES)
+    for twist in ("plain", "twisted", "factor0", "factor1")
+    if twist in ("plain", "twisted") or _DENSE_CASES[name][0].family == "product"
+])
+def test_grid_and_product_transforms_match_dense_oracle(name, twist):
     """The torus FFT, the cyclic stacks and the factor-by-factor product
-    kernels against sums over irrep_matrices at every node."""
+    kernels against sums over irrep_matrices at every node: plain, under a
+    twist of the group, and on products under a twist of one factor, which
+    only the factor's own kernel and matrices can apply."""
     group, res = _DENSE_CASES[name]
     rule = haar_quadrature(group, res)
     band = safe_band(rule)
     dual = enumerate_dual(group, band)
+    twisted = (None if twist == "plain" else group if twist == "twisted"
+               else group.factors[int(twist.removeprefix("factor"))])
     _assert_transforms_match_dense_oracle(rule, dual, twisted, res, band)
 
 
@@ -417,7 +426,7 @@ def test_forward_beyond_the_safe_band_equals_the_dense_sum(group, res, cutoff):
     rule = haar_quadrature(group, res)
     assert cutoff > safe_band(rule)
     dual = enumerate_dual(group, cutoff)
-    _assert_transforms_match_dense_oracle(rule, dual, False, 11, None)
+    _assert_transforms_match_dense_oracle(rule, dual, None, 11, None)
 
 
 def _count_stacks(monkeypatch):

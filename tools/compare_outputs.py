@@ -50,7 +50,13 @@ each tree, one child process runs through ``pego.cli.main``:
   lemmas), Lemma 3.2 over 12 seeded cases of grid nodes interleaved with
   off-grid elements, seeded head shells and cycled exponents (on the
   product that is two blocks of translates), one row of every numeric
-  field per check.
+  field per check; last, the twisted case: on su2, dihedral:9,
+  product(torus:1,su2) and the hand-built product rule of
+  ``HAND_BUILT_RULES``, ``fourier.forward_batch`` and
+  ``fourier.inverse_batch`` of seeded samples and coefficients,
+  ``fourier.translate_values`` and ``fourier.evaluate_at`` at seeded
+  points and ``irreps.irrep_blocks`` of the dual at those points, each
+  under ``irreps.basis_twist`` of the group and of each of its factors.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -130,6 +136,13 @@ LEMMA_RULES = (("torus:2", 11), ("product(torus:1,su2)", 5))
 LEMMA_RADIUS = 1.0
 LEMMA_PAIRS = (1.0, 1.5, 2.0)
 LEMMA32_CASES = 12
+# The twisted case, appended last: (group, resolution, cutoff, shift) per
+# rule, the shift as in ``HAND_BUILT_RULES`` (None: the canonical rule), the
+# seed of every twist and the number of elements each rule translates by.
+TWIST_RULES = (("su2", 4, 4, None), ("dihedral:9", 1, None, None),
+               ("product(torus:1,su2)", 5, 2, None), HAND_BUILT_RULES[1])
+TWIST_SEED = 8
+TWIST_ELEMENTS = 6
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -202,8 +215,8 @@ def run_cases(out_dir, workloads):
 
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
-    su2 transform, irrep-matrix, stack, continuity, batched translate and
-    lemma cases, into ``library.npz``."""
+    su2 transform, irrep-matrix, stack, continuity, batched translate, lemma
+    and twisted cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -237,6 +250,11 @@ def _run_library(out_dir, workloads):
     for group_name, res in LEMMA_RULES:
         for part, vals in _lemma_values(group_name, res, rng).items():
             values[f"lemma-{group_name}-{part}"] = vals
+    rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+    for group_name, res, cutoff, shift in TWIST_RULES:
+        rule_name = group_name + ("-hand-built" if shift else "")
+        for part, vals in _twisted_values(group_name, res, cutoff, shift, rng).items():
+            values[f"twist-{rule_name}-{part}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -294,17 +312,56 @@ def _stack_values(group_name, cutoff, res, shift=None):
     the group's dual, one row per node, on the canonical rule at ``res`` or,
     given ``shift``, on the hand-built rule whose nodes are the canonical
     nodes times the point with coordinates ``shift``."""
-    from pego import groups, irreps
+    from pego import irreps
+
+    rule = _rule(group_name, res, shift)
+    return np.concatenate([irreps.irrep_stack(lab, rule).reshape(len(rule), -1)
+                           for lab in irreps.enumerate_dual(rule.group, cutoff)], axis=1)
+
+
+def _rule(group_name, res, shift=None):
+    """The canonical rule of a group at ``res`` or, given ``shift``, the
+    hand-built rule whose nodes are the canonical nodes times the point with
+    coordinates ``shift``, built with no kind."""
+    from pego import groups
 
     group = groups.parse_group(group_name)
     rule = groups.haar_quadrature(group, res)
-    if shift is not None:
-        y = groups.point(group, shift)
-        nodes = [groups.multiply(x, y) for x in rule.nodes]
-        rule = groups.QuadratureRule(group, groups.coords_of(group, nodes), rule.weights,
-                                     rule.exactness_degree, res)
-    return np.concatenate([irreps.irrep_stack(lab, rule).reshape(len(rule), -1)
-                           for lab in irreps.enumerate_dual(group, cutoff)], axis=1)
+    if shift is None:
+        return rule
+    y = groups.point(group, shift)
+    nodes = [groups.multiply(x, y) for x in rule.nodes]
+    return groups.QuadratureRule(group, groups.coords_of(group, nodes), rule.weights,
+                                 rule.exactness_degree, res)
+
+
+def _twisted_values(group_name, res, cutoff, shift, rng):
+    """The twisted case of one rule: under ``basis_twist`` of the group and
+    of each factor, the forward transforms of two seeded sample arrays, the
+    synthesis of seeded coefficients on the dual to ``cutoff``, the
+    translates of the first samples by the first ``TWIST_ELEMENTS`` seeded
+    points, the values of the coefficients at the seeded points and the
+    dual's block matrices there."""
+    from pego import fourier, irreps
+
+    rule = _rule(group_name, res, shift)
+    group = rule.group
+    fs = [fourier.SampledFunction(rule, v) for v in rng.normal(size=(2, len(rule), 2)) @ [1, 1j]]
+    coeffs = _library_coeffs(group, cutoff, rng)
+    points = _library_points(group, rng)
+    out = {}
+    for k, target in enumerate((group,) + group.factors):
+        name = "group" if k == 0 else f"factor{k - 1}"
+        with irreps.basis_twist(target, cutoff, seed=TWIST_SEED):
+            out[f"{name}-forward"] = np.array([np.concatenate([b.ravel() for b in c.blocks])
+                                               for c in fourier.forward_batch(fs, coeffs.labels)])
+            out[f"{name}-inverse"] = fourier.inverse_batch([coeffs], rule)[0].values
+            out[f"{name}-translate"] = fourier.translate_values(fs[0], points[:TWIST_ELEMENTS])
+            out[f"{name}-evaluate_at"] = fourier.evaluate_at(coeffs, points)
+            blocks = irreps.irrep_blocks(coeffs.table.block_labels, points)
+            out[f"{name}-irrep_blocks"] = np.concatenate(
+                [b.reshape(len(points), -1) for b in blocks], axis=1)
+    return out
 
 
 def _continuity_values(doc, ball_samples):
@@ -556,8 +613,8 @@ def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
     cases, of the su2 transform case, of the irrep-matrix case, of the
     stack case, of the continuity case, of the batched translate case and
-    of the lemma case of the library section; True when all are within
-    LIBRARY_TOL."""
+    of the lemma case and of the twisted case of the library section; True
+    when all are within LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
@@ -565,7 +622,8 @@ def _compare_library(old_dir, new_dir):
         gaps = {name: _array_gap(old[name], new[name]) for name in old.files}
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
              "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
-             "translate-": "batched translate", "lemma-": "lemma check"}
+             "translate-": "batched translate", "lemma-": "lemma check",
+             "twist-": "twisted"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
