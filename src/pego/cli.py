@@ -92,6 +92,20 @@ def _write(path, text):
         fh.write(text)
 
 
+def _say(lines):
+    """Print ``lines`` and flush.  If the reader has closed stdout, point its
+    descriptor at the null device: the command still returns its own status
+    and the flush at exit writes nothing.  Commands write their files first."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _slug(text):
     return "".join(c if c.isalnum() else "_" for c in text).strip("_")
 
@@ -136,15 +150,14 @@ def cmd_transform(args):
     _write(base + ".json", ser.dumps(doc))
     if args.format == "csv":
         _write(base + "_function.csv", ser.function_to_csv(f))
-    shown = 0
+    lines = []
     for lab in coeffs.labels:
         fro = float(np.linalg.norm(coeffs[lab]))
         if fro > 1e-12:
-            print(f"{lab.name}  d={lab.dim}  fro={fro:.12g}")
-            shown += 1
-    if shown == 0:
-        print("all coefficients below 1e-12 within the cutoff")
-    print(f"wrote {base}.json")
+            lines.append(f"{lab.name}  d={lab.dim}  fro={fro:.12g}")
+    if not lines:
+        lines.append("all coefficients below 1e-12 within the cutoff")
+    _say(lines + [f"wrote {base}.json"])
     return 0
 
 
@@ -318,9 +331,6 @@ def cmd_verify(args):
                                 p_values or [1.0, 2.0])
     else:
         checks = _suite_schur(rule, cutoff, args.samples, args.seed)
-    for chk in checks:
-        tag = "PASS" if chk["satisfied"] else "FAIL"
-        print(f"{tag} {chk['name']}: lhs={chk['lhs']:.12e} rhs={chk['rhs']:.12e}")
     all_ok = all(c["satisfied"] for c in checks)
     doc = {
         "schema_version": ser.SCHEMA_VERSION,
@@ -336,7 +346,9 @@ def cmd_verify(args):
     out = _out_dir(args)
     path = os.path.join(out, f"verify_{args.suite}.json")
     _write(path, ser.dumps(doc))
-    print(f"wrote {path}")
+    _say([f"{'PASS' if chk['satisfied'] else 'FAIL'} {chk['name']}: "
+          f"lhs={chk['lhs']:.12e} rhs={chk['rhs']:.12e}" for chk in checks]
+         + [f"wrote {path}"])
     return 0 if all_ok else 1
 
 
@@ -354,8 +366,6 @@ def cmd_diagnose(args):
     # one pair of profiles, shared by every epsilon's verdict
     verdicts = pego_verdicts(family, epsilons, ball_samples=args.ball_samples,
                              seed=args.seed)
-    for eps, v in zip(epsilons, verdicts):
-        print(f"family={family.name} epsilon={eps:g} -> {v.conclusion}")
     last = verdicts[-1]
     outdoc = {
         "schema_version": ser.SCHEMA_VERSION,
@@ -376,7 +386,8 @@ def cmd_diagnose(args):
            ser.decay_profile_csv(last.decay_profile))
     _write(base + "_equicontinuity.csv",
            ser.continuity_profile_csv(last.continuity_profile))
-    print(f"wrote {base}.json")
+    _say([f"family={family.name} epsilon={eps:g} -> {v.conclusion}"
+          for eps, v in zip(epsilons, verdicts)] + [f"wrote {base}.json"])
     return 0
 
 
@@ -439,8 +450,7 @@ def cmd_report(args):
     if not wrote:
         print("error: inputs contained no profile rows", file=sys.stderr)
         return 2
-    for path in wrote:
-        print(f"wrote {path}")
+    _say(f"wrote {path}" for path in wrote)
     return 0
 
 

@@ -13,6 +13,9 @@ equivalent to precompactness.  The two quantitative implications are exposed
 as `lemma31_bound_checks` (equicontinuity controls the tail through a Dirac
 net element) and `lemma32_bound_checks` (a head/tail split controls the
 modulus), with one-case faces `lemma31_bound_check` and `lemma32_bound_check`.
+Their moduli ||R_y f - f|| come from one batched translate sweep
+(``fourier._translate_values``); the continuity profile reads them at p = 2
+from the coefficients by Plancherel instead (``ContinuityProfile.path``).
 The verdict engine requires the sampled flags to agree, raising a diagnostic
 instead of emitting a silent verdict when they do not.
 
@@ -336,20 +339,22 @@ def _decay_profile(family, filtration, p, spectrum):
 class ContinuityProfile:
     """Sampled modulus of L^p continuity over shrinking identity balls.
 
-    ``path`` records how moduli were computed, which follows from p:
-    "spectral" at p = 2 squares the coefficient-side action (exact for
-    band-limited members, with twice the beyond-cutoff mass bounding the
-    rest) and "direct" at any other p translates samples.  omegas[k] = sup
-    over members and ball samples at deltas[k].
+    omegas[k] = sup over members and ball samples at deltas[k].  ``path``
+    says how the moduli were computed, and follows from p.
     """
 
     family_name: str
     p: float
     deltas: np.ndarray
     per_member: np.ndarray  # (members, deltas)
-    path: str
     ball_samples: int
     seed: int
+
+    @property
+    def path(self):
+        """"spectral" at p = 2 (by Plancherel from the coefficients,
+        ``_spectral_moduli``), "direct" at any other p (translated samples)."""
+        return "spectral" if self.p == 2.0 else "direct"
 
     @property
     def omegas(self):
@@ -392,12 +397,11 @@ def _continuity_profile(family, mesh, ball_samples, p, seed, spectrum):
         raise ValueError("mesh must be a strictly decreasing array of radii")
     if np.any(mesh <= 0):
         raise ValueError("mesh radii must be positive")
-    path = "spectral" if p == 2.0 else "direct"
     # one pooled sample across all radii: each ball's modulus is taken over
     # every pooled point inside it, so sample sets are nested and the sampled
     # omega is genuinely nonincreasing as delta shrinks
     pool, dists = _ball_pool(family.group, mesh, ball_samples, seed)
-    if path == "spectral":
+    if p == 2.0:
         per_point = _spectral_moduli(spectrum or _spectrum(family), pool)
     else:
         per_point = np.stack([_translation_moduli(f, pool, [p])[0] for f in family.members])
@@ -407,7 +411,7 @@ def _continuity_profile(family, mesh, ball_samples, p, seed, spectrum):
     running = np.maximum.accumulate(per_point[:, order], axis=1)
     inside = np.searchsorted(dists[order], mesh + 1e-12, side="right")
     out = np.where(inside > 0, running[:, inside - 1], 0.0)
-    return ContinuityProfile(family.name, p, mesh, out, path, ball_samples, seed)
+    return ContinuityProfile(family.name, p, mesh, out, ball_samples, seed)
 
 
 def _spectral_moduli(spectrum, ys):
@@ -431,7 +435,8 @@ def _spectral_moduli(spectrum, ys):
     beyond = spectrum.beyond
     n, m = _rows(ys), len(spectrum.coeffs)
     acc = np.zeros((m, n))
-    blocks = zip(table.dims, table.members, spectrum.stacks, table.matrices_at(ys))
+    mats_at = irreps._blocks_at(table.block_labels, ys)
+    blocks = zip(table.dims, table.members, spectrum.stacks, mats_at)
     for d, mem, stack, mats in blocks:
         if d == 1:
             chi = mats[:, :, 0, 0]
@@ -636,9 +641,9 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
         # pi(y) - I on every head label, packed by dimension, so the operator
         # norms are one Schatten kernel call per block
         table = fourier.slot_table(tuple(subset))
+        at_y = irreps._blocks_at(table.block_labels, _take(ys, slice(k, k + 1)))
         act = fourier.FourierCoefficients.from_blocks(f.group, table, [
-            mats[0] - np.eye(d)
-            for d, mats in zip(table.dims, table.matrices_at(_take(ys, slice(k, k + 1))))
+            mats[0] - np.eye(d) for d, mats in zip(table.dims, at_y)
         ])
         head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
         head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value

@@ -8,11 +8,14 @@ matrix per irreducible representation:
 
 Convolution ``(f*g)(x) = integral f(x y^-1) g(y) dm(y)`` transforms to the
 matrix product ``ghat @ fhat`` (order matters on noncommutative groups), and
-the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.  Right
-translates come in batches (``translate_batch``): one mask picks the elements
-whose x -> x*y permutes the grid, which gather the samples through one (m, N)
-node index; the others share one transform of f, one batched ``pi(y) @ fhat``
-per dimension block, and one synthesis.
+the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.  Where the
+nodes form a group, convolution is the quadrature sum over them: one FFT on
+torus grids and node re-indexing on finite rules; elsewhere it is the
+coefficient product at the alias-free band.  Right translates come in
+batches (``translate_values``): one mask picks the elements whose x -> x*y
+permutes the grid, which gather the samples through one (m, N) node index;
+the others share one transform of f, one batched ``pi(y) @ fhat`` per
+dimension block, and one synthesis.
 
 Everything is computed against a fixed rule.  For band-limited functions
 whose frequency content fits inside the rule's exactness degree the discrete
@@ -44,10 +47,10 @@ the grid kernels builds an (N, d, d) irrep stack:
 
 Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
 trigonometric tensor per spin parity and builds no D-matrix; every other
-group synthesizes against the block matrices of ``SlotTable.matrices_at``.
-The right action pi(y) @ fhat takes its matrices from
-``SlotTable.matrices_at`` on every group; on su2 and on su2 factors they
-come from one ``_wigner.wigner_D`` call for all spins of the request.
+group synthesizes against the block matrices of one ``irreps._blocks_at``
+request at the points.  The right action pi(y) @ fhat takes its matrices
+from one such request on every group; on su2 and on su2 factors they come
+from one ``_wigner.wigner_D`` call for all spins of the request.
 
 Inside an ``irreps.basis_twist``, the su2 and product kernels and the su2
 ``evaluate_at``, which build no irrep matrix, pass their coefficient blocks
@@ -97,7 +100,6 @@ __all__ = [
     "evaluate_at",
     "convolve",
     "translate",
-    "translate_batch",
     "translate_values",
     "translate_spectral",
     "dirac_net_element",
@@ -156,8 +158,9 @@ class SlotTable:
     ``block_labels[b]`` lists them.  ``index`` maps a label to its position
     in ``labels``; at that position ``block_of`` and ``pos_of`` hold the
     label's block and its position in the block.  ``slot`` and ``members``
-    are derived from those; ``matrices_at`` lays irrep matrices out the same
-    way.  Built once per label tuple by ``slot_table``.
+    are derived from those; ``irreps._blocks_at(block_labels, at)`` lays
+    irrep matrices out the same way.  Built once per label tuple by
+    ``slot_table``.
     """
 
     labels: tuple
@@ -176,15 +179,6 @@ class SlotTable:
     def members(self):
         """Per block, the positions in ``labels`` of its labels, in order."""
         return tuple(np.flatnonzero(self.block_of == b) for b in range(len(self.dims)))
-
-    def matrices_at(self, coords):
-        """The irrep matrices at the rows of a coordinate array
-        (``groups.coords_of``), laid out like the blocks: per block one
-        (m, n_b, d, d) array whose ``[k, pos]`` is pi at row k for the label
-        at ``pos``.  All blocks come from one ``irreps._blocks_at``
-        request (on su2 one ``_wigner.wigner_D`` call for every spin),
-        bitwise equal to ``irrep_matrices`` label by label."""
-        return irreps._blocks_at(self.block_labels, coords)
 
 
 @functools.cache
@@ -708,7 +702,10 @@ def inverse(coeffs, rule):
 def inverse_batch(coeffs, rule):
     """Synthesize many coefficient sets over one label tuple on a rule's nodes.
 
-    The one synthesis kernel on rules (``_synthesize_on_rule``).
+    The rule's synthesis kernel (``_kernels``) takes all sets at once: an
+    inverse FFT on torus grids, the separable Euler sum on su2, one factor at
+    a time on products, and one product per block with the irrep stacks of
+    one ``irreps._blocks_at`` request on finite and hand-built rules.
     """
     if not coeffs:
         return []
@@ -716,16 +713,7 @@ def inverse_batch(coeffs, rule):
     if any(c.labels != table.labels for c in coeffs):
         raise ValueError("coefficient sets cover different labels")
     blocks = [np.stack([c.blocks[b] for c in coeffs]) for b in range(len(table.dims))]
-    return [SampledFunction(rule, v) for v in _synthesize_on_rule(table, blocks, len(coeffs), rule)]
-
-
-def _synthesize_on_rule(table, blocks, m, rule):
-    """Values (m, N) at a rule's nodes of m coefficient sets whose blocks are
-    (m, n_b, d, d), through the rule's synthesis kernel (``_kernels``): an
-    inverse FFT on torus grids, the separable Euler sum on su2, one factor at
-    a time on products, and one product per block with the irrep stacks of
-    one ``irreps._blocks_at`` request on finite and hand-built rules."""
-    return _kernels(rule)[1](table, blocks, m, rule)
+    return [SampledFunction(rule, v) for v in _kernels(rule)[1](table, blocks, len(coeffs), rule)]
 
 
 def evaluate_at(coeffs, points):
@@ -735,13 +723,13 @@ def evaluate_at(coeffs, points):
     angles of the points (``_su2_values``, the identity in ``pego._wigner``)
     and no D-matrix is built.  Every other group, products with an su2
     factor included, takes the synthesis of ``inverse`` fed the block
-    matrices at the points (``SlotTable.matrices_at``).
+    matrices at the points (one ``irreps._blocks_at`` request).
     """
     coords = coords_of(coeffs.group, points)
     if coeffs.group.family == "su2":
         return _su2_values(coeffs, coords)
     blocks = [b[None] for b in coeffs.blocks]
-    mats = coeffs.table.matrices_at(coords)
+    mats = irreps._blocks_at(coeffs.table.block_labels, coords)
     return _synthesize(coeffs.table, blocks, 1, _rows(coords), mats)[0]
 
 
@@ -833,28 +821,22 @@ def _translated_nodes(rule, ys):
 
 
 def translate(f, y):
-    """Right translation (R_y f)(x) = f(x y): ``translate_batch(f, [y])[0]``."""
-    return translate_batch(f, [y])[0]
+    """Right translation (R_y f)(x) = f(x y): the one row of
+    ``translate_values(f, [y])``."""
+    return SampledFunction(f.rule, _translate_values(f, coords_of(f.group, [y]))[0])
 
 
-def translate_batch(f, ys):
-    """Right translates R_y f, one per element of ``ys``, in order.
+def translate_values(f, ys):
+    """The values of the right translates R_y f as one (len(ys), N) array,
+    row k for ``ys[k]``.
 
     The elements whose x -> x*y permutes the rule's nodes (``_permutes``:
     finite groups, grid translations of the torus, products of those)
     re-index the samples exactly, through one node index for all of them.
     The others share one transform of f at the rule's alias-free band, one
     coefficient-side action per dimension block (``_right_action``) and one
-    synthesis, exact for band-limited functions.  ``translate_values``
-    gives the same translates as one array.
+    synthesis, exact for band-limited functions.
     """
-    return [SampledFunction(f.rule, v) for v in translate_values(f, ys)]
-
-
-def translate_values(f, ys):
-    """The values of the right translates R_y f as one (len(ys), N) array,
-    row k for ``ys[k]``: ``translate_batch`` without a SampledFunction per
-    translate."""
     return _translate_values(f, coords_of(f.group, ys))
 
 
@@ -871,26 +853,28 @@ def _translate_values(f, ys, coeffs=None):
         return f.values[_translated_nodes(f.rule, ys)]
     if coeffs is None:
         coeffs = forward_to_cutoff(f)
+    synthesize = _kernels(f.rule)[1]
     if not hit.any():
-        return _synthesize_on_rule(coeffs.table, _right_action(coeffs, ys), m, f.rule)
+        return synthesize(coeffs.table, _right_action(coeffs, ys), m, f.rule)
     out = np.empty((m, len(f.rule)), dtype=complex)
     out[hit] = f.values[_translated_nodes(f.rule, _take(ys, hit))]
     blocks = _right_action(coeffs, _take(ys, ~hit))
-    out[~hit] = _synthesize_on_rule(coeffs.table, blocks, m - int(hit.sum()), f.rule)
+    out[~hit] = synthesize(coeffs.table, blocks, m - int(hit.sum()), f.rule)
     return out
 
 
 def _right_action(coeffs, ys):
     """pi(y) @ coeff(pi) for every row y of the coordinate array ``ys`` and
     every label: per dimension block, the (m, n_b, d, d) irrep matrices at
-    the m elements (``SlotTable.matrices_at``) times the (n_b, d, d) block,
-    in one batched product."""
-    return [mat @ block for mat, block in zip(coeffs.table.matrices_at(ys), coeffs.blocks)]
+    the m elements (one ``irreps._blocks_at`` request) times the (n_b, d, d)
+    block, in one batched product."""
+    mats = irreps._blocks_at(coeffs.table.block_labels, ys)
+    return [mat @ block for mat, block in zip(mats, coeffs.blocks)]
 
 
 def translate_spectral(coeffs, y):
     """Coefficient-side right translation: coeff(pi) -> pi(y) @ coeff(pi),
-    the block action of ``translate_batch`` for one element."""
+    the block action of ``translate_values`` for one element."""
     blocks = [b[0] for b in _right_action(coeffs, coords_of(coeffs.group, [y]))]
     return FourierCoefficients.from_blocks(
         coeffs.group, coeffs.table, blocks, coeffs.cutoff, coeffs.l2_mass_total
@@ -898,7 +882,7 @@ def translate_spectral(coeffs, y):
 
 
 def _convolve_reindex(f, g):
-    """Direct quadrature convolution on node grids (finite groups, torus grids).
+    """The quadrature sum of ``convolve`` on a finite rule.
 
     (f*g)(x) = sum_j w_j g(y_j) f(x y_j^-1); entry (i, j) of the cached index
     is the node index of x_i y_j^-1, the transposed ``_translated_nodes`` of
@@ -913,20 +897,14 @@ def _convolve_reindex(f, g):
 
 
 def _convolve_fft(f, g):
-    """Grid convolution through the convolution theorem (torus / cyclic)."""
+    """The quadrature sum of ``convolve`` on a torus grid, by one FFT: the
+    nodes are the group Z_R^n and every weight is 1/N, so the sum is the
+    cyclic convolution of the samples over N."""
     rule = f.rule
-    kind = rule.meta.get("kind")
-    if kind == "finite" and rule.group.family == "cyclic":
-        n = len(rule)
-        out = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)) / n
-        return SampledFunction(rule, out)
-    if kind == "torus-grid":
-        shape = rule.meta["shape"]
-        fa = np.fft.fftn(f.values.reshape(shape))
-        ga = np.fft.fftn(g.values.reshape(shape))
-        out = np.fft.ifftn(fa * ga) / len(rule)
-        return SampledFunction(rule, out.ravel())
-    raise ValueError("fft convolution unavailable on this rule")
+    shape = rule.meta["shape"]
+    fa = np.fft.fftn(f.values.reshape(shape))
+    ga = np.fft.fftn(g.values.reshape(shape))
+    return SampledFunction(rule, (np.fft.ifftn(fa * ga) / len(rule)).ravel())
 
 
 def _convolve_spectral(f, g):
@@ -939,28 +917,25 @@ def _convolve_spectral(f, g):
 def convolve(f, g, method="auto"):
     """Convolution (f*g)(x) = integral of f(x y^-1) g(y) dm(y).
 
-    ``method`` chooses the evaluation path: "direct" re-indexes nodes (finite
-    groups and torus grids), "fft" uses the convolution theorem on those same
-    grids, "spectral" multiplies coefficient matrices (ghat @ fhat) at the
-    alias-free band and synthesizes back (the only path on SU(2)).  "auto"
-    picks direct for small grids, fft for large ones, spectral elsewhere.
-    All paths agree within 1e-12 in their shared domains (for band-limited
-    inputs where the spectral path applies).
+    ``method`` chooses the evaluation path.  "direct" is the quadrature sum
+    sum_j w_j f(x y_j^-1) g(y_j) over the nodes of a rule whose nodes form a
+    group: one FFT on torus grids (``_convolve_fft``) and node re-indexing
+    on finite rules (``_convolve_reindex``).  "spectral" multiplies
+    coefficient matrices (ghat @ fhat) at the alias-free band and
+    synthesizes back, the only path on SU(2), products and hand-built rules.
+    "auto" picks "direct" where it exists and "spectral" elsewhere.  The two
+    agree within 1e-12 on band-limited inputs; on other samples only
+    "direct" is the quadrature sum (on an even torus grid "spectral" drops
+    the top bin).
     """
     _check_same_rule(f, g)
     kind = f.rule.meta.get("kind")
-    gridlike = kind == "finite" or kind == "torus-grid"
     if method == "auto":
-        if kind == "finite":
-            method = "direct"
-        elif kind == "torus-grid":
-            method = "direct" if len(f.rule) <= 512 else "fft"
-        else:
-            method = "spectral"
-    if method == "direct" and gridlike:
-        return _convolve_reindex(f, g)
-    if method == "fft" and (kind == "torus-grid" or f.group.family == "cyclic"):
+        method = "direct" if kind in ("finite", "torus-grid") else "spectral"
+    if method == "direct" and kind == "torus-grid":
         return _convolve_fft(f, g)
+    if method == "direct" and kind == "finite":
+        return _convolve_reindex(f, g)
     if method == "spectral":
         return _convolve_spectral(f, g)
     raise ValueError(f"convolution method {method!r} unavailable on {f.rule.rule_id}")

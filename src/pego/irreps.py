@@ -13,10 +13,9 @@ Each irreducible representation is fixed in one concrete orthonormal basis:
 
 Matrices come from one evaluator, ``_blocks_at``, a block of same-dimension
 labels at a time, at the rows of a coordinate array or at every node of a
-quadrature rule.  ``irrep_matrix``, ``irrep_matrices``, ``irrep_blocks``,
-``irrep_stack`` and ``fourier.SlotTable.matrices_at`` are thin calls of it,
-and a label's matrices do not depend on the other labels of a request, so
-they all agree bitwise.
+quadrature rule.  ``irrep_matrix``, ``irrep_matrices``, ``irrep_blocks``
+and ``irrep_stack`` are thin calls of it, and a label's matrices do not
+depend on the other labels of a request, so they all agree bitwise.
 
 Every reported norm downstream is basis independent; :func:`basis_twist`
 conjugates the whole dual by seeded random unitaries so tests can assert

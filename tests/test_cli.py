@@ -2,11 +2,15 @@
 
 Each command is driven in process through cli.main(argv) with --out pointed
 at a temp directory, so the tests see both the printed summary and the
-files byte for byte.
+files byte for byte.  Only the closed-stdout tests start a child process.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,35 @@ def test_diagnose_non_finite_epsilon_exits_2_before_any_verdict(tmp_path, capsys
     assert "->" not in out
     assert "finite" in err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["verify", "diagnose"])
+def test_closed_stdout_keeps_the_files_and_the_status(tmp_path, command, unbuffered):
+    """A reader that closes the pipe before pego prints: the command still
+    writes its files and exits 0, with nothing on stderr.  Unbuffered, the
+    first print meets the closed pipe; buffered, the flush does."""
+    argv = {"verify": ["verify", "--suite", "schur", "--group", "dihedral:3", "--samples", "3"],
+            "diagnose": ["diagnose", "--family", str(tmp_path / "family.json")]}[command]
+    (tmp_path / "family.json").write_text(json.dumps(
+        {"group": "cyclic:8", "name": "two_chars", "members": ["char:1", "char:2"]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pego.cli", *argv, "--out", str(tmp_path)],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 0
+    written = {"verify": ["verify_schur.json"],
+               "diagnose": ["diagnose_two_chars.json", "diagnose_two_chars_decay.csv",
+                            "diagnose_two_chars_equicontinuity.csv"]}[command]
+    assert all((tmp_path / name).is_file() for name in written)
 
 
 def test_diagnose_missing_file_exits_2(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Operator-valued Fourier transform against closed forms and slow oracles.
 
 The convolution tests deliberately avoid circularity: grid groups are
-checked against a raw double-loop quadrature sum, and the spectral path on
-SU(2) is checked against the same double sum on an exact small rule, not
-against another library path.
+checked against a raw double-loop quadrature sum, torus grids also against
+the sum indexed by integer steps mod R, and the spectral path on SU(2)
+against the same double sum on an exact small rule, not against another
+library path.
 """
 
 import contextlib
@@ -13,6 +14,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pego import (
     DualFiltration,
@@ -176,17 +179,68 @@ def test_convolve_direct_matches_double_sum(group, res):
     npt.assert_allclose(got.values, expect, atol=1e-11)
 
 
-def test_convolve_fft_matches_direct():
-    for group, res in [(cyclic(16), 1), (torus(1), 12), (torus(2), 6)]:
-        rule = haar_quadrature(group, res)
-        rng = np.random.default_rng(5)
-        f = sample(rule, lambda p: 0)  # placeholder, overwritten below
-        f.values[:] = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
-        g = sample(rule, lambda p: 0)
-        g.values[:] = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
-        a = convolve(f, g, method="direct")
-        b = convolve(f, g, method="fft")
-        npt.assert_allclose(a.values, b.values, atol=1e-12)
+def _modular_convolution(f, g):
+    """(f*g)(x_i) = sum_j w_j f(x_i - x_j) g(x_j) on a torus grid: each node
+    is its integer step vector (C order), differences are taken mod R and
+    raveled back to a node.  No library path is involved."""
+    shape = f.rule.meta["shape"]
+    steps = np.indices(shape).reshape(len(shape), -1).T
+    npt.assert_allclose(f.rule.coords, steps * (2.0 * math.pi / shape[0]), rtol=0, atol=1e-12)
+    diff = (steps[:, None, :] - steps[None, :, :]) % shape[0]
+    idx = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)), shape)
+    return (f.values[idx] * (f.rule.weights * g.values)).sum(axis=1)
+
+
+@pytest.mark.parametrize("n,res", [(1, 12), (1, 17), (2, 6), (2, 11), (2, 24)])
+def test_convolve_direct_on_torus_grids_is_the_quadrature_sum(n, res):
+    """Random samples, not band-limited, so the spectral product (which
+    drops the top bin of an even grid) could not pass; res 24 on torus:2 has
+    576 nodes."""
+    rule = haar_quadrature(torus(n), res)
+    rng = np.random.default_rng([5, n, res])
+    f, g = (SampledFunction(rule, [1, 1j] @ rng.normal(size=(2, len(rule)))) for _ in range(2))
+    got = convolve(f, g, method="direct")
+    npt.assert_allclose(got.values, _modular_convolution(f, g), rtol=0, atol=1e-12)
+    assert np.array_equal(convolve(f, g).values, got.values)
+    with pytest.raises(ValueError):
+        convolve(f, g, method="fft")
+
+
+_PROPERTY_RULES = {
+    "torus:1-odd": (torus(1), 9),
+    "torus:1-even": (torus(1), 10),
+    "torus:2-odd": (torus(2), 7),
+    "torus:2-even": (torus(2), 8),
+    "dihedral:9": (dihedral(9), 1),
+    "su2": (su2(), 4),
+    "product(torus:1,su2)": (product(torus(1), su2()), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROPERTY_RULES))
+def test_convolution_theorem_and_plancherel_under_auto(name):
+    """For band-limited f and g, ``convolve(f, g)`` transforms to
+    ghat @ fhat label by label, and its squared L2 norm from the samples
+    equals the Plancherel sum of dim ||ghat fhat||_F^2."""
+    group, res = _PROPERTY_RULES[name]
+    rule = haar_quadrature(group, res)
+    band = safe_band(rule)
+    band = max(lab.shell for lab in enumerate_dual(group)) if band is None else band
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.integers(0, 2**16))
+    def laws(seed_f, seed_g):
+        f = random_band_limited_function(rule, band, seed=seed_f)
+        g = random_band_limited_function(rule, band, seed=seed_g)
+        fc, gc = forward_to_cutoff(f), forward_to_cutoff(g)
+        h = convolve(f, g)
+        hc = forward_to_cutoff(h)
+        for b, (gb, fb) in enumerate(zip(gc.blocks, fc.blocks)):
+            npt.assert_allclose(hc.blocks[b], gb @ fb, rtol=0, atol=1e-12)
+        mass = float(np.sum(rule.weights * np.abs(h.values) ** 2))
+        assert abs(mass - hc.head_mass(hc.labels)) <= 1e-12 * max(mass, 1.0)
+
+    laws()
 
 
 def test_convolve_su2_spectral_matches_double_sum():

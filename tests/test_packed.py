@@ -41,7 +41,7 @@ from pego import (
 from pego.compactness import _embed_coefficients, _unembed_centers
 from pego.families import matrix_entry_span
 from pego.fourier import slot_table
-from pego.irreps import irrep_matrices
+from pego.irreps import _blocks_at, irrep_matrices
 
 # (group, resolution): duals with one block (torus), two blocks (dihedral),
 # one block per spin (su2) and interleaved dimensions (products)
@@ -274,7 +274,7 @@ _TWIST_GROUPS = {
 
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("name", sorted(_TWIST_GROUPS))
-def test_matrices_at_matches_irrep_matrices_per_label(name, twisted):
+def test_blocks_at_matches_irrep_matrices_per_label(name, twisted):
     group, res = _TWIST_GROUPS[name]
     rule = haar_quadrature(group, res)
     band = _band(rule)
@@ -283,7 +283,7 @@ def test_matrices_at_matches_irrep_matrices_per_label(name, twisted):
     points = [rule.nodes[1], *sample_ball(group, NeighborhoodSpec(radius, 4), seed=3)]
     twist = basis_twist(group, band, seed=5) if twisted else contextlib.nullcontext()
     with twist:
-        got = table.matrices_at(coords_of(group, points))
+        got = _blocks_at(table.block_labels, coords_of(group, points))
         for lab in table.labels:
             b, pos = table.slot(lab)
             assert got[b].shape == (len(points), len(table.block_labels[b]), lab.dim, lab.dim)

@@ -34,6 +34,7 @@ from pego import compactness
 from pego.compactness import _spectral_moduli, _spectrum, default_mesh
 from pego.fourier import slot_table
 from pego.groups import _ball_pool, _rows
+from pego.irreps import _blocks_at
 
 # (group, resolution): one block of characters (cyclic, torus), characters
 # and 2-dim irreps (dihedral), one block per spin (su2), mixed products
@@ -55,7 +56,7 @@ def _oracle_moduli(spectrum, ys):
     table = coeffs[0].table
     beyond = spectrum.beyond
     acc = np.zeros((len(coeffs), _rows(ys)))
-    for b, (d, mats) in enumerate(zip(table.dims, table.matrices_at(ys))):
+    for b, (d, mats) in enumerate(zip(table.dims, _blocks_at(table.block_labels, ys))):
         act = mats - np.eye(d)  # (ys, n_b, d, d)
         for i, c in enumerate(coeffs):
             for k in range(_rows(ys)):
@@ -126,7 +127,7 @@ def test_spectral_moduli_at_identity_read_twice_the_beyond_tail(name):
     got = _spectral_moduli(spectrum, e)[:, 0]
     assert np.all(beyond > 0)
     exact = all(np.array_equal(m[0], np.broadcast_to(np.eye(m.shape[-1]), m.shape[1:]))
-                for m in table.matrices_at(e))
+                for m in _blocks_at(table.block_labels, e))
     if exact:
         # pi(e) - I is exactly 0, so only the beyond term is left
         assert np.array_equal(got, 2.0 * beyond)

@@ -3,7 +3,7 @@ trigonometric tensor, and the memory of the su2 grid transforms.
 
 ``evaluate_at`` on su2 builds no D-matrix.  The oracle here is the matrix
 path it replaced, written out in the tests: ``_synthesize`` fed the block
-matrices of ``SlotTable.matrices_at``.  The su2 right action of
+matrices of one ``irreps._blocks_at`` request.  The su2 right action of
 ``translate``, ``translate_spectral`` and ``translate_values`` is checked
 against pi(y) @ C from ``irrep_matrices``, one label at a time.  Points of
 another group are refused by every off-grid reader.  The empty point list
@@ -43,14 +43,14 @@ from pego import (
 )
 from pego import _wigner
 from pego.fourier import _synthesize, translate_values
-from pego.irreps import irrep_matrices
+from pego.irreps import _blocks_at, irrep_matrices
 
 G = su2()
 
 
 def _oracle(coeffs, points):
     """The matrix path: sum over labels of dim tr(C D(x)), from whole D-matrices."""
-    mats = coeffs.table.matrices_at(coords_of(G, points))
+    mats = _blocks_at(coeffs.table.block_labels, coords_of(G, points))
     blocks = [b[None] for b in coeffs.blocks]
     return _synthesize(coeffs.table, blocks, 1, len(points), mats)[0]
 

@@ -31,9 +31,9 @@ from pego import (
     su2,
     torus,
     translate,
-    translate_batch,
 )
 from pego import fourier
+from pego.fourier import translate_values
 from pego.compactness import _TRANSLATE_BLOCK_VALUES
 
 GROUPS = {
@@ -61,7 +61,7 @@ def _elements(rule):
 
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("name", sorted(GROUPS))
-def test_translate_batch_matches_pointwise_synthesis(name, twisted):
+def test_translate_values_matches_pointwise_synthesis(name, twisted):
     group, res = GROUPS[name]
     rule = haar_quadrature(group, res)
     band = _band(rule)
@@ -69,21 +69,21 @@ def test_translate_batch_matches_pointwise_synthesis(name, twisted):
     with basis_twist(group, band, seed=9) if twisted else contextlib.nullcontext():
         f = random_band_limited_function(rule, band, seed=4)
         coeffs = forward_to_cutoff(f)
-        moved = translate_batch(f, ys)
-        assert len(moved) == len(ys)
-        for y, g in zip(ys, moved):
+        moved = translate_values(f, ys)
+        assert moved.shape == (len(ys), len(rule))
+        for y, row in zip(ys, moved):
             want = evaluate_at(coeffs, [multiply(x, y) for x in rule.nodes])
-            npt.assert_allclose(g.values, want, rtol=0, atol=1e-12)
+            npt.assert_allclose(row, want, rtol=0, atol=1e-12)
             # a batch of one synthesizes through a matrix-vector product
-            npt.assert_allclose(translate(f, y).values, g.values, rtol=0, atol=1e-14)
+            npt.assert_allclose(translate(f, y).values, row, rtol=0, atol=1e-14)
 
 
-def test_translate_batch_edge_cases():
+def test_translate_values_edge_cases():
     rule = haar_quadrature(su2(), 4)
     f = random_band_limited_function(rule, 4, seed=1)
-    assert translate_batch(f, []) == []
+    assert translate_values(f, []).shape == (0, len(rule))
     with pytest.raises(GroupMismatchError):
-        translate_batch(f, [rule.nodes[0], identity(torus(1))])
+        translate_values(f, [rule.nodes[0], identity(torus(1))])
 
 
 def _lemma31_case():

@@ -56,7 +56,11 @@ each tree, one child process runs through ``pego.cli.main``:
   ``fourier.inverse_batch`` of seeded samples and coefficients,
   ``fourier.translate_values`` and ``fourier.evaluate_at`` at seeded
   points and ``irreps.irrep_blocks`` of the dual at those points, each
-  under ``irreps.basis_twist`` of the group and of each of its factors.
+  under ``irreps.basis_twist`` of the group and of each of its factors;
+  last, the convolution case: ``fourier.convolve`` of two seeded complex
+  samples, not band-limited, by "auto" and by "direct" on cyclic:16,
+  dihedral:9, torus:1 at res 12 and 17 and torus:2 at res 11 and 24, and by
+  "spectral" on su2 at res 4.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -143,6 +147,10 @@ TWIST_RULES = (("su2", 4, 4, None), ("dihedral:9", 1, None, None),
                ("product(torus:1,su2)", 5, 2, None), HAND_BUILT_RULES[1])
 TWIST_SEED = 8
 TWIST_ELEMENTS = 6
+# The convolution case, appended last: (group, resolution, methods) per rule.
+CONVOLVE_CASES = tuple((group, res, ("auto", "direct")) for group, res in (
+    ("cyclic:16", 1), ("dihedral:9", 1), ("torus:1", 12), ("torus:1", 17),
+    ("torus:2", 11), ("torus:2", 24))) + (("su2", 4, ("spectral",)),)
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -215,8 +223,8 @@ def run_cases(out_dir, workloads):
 
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
-    su2 transform, irrep-matrix, stack, continuity, batched translate, lemma
-    and twisted cases, into ``library.npz``."""
+    su2 transform, irrep-matrix, stack, continuity, batched translate, lemma,
+    twisted and convolution cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -255,6 +263,10 @@ def _run_library(out_dir, workloads):
         rule_name = group_name + ("-hand-built" if shift else "")
         for part, vals in _twisted_values(group_name, res, cutoff, shift, rng).items():
             values[f"twist-{rule_name}-{part}"] = vals
+    rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+    for group_name, res, methods in CONVOLVE_CASES:
+        for method, vals in _convolve_values(group_name, res, methods, rng).items():
+            values[f"convolve-{group_name}-res{res}-{method}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -423,6 +435,17 @@ def _lemma_values(group_name, res, rng):
             f, LEMMA_RADIUS, LEMMA_PAIRS, cutoff=cutoff))
         out[f"32-b{cutoff}"] = rows(compactness.lemma32_bound_checks(f, cases, cutoff=cutoff))
     return out
+
+
+def _convolve_values(group_name, res, methods, rng):
+    """One convolution case: ``fourier.convolve`` of two seeded complex
+    samples, not band-limited, on the rule at ``res``, by each method."""
+    from pego import fourier, groups
+
+    rule = groups.haar_quadrature(groups.parse_group(group_name), res)
+    f, g = (fourier.SampledFunction(rule, [1, 1j] @ rng.normal(size=(2, len(rule))))
+            for _ in range(2))
+    return {method: fourier.convolve(f, g, method=method).values for method in methods}
 
 
 def _law_values(group, res, band, rng):
@@ -612,9 +635,9 @@ def compare(old_dir, new_dir):
 def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
     cases, of the su2 transform case, of the irrep-matrix case, of the
-    stack case, of the continuity case, of the batched translate case and
-    of the lemma case and of the twisted case of the library section; True
-    when all are within LIBRARY_TOL."""
+    stack case, of the continuity case, of the batched translate case, of
+    the lemma case, of the twisted case and of the convolution case of the
+    library section; True when all are within LIBRARY_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
@@ -623,7 +646,7 @@ def _compare_library(old_dir, new_dir):
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
              "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
              "translate-": "batched translate", "lemma-": "lemma check",
-             "twist-": "twisted"}
+             "twist-": "twisted", "convolve-": "convolution"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
