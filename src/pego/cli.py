@@ -302,13 +302,13 @@ def _schur_cell_gap(rule, table, views):
 
 
 def _suite_schur(rule, cutoff, samples, seed):
-    table = slot_table(tuple(enumerate_dual(rule.group, cutoff)))
-    views = [b.reshape(len(rule), -1) for b in _blocks_at(table.block_labels, rule)]
-    gram = _schur_gram_gap(rule, table.dims, views)
     band = safe_band(rule)
     if band is not None and cutoff > band:
         raise ResolutionError(
             f"cutoff {cutoff} exceeds alias-free band {band} of {rule.rule_id}")
+    table = slot_table(tuple(enumerate_dual(rule.group, cutoff)))
+    views = [b.reshape(len(rule), -1) for b in _blocks_at(table.block_labels, rule)]
+    gram = _schur_gram_gap(rule, table.dims, views)
     single = _schur_cell_gap(rule, table, views)
     return _checks([("gram_block_pattern", gram, True),
                     ("entry_transform_single_cell", single, True)], _IDENTITY_TOL)

@@ -10,7 +10,7 @@ Convolution ``(f*g)(x) = integral f(x y^-1) g(y) dm(y)`` transforms to the
 matrix product ``ghat @ fhat`` (order matters on noncommutative groups), and
 the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.  Where the
 nodes form a group, convolution is the quadrature sum over them: one FFT on
-torus grids and node re-indexing on finite rules; elsewhere it is the
+torus grids and node re-indexing on finite groups; elsewhere it is the
 coefficient product at the alias-free band.  Right translates come in
 batches (``translate_values``): one mask picks the elements whose x -> x*y
 permutes the grid, which gather the samples through one (m, N) node index;
@@ -38,12 +38,13 @@ the grid kernels builds an (N, d, d) irrep stack:
   and applies the Gauss-Legendre weights per beta to the gamma sums, so it
   never sees a weighted copy of the samples; the synthesis contracts alpha
   on the small (n_b, K, K) array first and one gamma GEMM writes the values;
-* products: one factor axis at a time, each with its factor's own kernel,
-  with the Kronecker entries gathered into (or scattered from) the slots;
-* finite rules (cyclic, dihedral, finite products) and hand-built rules:
-  one GEMM per label against its irrep stack (``irreps.irrep_stack``)
-  forward, and a synthesis against the stacks of all labels from one
-  ``irreps._blocks_at`` request, evaluated per call.
+* products, finite ones included: one factor axis at a time, each with its
+  factor's own kernel, with the Kronecker entries gathered into (or
+  scattered from) the slots;
+* finite rules (cyclic and dihedral) and hand-built rules: one GEMM per
+  label against its irrep stack (``irreps.irrep_stack``) forward, and a
+  synthesis against the stacks of all labels from one ``irreps._blocks_at``
+  request, evaluated per call.
 
 Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
 trigonometric tensor per spin parity and builds no D-matrix; every other
@@ -72,7 +73,6 @@ from .groups import (
     QuadratureRule,
     ResolutionError,
     _distance,
-    _finite_index,
     _identity_coords,
     _inverse,
     _multiply,
@@ -411,7 +411,7 @@ def forward_batch(fs, dual):
     views ``[k]`` of those arrays.  The rule's kind picks the kernel
     (``_kernels``): an FFT on torus grids, a separable sum over the Euler
     axes on su2, one factor at a time on products, and per label one GEMM
-    against its irrep stack on finite and hand-built rules.  The
+    against its irrep stack on cyclic, dihedral and hand-built rules.  The
     kernels get the functions' own value arrays and apply the weights
     themselves; on su2 the weights scale the per-beta gamma sums, so no
     weighted or stacked copy of the samples is made there.  The masses
@@ -705,7 +705,8 @@ def inverse_batch(coeffs, rule):
     The rule's synthesis kernel (``_kernels``) takes all sets at once: an
     inverse FFT on torus grids, the separable Euler sum on su2, one factor at
     a time on products, and one product per block with the irrep stacks of
-    one ``irreps._blocks_at`` request on finite and hand-built rules.
+    one ``irreps._blocks_at`` request on cyclic, dihedral and hand-built
+    rules.
     """
     if not coeffs:
         return []
@@ -796,11 +797,14 @@ def _permutes(rule, ys):
 def _node_index(rule, coords):
     """The node index of every row of a coordinate array of nodes of a
     finite, torus grid or product rule, by arithmetic on the node order:
-    the canonical element order on finite rules, the nearest grid step on
-    each torus axis, and the factor indices raveled first factor slowest."""
+    the residue on cyclic and r + n*s on dihedral rules, the nearest grid
+    step on each torus axis, and the factor indices raveled first factor
+    slowest."""
     kind = rule.meta["kind"]
     if kind == "finite":
-        return _finite_index(rule.group, coords)
+        if rule.group.family == "cyclic":
+            return coords[..., 0]
+        return coords[..., 0] + rule.group.n * coords[..., 1]
     if kind == "torus-grid":
         shape = rule.meta["shape"]
         steps = np.rint(coords * (shape[0] / (2.0 * math.pi))).astype(int) % shape[0]
@@ -882,7 +886,8 @@ def translate_spectral(coeffs, y):
 
 
 def _convolve_reindex(f, g):
-    """The quadrature sum of ``convolve`` on a finite rule.
+    """The quadrature sum of ``convolve`` on the canonical rule of a finite
+    group.
 
     (f*g)(x) = sum_j w_j g(y_j) f(x y_j^-1); entry (i, j) of the cached index
     is the node index of x_i y_j^-1, the transposed ``_translated_nodes`` of
@@ -920,9 +925,10 @@ def convolve(f, g, method="auto"):
     ``method`` chooses the evaluation path.  "direct" is the quadrature sum
     sum_j w_j f(x y_j^-1) g(y_j) over the nodes of a rule whose nodes form a
     group: one FFT on torus grids (``_convolve_fft``) and node re-indexing
-    on finite rules (``_convolve_reindex``).  "spectral" multiplies
-    coefficient matrices (ghat @ fhat) at the alias-free band and
-    synthesizes back, the only path on SU(2), products and hand-built rules.
+    on the canonical rules of finite groups, finite products included
+    (``_convolve_reindex``).  "spectral" multiplies coefficient matrices
+    (ghat @ fhat) at the alias-free band and synthesizes back, the only path
+    on SU(2), products with an infinite factor and hand-built rules.
     "auto" picks "direct" where it exists and "spectral" elsewhere.  The two
     agree within 1e-12 on band-limited inputs; on other samples only
     "direct" is the quadrature sum (on an even torus grid "spectral" drops
@@ -930,11 +936,12 @@ def convolve(f, g, method="auto"):
     """
     _check_same_rule(f, g)
     kind = f.rule.meta.get("kind")
+    finite = kind is not None and f.group.is_finite
     if method == "auto":
-        method = "direct" if kind in ("finite", "torus-grid") else "spectral"
+        method = "direct" if finite or kind == "torus-grid" else "spectral"
     if method == "direct" and kind == "torus-grid":
         return _convolve_fft(f, g)
-    if method == "direct" and kind == "finite":
+    if method == "direct" and finite:
         return _convolve_reindex(f, g)
     if method == "spectral":
         return _convolve_spectral(f, g)

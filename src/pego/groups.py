@@ -131,16 +131,6 @@ class GroupDescriptor:
             return math.prod(orders)
         return None
 
-    @property
-    def is_abelian(self):
-        if self.family == "cyclic" or self.family == "torus":
-            return True
-        if self.family == "dihedral":
-            return self.n <= 2
-        if self.family == "su2":
-            return False
-        return all(f.is_abelian for f in self.factors)
-
     def __str__(self):
         return self.name
 
@@ -486,20 +476,6 @@ def _finite_coords(group):
     return _product_coords([_finite_coords(f) for f in group.factors])
 
 
-def _finite_index(group, coords):
-    """The position in the ``_finite_coords`` order of every row of a
-    coordinate array of a finite group: the residue, r + n*s, or the factor
-    positions raveled with the first factor slowest."""
-    if group.family == "cyclic":
-        return coords[..., 0]
-    if group.family == "dihedral":
-        return coords[..., 0] + group.n * coords[..., 1]
-    idx = 0
-    for f, c in zip(group.factors, coords):
-        idx = idx * f.order + _finite_index(f, c)
-    return idx
-
-
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     """A metric ball around the identity: radius and how many samples to draw."""
@@ -554,12 +530,14 @@ class QuadratureRule:
     ``meta["_wigner_d"]`` (``irreps.euler_grid_d``) and one alpha/gamma
     phase pair, for the largest spin asked so far, in
     ``meta["_euler_phases"]`` (``irreps.euler_phases``), and contracts over
-    those axes.  A product rule (``"product"``) keeps its factor rules in
-    ``meta["factor_rules"]`` and transforms one factor axis at a time with
-    their kernels.  None of these builds an irrep stack to transform.
+    those axes.  Every product group, finite or not, has a product rule
+    (``"product"``): it keeps its factor rules in ``meta["factor_rules"]``
+    and transforms one factor axis at a time with their kernels.  None of
+    these builds an irrep stack of the whole group to transform.
 
-    A rule keeps no irrep stack.  Finite (``"finite"``) and hand-built rules
-    (no kind) transform against stacks evaluated per call: one
+    A rule keeps no irrep stack.  Finite rules (``"finite"``: cyclic and
+    dihedral groups) and hand-built rules (no kind) transform against stacks
+    evaluated per call: one
     ``irreps.irrep_stack`` per label forward, one ``irreps._blocks_at``
     request for all labels in the synthesis.
     """
@@ -694,7 +672,7 @@ def haar_quadrature(group, resolution=1):
 @functools.cache
 def _canonical_rule(group, resolution):
     fam = group.family
-    if fam in ("cyclic", "dihedral") or (fam == "product" and group.is_finite):
+    if fam in ("cyclic", "dihedral"):
         rule = _haar_finite(group, resolution)
     elif fam == "torus":
         rule = _haar_torus(group, resolution)

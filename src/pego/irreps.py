@@ -656,8 +656,9 @@ def irrep_stack(label, rule):
     factors' stacks on its factor rules, so each factor is evaluated at its
     own rule's nodes only; every other rule evaluates the label at
     ``rule.coords`` and builds no GroupPoint.  The transforms use stacks on
-    dihedral, non-cyclic finite and hand-built rules only; stacks elsewhere
-    serve matrix-entry functions and ``char:`` specs.
+    cyclic, dihedral and hand-built rules only, finite factors of product
+    rules included; stacks elsewhere serve matrix-entry functions and
+    ``char:`` specs.
     """
     if label.group != rule.group:
         raise ValueError(f"label {label.name} is not an irrep of {rule.group.name}")

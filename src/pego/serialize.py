@@ -191,26 +191,26 @@ def function_from_json(doc, rule):
 
 
 def function_to_csv(f):
+    """One row per node: its coordinates and the value's re and im, each
+    written by ``repr`` (``report_csv``)."""
     rule = f.rule
-    cols = coord_columns(rule.group)
-    lines = [",".join(cols + ["re", "im"])]
-    flat = np.hstack(_arrays(rule.coords)).astype(float)  # one column per entry of cols
-    for row, z in zip(flat.tolist(), f.values.tolist()):
-        lines.append(",".join(map(repr, row + [z.real, z.imag])))
-    return "\n".join(lines) + "\n"
+    flat = np.hstack(_arrays(rule.coords)).astype(float)  # one column per coordinate column
+    rows = [map(repr, row + [z.real, z.imag]) for row, z in zip(flat.tolist(), f.values.tolist())]
+    return report_csv(coord_columns(rule.group) + ["re", "im"], rows)
 
 
 def function_from_csv(text, rule):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty csv")
-    rows = lines[1:]
+    """The function of a ``function_to_csv`` text on ``rule``; a header of
+    another group's coordinates, or a row count other than the rule's node
+    count, is a FormatError."""
+    head, rows = report_from_csv(text)
+    want = coord_columns(rule.group) + ["re", "im"]
+    if list(head) != want:
+        raise FormatError(f"csv header {','.join(head)!r} is not the {rule.group.name} "
+                          f"header {','.join(want)!r}")
     if len(rows) != len(rule):
         raise FormatError(f"{len(rows)} rows for a rule with {len(rule)} nodes")
-    vals = np.empty(len(rows), dtype=complex)
-    for i, ln in enumerate(rows):
-        parts = ln.split(",")
-        vals[i] = complex(float(parts[-2]), float(parts[-1]))
+    vals = np.array([complex(float(r[-2]), float(r[-1])) for r in rows], dtype=complex)
     return fourier.SampledFunction(rule, vals)
 
 

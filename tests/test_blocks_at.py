@@ -7,6 +7,8 @@ plain and twisted, that such a request matches the same request at the
 rule's coordinate array, and that every label in it equals a request of that
 label alone, bit for bit.  The property tests draw off-grid points on
 product groups and check the representation laws through ``irrep_blocks``.
+Blocks that mix factor dimensions are checked against ``np.kron`` of the
+factors' matrices.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ from pego import (
 )
 from pego.fourier import slot_table
 from pego.groups import _multiply
-from pego.irreps import _blocks_at, irrep_blocks, irrep_stack
+from pego.irreps import _blocks_at, irrep_blocks, irrep_matrix, irrep_stack
 
 
 def _shifted(rule, shift):
@@ -147,3 +149,43 @@ def test_representation_laws_at_off_grid_points(name):
             _check_laws(block_labels, xs, ys)
 
     laws()
+
+
+def _seeded_points(group, rng, count):
+    """``count`` seeded points of a product of dihedral and su2 factors."""
+    comps = []
+    for f in group.factors:
+        if f.family == "dihedral":
+            rs = zip(rng.integers(f.n, size=count), rng.integers(2, size=count))
+            comps.append([point(f, (int(r), int(s))) for r, s in rs])
+        else:
+            qs = rng.normal(size=(count, 4))
+            comps.append([point(f, tuple(q)) for q in qs / np.linalg.norm(qs, axis=1)[:, None]])
+    return [point(group, c) for c in zip(*comps)]
+
+
+@pytest.mark.parametrize("name,cutoff", [("product(dihedral:3,dihedral:4)", None),
+                                         ("product(su2,su2)", 3)])
+def test_blocks_that_mix_factor_dimensions_are_kronecker_products(name, cutoff):
+    """A block holds labels of one dimension whose factor dimensions differ
+    (2 x 1 beside 1 x 2 on dihedral factors; 4 x 1, 2 x 2 and 1 x 4 on su2
+    factors).  Each label's matrices, at seeded points and on the finite
+    product at its rule, equal ``np.kron`` of its factors' matrices."""
+    from pego import parse_group
+
+    group = parse_group(name)
+    table = slot_table(tuple(enumerate_dual(group, cutoff)))
+    mixed = [labs for labs in table.block_labels
+             if len({tuple(c.dim for c in lab.index) for lab in labs}) > 1]
+    assert mixed
+    points = _seeded_points(group, np.random.default_rng(len(name)), 6)
+    requests = [(points, coords_of(group, points))]
+    if group.is_finite:
+        rule = haar_quadrature(group)
+        requests.append((rule.nodes, rule))
+    for pts, at in requests:
+        for labs, got in zip(table.block_labels, _blocks_at(table.block_labels, at)):
+            for pos, lab in enumerate(labs):
+                want = [np.kron(irrep_matrix(lab.index[0], p.coords[0]),
+                                irrep_matrix(lab.index[1], p.coords[1])) for p in pts]
+                npt.assert_allclose(got[:, pos], want, rtol=0, atol=1e-15)

@@ -73,6 +73,22 @@ def test_transform_csv_function_round_trip(tmp_path, capsys):
     assert back["coefficients"]["entries"] == orig["coefficients"]["entries"]
 
 
+def test_function_csv_of_another_group_is_refused(tmp_path, capsys):
+    """A torus:1 function CSV read on cyclic:9 (as many nodes) is a format
+    error, exit 2: its header names the wrong coordinates."""
+    rc, _, _ = run(capsys, "transform", "--group", "torus:1", "--resolution", "9", "--cutoff", "4",
+                   "--f", "char:3", "--format", "csv", "--out", str(tmp_path))
+    assert rc == 0
+    csv_path = tmp_path / "transform_char_3_function.csv"
+    assert csv_path.read_text().splitlines()[0] == "theta1,re,im"
+    sub = tmp_path / "cyclic"
+    rc, out, err = run(capsys, "transform", "--group", "cyclic:9", "--f", f"file:{csv_path}",
+                       "--out", str(sub))
+    assert rc == 2
+    assert out == ""
+    assert "'theta1,re,im' is not the cyclic:9 header 'j,re,im'" in err
+
+
 @pytest.mark.parametrize("suite", ["identities", "hausdorff_young", "lemma31", "lemma32", "schur"])
 def test_verify_suites_pass_on_default_group(tmp_path, capsys, suite):
     rc, out, _ = run(
@@ -131,6 +147,26 @@ def test_schur_suite_reads_its_matrices_from_one_block_request(
     assert [labels for labels, at in requests if at is rule] == [table.block_labels]
     assert all(labels[0][0].group != g for labels, at in requests if at is not rule)
     assert stacks == []
+
+
+def test_schur_refuses_a_cutoff_beyond_the_band_before_any_block_request(
+        tmp_path, capsys, monkeypatch):
+    """A cutoff above the rule's alias-free band exits 3 before the suite
+    asks for a single matrix, so an oversized request allocates nothing."""
+    calls = []
+    real = cli._blocks_at
+
+    def counted(block_labels, at):
+        calls.append(block_labels)
+        return real(block_labels, at)
+
+    monkeypatch.setattr(cli, "_blocks_at", counted)
+    rc, _, err = run(capsys, "verify", "--suite", "schur", "--group", "su2", "--resolution", "2",
+                     "--cutoff", "12", "--out", str(tmp_path))
+    assert rc == 3
+    assert "exceeds alias-free band 2" in err
+    assert calls == []
+    assert not (tmp_path / "verify_schur.json").exists()
 
 
 def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):

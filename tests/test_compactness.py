@@ -86,6 +86,20 @@ def test_decay_profile_witness_and_member_indices():
     assert prof.witness_index(1e-12) is None or prof.sup_tails[-1] < 1e-12
 
 
+def test_decay_profile_at_p1_sums_moduli_over_the_computed_dual():
+    """For f = 2 e^(i theta) - 0.5 e^(-3i theta), the l^1 tail outside a
+    shell step is 2 while shell 1 is outside it, plus 0.5 while shell 3 is,
+    and the profile is marked truncated on the circle."""
+    rule = haar_quadrature(torus(1), 17)
+    f = sample(rule, lambda p: 2.0 * np.exp(1j * p.coords[0]) - 0.5 * np.exp(-3j * p.coords[0]))
+    prof = tail_decay_profile(_one_member_family(f), p=1.0)
+    assert prof.p == 1.0 and prof.truncated
+    shells = [max(lab.shell for lab in s.subset) for s in prof.steps]
+    assert shells == list(range(9))
+    want = [2.0 * (s < 1) + 0.5 * (s < 3) for s in shells]
+    npt.assert_allclose(prof.sup_tails, want, rtol=0, atol=1e-14)
+
+
 def test_equicontinuity_modulus_single_character_closed_form():
     """omega(delta) = |e^(i delta) - 1| = 2 sin(delta/2) for f = e^(i theta).
 
@@ -336,6 +350,22 @@ def test_verdict_scaled_constants_precompact():
     assert v.config["epsilon"] == 0.1
 
 
+def test_builtin_random_band_limited_is_a_renamed_matrix_entry_span():
+    """The ``random_band_limited`` kind draws the members of
+    ``matrix_entry_span`` at the same seed and carries its own kind and
+    name; a seed argument overrides the params seed."""
+    rule = haar_quadrature(torus(1), 9)
+    fam = builtin_family("random_band_limited", rule, {"shell": 2})
+    assert fam.kind == "random_band_limited"
+    assert fam.name == "random_band_limited(shell=2)"
+    span = builtin_family("matrix_entry_span", rule, {"shell": 2})
+    assert len(fam.members) == len(span.members) == 10
+    for a, b in zip(fam.members, span.members):
+        assert np.array_equal(a.values, b.values)
+    other = builtin_family("random_band_limited", rule, {"shell": 2}, seed=5)
+    assert not np.array_equal(other.members[0].values, fam.members[0].values)
+
+
 def test_verdict_growing_constants_unbounded():
     rule = haar_quadrature(torus(1), 9)
     fam = builtin_family("growing_constants", rule)
@@ -414,6 +444,20 @@ def test_epsilon_net_covers_span_family():
             lab.dim * np.sum(np.abs(c[lab] - cen[lab]) ** 2) for lab in net.subset
         )
         assert math.sqrt(head) <= 1.0 + 1e-9
+
+
+def test_epsilon_net_over_a_given_filtration():
+    """Handed the default shell filtration explicitly, the net transforms
+    against its witness step and finds the default net."""
+    rule = haar_quadrature(dihedral(3))
+    fam = builtin_family("matrix_entry_span", rule, params={"shell": 3, "count": 12}, seed=2)
+    want = epsilon_net(fam, 1.0)
+    net = epsilon_net(fam, 1.0, filtration=DualFiltration.shells(rule.group))
+    assert net.cover_verified
+    assert net.subset.labels == want.subset.labels
+    assert np.array_equal(net.assignments, want.assignments)
+    npt.assert_allclose(net.centers, want.centers, rtol=0, atol=0)
+    npt.assert_allclose(net.distances, want.distances, rtol=0, atol=1e-15)
 
 
 def test_epsilon_net_snaps_exact_zeros_to_zero_centers():

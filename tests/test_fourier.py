@@ -206,6 +206,65 @@ def test_convolve_direct_on_torus_grids_is_the_quadrature_sum(n, res):
         convolve(f, g, method="fft")
 
 
+_FINITE_PRODUCTS = [product(cyclic(3), dihedral(3)), product(dihedral(3), dihedral(4))]
+
+
+def _random_samples(rule, seed):
+    """Two seeded complex sample arrays on a rule, not band-limited."""
+    rng = np.random.default_rng(seed)
+    return [SampledFunction(rule, v) for v in rng.normal(size=(2, len(rule), 2)) @ [1, 1j]]
+
+
+@pytest.mark.parametrize("group", _FINITE_PRODUCTS, ids=str)
+def test_finite_products_transform_factor_by_factor(group, monkeypatch):
+    """On a finite product, the forward transform equals the weighted sum
+    over the elements against each label's matrices, the synthesis on the
+    full dual gives the samples back, and only factor labels get stacks."""
+    rule = haar_quadrature(group)
+    fs = _random_samples(rule, 7)
+    dual = enumerate_dual(group)
+    stacks = []
+    real = irreps.irrep_stack
+
+    def counted(label, at):
+        stacks.append(label)
+        return real(label, at)
+
+    monkeypatch.setattr(irreps, "irrep_stack", counted)
+    coeffs = forward_batch(fs, dual)
+    back = fourier.inverse_batch(coeffs, rule)
+    assert stacks and {lab.group for lab in stacks} <= set(group.factors)
+    for f, c, b in zip(fs, coeffs, back):
+        for lab in dual:
+            want = np.einsum("t,tji->ij", rule.weights * f.values,
+                             irrep_matrices(lab, rule.nodes).conj())
+            npt.assert_allclose(c[lab], want, rtol=0, atol=1e-15)
+        npt.assert_allclose(b.values, f.values, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("group", _FINITE_PRODUCTS, ids=str)
+def test_finite_products_convolve_by_node_reindexing(group):
+    """"auto" and "direct" are the quadrature sum over the elements, against
+    a raw loop over points; a hand-built rule on the same nodes has no
+    "direct" path, and its "auto" is the spectral product on the full dual."""
+    from pego import QuadratureRule
+    from pego import inverse as group_inverse
+
+    rule = haar_quadrature(group)
+    f, g = _random_samples(rule, 9)
+    where = {x: i for i, x in enumerate(rule.nodes)}
+    want = [sum(w * f.values[where[multiply(x, group_inverse(y))]] * gy
+                for y, w, gy in zip(rule.nodes, rule.weights, g.values)) for x in rule.nodes]
+    got = convolve(f, g, method="direct")
+    npt.assert_allclose(got.values, want, rtol=0, atol=1e-15)
+    assert np.array_equal(convolve(f, g).values, got.values)
+    hand = QuadratureRule(group, rule.coords, rule.weights, None, 1)
+    fh, gh = (SampledFunction(hand, h.values) for h in (f, g))
+    with pytest.raises(ValueError, match="unavailable"):
+        convolve(fh, gh, method="direct")
+    npt.assert_allclose(convolve(fh, gh).values, got.values, rtol=0, atol=1e-14)
+
+
 _PROPERTY_RULES = {
     "torus:1-odd": (torus(1), 9),
     "torus:1-even": (torus(1), 10),

@@ -167,6 +167,31 @@ def test_haar_finite_is_uniform_counting():
     npt.assert_allclose(rule.weights, np.full(8, 1.0 / 8.0))
 
 
+@pytest.mark.parametrize("name", ["product(cyclic:3,dihedral:3)", "product(cyclic:5,cyclic:10)",
+                                  "product(cyclic:2,product(cyclic:3,dihedral:2))"])
+def test_finite_products_have_product_rules(name):
+    """A finite product's rule is the product of its factor rules, like
+    every product's: every element once, first factor slowest (the order of
+    ``enumerate_elements``), weights the products of the factor weights,
+    each within one ulp of 1/|G|, the canonical id and no band limit."""
+    from pego import safe_band
+
+    group = parse_group(name)
+    rule = haar_quadrature(group, 2)
+    assert rule.meta["kind"] == "product"
+    frules = rule.meta["factor_rules"]
+    assert all(fr is haar_quadrature(f, 2) for fr, f in zip(frules, group.factors))
+    assert rule.nodes == tuple(enumerate_elements(group))
+    assert rule.rule_id == f"{name}|res2"
+    assert rule.exactness_degree is None and safe_band(rule) is None
+    want = frules[0].weights
+    for fr in frules[1:]:
+        want = np.outer(want, fr.weights).ravel()
+    assert np.array_equal(rule.weights, want)
+    n = group.order
+    assert np.all(np.abs(rule.weights - 1.0 / n) <= np.spacing(1.0 / n))
+
+
 def test_haar_translation_invariance_torus():
     """Integral of a smooth function is unchanged by translating the nodes."""
     g = torus(1)

@@ -1,6 +1,7 @@
 """``serialize.dumps`` writes the bytes of ``json.dumps`` with sorted keys,
 a two-space indent and no NaN, plus a trailing newline, on every document
-the CLI writes and on the corner cases of the JSON grammar."""
+the CLI writes and on the corner cases of the JSON grammar; a function CSV
+reads back the values it was written from."""
 
 import importlib.util
 import json
@@ -100,3 +101,21 @@ def test_dumps_equals_json_dumps_on_every_compare_outputs_document(tmp_path):
         doc = json.loads(text)
         assert text == _reference(doc), path
         assert ser.dumps(doc) == text, path
+
+
+@pytest.mark.parametrize("name,res,head", [
+    ("cyclic:6", 1, "j"), ("dihedral:3", 1, "r,s"), ("su2", 2, "qw,qx,qy,qz"),
+    ("product(cyclic:2,dihedral:3)", 1, "g1_j,g2_r,g2_s")])
+def test_function_csv_round_trips(name, res, head):
+    """``function_from_csv`` reads back, bit for bit, the values that
+    ``function_to_csv`` wrote under the group's coordinate header."""
+    from pego import fourier, groups
+
+    rule = groups.haar_quadrature(groups.parse_group(name), res)
+    rng = np.random.default_rng(len(rule))
+    f = fourier.SampledFunction(rule, rng.normal(size=(len(rule), 2)) @ [1, 1j])
+    text = ser.function_to_csv(f)
+    assert text.splitlines()[0] == head + ",re,im"
+    assert len(text.splitlines()) == len(rule) + 1
+    back = ser.function_from_csv(text, rule)
+    assert np.array_equal(back.values, f.values)

@@ -14,6 +14,9 @@ each tree, one child process runs through ``pego.cli.main``:
   at one exponent, and lemma32 on su2 with ``--samples 1``;
 * the two commands of acceptance criterion 10 (``verify --suite schur`` on
   dihedral:3 and ``diagnose`` of a dihedral:3 matrix-entry span);
+* the finite-product case: ``verify`` of the five suites on the groups of
+  ``FINITE_PRODUCTS`` at seeds 1 and 2, with the verify workload's sample
+  count and the default cutoff and resolution;
 * a library section, which no CLI command reaches: ``fourier.evaluate_at``
   of seeded unit-norm coefficients at seeded off-grid points, plus the
   beta = 0 and beta = pi fibers and +-identity of su2, for su2 at bands
@@ -60,7 +63,11 @@ each tree, one child process runs through ``pego.cli.main``:
   last, the convolution case: ``fourier.convolve`` of two seeded complex
   samples, not band-limited, by "auto" and by "direct" on cyclic:16,
   dihedral:9, torus:1 at res 12 and 17 and torus:2 at res 11 and 24, and by
-  "spectral" on su2 at res 4.
+  "spectral" on su2 at res 4; last, the finite-product library case:
+  ``fourier.forward_batch`` of two seeded complex samples on
+  product(cyclic:8,dihedral:8) against its full dual, ``fourier.inverse_batch``
+  of those coefficients, and ``fourier.convolve`` of the two by "auto" and by
+  "direct".
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -73,8 +80,9 @@ runs that write that file, with the file and key path it occurs at (a
 count stands for the keys and files holding numbers without a gap); for the library
 section, the largest gap between the two trees' values per case.
 The exit code is 0 when conclusions, verdicts, exit codes and the
-non-numeric content of every file agree and no library gap exceeds
-``LIBRARY_TOL``, 1 otherwise.
+non-numeric content of every file agree, no library gap exceeds
+``LIBRARY_TOL`` and no number of the finite-product cases, in files or in
+the library, moves by more than ``FINITE_PRODUCT_TOL``; 1 otherwise.
 """
 
 import argparse
@@ -151,9 +159,14 @@ TWIST_ELEMENTS = 6
 CONVOLVE_CASES = tuple((group, res, ("auto", "direct")) for group, res in (
     ("cyclic:16", 1), ("dihedral:9", 1), ("torus:1", 12), ("torus:1", 17),
     ("torus:2", 11), ("torus:2", 24))) + (("su2", 4, ("spectral",)),)
+# The finite-product case: the groups of its verify runs, and the group of
+# its library arrays, appended last.
+FINITE_PRODUCTS = ("product(cyclic:3,dihedral:3)", "product(cyclic:4,dihedral:6)")
+FINITE_PRODUCT_LIBRARY = "product(cyclic:8,dihedral:8)"
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
+FINITE_PRODUCT_TOL = 1e-13
 
 
 def _cases(workloads):
@@ -186,6 +199,12 @@ def _cases(workloads):
                                           "dihedral:3", "--samples", "10", "--seed", "0"],
                 None))
     out.append(("criterion10", "diagnose", ["diagnose", "--seed", "7"], CRITERION10_FAMILY))
+    for group in FINITE_PRODUCTS:
+        for suite in workloads.VERIFY_SUITES:
+            for seed in SEEDS:
+                out.append(("finite-product", f"{suite}-{group}-s{seed}",
+                            ["verify", "--suite", suite, "--group", group, "--samples",
+                             str(workloads.VERIFY_SAMPLES), "--seed", str(seed)], None))
     return out
 
 
@@ -224,7 +243,7 @@ def run_cases(out_dir, workloads):
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
     su2 transform, irrep-matrix, stack, continuity, batched translate, lemma,
-    twisted and convolution cases, into ``library.npz``."""
+    twisted, convolution and finite-product cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -267,6 +286,9 @@ def _run_library(out_dir, workloads):
     for group_name, res, methods in CONVOLVE_CASES:
         for method, vals in _convolve_values(group_name, res, methods, rng).items():
             values[f"convolve-{group_name}-res{res}-{method}"] = vals
+    rng = np.random.default_rng([LIBRARY_SEED, len(values)])
+    for part, vals in _finite_product_values(rng).items():
+        values[f"finite-product-{part}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -448,6 +470,25 @@ def _convolve_values(group_name, res, methods, rng):
     return {method: fourier.convolve(f, g, method=method).values for method in methods}
 
 
+def _finite_product_values(rng):
+    """The finite-product library case: on ``FINITE_PRODUCT_LIBRARY``, the
+    coefficients of two seeded complex samples against the full dual (one
+    row per function), their synthesis, and their convolution by "auto" and
+    by "direct"."""
+    from pego import fourier, groups, irreps
+
+    group = groups.parse_group(FINITE_PRODUCT_LIBRARY)
+    rule = groups.haar_quadrature(group)
+    f, g = (fourier.SampledFunction(rule, [1, 1j] @ rng.normal(size=(2, len(rule))))
+            for _ in range(2))
+    coeffs = fourier.forward_batch([f, g], irreps.enumerate_dual(group))
+    out = {"forward": np.array([np.concatenate([b.ravel() for b in c.blocks]) for c in coeffs]),
+           "inverse": np.array([h.values for h in fourier.inverse_batch(coeffs, rule)])}
+    for method in ("auto", "direct"):
+        out[f"convolve-{method}"] = fourier.convolve(f, g, method=method).values
+    return out
+
+
 def _law_values(group, res, band, rng):
     """One group-law case: the ball's coordinates and distances to e, per
     seeded pair (a, b) the coordinates of a*b and a^-1 and d(a, b), and the
@@ -594,7 +635,7 @@ def compare(old_dir, new_dir):
         print("exit codes differ:", {k: (codes[0].get(k), codes[1].get(k))
                                       for k in codes[0].keys() | codes[1].keys()
                                       if codes[0].get(k) != codes[1].get(k)})
-    for section in ("diagnose", "verify", "criterion10"):
+    for section in ("diagnose", "verify", "criterion10", "finite-product"):
         files = sorted(p.relative_to(old_dir) for p in (old_dir / section).rglob("*")
                        if p.is_file() and p.name != "family.json")
         new_files = sorted(p.relative_to(new_dir) for p in (new_dir / section).rglob("*")
@@ -618,6 +659,8 @@ def compare(old_dir, new_dir):
                 same_verdicts &= _verdicts(a, kind) == _verdicts(b, kind)
         ok = ok and same_verdicts and not acc["other"]
         gap, where = max(acc["gaps"].values(), key=lambda g: g[0], default=(0.0, None))
+        if section == "finite-product":
+            ok = ok and gap <= FINITE_PRODUCT_TOL
         print(f"{section}: {runs} runs, conclusions equal: {same_verdicts}, "
               f"files byte-identical {same_bytes}/{len(files)}, "
               f"largest numeric gap {gap:.3e}" + (f" ({where})" if where else ""))
@@ -636,8 +679,9 @@ def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
     cases, of the su2 transform case, of the irrep-matrix case, of the
     stack case, of the continuity case, of the batched translate case, of
-    the lemma case, of the twisted case and of the convolution case of the
-    library section; True when all are within LIBRARY_TOL."""
+    the lemma case, of the twisted case, of the convolution case and of the
+    finite-product case of the library section; True when all are within
+    LIBRARY_TOL and the finite-product ones within FINITE_PRODUCT_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
             print("library: case names differ")
@@ -646,7 +690,8 @@ def _compare_library(old_dir, new_dir):
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
              "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
              "translate-": "batched translate", "lemma-": "lemma check",
-             "twist-": "twisted", "convolve-": "convolution"}
+             "twist-": "twisted", "convolve-": "convolution",
+             "finite-product-": "finite-product"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
@@ -654,8 +699,10 @@ def _compare_library(old_dir, new_dir):
         names = [n for n in gaps if kind_of[n] == kind]
         name = max(names, key=gaps.get)
         parts.append(f"{len(names)} {kind} arrays, largest gap {gaps[name]:.3e} ({name})")
-    print(f"library: {'; '.join(parts)}; tolerance {LIBRARY_TOL:.0e}")
-    return all(gap <= LIBRARY_TOL for gap in gaps.values())  # a NaN gap fails
+    print(f"library: {'; '.join(parts)}; tolerance {LIBRARY_TOL:.0e}, "
+          f"finite-product {FINITE_PRODUCT_TOL:.0e}")
+    return all(gap <= (FINITE_PRODUCT_TOL if kind_of[n] == "finite-product" else LIBRARY_TOL)
+               for n, gap in gaps.items())  # a NaN gap fails
 
 
 def _array_gap(a, b):
