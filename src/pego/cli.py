@@ -1,8 +1,10 @@
 """Command-line front end: transform, verify, diagnose, report.
 
 Exit codes: 0 success, 1 verify-suite property failure (or an incoherent
-diagnosis), 2 malformed input or missing file, 3 insufficient resolution.
-A negative precompactness verdict is data, not an error, and exits 0.
+diagnosis), 2 malformed input or an input or output file that cannot be
+read, parsed or written (``file:`` and family member specs included), 3
+insufficient resolution.  ``main`` alone maps a failure to its code and one
+``error:`` line.  A negative precompactness verdict is data and exits 0.
 
 Identical arguments and seeds produce byte-identical output files; outputs
 embed the fully resolved configuration and never contain timestamps or
@@ -11,7 +13,6 @@ absolute paths.  The default output directory is $PEGO_OUTPUT_DIR or ".".
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -37,7 +38,6 @@ from .fourier import (
     translate_spectral,
 )
 from .groups import (
-    GroupMismatchError,
     NeighborhoodSpec,
     ResolutionError,
     haar_quadrature,
@@ -355,12 +355,7 @@ def cmd_verify(args):
 # -- diagnose -----------------------------------------------------------------
 
 def cmd_diagnose(args):
-    try:
-        with open(args.family, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read family file: {exc}", file=sys.stderr)
-        return 2
+    doc = ser.read_input(args.family)
     family, rule = ser.family_from_json(doc)
     epsilons = args.epsilon or [0.5, 0.1, 0.01]
     # one pair of profiles, shared by every epsilon's verdict
@@ -399,24 +394,24 @@ _EQUI_HEAD = ("family", "delta", "omega")
 
 def _rows_from_input(path):
     """Extract (decay_rows, equi_rows) from a diagnose JSON or merged CSV,
-    each row a tuple of field strings."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
+    each row a tuple of field strings.  A decay step or a continuity
+    profile that lacks one of its keys is a FormatError."""
+    doc = ser.read_input(path)
+    if isinstance(doc, dict):
         fam = doc.get("family", "unknown")
+        what = f"diagnose document {path!r}"
         decay = [
-            (fam, str(s["step"]), str(s["shell"]), repr(float(s["sup_tail"])))
+            (fam, str(ser.field(s, "step", what)), str(ser.field(s, "shell", what)),
+             repr(float(ser.field(s, "sup_tail", what))))
             for s in doc.get("decay_profile", {}).get("steps", [])
         ]
-        cont = doc.get("continuity_profile", {})
+        cont = doc.get("continuity_profile", {"deltas": [], "omegas": []})
         equi = [
             (fam, repr(float(d)), repr(float(w)))
-            for d, w in zip(cont.get("deltas", []), cont.get("omegas", []))
+            for d, w in zip(ser.field(cont, "deltas", what), ser.field(cont, "omegas", what))
         ]
         return decay, equi
-    head, rows = ser.report_from_csv(text)
+    head, rows = ser.report_from_csv(doc)
     if head in ((), _DECAY_HEAD):
         return rows, []
     if head == _EQUI_HEAD:
@@ -426,15 +421,10 @@ def _rows_from_input(path):
 
 def cmd_report(args):
     if not args.inputs:
-        print("error: no inputs given", file=sys.stderr)
-        return 2
+        raise ser.FormatError("no inputs given")
     decay_rows, equi_rows = [], []
     for path in args.inputs:
-        try:
-            d, e = _rows_from_input(path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        d, e = _rows_from_input(path)
         decay_rows.extend(d)
         equi_rows.extend(e)
     decay_rows = sorted(set(decay_rows), key=lambda r: (r[0], int(r[1])))
@@ -448,8 +438,7 @@ def cmd_report(args):
             _write(path, ser.report_csv(head, rows))
             wrote.append(path)
     if not wrote:
-        print("error: inputs contained no profile rows", file=sys.stderr)
-        return 2
+        raise ser.FormatError("inputs contained no profile rows")
     _say(f"wrote {path}" for path in wrote)
     return 0
 
@@ -459,15 +448,15 @@ def cmd_report(args):
 def _int_at_least(low):
     """An argparse type: an integer >= ``low``.  A suite over no samples
     would pass vacuously or report a worst margin of -inf, and a negative
-    cutoff leaves an empty dual, so every transform would be empty."""
+    cutoff leaves an empty dual, so every transform would be empty.  Text
+    that is no integer makes ``int`` raise, which argparse reports as an
+    "invalid int value", the type named by ``__name__``."""
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
+    parse.__name__ = "int"
     return parse
 
 
@@ -527,8 +516,7 @@ def main(argv=None):
     except ResolutionError as exc:
         print(f"error: resolution insufficient: {exc}", file=sys.stderr)
         return 3
-    except (ser.FormatError, GroupMismatchError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoherenceError as exc:

@@ -642,10 +642,8 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
         # norms are one Schatten kernel call per block
         table = fourier.slot_table(tuple(subset))
         at_y = irreps._blocks_at(table.block_labels, _take(ys, slice(k, k + 1)))
-        act = fourier.FourierCoefficients.from_blocks(f.group, table, [
-            mats[0] - np.eye(d) for d, mats in zip(table.dims, at_y)
-        ])
-        head_sup = float(np.max(norms.schatten_norms(act, math.inf), initial=0.0))
+        head_sup = max((float(np.max(norms._schatten_stack(mats[0] - np.eye(d), math.inf)))
+                        for d, mats in zip(table.dims, at_y)), default=0.0)
         head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
         head_term = head_sup * head_norm
         tail, truncated = _tail(f, fc, subset, dual, pair.p)

@@ -636,7 +636,6 @@ def _haar_su2(group, resolution):
         "alphas": alphas,
         "betas": betas,
         "gammas": gammas,
-        "gl_w": gl_w,
     }
     return QuadratureRule(group, coords, weights, 2 * r, resolution, meta)
 

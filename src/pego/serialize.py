@@ -174,19 +174,23 @@ def function_to_json(f):
     }
 
 
+def field(doc, key, what):
+    """``doc[key]``; a missing key is a FormatError that names it."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise FormatError(f"{what} lacks {key!r}") from None
+
+
 def function_from_json(doc, rule):
     if doc.get("type") != "sampled_function":
         raise FormatError("not a sampled_function document")
-    if doc["group"] != rule.group.name:
-        raise FormatError(
-            f"function group {doc['group']!r} does not match rule group "
-            f"{rule.group.name!r}"
-        )
-    vals = np.array([complex(re, im) for re, im in doc["values"]])
+    group = field(doc, "group", "sampled_function document")
+    if group != rule.group.name:
+        raise FormatError(f"function group {group!r} does not match rule group {rule.group.name!r}")
+    vals = np.array([complex(re, im) for re, im in field(doc, "values", "sampled_function document")])
     if vals.shape[0] != len(rule):
-        raise FormatError(
-            f"{vals.shape[0]} values for a rule with {len(rule)} nodes"
-        )
+        raise FormatError(f"{vals.shape[0]} values for a rule with {len(rule)} nodes")
     return fourier.SampledFunction(rule, vals, name=doc.get("name", ""))
 
 
@@ -201,8 +205,9 @@ def function_to_csv(f):
 
 def function_from_csv(text, rule):
     """The function of a ``function_to_csv`` text on ``rule``; a header of
-    another group's coordinates, or a row count other than the rule's node
-    count, is a FormatError."""
+    another group's coordinates, a row count other than the rule's node
+    count, or coordinates other than the nodes' (compared exactly, as
+    ``repr`` round-trips), is a FormatError."""
     head, rows = report_from_csv(text)
     want = coord_columns(rule.group) + ["re", "im"]
     if list(head) != want:
@@ -210,6 +215,9 @@ def function_from_csv(text, rule):
                           f"header {','.join(want)!r}")
     if len(rows) != len(rule):
         raise FormatError(f"{len(rows)} rows for a rule with {len(rule)} nodes")
+    coords = np.array([r[:-2] for r in rows], dtype=float)
+    if not np.array_equal(coords, np.hstack(_arrays(rule.coords)).astype(float)):
+        raise FormatError(f"csv coordinates are not the nodes of {rule.rule_id}, in order")
     vals = np.array([complex(float(r[-2]), float(r[-1])) for r in rows], dtype=complex)
     return fourier.SampledFunction(rule, vals)
 
@@ -278,12 +286,9 @@ def decay_profile_to_json(profile):
 
 
 def decay_profile_csv(profile):
-    head = "step,shell,sup_tail"
-    lines = []
-    for k, s in enumerate(profile.steps):
-        shell = int(s.subset.max_shell)
-        lines.append(f"{k},{shell},{s.sup_tail!r}")
-    return head + "\n" + "\n".join(lines) + "\n"
+    return report_csv(("step", "shell", "sup_tail"),
+                      [(k, int(s.subset.max_shell), repr(s.sup_tail))
+                       for k, s in enumerate(profile.steps)])
 
 
 def continuity_profile_to_json(profile):
@@ -302,9 +307,9 @@ def continuity_profile_to_json(profile):
 
 
 def continuity_profile_csv(profile):
-    head = "delta,omega"
-    lines = [f"{float(d)!r},{float(w)!r}" for d, w in zip(profile.deltas, profile.omegas)]
-    return head + "\n" + "\n".join(lines) + "\n"
+    return report_csv(("delta", "omega"),
+                      [(repr(float(d)), repr(float(w)))
+                       for d, w in zip(profile.deltas, profile.omegas)])
 
 
 def report_csv(head, rows):
@@ -362,7 +367,21 @@ def verdict_to_json(verdict):
     }
 
 
-# -- function specs and family files -----------------------------------------
+# -- input files, function specs and family files ----------------------------
+
+def read_input(path):
+    """The JSON document of the file at ``path`` if its text starts with
+    ``{`` after whitespace, else the text, read with ``newline=""`` so the
+    csv reader gets quoted newlines whole.  Bad JSON is a FormatError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if not text.lstrip().startswith("{"):
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
 
 def parse_function_spec(spec, rule):
     """Build a SampledFunction from the tiny spec language.
@@ -399,12 +418,8 @@ def parse_function_spec(spec, rule):
             raise FormatError(f"bad entry indices in {spec!r}") from exc
         return fourier.matrix_entry_function(label, i, j, rule)
     if head == "file":
-        with open(rest, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return function_from_json(json.loads(text), rule)
-        return function_from_csv(text, rule)
+        doc = read_input(rest)
+        return function_from_json(doc, rule) if isinstance(doc, dict) else function_from_csv(doc, rule)
     raise FormatError(f"unknown function spec {spec!r}")
 
 
@@ -418,9 +433,7 @@ def family_from_json(doc):
     if not isinstance(doc, dict):
         raise FormatError("family document must be a JSON object")
     try:
-        group = parse_group(doc["group"])
-    except KeyError as exc:
-        raise FormatError("family document lacks 'group'") from exc
+        group = parse_group(field(doc, "group", "family document"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     resolution = doc.get("resolution")

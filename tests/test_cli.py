@@ -411,6 +411,158 @@ def test_report_without_inputs_exits_2(tmp_path, capsys):
     assert "no inputs" in err
 
 
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _reversed_function_csv(tmp_path):
+    """The dihedral:3 function CSV of the values 0..5, its rows reversed:
+    every row's coordinates belong to another node."""
+    from pego import fourier, groups
+
+    rule = groups.haar_quadrature(groups.parse_group("dihedral:3"), 1)
+    head, *rows = ser.function_to_csv(
+        fourier.SampledFunction(rule, np.arange(6.0))).splitlines(keepends=True)
+    return _file(tmp_path, "reversed.csv", head + "".join(rows[::-1]))
+
+
+def _torus_function_csv(tmp_path):
+    """A torus:1 function CSV with as many rows as cyclic:9 has nodes."""
+    from pego import fourier, groups
+
+    rule = groups.haar_quadrature(groups.parse_group("torus:1"), 9)
+    return _file(tmp_path, "torus.csv", ser.function_to_csv(fourier.constant_function(rule, 1.0)))
+
+
+def _planted_failure(monkeypatch):
+    monkeypatch.setattr(cli, "_suite_identities", lambda *args: [
+        {"name": "planted", "lhs": 1.0, "rhs": 0.0, "satisfied": False}])
+
+
+def _planted_incoherence(monkeypatch):
+    from pego.compactness import CoherenceError
+
+    def incoherent(*args, **kwargs):
+        raise CoherenceError("planted")
+    monkeypatch.setattr(cli, "pego_verdicts", incoherent)
+
+
+_TWO_CHARS = json.dumps({"group": "cyclic:8", "members": ["char:1", "char:2"]})
+
+# (argv before --out, given tmp_path; a fixture to plant; exit code; stderr fragment)
+EXIT_CODES = {
+    "success": (lambda t: ["transform", "--group", "cyclic:4", "--f", "const:1"],
+                None, 0, ""),
+    "failing_check": (lambda t: ["verify", "--suite", "identities"],
+                      _planted_failure, 1, ""),
+    "incoherent_diagnosis": (
+        lambda t: ["diagnose", "--family", _file(t, "fam.json", _TWO_CHARS)],
+        _planted_incoherence, 1, "error: incoherent diagnosis: planted"),
+    "missing_function_file": (
+        lambda t: ["transform", "--group", "cyclic:4", "--f", f"file:{t / 'missing.json'}"],
+        None, 2, "No such file"),
+    "missing_member_file": (
+        lambda t: ["diagnose", "--family", _file(t, "fam.json", json.dumps(
+            {"group": "cyclic:4", "members": [f"file:{t / 'missing.csv'}"]}))],
+        None, 2, "No such file"),
+    "out_is_a_file": (
+        lambda t: ["verify", "--suite", "schur", "--group", "dihedral:3", "--samples", "1",
+                   "--out", _file(t, "taken", "")],
+        None, 2, "File exists"),
+    "function_json_without_group": (
+        lambda t: ["transform", "--group", "cyclic:4", "--f",
+                   "file:" + _file(t, "f.json", '{"type": "sampled_function"}')],
+        None, 2, "lacks 'group'"),
+    "function_json_without_values": (
+        lambda t: ["transform", "--group", "cyclic:4", "--f", "file:" + _file(
+            t, "f.json", '{"type": "sampled_function", "group": "cyclic:4"}')],
+        None, 2, "lacks 'values'"),
+    "decay_step_without_step": (
+        lambda t: ["report", _file(t, "d.json", json.dumps(
+            {"family": "x", "decay_profile": {"steps": [{"shell": 1, "sup_tail": 0.5}]}}))],
+        None, 2, "lacks 'step'"),
+    "continuity_profile_without_omegas": (
+        lambda t: ["report", _file(t, "d.json", json.dumps(
+            {"family": "x", "continuity_profile": {"deltas": [0.5]}}))],
+        None, 2, "lacks 'omegas'"),
+    "function_csv_rows_off_their_nodes": (
+        lambda t: ["transform", "--group", "dihedral:3", "--f",
+                   f"file:{_reversed_function_csv(t)}"],
+        None, 2, "csv coordinates are not the nodes"),
+    "function_csv_of_another_group": (
+        lambda t: ["transform", "--group", "cyclic:9", "--f",
+                   f"file:{_torus_function_csv(t)}"],
+        None, 2, "'theta1,re,im' is not the cyclic:9 header 'j,re,im'"),
+    "function_file_of_bad_json": (
+        lambda t: ["transform", "--group", "cyclic:4", "--f", "file:" + _file(t, "f.json", "{")],
+        None, 2, "f.json"),
+    "family_file_of_bad_json": (
+        lambda t: ["diagnose", "--family", _file(t, "fam.json", "{")],
+        None, 2, "fam.json"),
+    "missing_family_file": (
+        lambda t: ["diagnose", "--family", str(t / "missing.json")],
+        None, 2, "No such file"),
+    "family_without_resolution": (
+        lambda t: ["diagnose", "--family", _file(
+            t, "fam.json", '{"group": "torus:1", "kind": "scaled_constants"}')],
+        None, 2, "resolution"),
+    "unknown_function_spec": (
+        lambda t: ["transform", "--group", "torus:1", "--f", "wavelet:3"],
+        None, 2, "unknown function spec"),
+    "missing_report_input": (
+        lambda t: ["report", str(t / "missing.json")], None, 2, "No such file"),
+    "report_without_inputs": (lambda t: ["report"], None, 2, "error: no inputs given"),
+    "report_without_rows": (
+        lambda t: ["report", _file(t, "empty.csv", "")],
+        None, 2, "error: inputs contained no profile rows"),
+    "report_row_short_of_its_header": (
+        lambda t: ["report", _file(t, "bad.csv", "family,step,shell,sup_tail\npair,0,1\n")],
+        None, 2, "differ in length"),
+    "non_finite_epsilon": (
+        lambda t: ["diagnose", "--family", _file(t, "fam.json", _TWO_CHARS), "--epsilon", "nan"],
+        None, 2, "finite"),
+    "cutoff_beyond_band": (
+        lambda t: ["transform", "--group", "torus:1", "--resolution", "9", "--cutoff", "8",
+                   "--f", "char:1"],
+        None, 3, "error: resolution insufficient"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CODES)
+def test_exit_code_table(tmp_path, capsys, monkeypatch, case):
+    """The documented exit codes, each reached through ``cli.main``: a
+    failure is one ``error:`` line on stderr, never an exception."""
+    argv, plant, code, fragment = EXIT_CODES[case]
+    if plant is not None:
+        plant(monkeypatch)
+    argv = argv(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    rc, _, err = run(capsys, *argv)
+    assert rc == code, err
+    if fragment:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert fragment in err
+    else:
+        assert err == ""
+
+
+def test_a_failure_in_a_child_process_is_one_error_line(tmp_path):
+    """A missing ``file:`` spec, run as ``python -m pego.cli``: exit 2 and
+    a single ``error:`` line, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pego.cli", "transform", "--group", "cyclic:4",
+         "--f", f"file:{tmp_path / 'missing.json'}", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "missing.json" in line
+
+
 def test_verify_output_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()

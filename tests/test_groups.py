@@ -229,7 +229,7 @@ def test_haar_su2_nodes_match_the_euler_product_bitwise(res):
     nodes, weights = [], []
     for a in alphas:
         ca, sa = math.cos(a / 2), math.sin(a / 2)
-        for b, gl_w in zip(betas, rule.meta["gl_w"]):
+        for b, gl_w in zip(betas, np.polynomial.legendre.leggauss(len(betas))[1]):
             cb, sb = math.cos(b / 2), math.sin(b / 2)
             for c in gammas:
                 cg, sg = math.cos(c / 2), math.sin(c / 2)
