@@ -394,22 +394,27 @@ _EQUI_HEAD = ("family", "delta", "omega")
 
 def _rows_from_input(path):
     """Extract (decay_rows, equi_rows) from a diagnose JSON or merged CSV,
-    each row a tuple of field strings.  A decay step or a continuity
-    profile that lacks one of its keys is a FormatError."""
+    each row a tuple of field strings.  A decay step that is not an object
+    or lacks one of its keys, and a continuity profile that lacks one of its
+    lists or whose lists differ in length, is a FormatError."""
     doc = ser.read_input(path)
     if isinstance(doc, dict):
         fam = doc.get("family", "unknown")
         what = f"diagnose document {path!r}"
+        steps = doc.get("decay_profile", {}).get("steps", [])
+        if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
+            raise ser.FormatError(f"{what}: decay steps must be a list of objects")
         decay = [
             (fam, str(ser.field(s, "step", what)), str(ser.field(s, "shell", what)),
              repr(float(ser.field(s, "sup_tail", what))))
-            for s in doc.get("decay_profile", {}).get("steps", [])
+            for s in steps
         ]
         cont = doc.get("continuity_profile", {"deltas": [], "omegas": []})
-        equi = [
-            (fam, repr(float(d)), repr(float(w)))
-            for d, w in zip(ser.field(cont, "deltas", what), ser.field(cont, "omegas", what))
-        ]
+        deltas, omegas = ser.field(cont, "deltas", what), ser.field(cont, "omegas", what)
+        if not (isinstance(deltas, list) and isinstance(omegas, list)
+                and len(deltas) == len(omegas)):
+            raise ser.FormatError(f"{what}: 'deltas' and 'omegas' must be lists of one length")
+        equi = [(fam, repr(float(d)), repr(float(w))) for d, w in zip(deltas, omegas)]
         return decay, equi
     head, rows = ser.report_from_csv(doc)
     if head in ((), _DECAY_HEAD):

@@ -9,7 +9,13 @@ For a bounded family K the two sampled certificates are
   made small uniformly over y in a shrinking identity ball.
 
 Each implies the other with explicit constants; both (plus boundedness) are
-equivalent to precompactness.  The two quantitative implications are exposed
+equivalent to precompactness.  The three criteria are the public stages
+``boundedness``, ``tail_decay_profile`` and ``equicontinuity_profile``;
+``pego_verdicts`` calls each once and joins them per epsilon, and
+``epsilon_net`` builds on ``pego_verdict``.  A family keeps its one forward
+transform at the alias-free band (``FamilySpec._band_spectrum``), so the
+profiles, the verdict and the net of one family transform it once between
+them.  The two quantitative implications are exposed
 as `lemma31_bound_checks` (equicontinuity controls the tail through a Dirac
 net element) and `lemma32_bound_checks` (a head/tail split controls the
 modulus), with one-case faces `lemma31_bound_check` and `lemma32_bound_check`.
@@ -94,36 +100,39 @@ class CoherenceError(RuntimeError):
         self.continuity_profile = continuity_profile
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilySpec:
     """A finite family of sampled functions on one rule.
 
-    ``grid`` optionally aligns each member with a generator parameter;
-    ``param_space`` says whether those parameters exhaust an unbounded
-    integer range ("unbounded": ladders indexed by n in N) or a compact box
-    ("compact": e.g. heat times in [t_min, t_max]).  Trend certificates are
-    only issued for unbounded parameter spaces.
+    ``param_space`` says whether the members follow a generator over an
+    unbounded integer range ("unbounded": ladders indexed by n in N) or a
+    compact box ("compact": e.g. heat times in [t_min, t_max]).  Trend
+    certificates are only issued for unbounded parameter spaces.
+
+    The family is frozen and holds its members as a tuple, so it keeps its
+    one forward transform at the alias-free band (``_band_spectrum``, made
+    on first use): every stage, the verdict and the epsilon net read it.
     """
 
-    members: list
+    members: tuple
     name: str
-    kind: str | None = None
-    params: dict | None = None
-    grid: list | None = None
     param_space: str = "compact"
-    seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("a family needs at least one member")
         rule = self.members[0].rule
         for f in self.members:
             if f.rule.rule_id != rule.rule_id:
                 raise GroupMismatchError("family members sampled on different rules")
-        if self.grid is not None and len(self.grid) != len(self.members):
-            raise ValueError("grid must align with members")
         if self.param_space not in ("compact", "unbounded"):
             raise ValueError("param_space must be 'compact' or 'unbounded'")
+
+    @functools.cached_property
+    def _band_spectrum(self):
+        """The members' transform at the alias-free band (``_spectrum``)."""
+        return _spectrum(self)
 
     @property
     def rule(self):
@@ -195,15 +204,14 @@ class _Spectrum:
     """One forward transform of a whole family, read by every part of a
     verdict: each member's coefficients against ``labels`` (``coeffs``), the
     same coefficients stacked once per dimension block of their slot table as
-    (members, n_b, d, d) arrays (``stacks``), the members' L2 norms, the
-    (members, labels) table of dim(pi) ||coeff(pi)||_F^2, built from the
-    stacks one block at a time (bitwise equal to each member's
-    ``label_masses``), and each member's squared mass beyond the labels
-    (``beyond``, bitwise ``norms.beyond_cutoff_mass``)."""
+    (members, n_b, d, d) arrays (``stacks``), the (members, labels) table
+    of dim(pi) ||coeff(pi)||_F^2, built from the stacks one block at a time
+    (bitwise equal to each member's ``label_masses``), and each member's
+    squared mass beyond the labels (``beyond``, bitwise
+    ``norms.beyond_cutoff_mass``)."""
 
     coeffs: list
     stacks: tuple
-    l2: np.ndarray
     label_mass: np.ndarray
     beyond: np.ndarray
 
@@ -227,7 +235,7 @@ def _spectrum(family, labels=None):
     for d, mem, stack in zip(table.dims, table.members, stacks):
         label_mass[:, mem] = d * np.sum(np.abs(stack) ** 2, axis=(2, 3))
     l2 = _member_norms(family, 2)
-    return _Spectrum(coeffs, stacks, l2, label_mass, norms._beyond_masses(l2**2, label_mass))
+    return _Spectrum(coeffs, stacks, label_mass, norms._beyond_masses(l2**2, label_mass))
 
 
 def _member_norms(family, p):
@@ -248,10 +256,7 @@ def boundedness(family, p=2):
     the trailing grid points; the sup over a compact parameter box is an
     honest sampled bound.
     """
-    return _boundedness(family, _member_norms(family, p))
-
-
-def _boundedness(family, vals):
+    vals = _member_norms(family, p)
     trend = None
     if family.param_space == "unbounded" and len(vals) > _TREND_WINDOW:
         tail = vals[-(_TREND_WINDOW + 1) :]
@@ -303,19 +308,15 @@ def tail_decay_profile(family, filtration=None, p=2.0):
 
     p = 2 tails are Plancherel residuals (``norms.plancherel_residual``,
     beyond-cutoff mass included); other exponents are summed over the
-    computed dual only and the profile is marked truncated.
+    computed dual only and the profile is marked truncated.  The default
+    filtration reads the family's transform; a custom one transforms
+    against its top step.
     """
-    return _decay_profile(family, filtration, p, None)
-
-
-def _decay_profile(family, filtration, p, spectrum):
-    """``tail_decay_profile``; the default filtration reads ``spectrum`` (one
-    is computed when None), a custom one transforms against its top step."""
     if filtration is None:
         filtration = DualFiltration.shells(
             family.group, fourier.safe_band(family.rule)
         )
-        spectrum = spectrum or _spectrum(family)
+        spectrum = family._band_spectrum
     else:
         spectrum = _spectrum(family, filtration.top.labels)
     coeffs = spectrum.coeffs
@@ -381,15 +382,9 @@ def equicontinuity_profile(family, mesh=None, ball_samples=8, p=2.0, seed=0):
 
     The mesh must be strictly decreasing.  The same seed redraws the same
     ball directions at every radius, so the sampled modulus shrinks along
-    rays.  p = 2 takes the spectral path, any other p translates samples
-    ("direct").
+    rays.  p = 2 takes the spectral path, which reads the family's
+    transform; any other p translates samples ("direct").
     """
-    return _continuity_profile(family, mesh, ball_samples, p, seed, None)
-
-
-def _continuity_profile(family, mesh, ball_samples, p, seed, spectrum):
-    """``equicontinuity_profile``; the spectral path reads ``spectrum`` (one
-    is computed when None)."""
     if mesh is None:
         mesh = default_mesh(family.group)
     mesh = np.asarray(mesh, dtype=float)
@@ -402,7 +397,7 @@ def _continuity_profile(family, mesh, ball_samples, p, seed, spectrum):
     # omega is genuinely nonincreasing as delta shrinks
     pool, dists = _ball_pool(family.group, mesh, ball_samples, seed)
     if p == 2.0:
-        per_point = _spectral_moduli(spectrum or _spectrum(family), pool)
+        per_point = _spectral_moduli(family._band_spectrum, pool)
     else:
         per_point = np.stack([_translation_moduli(f, pool, [p])[0] for f in family.members])
     # the points within a radius are a prefix of the pool sorted by
@@ -758,26 +753,19 @@ def pego_verdicts(
 ):
     """``pego_verdict`` at each of several epsilons, in order.
 
-    The epsilon only enters the flags, so boundedness and both profiles are
-    computed once and every verdict shares them.  An epsilon that is not
-    positive and finite (NaN included) raises ValueError before work starts,
-    and the first incoherent epsilon raises CoherenceError.
+    The epsilon only enters the flags, so the three stages (``boundedness``,
+    ``tail_decay_profile`` and ``equicontinuity_profile``) run once and every
+    verdict shares them.  An epsilon that is not positive and finite (NaN
+    included) raises ValueError before work starts, and the first incoherent
+    epsilon raises CoherenceError.
     """
     epsilons = list(epsilons)
     if not all(0 < eps < math.inf for eps in epsilons):
         raise ValueError("epsilon must be positive and finite")
-    _, *reports = _profiles(family, filtration, mesh, ball_samples, seed)
-    return [_combine(family, eps, *reports, ball_samples, seed) for eps in epsilons]
-
-
-def _profiles(family, filtration, mesh, ball_samples, seed):
-    """(spectrum, boundedness, decay profile, continuity profile) of a
-    verdict, from one transform of the family under the default filtration."""
-    spectrum = _spectrum(family)
-    bnd = _boundedness(family, spectrum.l2)
-    decay = _decay_profile(family, filtration, 2.0, spectrum)
-    conti = _continuity_profile(family, mesh, ball_samples, 2.0, seed, spectrum)
-    return spectrum, bnd, decay, conti
+    bnd = boundedness(family)
+    decay = tail_decay_profile(family, filtration)
+    conti = equicontinuity_profile(family, mesh, ball_samples, seed=seed)
+    return [_combine(family, eps, bnd, decay, conti, ball_samples, seed) for eps in epsilons]
 
 
 def _combine(family, epsilon, bnd, decay, conti, ball_samples, seed):
@@ -885,10 +873,7 @@ def epsilon_net(
     the witness property, so every member provably lies within epsilon of its
     center; the code still verifies each distance explicitly.
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
-    spectrum, *reports = _profiles(family, filtration, mesh, ball_samples, seed)
-    verdict = _combine(family, epsilon / 2.0, *reports, ball_samples, seed)
+    verdict = pego_verdict(family, epsilon / 2.0, filtration, mesh, ball_samples, seed)
     if verdict.conclusion != "precompact":
         cert = verdict.uniform_decay.certificate or verdict.equicontinuous.certificate
         detail = f" certificate: {cert}" if cert else ""
@@ -901,7 +886,9 @@ def epsilon_net(
     # the witness step: its per-member tails are the residuals outside it
     step = verdict.decay_profile.steps[verdict.decay_profile.witness_index(epsilon / 2.0)]
     subset = step.subset
-    if filtration is not None:
+    if filtration is None:
+        spectrum = family._band_spectrum
+    else:
         spectrum = _spectrum(family, subset.labels)
     # the witness is a prefix of the transformed labels (a step of the shell
     # filtration, or all of them): its blocks lead the spectrum's stacks

@@ -17,10 +17,18 @@ Each constructor returns a FamilySpec sampled on a caller-supplied rule:
   [t_min, t_max].  Precompact.
 * ``random_band_limited``: a random bounded subset of a fixed band.
   Precompact.
+
+A family document (``serialize.family_from_json``) keeps ``kind``,
+``params``, ``seed``, ``name`` and ``param_space``: ``kind`` picks the
+constructor, ``params`` and ``seed`` feed it, ``name`` renames the family,
+and ``param_space`` applies to a document that lists its ``members``.  The
+FamilySpec itself keeps only its members, name and param_space; the diagnose
+output embeds the document whole as its record of how the family was made.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,28 +55,14 @@ def scaled_constants(rule, r=1.0, count=12):
         f = fourier.constant_function(rule, complex(r) / n)
         f.name = f"({r}/{n})*1"
         members.append(f)
-    return FamilySpec(
-        members,
-        name=f"scaled_constants(r={r})",
-        kind="scaled_constants",
-        params={"r": r, "count": count},
-        grid=list(range(1, count + 1)),
-        param_space="unbounded",
-    )
+    return FamilySpec(members, name=f"scaled_constants(r={r})", param_space="unbounded")
 
 
 def growing_constants(rule, count=12):
     members = [fourier.constant_function(rule, float(n)) for n in range(1, count + 1)]
     for n, f in enumerate(members, start=1):
         f.name = f"{n}*1"
-    return FamilySpec(
-        members,
-        name="growing_constants",
-        kind="growing_constants",
-        params={"count": count},
-        grid=list(range(1, count + 1)),
-        param_space="unbounded",
-    )
+    return FamilySpec(members, name="growing_constants", param_space="unbounded")
 
 
 def character_ladder(rule, count=12):
@@ -86,14 +80,7 @@ def character_ladder(rule, count=12):
         members.append(
             fourier.SampledFunction(rule, np.exp(1j * n * angles), name=f"e(i{n}t)")
         )
-    return FamilySpec(
-        members,
-        name="character_ladder",
-        kind="character_ladder",
-        params={"count": count},
-        grid=list(range(1, count + 1)),
-        param_space="unbounded",
-    )
+    return FamilySpec(members, name="character_ladder", param_space="unbounded")
 
 
 def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0):
@@ -122,19 +109,7 @@ def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0
     members = fourier.inverse_batch(coeffs, rule)
     for i, f in enumerate(members):
         f.name = f"span[{i}]"
-    return FamilySpec(
-        members,
-        name=f"matrix_entry_span(bound={bound})",
-        kind="matrix_entry_span",
-        params={
-            "labels": [lab.name for lab in subset],
-            "bound": bound,
-            "count": count,
-        },
-        grid=list(range(count)),
-        param_space="compact",
-        seed=seed,
-    )
+    return FamilySpec(members, name=f"matrix_entry_span(bound={bound})", param_space="compact")
 
 
 def _damping_weights(labels):
@@ -181,24 +156,13 @@ def heat_kernel(rule, t_min=0.05, t_max=1.0, count=10):
     members = fourier.inverse_batch(coeffs, rule)
     for t, f in zip(times, members):
         f.name = f"heat(t={t:.4g})"
-    return FamilySpec(
-        members,
-        name="heat_kernel",
-        kind="heat_kernel",
-        params={"t_min": t_min, "t_max": t_max, "count": count},
-        grid=[float(t) for t in times],
-        param_space="compact",
-    )
+    return FamilySpec(members, name="heat_kernel", param_space="compact")
 
 
 def random_band_limited(rule, shell=2, bound=1.0, count=10, seed=0):
     """Random bounded subset of the band of shells <= shell (precompact)."""
-    return_spec = matrix_entry_span(
-        rule, shell=shell, bound=bound, count=count, seed=seed
-    )
-    return_spec.name = f"random_band_limited(shell={shell})"
-    return_spec.kind = "random_band_limited"
-    return return_spec
+    span = matrix_entry_span(rule, shell=shell, bound=bound, count=count, seed=seed)
+    return dataclasses.replace(span, name=f"random_band_limited(shell={shell})")
 
 
 FAMILY_KINDS = {

@@ -8,6 +8,7 @@ inputs therefore serialize to byte-identical text.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -188,10 +189,18 @@ def function_from_json(doc, rule):
     group = field(doc, "group", "sampled_function document")
     if group != rule.group.name:
         raise FormatError(f"function group {group!r} does not match rule group {rule.group.name!r}")
-    vals = np.array([complex(re, im) for re, im in field(doc, "values", "sampled_function document")])
+    pairs = field(doc, "values", "sampled_function document")
+    if not isinstance(pairs, list) or not all(_is_number_pair(z) for z in pairs):
+        raise FormatError("sampled_function 'values' must be a list of [re, im] number pairs")
+    vals = np.array([complex(re, im) for re, im in pairs])
     if vals.shape[0] != len(rule):
         raise FormatError(f"{vals.shape[0]} values for a rule with {len(rule)} nodes")
     return fourier.SampledFunction(rule, vals, name=doc.get("name", ""))
+
+
+def _is_number_pair(z):
+    return (isinstance(z, list) and len(z) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z))
 
 
 def function_to_csv(f):
@@ -426,9 +435,10 @@ def parse_function_spec(spec, rule):
 def family_from_json(doc):
     """Build (FamilySpec, QuadratureRule) from a family definition document.
 
-    Either ``kind`` (a builtin constructor with ``params``) or ``members``
-    (a list of function specs) must be present, along with ``group`` and,
-    for infinite groups, ``resolution``.
+    Either ``kind`` (a builtin constructor fed ``params`` and ``seed``) or
+    ``members`` (a list of function specs, with an optional ``param_space``)
+    must be present, along with ``group`` and, for infinite groups,
+    ``resolution``; ``name`` names the family.
     """
     if not isinstance(doc, dict):
         raise FormatError("family document must be a JSON object")
@@ -442,27 +452,22 @@ def family_from_json(doc):
             raise FormatError("'resolution' is required for infinite groups")
         resolution = 1
     rule = haar_quadrature(group, resolution=resolution)
-    seed = doc.get("seed")
     if "kind" in doc:
         kind = doc["kind"]
         if kind not in FAMILY_KINDS:
             raise FormatError(
                 f"unknown family kind {kind!r}; known: {sorted(FAMILY_KINDS)}"
             )
-        fam = builtin_family(kind, rule, params=doc.get("params"), seed=seed)
+        fam = builtin_family(kind, rule, params=doc.get("params"), seed=doc.get("seed"))
+        if "name" in doc:
+            fam = dataclasses.replace(fam, name=doc["name"])
     elif "members" in doc:
         specs = doc["members"]
         if not isinstance(specs, list) or not specs:
             raise FormatError("'members' must be a nonempty list of specs")
         members = [parse_function_spec(s, rule) for s in specs]
-        fam = FamilySpec(
-            members=members,
-            name=doc.get("name", "custom"),
-            param_space=doc.get("param_space", "compact"),
-            seed=seed,
-        )
+        fam = FamilySpec(members, name=doc.get("name", "custom"),
+                         param_space=doc.get("param_space", "compact"))
     else:
         raise FormatError("family document needs 'kind' or 'members'")
-    if "name" in doc:
-        fam.name = doc["name"]
     return fam, rule

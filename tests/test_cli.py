@@ -483,6 +483,22 @@ EXIT_CODES = {
         lambda t: ["report", _file(t, "d.json", json.dumps(
             {"family": "x", "decay_profile": {"steps": [{"shell": 1, "sup_tail": 0.5}]}}))],
         None, 2, "lacks 'step'"),
+    "function_json_of_bare_values": (
+        lambda t: ["transform", "--group", "cyclic:4", "--f", "file:" + _file(t, "f.json", json.dumps(
+            {"type": "sampled_function", "group": "cyclic:4", "values": [1, 2, 3, 4]}))],
+        None, 2, "list of [re, im] number pairs"),
+    "function_json_of_scalar_values": (
+        lambda t: ["transform", "--group", "cyclic:4", "--f", "file:" + _file(t, "f.json", json.dumps(
+            {"type": "sampled_function", "group": "cyclic:4", "values": 7}))],
+        None, 2, "list of [re, im] number pairs"),
+    "decay_step_not_an_object": (
+        lambda t: ["report", _file(t, "d.json", json.dumps(
+            {"family": "x", "decay_profile": {"steps": [3]}}))],
+        None, 2, "decay steps must be a list of objects"),
+    "continuity_lists_of_unequal_length": (
+        lambda t: ["report", _file(t, "d.json", json.dumps(
+            {"family": "x", "continuity_profile": {"deltas": [0.5, 0.2], "omegas": [0.1]}}))],
+        None, 2, "must be lists of one length"),
     "continuity_profile_without_omegas": (
         lambda t: ["report", _file(t, "d.json", json.dumps(
             {"family": "x", "continuity_profile": {"deltas": [0.5]}}))],

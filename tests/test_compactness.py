@@ -295,9 +295,7 @@ def test_lemma32_rejects_labels_beyond_dual():
 def _fake_unbounded_family(n=6):
     rule = haar_quadrature(cyclic(4))
     members = [sample(rule, lambda p: 1.0, name=f"m{i}") for i in range(n)]
-    return FamilySpec(
-        members, name="fake", grid=list(range(n)), param_space="unbounded"
-    )
+    return FamilySpec(members, name="fake", param_space="unbounded")
 
 
 def test_escape_certificate_fires_on_monotone_outward_trail():
@@ -327,9 +325,7 @@ def test_escape_certificate_stays_quiet():
     # not enough total movement
     assert _escape_certificate(fam, [0, 0, 0, 0, 0, 1], "decay") is None
     # compact parameter boxes never certify escape
-    compact = FamilySpec(
-        list(fam.members), name="box", grid=list(range(6)), param_space="compact"
-    )
+    compact = FamilySpec(list(fam.members), name="box", param_space="compact")
     assert _escape_certificate(compact, [0, 1, 2, 3, 4, 5], "decay") is None
     # too short to call a trend
     short = FamilySpec(list(fam.members[:3]), name="s", param_space="unbounded")
@@ -352,11 +348,10 @@ def test_verdict_scaled_constants_precompact():
 
 def test_builtin_random_band_limited_is_a_renamed_matrix_entry_span():
     """The ``random_band_limited`` kind draws the members of
-    ``matrix_entry_span`` at the same seed and carries its own kind and
-    name; a seed argument overrides the params seed."""
+    ``matrix_entry_span`` at the same seed and carries its own name; a seed
+    argument overrides the params seed."""
     rule = haar_quadrature(torus(1), 9)
     fam = builtin_family("random_band_limited", rule, {"shell": 2})
-    assert fam.kind == "random_band_limited"
     assert fam.name == "random_band_limited(shell=2)"
     span = builtin_family("matrix_entry_span", rule, {"shell": 2})
     assert len(fam.members) == len(span.members) == 10
@@ -414,7 +409,7 @@ def test_non_finite_epsilon_is_refused_before_any_profile(monkeypatch, bad):
     def no_profiles(*args):
         raise AssertionError("profiles computed for a non-finite epsilon")
 
-    monkeypatch.setattr(compactness, "_profiles", no_profiles)
+    monkeypatch.setattr(compactness, "_spectrum", no_profiles)
     fam = builtin_family("scaled_constants", haar_quadrature(cyclic(4)))
     with pytest.raises(ValueError, match="finite"):
         compactness.pego_verdicts(fam, [0.5, bad])
@@ -495,7 +490,5 @@ def test_family_spec_validation():
         FamilySpec([], name="empty")
     with pytest.raises(GroupMismatchError):
         FamilySpec([f, g], name="mixed")
-    with pytest.raises(ValueError):
-        FamilySpec([f], name="bad_grid", grid=[1, 2])
     with pytest.raises(ValueError):
         FamilySpec([f], name="bad_space", param_space="open")

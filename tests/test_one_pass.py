@@ -3,6 +3,7 @@ and per epsilon net, one pair of profiles for many epsilons, a ball pool drawn
 once for all radii, and a heat-kernel family built block by block.  Each is
 checked against an oracle that does the work the long way."""
 
+import dataclasses
 import json
 import math
 
@@ -31,7 +32,7 @@ from pego import (
     safe_band,
     sample_ball,
 )
-from pego import fourier
+from pego import compactness, fourier
 from pego import serialize as ser
 from pego.compactness import DualFiltration
 from pego.groups import _ball_pool
@@ -51,22 +52,41 @@ def _counting_forward(monkeypatch):
 
 @pytest.mark.parametrize("group, res", [("torus:2", 9), ("su2", 4), ("dihedral:9", 1)])
 def test_verdict_and_net_transform_the_family_once(monkeypatch, group, res):
+    """The family keeps its transform: a verdict, verdicts at three epsilons
+    and a net of one family transform it once between them."""
     rule = haar_quadrature(parse_group(group), res)
     fam = builtin_family("heat_kernel", rule, params={"count": 5})
     calls = _counting_forward(monkeypatch)
     pego_verdict(fam, 0.3, ball_samples=3, seed=2)
-    assert calls == [len(fam)]
-    calls.clear()
     pego_verdicts(fam, [0.5, 0.3, 0.1], ball_samples=3, seed=2)
-    assert calls == [len(fam)]
-    calls.clear()
     epsilon_net(fam, 0.5, ball_samples=3, seed=2)
     assert calls == [len(fam)]
     # a custom filtration transforms against its own top step as well
-    calls.clear()
     filtration = DualFiltration.shells(rule.group, safe_band(rule))
     pego_verdict(fam, 0.3, filtration=filtration, ball_samples=3, seed=2)
     assert calls == [len(fam), len(fam)]
+
+
+def test_verdict_runs_through_its_public_stages(monkeypatch):
+    """``pego_verdicts`` calls each public stage once and ``epsilon_net``
+    calls ``pego_verdict`` once; the family they share is frozen."""
+    calls = {}
+    for name in ("boundedness", "tail_decay_profile", "equicontinuity_profile",
+                 "pego_verdict"):
+        def counted(*args, _real=getattr(compactness, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(compactness, name, counted)
+    rule = haar_quadrature(parse_group("torus:2"), 9)
+    fam = builtin_family("heat_kernel", rule, params={"count": 5})
+    compactness.pego_verdicts(fam, [0.5, 0.3, 0.1], ball_samples=3, seed=2)
+    assert calls == {"boundedness": 1, "tail_decay_profile": 1, "equicontinuity_profile": 1}
+    calls.clear()
+    compactness.epsilon_net(fam, 0.5, ball_samples=3, seed=2)
+    assert calls["pego_verdict"] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.name = "renamed"
 
 
 def test_verdicts_share_profiles_and_match_single_verdicts():

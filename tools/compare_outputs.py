@@ -67,7 +67,12 @@ each tree, one child process runs through ``pego.cli.main``:
   ``fourier.forward_batch`` of two seeded complex samples on
   product(cyclic:8,dihedral:8) against its full dual, ``fourier.inverse_batch``
   of those coefficients, and ``fourier.convolve`` of the two by "auto" and by
-  "direct".
+  "direct"; last, the net case: ``compactness.epsilon_net`` of each
+  precompact audit family at each of the audit's ``NET_EPSILONS`` (the
+  audit's ball samples, seed 1), twice on one family object, so the second
+  net reads the transform the family keeps, then once with the shell
+  filtration passed explicitly; the centers, assignments and distances of
+  every net.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -243,7 +248,7 @@ def run_cases(out_dir, workloads):
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
     su2 transform, irrep-matrix, stack, continuity, batched translate, lemma,
-    twisted, convolution and finite-product cases, into ``library.npz``."""
+    twisted, convolution, finite-product and net cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -289,6 +294,11 @@ def _run_library(out_dir, workloads):
     rng = np.random.default_rng([LIBRARY_SEED, len(values)])
     for part, vals in _finite_product_values(rng).items():
         values[f"finite-product-{part}"] = vals
+    for name, doc, expected, _ in workloads.AUDIT_FAMILIES:
+        if expected == "precompact":
+            for part, vals in _net_values(dict(doc, name=name, seed=DIAGNOSE_SEED),
+                                          workloads).items():
+                values[f"net-{name}-{part}"] = vals
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -407,6 +417,28 @@ def _continuity_values(doc, ball_samples):
     profile = compactness.equicontinuity_profile(family, ball_samples=ball_samples,
                                                  seed=DIAGNOSE_SEED)
     return profile.per_member
+
+
+def _net_values(doc, workloads):
+    """The net case of one precompact audit family: per epsilon of
+    ``NET_EPSILONS``, the centers, assignments and distances of
+    ``compactness.epsilon_net`` run twice on one family object ("first",
+    "again") and once with the shell filtration passed explicitly
+    ("shells")."""
+    from pego import compactness, fourier, serialize
+
+    family, rule = serialize.family_from_json(doc)
+    shells = compactness.DualFiltration.shells(rule.group, fourier.safe_band(rule))
+    out = {}
+    for eps in workloads.NET_EPSILONS:
+        for run, filtration in (("first", None), ("again", None), ("shells", shells)):
+            net = compactness.epsilon_net(family, eps, filtration,
+                                          ball_samples=workloads.AUDIT_BALL_SAMPLES,
+                                          seed=DIAGNOSE_SEED)
+            out[f"eps{eps}-{run}-centers"] = net.centers
+            out[f"eps{eps}-{run}-assignments"] = net.assignments
+            out[f"eps{eps}-{run}-distances"] = net.distances
+    return out
 
 
 def _translate_values(group_name, res, band, stride, rng):
@@ -679,8 +711,9 @@ def _compare_library(old_dir, new_dir):
     """Print the largest gap of the evaluate_at cases, of the group-law
     cases, of the su2 transform case, of the irrep-matrix case, of the
     stack case, of the continuity case, of the batched translate case, of
-    the lemma case, of the twisted case, of the convolution case and of the
-    finite-product case of the library section; True when all are within
+    the lemma case, of the twisted case, of the convolution case, of the
+    finite-product case and of the net case of the library section; True
+    when all are within
     LIBRARY_TOL and the finite-product ones within FINITE_PRODUCT_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
         if sorted(old.files) != sorted(new.files):
@@ -691,7 +724,7 @@ def _compare_library(old_dir, new_dir):
              "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
              "translate-": "batched translate", "lemma-": "lemma check",
              "twist-": "twisted", "convolve-": "convolution",
-             "finite-product-": "finite-product"}
+             "finite-product-": "finite-product", "net-": "epsilon-net"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
