@@ -34,8 +34,8 @@ for lab in dual:
     l = lab.shell / 2.0
     smooth_entries[lab] = base[lab] * np.exp(-t * l * (l + 1.0))
     rough_entries[lab] = base[lab] * (1.0 if lab.shell >= 5 else 0.05)
-sc = FourierCoefficients(base.group, dual, smooth_entries, cutoff=6)
-rc = FourierCoefficients(base.group, dual, rough_entries, cutoff=6)
+sc = FourierCoefficients(base.group, dual, smooth_entries)
+rc = FourierCoefficients(base.group, dual, rough_entries)
 smooth = synthesize(sc, rule)
 rough = synthesize(rc, rule)
 smooth.name, rough.name = "smooth", "rough"

@@ -38,7 +38,6 @@ from .fourier import (
     translate_spectral,
 )
 from .groups import (
-    NeighborhoodSpec,
     ResolutionError,
     haar_quadrature,
     parse_group,
@@ -138,7 +137,8 @@ def cmd_transform(args):
         "schema_version": ser.SCHEMA_VERSION,
         "type": "transform_result",
         "config": _config(rule, cutoff=cutoff, f=args.f, seed=args.seed),
-        "coefficients": ser.coefficients_to_json(coeffs),
+        "coefficients": dict(ser.coefficients_to_json(coeffs), cutoff=cutoff,
+                             l2_mass_total=float(np.sum(rule.weights * np.abs(f.values) ** 2))),
         "norms": {
             "l2_function": float(l2),
             "l2_oplus_within_cutoff": ser.norm_report_to_json(rep2),
@@ -242,7 +242,7 @@ def _suite_lemma31(rule, cutoff, samples, seed, p_values):
     for k in range(samples):
         f = random_band_limited_function(rule, cutoff, seed=seed + 13 * k)
         delta = radii[k % len(radii)]
-        chks = lemma31_bound_checks(f, NeighborhoodSpec(delta, 8), pairs, cutoff=cutoff)
+        chks = lemma31_bound_checks(f, delta, pairs, cutoff=cutoff)
         rows += [(f"tail_le_2sup_p={p:g}", chk.tail - chk.rhs, chk.satisfied)
                  for p, chk in zip(p_values, chks)]
     return _checks(rows, _LEMMA_SLACK)
@@ -394,25 +394,29 @@ _EQUI_HEAD = ("family", "delta", "omega")
 
 def _rows_from_input(path):
     """Extract (decay_rows, equi_rows) from a diagnose JSON or merged CSV,
-    each row a tuple of field strings.  A decay step that is not an object
-    or lacks one of its keys, and a continuity profile that lacks one of its
-    lists or whose lists differ in length, is a FormatError."""
+    each row a tuple of field strings.  In a diagnose JSON the family is a
+    string, both profiles are objects, a decay step is an object whose
+    step and shell are integers and whose sup_tail is a number, and the
+    continuity deltas and omegas are lists of numbers of one length; any
+    other document is a FormatError that names the key."""
     doc = ser.read_input(path)
     if isinstance(doc, dict):
-        fam = doc.get("family", "unknown")
         what = f"diagnose document {path!r}"
-        steps = doc.get("decay_profile", {}).get("steps", [])
+
+        def typed(obj, key, kind, *default):
+            value = obj.get(key, *default) if default else ser.field(obj, key, what)
+            return ser.expect(value, kind, f"{what}: {key!r}")
+
+        fam = typed(doc, "family", "a string", "unknown")
+        steps = typed(doc, "decay_profile", "an object", {}).get("steps", [])
         if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
             raise ser.FormatError(f"{what}: decay steps must be a list of objects")
-        decay = [
-            (fam, str(ser.field(s, "step", what)), str(ser.field(s, "shell", what)),
-             repr(float(ser.field(s, "sup_tail", what))))
-            for s in steps
-        ]
-        cont = doc.get("continuity_profile", {"deltas": [], "omegas": []})
-        deltas, omegas = ser.field(cont, "deltas", what), ser.field(cont, "omegas", what)
-        if not (isinstance(deltas, list) and isinstance(omegas, list)
-                and len(deltas) == len(omegas)):
+        decay = [(fam, str(typed(s, "step", "an integer")), str(typed(s, "shell", "an integer")),
+                  repr(float(typed(s, "sup_tail", "a number"))))
+                 for s in steps]
+        cont = typed(doc, "continuity_profile", "an object", {"deltas": [], "omegas": []})
+        deltas, omegas = (typed(cont, key, "a list of numbers") for key in ("deltas", "omegas"))
+        if len(deltas) != len(omegas):
             raise ser.FormatError(f"{what}: 'deltas' and 'omegas' must be lists of one length")
         equi = [(fam, repr(float(d)), repr(float(w))) for d, w in zip(deltas, omegas)]
         return decay, equi

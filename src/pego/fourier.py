@@ -24,8 +24,9 @@ bound checks run in.
 
 Coefficients are packed: one contiguous (n_b, d, d) block per irrep
 dimension, with a slot table per label tuple (``slot_table``) that maps each
-label to its block and position.  Kernels loop over blocks and slots by
-integer; masses, norms and head sums are vectorized per block.
+label to its block and position.  The blocks are the whole transform.
+Kernels loop over blocks and slots by integer; masses, norms and head sums
+are vectorized per block.
 
 Each kind of rule has its own pair of kernels (``_kernels``), and none of
 the grid kernels builds an (N, d, d) irrep stack:
@@ -226,18 +227,15 @@ class FourierCoefficients:
     has an entry, zeros stored explicitly.  The matrices live in ``blocks``,
     one contiguous (n_b, d, d) array per dimension, laid out by the label
     tuple's ``slot_table`` (``table``); ``coeffs[lab]`` is a view into its
-    block.  ``cutoff`` records the shell cutoff when the coverage came from
-    ``enumerate_dual`` (None for ad-hoc label sets).  ``l2_mass_total``
-    carries ||f||_2^2 of the source function when known (every forward
-    transform sets it).  It is written to and read from JSON
-    (``serialize``); no tail reads it, since every p = 2 tail takes ||f||_2
-    from the samples (``norms.beyond_cutoff_mass``).
+    block.  The blocks are the whole object: masses and norms are read from
+    them, and a p = 2 tail takes ||f||_2 from the samples
+    (``norms.beyond_cutoff_mass``).
 
     Built from a dict ``{label: matrix}`` by the constructor, or from packed
     blocks by ``from_blocks``.
     """
 
-    def __init__(self, group, labels, entries, cutoff=None, l2_mass_total=None):
+    def __init__(self, group, labels, entries):
         labels = tuple(labels)
         if set(labels) != set(entries):
             raise ValueError("labels and entries disagree")
@@ -251,10 +249,10 @@ class FourierCoefficients:
                     raise ValueError(f"entry for {lab.name} has shape {mat.shape}")
                 block[k] = mat
             blocks.append(block)
-        self._set(group, table, blocks, cutoff, l2_mass_total)
+        self._set(group, table, blocks)
 
     @classmethod
-    def from_blocks(cls, group, table, blocks, cutoff=None, l2_mass_total=None):
+    def from_blocks(cls, group, table, blocks):
         """Coefficients from blocks laid out by the slot table ``table``;
         complex blocks are kept as given, not copied."""
         blocks = [np.asarray(b, dtype=complex) for b in blocks]
@@ -262,16 +260,14 @@ class FourierCoefficients:
         if [b.shape for b in blocks] != want:
             raise ValueError(f"blocks have shapes {[b.shape for b in blocks]}, want {want}")
         out = cls.__new__(cls)
-        out._set(group, table, blocks, cutoff, l2_mass_total)
+        out._set(group, table, blocks)
         return out
 
-    def _set(self, group, table, blocks, cutoff, l2_mass_total):
+    def _set(self, group, table, blocks):
         self.group = group
         self.table = table
         self.labels = table.labels
         self.blocks = tuple(blocks)
-        self.cutoff = cutoff
-        self.l2_mass_total = l2_mass_total
 
     def __getitem__(self, lab):
         b, pos = self.table.slot(lab)
@@ -398,9 +394,7 @@ def forward_to_cutoff(f, cutoff=None):
         raise ResolutionError(
             f"cutoff {cutoff} exceeds alias-free band {band} of {f.rule.rule_id}"
         )
-    out = forward(f, irreps.enumerate_dual(f.group, cutoff))
-    out.cutoff = cutoff
-    return out
+    return forward(f, irreps.enumerate_dual(f.group, cutoff))
 
 
 def forward_batch(fs, dual):
@@ -414,8 +408,8 @@ def forward_batch(fs, dual):
     against its irrep stack on cyclic, dihedral and hand-built rules.  The
     kernels get the functions' own value arrays and apply the weights
     themselves; on su2 the weights scale the per-beta gamma sums, so no
-    weighted or stacked copy of the samples is made there.  The masses
-    ||f||_2^2 come through one reused scratch (``_masses``).
+    weighted or stacked copy of the samples is made there.  The kernel is
+    the only pass over the samples: no norm of f is taken here.
     """
     if not fs:
         return []
@@ -423,25 +417,9 @@ def forward_batch(fs, dual):
     for f in fs:
         _check_same_rule(fs[0], f)
     table = slot_table(tuple(dual))
-    masses = _masses(fs, rule)
     blocks = _kernels(rule)[0]([f.values for f in fs], table, rule)
-    return [
-        FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks], None, masses[k])
-        for k in range(len(fs))
-    ]
-
-
-def _masses(fs, rule):
-    """||f||_2^2 = sum w |f|^2 of each function, bitwise equal to
-    ``np.sum(w * np.abs(f.values) ** 2)``, through one reused (N,) scratch."""
-    scratch = np.empty(len(rule))
-    out = []
-    for f in fs:
-        np.abs(f.values, out=scratch)
-        np.square(scratch, out=scratch)
-        np.multiply(rule.weights, scratch, out=scratch)
-        out.append(float(np.sum(scratch)))
-    return out
+    return [FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks])
+            for k in range(len(fs))]
 
 
 def _kernels(rule):
@@ -880,9 +858,7 @@ def translate_spectral(coeffs, y):
     """Coefficient-side right translation: coeff(pi) -> pi(y) @ coeff(pi),
     the block action of ``translate_values`` for one element."""
     blocks = [b[0] for b in _right_action(coeffs, coords_of(coeffs.group, [y]))]
-    return FourierCoefficients.from_blocks(
-        coeffs.group, coeffs.table, blocks, coeffs.cutoff, coeffs.l2_mass_total
-    )
+    return FourierCoefficients.from_blocks(coeffs.group, coeffs.table, blocks)
 
 
 def _convolve_reindex(f, g):

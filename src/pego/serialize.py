@@ -9,9 +9,11 @@ inputs therefore serialize to byte-identical text.
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -183,6 +185,33 @@ def field(doc, key, what):
         raise FormatError(f"{what} lacks {key!r}") from None
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    """A float, or an int that converts to one (JSON integers are unbounded)."""
+    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
+
+
+_KINDS = {
+    "a string": lambda x: isinstance(x, str),
+    "an object": lambda x: isinstance(x, dict),
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a list of strings": lambda x: isinstance(x, list) and all(isinstance(s, str) for s in x),
+    "a list of numbers": lambda x: isinstance(x, list) and all(map(_is_number, x)),
+}
+
+
+def expect(value, kind, what):
+    """``value`` if it is ``kind``, a key of ``_KINDS`` (a bool is neither
+    number); else a FormatError saying that ``what`` must be ``kind``."""
+    if not _KINDS[kind](value):
+        raise FormatError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def function_from_json(doc, rule):
     if doc.get("type") != "sampled_function":
         raise FormatError("not a sampled_function document")
@@ -199,8 +228,7 @@ def function_from_json(doc, rule):
 
 
 def _is_number_pair(z):
-    return (isinstance(z, list) and len(z) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z))
+    return isinstance(z, list) and len(z) == 2 and all(map(_is_number, z))
 
 
 def function_to_csv(f):
@@ -234,16 +262,12 @@ def function_from_csv(text, rule):
 # -- coefficients and norms --------------------------------------------------
 
 def coefficients_to_json(coeffs):
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "type": "fourier_coefficients",
         "group": coeffs.group.name,
-        "cutoff": coeffs.cutoff,
         "entries": {lab.name: matrix_to_wire(coeffs[lab]) for lab in coeffs.labels},
     }
-    if coeffs.l2_mass_total is not None:
-        doc["l2_mass_total"] = float(coeffs.l2_mass_total)
-    return doc
 
 
 def coefficients_from_json(doc, group):
@@ -256,11 +280,7 @@ def coefficients_from_json(doc, group):
                key=lambda lab: lab.sort_key)
     )
     entries = {lab: wire_to_matrix(doc["entries"][lab.name]) for lab in labels}
-    return fourier.FourierCoefficients(
-        group, labels, entries,
-        cutoff=doc.get("cutoff"),
-        l2_mass_total=doc.get("l2_mass_total"),
-    )
+    return fourier.FourierCoefficients(group, labels, entries)
 
 
 def norm_report_to_json(report):
@@ -432,18 +452,43 @@ def parse_function_spec(spec, rule):
     raise FormatError(f"unknown function spec {spec!r}")
 
 
+# The types of the builder parameters a family document may give.
+_PARAM_KINDS = {"count": "an integer", "shell": "an integer", "seed": "an integer",
+                "r": "a number", "bound": "a number", "t_min": "a number", "t_max": "a number",
+                "labels": "a list of strings"}
+
+
+def _builder_params(kind, params, group):
+    """The keyword arguments of the ``kind`` builder from a document's
+    ``params``: an object whose every key the builder takes, each value of
+    its type in ``_PARAM_KINDS``, and the ``labels`` strings parsed."""
+    params = expect(params, "an object", "family 'params'")
+    takes = list(inspect.signature(FAMILY_KINDS[kind]).parameters)[1:]
+    kwargs = {}
+    for key, value in params.items():
+        if key not in takes:
+            raise FormatError(f"family kind {kind!r} takes no parameter {key!r}; "
+                              f"it takes {takes}")
+        expect(value, _PARAM_KINDS[key], f"family parameter {key!r}")
+        kwargs[key] = [irreps.parse_label(group, s) for s in value] if key == "labels" else value
+    return kwargs
+
+
 def family_from_json(doc):
     """Build (FamilySpec, QuadratureRule) from a family definition document.
 
     Either ``kind`` (a builtin constructor fed ``params`` and ``seed``) or
-    ``members`` (a list of function specs, with an optional ``param_space``)
-    must be present, along with ``group`` and, for infinite groups,
-    ``resolution``; ``name`` names the family.
+    ``members`` (a nonempty list of function specs, with an optional
+    ``param_space``) must be present, along with ``group`` and, for infinite
+    groups, ``resolution`` (an integer of at least 1); ``name`` names the
+    family.  A key of the wrong type is a FormatError, and so is a
+    ``params`` key the kind's builder does not take.
     """
     if not isinstance(doc, dict):
         raise FormatError("family document must be a JSON object")
     try:
-        group = parse_group(field(doc, "group", "family document"))
+        group = parse_group(expect(field(doc, "group", "family document"), "a string",
+                                   "family 'group'"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     resolution = doc.get("resolution")
@@ -451,23 +496,30 @@ def family_from_json(doc):
         if not group.is_finite:
             raise FormatError("'resolution' is required for infinite groups")
         resolution = 1
+    if not _is_int(resolution) or resolution < 1:
+        raise FormatError(f"family 'resolution' must be an integer of at least 1, "
+                          f"got {resolution!r}")
+    name = expect(doc.get("name", "custom"), "a string", "family 'name'")
     rule = haar_quadrature(group, resolution=resolution)
     if "kind" in doc:
-        kind = doc["kind"]
+        kind = expect(doc["kind"], "a string", "family 'kind'")
         if kind not in FAMILY_KINDS:
             raise FormatError(
                 f"unknown family kind {kind!r}; known: {sorted(FAMILY_KINDS)}"
             )
-        fam = builtin_family(kind, rule, params=doc.get("params"), seed=doc.get("seed"))
+        seed = doc.get("seed")
+        if seed is not None:
+            expect(seed, "an integer", "family 'seed'")
+        params = _builder_params(kind, doc.get("params", {}), group)
+        fam = builtin_family(kind, rule, params=params, seed=seed)
         if "name" in doc:
-            fam = dataclasses.replace(fam, name=doc["name"])
+            fam = dataclasses.replace(fam, name=name)
     elif "members" in doc:
-        specs = doc["members"]
-        if not isinstance(specs, list) or not specs:
-            raise FormatError("'members' must be a nonempty list of specs")
+        specs = expect(doc["members"], "a list of strings", "family 'members'")
+        if not specs:
+            raise FormatError("family 'members' must be a nonempty list")
         members = [parse_function_spec(s, rule) for s in specs]
-        fam = FamilySpec(members, name=doc.get("name", "custom"),
-                         param_space=doc.get("param_space", "compact"))
+        fam = FamilySpec(members, name=name, param_space=doc.get("param_space", "compact"))
     else:
         raise FormatError("family document needs 'kind' or 'members'")
     return fam, rule

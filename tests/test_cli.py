@@ -39,6 +39,30 @@ def test_transform_pure_character(tmp_path, capsys):
     assert doc["config"]["group"] == "torus:1"
 
 
+@pytest.mark.parametrize("group, spec", [
+    ("torus:1", "char:2"),
+    ("dihedral:3", "entry:dihedral:2dim-1:1:2"),
+    ("su2", "entry:wigner:2:1:3"),
+    ("product(torus:1,su2)", "entry:prod(torus:[1],wigner:1):2:1"),
+])
+def test_transform_document_keeps_cutoff_and_mass(tmp_path, capsys, group, spec):
+    """The coefficients of a transform result carry the resolved cutoff and
+    ``l2_mass_total``, the quadrature sum of w |f|^2 over the written
+    samples; the transform command writes both keys itself."""
+    from pego import haar_quadrature, parse_group
+
+    rc, _, err = run(capsys, "transform", "--group", group, "--f", spec, "--format", "csv",
+                     "--out", str(tmp_path))
+    assert rc == 0, err
+    doc = json.loads(next(tmp_path.glob("transform_*.json")).read_text())
+    config, coeffs = doc["config"], doc["coefficients"]
+    assert coeffs["cutoff"] == config["cutoff"]
+    rule = haar_quadrature(parse_group(group), config["resolution"])
+    f = ser.function_from_csv(next(tmp_path.glob("transform_*_function.csv")).read_text(), rule)
+    assert coeffs["l2_mass_total"] == float(np.sum(rule.weights * np.abs(f.values) ** 2))
+    assert coeffs["l2_mass_total"] == pytest.approx(doc["norms"]["l2_function"] ** 2, rel=1e-15)
+
+
 def test_transform_matrix_entry_and_constant(tmp_path, capsys):
     rc, out, _ = run(
         capsys, "transform", "--group", "dihedral:3",
@@ -451,6 +475,18 @@ def _planted_incoherence(monkeypatch):
 
 _TWO_CHARS = json.dumps({"group": "cyclic:8", "members": ["char:1", "char:2"]})
 
+
+def _diagnose_doc(t, doc, name="d.json"):
+    """``report`` of a diagnose document: family "x" unless ``doc`` names one."""
+    return ["report", _file(t, name, json.dumps(dict({"family": "x"}, **doc)))]
+
+
+def _family_doc(t, doc):
+    """``diagnose`` of a family document: cyclic:4, growing constants, unless
+    ``doc`` says otherwise."""
+    return ["diagnose", "--family", _file(t, "fam.json", json.dumps(
+        dict({"group": "cyclic:4", "kind": "growing_constants"}, **doc)))]
+
 # (argv before --out, given tmp_path; a fixture to plant; exit code; stderr fragment)
 EXIT_CODES = {
     "success": (lambda t: ["transform", "--group", "cyclic:4", "--f", "const:1"],
@@ -536,6 +572,64 @@ EXIT_CODES = {
     "report_row_short_of_its_header": (
         lambda t: ["report", _file(t, "bad.csv", "family,step,shell,sup_tail\npair,0,1\n")],
         None, 2, "differ in length"),
+    "sup_tail_null": (
+        lambda t: _diagnose_doc(t, {"decay_profile": {"steps": [
+            {"step": 0, "shell": 1, "sup_tail": None}]}}),
+        None, 2, "'sup_tail' must be a number"),
+    "sup_tail_beyond_float": (
+        lambda t: _diagnose_doc(t, {"decay_profile": {"steps": [
+            {"step": 0, "shell": 1, "sup_tail": 10 ** 400}]}}),
+        None, 2, "'sup_tail' must be a number"),
+    "decay_profile_not_an_object": (
+        lambda t: _diagnose_doc(t, {"decay_profile": 3}),
+        None, 2, "'decay_profile' must be an object"),
+    "continuity_profile_not_an_object": (
+        lambda t: _diagnose_doc(t, {"continuity_profile": 3}),
+        None, 2, "'continuity_profile' must be an object"),
+    "delta_null": (
+        lambda t: _diagnose_doc(t, {"continuity_profile": {"deltas": [None], "omegas": [0.1]}}),
+        None, 2, "'deltas' must be a list of numbers"),
+    "family_of_two_types": (
+        lambda t: _diagnose_doc(t, {"family": 3, "decay_profile": {"steps": [
+            {"step": 0, "shell": 1, "sup_tail": 0.5}]}}, "a.json")
+        + _diagnose_doc(t, {"family": "b", "decay_profile": {"steps": [
+            {"step": 0, "shell": 1, "sup_tail": 0.5}]}}, "b.json")[1:],
+        None, 2, "'family' must be a string"),
+    "family_an_object": (
+        lambda t: _diagnose_doc(t, {"family": {"x": 1}, "decay_profile": {"steps": [
+            {"step": 0, "shell": 1, "sup_tail": 0.5}]}}),
+        None, 2, "'family' must be a string"),
+    "family_members_not_strings": (
+        lambda t: ["diagnose", "--family", _file(t, "fam.json", json.dumps(
+            {"group": "cyclic:8", "members": [3]}))],
+        None, 2, "'members' must be a list of strings"),
+    "family_group_not_a_string": (
+        lambda t: _family_doc(t, {"group": 3}), None, 2, "'group' must be a string"),
+    "family_params_not_an_object": (
+        lambda t: _family_doc(t, {"params": 3}), None, 2, "'params' must be an object"),
+    "family_resolution_text": (
+        lambda t: _family_doc(t, {"group": "torus:1", "resolution": "x"}),
+        None, 2, "integer of at least 1"),
+    "family_resolution_fraction": (
+        lambda t: _family_doc(t, {"group": "torus:1", "resolution": 9.5}),
+        None, 2, "integer of at least 1"),
+    "family_count_text": (
+        lambda t: _family_doc(t, {"params": {"count": "x"}}),
+        None, 2, "'count' must be an integer"),
+    "family_count_bool": (
+        lambda t: _family_doc(t, {"params": {"count": True}}),
+        None, 2, "'count' must be an integer"),
+    "family_unknown_param": (
+        lambda t: _family_doc(t, {"params": {"bogus": 1}}),
+        None, 2, "takes no parameter 'bogus'"),
+    "family_name_not_a_string": (
+        lambda t: ["diagnose", "--family", _file(t, "fam.json", json.dumps(
+            {"group": "cyclic:8", "members": ["char:1"], "name": 5}))],
+        None, 2, "'name' must be a string"),
+    "family_span_of_label_strings": (
+        lambda t: _family_doc(t, {"kind": "matrix_entry_span",
+                                  "params": {"labels": ["chi:1"], "count": 3}}),
+        None, 0, ""),
     "non_finite_epsilon": (
         lambda t: ["diagnose", "--family", _file(t, "fam.json", _TWO_CHARS), "--epsilon", "nan"],
         None, 2, "finite"),
@@ -636,7 +730,9 @@ def test_coefficients_json_round_trip():
     rule = haar_quadrature(su2(), 3)
     fc = forward_to_cutoff(random_band_limited_function(rule, 2, seed=3), 3)
     doc = ser.coefficients_to_json(fc)
-    back = ser.coefficients_from_json(doc, su2())
+    assert sorted(doc) == ["entries", "group", "schema_version", "type"]
+    # a transform result's coefficients carry two more keys, which are not read
+    back = ser.coefficients_from_json(dict(doc, cutoff=3, l2_mass_total=1.0), su2())
     assert back.labels == fc.labels
     for lab in fc.labels:
         np.testing.assert_allclose(back[lab], fc[lab], atol=0)

@@ -17,6 +17,11 @@ each tree, one child process runs through ``pego.cli.main``:
 * the finite-product case: ``verify`` of the five suites on the groups of
   ``FINITE_PRODUCTS`` at seeds 1 and 2, with the verify workload's sample
   count and the default cutoff and resolution;
+* the transform case: ``transform`` on the verify groups (the verify
+  workload's cutoffs and resolutions) and on ``FINITE_PRODUCTS`` (the
+  defaults) of a ``const:``, a ``char:`` and an ``entry:`` spec
+  (``_transform_specs``), then of a ``file:`` spec reading the function CSV
+  that the ``entry:`` run wrote, each in both formats;
 * a library section, which no CLI command reaches: ``fourier.evaluate_at``
   of seeded unit-norm coefficients at seeded off-grid points, plus the
   beta = 0 and beta = pi fibers and +-identity of su2, for su2 at bands
@@ -26,8 +31,8 @@ each tree, one child process runs through ``pego.cli.main``:
   the identity, ``multiply``, ``inverse`` and ``distance`` over seeded point
   pairs, and ``fourier.translate_values`` of a seeded function at the ball
   points; last, the su2 transforms at res 16: ``fourier.forward_batch`` of
-  seeded band-16 functions at bands 16 and 4 with their ``l2_mass_total``,
-  and ``fourier.translate_values`` at seeded off-grid elements, the beta = pi
+  seeded band-16 functions at bands 16 and 4, and
+  ``fourier.translate_values`` at seeded off-grid elements, the beta = pi
   fiber and -identity; and the irrep-matrix case: ``irreps.irrep_blocks``
   of the su2 spins 0 to 16 at seeded off-grid points, the beta = 0 and
   beta = pi fibers and +-identity, and at a batch of elements repeating
@@ -96,6 +101,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -168,6 +174,9 @@ CONVOLVE_CASES = tuple((group, res, ("auto", "direct")) for group, res in (
 # its library arrays, appended last.
 FINITE_PRODUCTS = ("product(cyclic:3,dihedral:3)", "product(cyclic:4,dihedral:6)")
 FINITE_PRODUCT_LIBRARY = "product(cyclic:8,dihedral:8)"
+# The file the transform case's file: runs read, relative to the case
+# directory, where the function CSV of the entry: run is copied.
+TRANSFORM_FILE = "function.csv"
 LIBRARY_POINTS = 64
 LIBRARY_SEED = 12
 LIBRARY_TOL = 1e-12
@@ -175,7 +184,9 @@ FINITE_PRODUCT_TOL = 1e-13
 
 
 def _cases(workloads):
-    """(section, case name, argv without --out, family document or None)."""
+    """(section, case name, argv without --out, input), where the input is a
+    family document, the case name of the ``transform`` run whose function
+    CSV a ``file:`` spec reads, or None."""
     out = []
     for name, doc, _, epsilons in workloads.AUDIT_FAMILIES:
         for eps in epsilons:
@@ -210,7 +221,31 @@ def _cases(workloads):
                 out.append(("finite-product", f"{suite}-{group}-s{seed}",
                             ["verify", "--suite", suite, "--group", group, "--samples",
                              str(workloads.VERIFY_SAMPLES), "--seed", str(seed)], None))
+    for group, cutoff, res in (workloads.VERIFY_GROUPS
+                               + tuple((g, None, None) for g in FINITE_PRODUCTS)):
+        opts = ["--group", group]
+        opts += ["--cutoff", str(cutoff)] if cutoff is not None else []
+        opts += ["--resolution", str(res)] if res is not None else []
+        specs = _transform_specs(group, cutoff) + (("file", f"file:{TRANSFORM_FILE}"),)
+        for kind, spec in specs:
+            for fmt in ("json", "csv"):
+                source = f"{group}-entry-csv" if kind == "file" else None
+                out.append(("transform", f"{group}-{kind}-{fmt}",
+                            ["transform", *opts, "--f", spec, "--format", fmt], source))
     return out
+
+
+def _transform_specs(group_name, cutoff):
+    """The (kind, spec) pairs of the transform case on a group: a constant,
+    the character of the last label of the dual to shell 2 (at most the
+    cutoff), and entry (d, 1) of the first label of the largest dimension."""
+    from pego import groups, irreps
+
+    group = groups.parse_group(group_name)
+    labels = irreps.enumerate_dual(group, 2 if cutoff is None else min(cutoff, 2))
+    top = max(labels, key=lambda lab: lab.dim)
+    return (("const", "const:0.5-0.25j"), ("char", f"char:{labels[-1].name}"),
+            ("entry", f"entry:{top.name}:{top.dim}:1"))
 
 
 def run_tree(tree, out_dir):
@@ -232,15 +267,19 @@ def run_cases(out_dir, workloads):
     from pego import cli
 
     codes = {}
-    for section, name, argv, family in _cases(workloads):
+    for section, name, argv, given in _cases(workloads):
         case_dir = os.path.join(out_dir, section, _slug(name))
         os.makedirs(case_dir)
-        if family is not None:
+        if isinstance(given, dict):
             path = os.path.join(case_dir, "family.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(family, fh)
+                json.dump(given, fh)
             argv = argv + ["--family", path]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        elif given is not None:  # the file: spec reads a CSV by a path the same in both trees
+            (written,) = Path(out_dir, section, _slug(given)).glob("*_function.csv")
+            shutil.copyfile(written, os.path.join(case_dir, TRANSFORM_FILE))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.chdir(case_dir):
             codes[f"{section}/{_slug(name)}"] = cli.main(argv + ["--out", case_dir])
     return codes
 
@@ -304,8 +343,8 @@ def _run_library(out_dir, workloads):
 
 def _spectral_values(rng):
     """The su2 transform case: the coefficients of seeded band-limited
-    functions at each of ``SPECTRAL_BANDS`` (one row per function), their
-    masses, and the translates of the first one by seeded off-grid elements,
+    functions at each of ``SPECTRAL_BANDS`` (one row per function) and the
+    translates of the first one by seeded off-grid elements,
     a beta = pi fiber point and -identity."""
     from pego import fourier, groups, irreps
 
@@ -318,7 +357,6 @@ def _spectral_values(rng):
         coeffs = fourier.forward_batch(fs, irreps.enumerate_dual(group, band))
         out[f"forward-b{band}"] = np.array([np.concatenate([b.ravel() for b in c.blocks])
                                             for c in coeffs])
-    out["mass"] = np.array([c.l2_mass_total for c in coeffs])
     points = _library_points(group, rng)
     ys = points[:SPECTRAL_ELEMENTS] + [points[-3], points[-1]]
     out["translate"] = fourier.translate_values(fs[0], ys)
@@ -667,11 +705,12 @@ def compare(old_dir, new_dir):
         print("exit codes differ:", {k: (codes[0].get(k), codes[1].get(k))
                                       for k in codes[0].keys() | codes[1].keys()
                                       if codes[0].get(k) != codes[1].get(k)})
-    for section in ("diagnose", "verify", "criterion10", "finite-product"):
+    inputs = ("family.json", TRANSFORM_FILE)
+    for section in ("diagnose", "verify", "criterion10", "finite-product", "transform"):
         files = sorted(p.relative_to(old_dir) for p in (old_dir / section).rglob("*")
-                       if p.is_file() and p.name != "family.json")
+                       if p.is_file() and p.name not in inputs)
         new_files = sorted(p.relative_to(new_dir) for p in (new_dir / section).rglob("*")
-                           if p.is_file() and p.name != "family.json")
+                           if p.is_file() and p.name not in inputs)
         if files != new_files:
             ok = False
             print(f"{section}: output file names differ")
@@ -689,6 +728,7 @@ def compare(old_dir, new_dir):
                 runs += 1
                 kind = "verify" if rel.name.startswith("verify_") else "diagnose"
                 same_verdicts &= _verdicts(a, kind) == _verdicts(b, kind)
+            runs += rel.suffix == ".json" and rel.name.startswith("transform_")
         ok = ok and same_verdicts and not acc["other"]
         gap, where = max(acc["gaps"].values(), key=lambda g: g[0], default=(0.0, None))
         if section == "finite-product":
