@@ -27,7 +27,7 @@ from .compactness import (
     pego_verdicts,
 )
 from .fourier import (
-    _kernels,
+    _forward_blocks,
     convolve,
     forward_to_cutoff,
     inverse,
@@ -285,17 +285,16 @@ def _schur_cell_gap(rule, table, views):
     """Column c = pos*d*d + i*d + j of a block's view is pi(t)[i, j] for the
     label at pos, whose transform is 1/dim at cell [j, i] of pi: with the
     coefficient blocks transposed and flattened like the views, 1/d at
-    column c of its own block and 0 elsewhere.  The columns reach the rule's
-    forward kernel as one value array per batch of at most
+    column c of its own block and 0 elsewhere.  The columns reach
+    ``fourier._forward_blocks`` as one value array per batch of at most
     _SCHUR_BLOCK_NODES * sum(dim^2) values, the gram's bound."""
-    forward = _kernels(rule)[0]
     per_batch = max(1, _SCHUR_BLOCK_NODES * sum(v.shape[1] for v in views) // len(rule))
     gap = 0.0
     for b, (d, view) in enumerate(zip(table.dims, views)):
         for lo in range(0, view.shape[1], per_batch):
             vals = np.ascontiguousarray(view[:, lo:lo + per_batch].T)
             got = [c.transpose(0, 1, 3, 2).reshape(len(vals), -1)
-                   for c in forward(vals, table, rule)]
+                   for c in _forward_blocks(rule, vals, table)]
             got[b][np.arange(len(vals)), lo + np.arange(len(vals))] -= 1.0 / d
             gap = max(gap, *(float(np.max(np.abs(g))) for g in got))
     return gap

@@ -15,7 +15,8 @@ equivalent to precompactness.  The three criteria are the public stages
 ``epsilon_net`` builds on ``pego_verdict``.  A family keeps its one forward
 transform at the alias-free band (``FamilySpec._band_spectrum``), so the
 profiles, the verdict and the net of one family transform it once between
-them.  The two quantitative implications are exposed
+them, as blocks with a leading member axis (``_Spectrum``) read in place.
+The two quantitative implications are exposed
 as `lemma31_bound_checks` (equicontinuity controls the tail through a Dirac
 net element) and `lemma32_bound_checks` (a head/tail split controls the
 modulus), with one-case faces `lemma31_bound_check` and `lemma32_bound_check`.
@@ -112,6 +113,8 @@ class FamilySpec:
     The family is frozen and holds its members as a tuple, so it keeps its
     one forward transform at the alias-free band (``_band_spectrum``, made
     on first use): every stage, the verdict and the epsilon net read it.
+    Its members' L2 norms are taken once (``_l2_norms``), where a member
+    whose squared norm is beyond float range is refused.
     """
 
     members: tuple
@@ -128,6 +131,21 @@ class FamilySpec:
                 raise GroupMismatchError("family members sampled on different rules")
         if self.param_space not in ("compact", "unbounded"):
             raise ValueError("param_space must be 'compact' or 'unbounded'")
+
+    @functools.cached_property
+    def _l2_norms(self):
+        """Each member's L2 norm, read by ``boundedness`` at p = 2 and by the
+        spectrum, so the verdict and every p = 2 stage meet this check
+        first: a member whose squared norm, which every mass, tail and
+        modulus is read from, is beyond float range raises ValueError."""
+        with np.errstate(over="ignore"):
+            l2 = _member_norms(self, 2)
+            over = ~np.isfinite(l2**2)
+        if over.any():
+            k = int(np.argmax(over))
+            raise ValueError(f"family {self.name!r}: member {self.members[k].name or k} "
+                             "has an L2 norm whose square is beyond float range")
+        return l2
 
     @functools.cached_property
     def _band_spectrum(self):
@@ -201,17 +219,17 @@ class BoundednessReport:
 
 @dataclass(frozen=True)
 class _Spectrum:
-    """One forward transform of a whole family, read by every part of a
-    verdict: each member's coefficients against ``labels`` (``coeffs``), the
-    same coefficients stacked once per dimension block of their slot table as
-    (members, n_b, d, d) arrays (``stacks``), the (members, labels) table
-    of dim(pi) ||coeff(pi)||_F^2, built from the stacks one block at a time
-    (bitwise equal to each member's ``label_masses``), and each member's
-    squared mass beyond the labels (``beyond``, bitwise
-    ``norms.beyond_cutoff_mass``)."""
+    """One forward transform of a whole family, read in place by every part
+    of a verdict: the slot table of the labels (``table``), the members'
+    coefficients as one (members, n_b, d, d) array per dimension block of
+    it (``blocks``, made once by ``fourier._forward_blocks``), the
+    (members, labels) table of dim(pi) ||coeff(pi)||_F^2 read from those
+    blocks (``label_mass``, bitwise each member's
+    ``FourierCoefficients.label_masses``), and each member's squared mass
+    beyond the labels (``beyond``, bitwise ``norms.beyond_cutoff_mass``)."""
 
-    coeffs: list
-    stacks: tuple
+    table: fourier.SlotTable
+    blocks: tuple
     label_mass: np.ndarray
     beyond: np.ndarray
 
@@ -228,14 +246,11 @@ def _spectrum(family, labels=None):
     dual at the rule's alias-free band)."""
     if labels is None:
         labels = irreps.enumerate_dual(family.group, fourier.safe_band(family.rule))
-    coeffs = fourier.forward_batch(family.members, labels)
-    table = coeffs[0].table
-    stacks = tuple(np.stack([c.blocks[b] for c in coeffs]) for b in range(len(table.dims)))
-    label_mass = np.empty((len(coeffs), len(table.labels)))
-    for d, mem, stack in zip(table.dims, table.members, stacks):
-        label_mass[:, mem] = d * np.sum(np.abs(stack) ** 2, axis=(2, 3))
-    l2 = _member_norms(family, 2)
-    return _Spectrum(coeffs, stacks, label_mass, norms._beyond_masses(l2**2, label_mass))
+    table = fourier.slot_table(tuple(labels))
+    blocks = tuple(fourier._forward_blocks(family.rule, [f.values for f in family.members], table))
+    label_mass = fourier._label_masses(table, blocks)
+    beyond = norms._beyond_masses(family._l2_norms**2, label_mass)
+    return _Spectrum(table, blocks, label_mass, beyond)
 
 
 def _member_norms(family, p):
@@ -256,7 +271,7 @@ def boundedness(family, p=2):
     the trailing grid points; the sup over a compact parameter box is an
     honest sampled bound.
     """
-    vals = _member_norms(family, p)
+    vals = family._l2_norms.copy() if p == 2 else _member_norms(family, p)
     trend = None
     if family.param_space == "unbounded" and len(vals) > _TREND_WINDOW:
         tail = vals[-(_TREND_WINDOW + 1) :]
@@ -319,15 +334,17 @@ def tail_decay_profile(family, filtration=None, p=2.0):
         spectrum = family._band_spectrum
     else:
         spectrum = _spectrum(family, filtration.top.labels)
-    coeffs = spectrum.coeffs
+    table = spectrum.table
     if p == 2.0:
         # every step's tails from one running sum of the masked mass table
-        outside = np.ones((len(filtration), len(coeffs[0].labels)), dtype=bool)
+        outside = np.ones((len(filtration), len(table.labels)), dtype=bool)
         for row, subset in zip(outside, filtration):
-            row[coeffs[0].positions(subset)] = False
+            row[table.positions(subset)] = False
         tails = spectrum.tails(outside)
         steps = [DecayStep(s, per, float(per.max())) for s, per in zip(filtration, tails)]
         return DecayProfile(family.name, p, steps, False)
+    coeffs = [fourier.FourierCoefficients.from_blocks(family.group, table, mats)
+              for mats in zip(*spectrum.blocks)]
     steps = []
     for subset in filtration:
         comp = subset.complement_within(filtration.top.labels)
@@ -417,7 +434,7 @@ def _spectral_moduli(spectrum, ys):
 
     Every term is a sum of squared moduli, so nothing cancels when f is
     nearly invariant under y and no floor is needed.  No work runs once per
-    (member, y) pair; each dimension block of ``spectrum.stacks`` is one
+    (member, y) pair; each dimension block of ``spectrum.blocks`` is one
     product.  On characters |(chi(y) - 1) c|^2 = |chi(y) - 1|^2 |c|^2, so a
     1-dim block is the real GEMM of the (members, n_b) label masses with the
     (n_b, ys) table of |chi(y) - 1|^2.  On a block of dimension d >= 2, each
@@ -426,13 +443,11 @@ def _spectral_moduli(spectrum, ys):
     Those products hold at most _ACTION_BLOCK_VALUES complex values: members
     are taken a batch at a time.
     """
-    table = spectrum.coeffs[0].table
-    beyond = spectrum.beyond
-    n, m = _rows(ys), len(spectrum.coeffs)
+    table = spectrum.table
+    n, m = _rows(ys), len(spectrum.label_mass)
     acc = np.zeros((m, n))
     mats_at = irreps._blocks_at(table.block_labels, ys)
-    blocks = zip(table.dims, table.members, spectrum.stacks, mats_at)
-    for d, mem, stack, mats in blocks:
+    for d, mem, block, mats in zip(table.dims, table.members, spectrum.blocks, mats_at):
         if d == 1:
             chi = mats[:, :, 0, 0]
             chi -= 1.0
@@ -443,7 +458,7 @@ def _spectral_moduli(spectrum, ys):
         act = (mats - np.eye(d)).transpose(1, 0, 2, 3).reshape(n_b, n * d, d)
         per_batch = max(1, _ACTION_BLOCK_VALUES // (n_b * n * d * d))
         for lo in range(0, m, per_batch):
-            part = stack[lo : lo + per_batch]
+            part = block[lo : lo + per_batch]
             k = len(part)
             # (n_b, d, k*d): column (member, c) of label l holds C_l[:, c]
             moved = act @ part.transpose(1, 2, 0, 3).reshape(n_b, d, k * d)
@@ -453,7 +468,7 @@ def _spectral_moduli(spectrum, ys):
             np.square(sq, out=sq)
             per = sq.sum(axis=2).reshape(n_b * n * k, 2 * d) @ np.ones(2 * d)
             acc[lo : lo + k] += d * per.reshape(n_b, n, k).sum(axis=0).T
-    return np.sqrt(acc + 4.0 * beyond[:, None])
+    return np.sqrt(acc + 4.0 * spectrum.beyond[:, None])
 
 
 def _translation_moduli(f, ys, ps, coeffs=None):
@@ -854,10 +869,7 @@ def _unembed_centers(vecs, subset, group):
         parts = vecs[:, pos : pos + size].reshape(len(vecs), len(labs), 2, d, d)
         pos += size
         blocks.append((parts[:, :, 0] + 1j * parts[:, :, 1]) / math.sqrt(d))
-    return [
-        fourier.FourierCoefficients.from_blocks(group, table, [b[k] for b in blocks])
-        for k in range(len(vecs))
-    ]
+    return [fourier.FourierCoefficients.from_blocks(group, table, mats) for mats in zip(*blocks)]
 
 
 def epsilon_net(
@@ -891,11 +903,11 @@ def epsilon_net(
     else:
         spectrum = _spectrum(family, subset.labels)
     # the witness is a prefix of the transformed labels (a step of the shell
-    # filtration, or all of them): its blocks lead the spectrum's stacks
-    stacks = dict(zip(spectrum.coeffs[0].table.dims, spectrum.stacks))
+    # filtration, or all of them): its blocks lead the spectrum's blocks
+    blocks = dict(zip(spectrum.table.dims, spectrum.blocks))
     table = fourier.slot_table(subset.labels)
     vecs = _embed_blocks(table.dims, [
-        stacks[d][:, : len(labs)] for d, labs in zip(table.dims, table.block_labels)
+        blocks[d][:, : len(labs)] for d, labs in zip(table.dims, table.block_labels)
     ])
     n_real = vecs.shape[1]
     cell = epsilon / math.sqrt(n_real) if n_real else epsilon

@@ -99,16 +99,16 @@ def matrix_entry_span(rule, labels=None, shell=None, bound=1.0, count=10, seed=0
         raise ResolutionError("span irreps exceed the rule's alias-free band")
     rng = np.random.default_rng(seed)
     table = fourier.slot_table(subset.labels)
-    coeffs = []
-    for _ in range(count):
-        blocks, mass = fourier._random_blocks(group, table, rng)
+    blocks = [np.empty((count, len(labs), d, d), dtype=complex)
+              for d, labs in zip(table.dims, table.block_labels)]
+    for k in range(count):
+        drawn, mass = fourier._random_blocks(table, rng)
         radius = bound * float(rng.uniform(0.2, 1.0))
         scale = radius / math.sqrt(mass) if mass > 0 else 0.0
-        blocks = [b * scale for b in blocks]
-        coeffs.append(fourier.FourierCoefficients.from_blocks(group, table, blocks))
-    members = fourier.inverse_batch(coeffs, rule)
-    for i, f in enumerate(members):
-        f.name = f"span[{i}]"
+        for block, b in zip(blocks, drawn):
+            block[k] = b * scale
+    values = fourier._inverse_blocks(rule, table, blocks, count)
+    members = [fourier.SampledFunction(rule, v, name=f"span[{i}]") for i, v in enumerate(values)]
     return FamilySpec(members, name=f"matrix_entry_span(bound={bound})", param_space="compact")
 
 
@@ -149,13 +149,9 @@ def heat_kernel(rule, t_min=0.05, t_max=1.0, count=10):
         expo = -times[:, None] * _damping_weights(labs)
         damp = np.fromiter(map(math.exp, expo.ravel().tolist()), float, expo.size)
         blocks.append(damp.reshape(expo.shape)[..., None, None] * np.eye(d, dtype=complex))
-    coeffs = [
-        fourier.FourierCoefficients.from_blocks(group, table, [b[k] for b in blocks])
-        for k in range(count)
-    ]
-    members = fourier.inverse_batch(coeffs, rule)
-    for t, f in zip(times, members):
-        f.name = f"heat(t={t:.4g})"
+    values = fourier._inverse_blocks(rule, table, blocks, count)
+    members = [fourier.SampledFunction(rule, v, name=f"heat(t={t:.4g})")
+               for t, v in zip(times, values)]
     return FamilySpec(members, name="heat_kernel", param_space="compact")
 
 

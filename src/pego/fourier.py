@@ -24,7 +24,8 @@ bound checks run in.
 
 Coefficients are packed: one contiguous (n_b, d, d) block per irrep
 dimension, with a slot table per label tuple (``slot_table``) that maps each
-label to its block and position.  The blocks are the whole transform.
+label to its block and position.  The blocks are the whole transform; for m
+functions each is (m, n_b, d, d) (``_forward_blocks``, ``_inverse_blocks``).
 Kernels loop over blocks and slots by integer; masses, norms and head sums
 are vectorized per block.
 
@@ -181,6 +182,17 @@ class SlotTable:
         """Per block, the positions in ``labels`` of its labels, in order."""
         return tuple(np.flatnonzero(self.block_of == b) for b in range(len(self.dims)))
 
+    def positions(self, subset):
+        """Positions in ``labels`` of the labels of ``subset``, in its order;
+        a prefix of ``labels`` (a shell filtration step) needs no lookup."""
+        subset = tuple(subset)
+        if self.labels[: len(subset)] == subset:
+            return np.arange(len(subset))
+        try:
+            return np.array([self.index[lab] for lab in subset], dtype=int)
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0].name} outside computed coverage") from None
+
 
 @functools.cache
 def slot_table(labels):
@@ -220,6 +232,17 @@ def head_sums(masses, positions):
     return np.cumsum(picked, axis=-1)[..., -1]
 
 
+def _label_masses(table, blocks):
+    """dim(pi) ||coeff(pi)||_F^2 of every label, in ``table.labels`` order,
+    as a (..., labels) array from the table's (..., n_b, d, d) blocks with
+    any leading axes."""
+    lead = blocks[0].shape[:-3] if blocks else ()
+    out = np.empty(lead + (len(table.labels),))
+    for d, mem, block in zip(table.dims, table.members, blocks):
+        out[..., mem] = d * np.sum(np.abs(block) ** 2, axis=(-2, -1))
+    return out
+
+
 class FourierCoefficients:
     """One coefficient matrix per irrep label, packed by dimension.
 
@@ -232,7 +255,8 @@ class FourierCoefficients:
     (``norms.beyond_cutoff_mass``).
 
     Built from a dict ``{label: matrix}`` by the constructor, or from packed
-    blocks by ``from_blocks``.
+    blocks by ``from_blocks``.  It is one function's face of blocks with a
+    leading member axis (``_forward_blocks``).
     """
 
     def __init__(self, group, labels, entries):
@@ -276,31 +300,13 @@ class FourierCoefficients:
     def __contains__(self, lab):
         return lab in self.table.index
 
-    def positions(self, subset):
-        """Positions in ``labels`` of the labels of ``subset``, in its order.
-
-        A prefix of ``labels`` (the steps of a shell filtration against the
-        canonical dual) is recognized by one tuple comparison and needs no
-        lookup."""
-        subset = tuple(subset)
-        if self.labels[: len(subset)] == subset:
-            return np.arange(len(subset))
-        index = self.table.index
-        try:
-            return np.array([index[lab] for lab in subset], dtype=int)
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0].name} outside computed coverage") from None
-
     def label_masses(self):
-        """dim(pi) ||coeff(pi)||_F^2 for every label, in ``labels`` order."""
-        out = np.empty(len(self.labels))
-        for d, mem, block in zip(self.table.dims, self.table.members, self.blocks):
-            out[mem] = d * np.sum(np.abs(block) ** 2, axis=(1, 2))
-        return out
+        """dim(pi) ||coeff(pi)||_F^2 for every label (``_label_masses``)."""
+        return _label_masses(self.table, self.blocks)
 
     def head_mass(self, subset):
         """sum over pi in subset of dim(pi) ||coeff(pi)||_F^2, in subset order."""
-        return float(head_sums(self.label_masses(), self.positions(subset)))
+        return float(head_sums(self.label_masses(), self.table.positions(subset)))
 
 
 def safe_band(rule):
@@ -337,7 +343,7 @@ def matrix_entry_function(label, i, j, rule):
     )
 
 
-def _random_blocks(group, table, rng):
+def _random_blocks(table, rng):
     """Complex-normal coefficient blocks for the labels of ``table``, and
     their Plancherel mass sum of dim ||C||_F^2.
 
@@ -353,8 +359,7 @@ def _random_blocks(group, table, rng):
     for d, mem in zip(table.dims, table.members):
         at = start[mem][:, None] + np.arange(d * d)
         blocks.append((draws[at] + 1j * draws[at + d * d]).reshape(len(mem), d, d))
-    unscaled = FourierCoefficients.from_blocks(group, table, blocks)
-    return blocks, float(head_sums(unscaled.label_masses(), np.arange(len(table.labels))))
+    return blocks, float(head_sums(_label_masses(table, blocks), slice(None)))
 
 
 def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
@@ -367,7 +372,7 @@ def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
     """
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
     table = slot_table(irreps.shell_subset(rule.group, band).labels)
-    blocks, mass = _random_blocks(rule.group, table, rng)
+    blocks, mass = _random_blocks(table, rng)
     if norm is not None and mass > 0:
         scale = norm / math.sqrt(mass)
         blocks = [b * scale for b in blocks]
@@ -400,16 +405,8 @@ def forward_to_cutoff(f, cutoff=None):
 def forward_batch(fs, dual):
     """Transform many functions on one rule against one dual.
 
-    The one forward kernel.  coeff(pi)[i, j] = sum_t w_t f(t) conj(pi(t)[j, i]).
-    Each dimension block is one (m, n_b, d, d) array, and function k gets the
-    views ``[k]`` of those arrays.  The rule's kind picks the kernel
-    (``_kernels``): an FFT on torus grids, a separable sum over the Euler
-    axes on su2, one factor at a time on products, and per label one GEMM
-    against its irrep stack on cyclic, dihedral and hand-built rules.  The
-    kernels get the functions' own value arrays and apply the weights
-    themselves; on su2 the weights scale the per-beta gamma sums, so no
-    weighted or stacked copy of the samples is made there.  The kernel is
-    the only pass over the samples: no norm of f is taken here.
+    One ``FourierCoefficients`` per function: function k gets the views
+    ``[k]`` of the (m, n_b, d, d) blocks of ``_forward_blocks``.
     """
     if not fs:
         return []
@@ -417,23 +414,33 @@ def forward_batch(fs, dual):
     for f in fs:
         _check_same_rule(fs[0], f)
     table = slot_table(tuple(dual))
-    blocks = _kernels(rule)[0]([f.values for f in fs], table, rule)
+    blocks = _forward_blocks(rule, [f.values for f in fs], table)
     return [FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks])
             for k in range(len(fs))]
 
 
-def _kernels(rule):
-    """The (forward, synthesis) kernel pair of a rule, by ``meta["kind"]``.
+def _forward_blocks(rule, vals, table):
+    """The one forward pass, a product's factor passes included: m rows of
+    N unweighted samples (a list of value arrays or an (m, N) array) to the
+    blocks of ``table``, each (m, n_b, d, d), member axis outermost, by the
+    rule's kernel (``_kernels``), the only pass over the samples."""
+    return _kernels(rule)[0](vals, table, rule)
 
-    A forward kernel maps the unweighted samples of m functions (m rows of
-    length N: a list of value arrays or an (m, N) array) to the blocks of a
-    slot table, each (m, n_b, d, d), and applies the rule's weights itself:
-    the torus and stack kernels to the samples, the su2 kernel per beta
-    after its gamma sum, and a product kernel through its factors' kernels,
-    so no forward kernel on su2 sees a weighted copy of the samples.  Its
-    synthesis maps such blocks back to values (m, N) at the nodes.
-    Hand-built rules carry no kind and take the stack kernels.
-    """
+
+def _inverse_blocks(rule, table, blocks, m):
+    """The one synthesis pass, a product's factor passes included: the
+    (m, n_b, d, d) blocks of ``table`` to (m, N) values at the nodes."""
+    return _kernels(rule)[1](table, blocks, m, rule)
+
+
+def _kernels(rule):
+    """The (forward, synthesis) kernel pair of a rule, by ``meta["kind"]``,
+    for ``_forward_blocks`` and ``_inverse_blocks`` only; hand-built rules
+    carry no kind and take the stack kernels.  A forward kernel computes
+    coeff(pi)[i, j] = sum_t w_t f(t) conj(pi(t)[j, i]) and applies the
+    weights itself: the torus and stack kernels to the samples, the su2
+    kernel per beta after its gamma sum, a product kernel through its
+    factors', so no forward kernel on su2 sees a weighted copy of them."""
     kind = rule.meta.get("kind")
     if kind == "su2-euler":
         return _su2_forward, _su2_inverse
@@ -571,11 +578,12 @@ def _product_forward(vals, table, rule):
     for t in sorted(range(len(frules)), key=lambda t: -len(frules[t])):
         fr = frules[t]
         moved = np.moveaxis(x, t + 1, -1)
-        blocks = _kernels(fr)[0](moved.reshape(-1, len(fr)), ftabs[t], fr)
+        blocks = _forward_blocks(fr, moved.reshape(-1, len(fr)), ftabs[t])
         flat = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
         x = np.moveaxis(flat.reshape(moved.shape[:-1] + (flat.shape[1],)), -1, t + 1)
     x = x.reshape(m, -1)
-    return irreps._twisted(table.block_labels, [x[:, idx] for idx in index], True)
+    # np.take keeps the member axis outermost, where x[:, idx] puts it innermost
+    return irreps._twisted(table.block_labels, [np.take(x, idx, axis=1) for idx in index], True)
 
 
 def _product_inverse(table, blocks, m, rule):
@@ -600,7 +608,7 @@ def _product_inverse(table, blocks, m, rule):
             flat[:, lo:hi].reshape(len(flat), len(labs), d, d)
             for lo, hi, d, labs in zip(starts[t], starts[t][1:], ft.dims, ft.block_labels)
         ]
-        vals = _kernels(fr)[1](ft, parts, len(flat), fr)
+        vals = _inverse_blocks(fr, ft, parts, len(flat))
         x = np.moveaxis(vals.reshape(moved.shape[:-1] + (len(fr),)), -1, t + 1)
     return x.reshape(m, -1)
 
@@ -680,11 +688,8 @@ def inverse(coeffs, rule):
 def inverse_batch(coeffs, rule):
     """Synthesize many coefficient sets over one label tuple on a rule's nodes.
 
-    The rule's synthesis kernel (``_kernels``) takes all sets at once: an
-    inverse FFT on torus grids, the separable Euler sum on su2, one factor at
-    a time on products, and one product per block with the irrep stacks of
-    one ``irreps._blocks_at`` request on cyclic, dihedral and hand-built
-    rules.
+    The sets' blocks, stacked along a leading member axis, take one
+    synthesis pass (``_inverse_blocks``).
     """
     if not coeffs:
         return []
@@ -692,7 +697,7 @@ def inverse_batch(coeffs, rule):
     if any(c.labels != table.labels for c in coeffs):
         raise ValueError("coefficient sets cover different labels")
     blocks = [np.stack([c.blocks[b] for c in coeffs]) for b in range(len(table.dims))]
-    return [SampledFunction(rule, v) for v in _kernels(rule)[1](table, blocks, len(coeffs), rule)]
+    return [SampledFunction(rule, v) for v in _inverse_blocks(rule, table, blocks, len(coeffs))]
 
 
 def evaluate_at(coeffs, points):
@@ -835,13 +840,12 @@ def _translate_values(f, ys, coeffs=None):
         return f.values[_translated_nodes(f.rule, ys)]
     if coeffs is None:
         coeffs = forward_to_cutoff(f)
-    synthesize = _kernels(f.rule)[1]
     if not hit.any():
-        return synthesize(coeffs.table, _right_action(coeffs, ys), m, f.rule)
+        return _inverse_blocks(f.rule, coeffs.table, _right_action(coeffs, ys), m)
     out = np.empty((m, len(f.rule)), dtype=complex)
     out[hit] = f.values[_translated_nodes(f.rule, _take(ys, hit))]
     blocks = _right_action(coeffs, _take(ys, ~hit))
-    out[~hit] = synthesize(coeffs.table, blocks, m - int(hit.sum()), f.rule)
+    out[~hit] = _inverse_blocks(f.rule, coeffs.table, blocks, m - int(hit.sum()))
     return out
 
 

@@ -102,7 +102,7 @@ def schatten_norms(coeffs, p, subset=None):
     """Schatten p-norms of the coefficient matrices of ``subset`` (default:
     the full coverage), in its order, one dimension block at a time."""
     table = coeffs.table
-    where = np.arange(len(coeffs.labels)) if subset is None else coeffs.positions(subset)
+    where = np.arange(len(coeffs.labels)) if subset is None else table.positions(subset)
     out = np.empty(len(where))
     for b, block in enumerate(coeffs.blocks):
         mine = np.flatnonzero(table.block_of[where] == b)
@@ -195,7 +195,7 @@ def plancherel_residual(f, coeffs, subset):
     the coverage outside it, plus the mass beyond the coverage; the label
     masses are taken once, for both."""
     outside = np.ones(len(coeffs.labels), dtype=bool)
-    outside[coeffs.positions(subset)] = False
+    outside[coeffs.table.positions(subset)] = False
     masses = coeffs.label_masses()
     beyond = _beyond_masses(lp_function_norm(f, 2) ** 2, masses)
     return float(_summed_tails(masses, outside, beyond))

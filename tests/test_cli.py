@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +631,9 @@ EXIT_CODES = {
         lambda t: _family_doc(t, {"kind": "matrix_entry_span",
                                   "params": {"labels": ["chi:1"], "count": 3}}),
         None, 0, ""),
+    "family_norm_beyond_float": (
+        lambda t: _family_doc(t, {"kind": "scaled_constants", "params": {"r": 1e308}}),
+        None, 2, "family 'scaled_constants(r=1e+308)'"),
     "non_finite_epsilon": (
         lambda t: ["diagnose", "--family", _file(t, "fam.json", _TWO_CHARS), "--epsilon", "nan"],
         None, 2, "finite"),
@@ -643,14 +647,18 @@ EXIT_CODES = {
 @pytest.mark.parametrize("case", EXIT_CODES)
 def test_exit_code_table(tmp_path, capsys, monkeypatch, case):
     """The documented exit codes, each reached through ``cli.main``: a
-    failure is one ``error:`` line on stderr, never an exception."""
+    failure is one ``error:`` line on stderr, never an exception, and no
+    case warns."""
     argv, plant, code, fragment = EXIT_CODES[case]
     if plant is not None:
         plant(monkeypatch)
     argv = argv(tmp_path)
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
-    rc, _, err = run(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
     assert rc == code, err
     if fragment:
         assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -25,6 +25,7 @@ from pego import (
     epsilon_net,
     equicontinuity_profile,
     evaluate_at,
+    forward,
     forward_batch,
     haar_quadrature,
     lemma31_bound_check,
@@ -98,6 +99,30 @@ def test_decay_profile_at_p1_sums_moduli_over_the_computed_dual():
     assert shells == list(range(9))
     want = [2.0 * (s < 1) + 0.5 * (s < 3) for s in shells]
     npt.assert_allclose(prof.sup_tails, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "group,res,band",
+    [(torus(2), 9, 4), (dihedral(9), 1, 4), (su2(), 4, 3), (product(torus(1), su2()), 4, 2)],
+    ids=lambda x: str(x),
+)
+def test_decay_profile_at_p15_matches_each_members_own_transform(group, res, band):
+    """A p = 1.5 profile of several members: each member's tail outside
+    each step is ``lp_oplus_norm`` of that member's own ``forward`` against
+    the top step, over the rest of it, to the roundoff by which a batched
+    GEMM differs from a single one."""
+    rule = haar_quadrature(group, res)
+    fam = FamilySpec(
+        [random_band_limited_function(rule, band, seed=s) for s in range(4)], name="rand4")
+    prof = tail_decay_profile(fam, p=1.5)
+    top = prof.steps[-1].subset.labels
+    alone = [forward(f, top) for f in fam.members]
+    assert prof.p == 1.5 and prof.truncated == (not group.is_finite)
+    for step in prof.steps:
+        comp = step.subset.complement_within(top)
+        want = [lp_oplus_norm(c, 1.5, comp).value for c in alone]
+        npt.assert_allclose(step.per_member, want, rtol=1e-13, atol=1e-15)
+        assert step.sup_tail == max(step.per_member)
 
 
 def test_equicontinuity_modulus_single_character_closed_form():

@@ -39,14 +39,16 @@ from pego.groups import _ball_pool
 
 
 def _counting_forward(monkeypatch):
+    """Record the function count of every forward pass: each one is a call
+    of ``fourier._forward_blocks``, a product factor's pass included."""
     calls = []
-    real = fourier.forward_batch
+    real = fourier._forward_blocks
 
-    def counted(fs, dual):
-        calls.append(len(fs))
-        return real(fs, dual)
+    def counted(rule, vals, table):
+        calls.append(len(vals))
+        return real(rule, vals, table)
 
-    monkeypatch.setattr(fourier, "forward_batch", counted)
+    monkeypatch.setattr(fourier, "_forward_blocks", counted)
     return calls
 
 
@@ -65,6 +67,25 @@ def test_verdict_and_net_transform_the_family_once(monkeypatch, group, res):
     filtration = DualFiltration.shells(rule.group, safe_band(rule))
     pego_verdict(fam, 0.3, filtration=filtration, ball_samples=3, seed=2)
     assert calls == [len(fam), len(fam)]
+
+
+@pytest.mark.parametrize("group, res", [("torus:2", 9), ("su2", 4), ("dihedral:9", 1),
+                                        ("product(torus:1,su2)", 4)])
+def test_verdicts_build_no_per_member_coefficients(monkeypatch, group, res):
+    """The verdicts read the family's transform as its blocks: no
+    ``FourierCoefficients`` view is cut from them for any member."""
+    rule = haar_quadrature(parse_group(group), res)
+    fam = builtin_family("heat_kernel", rule, params={"count": 5})
+    calls = []
+    real = fourier.FourierCoefficients.from_blocks.__func__
+
+    def counted(cls, group, table, blocks):
+        calls.append(len(table.labels))
+        return real(cls, group, table, blocks)
+
+    monkeypatch.setattr(fourier.FourierCoefficients, "from_blocks", classmethod(counted))
+    pego_verdicts(fam, [0.5, 0.1], ball_samples=3, seed=2)
+    assert calls == []
 
 
 def test_verdict_runs_through_its_public_stages(monkeypatch):

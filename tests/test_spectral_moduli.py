@@ -3,9 +3,11 @@
 ``compactness._spectral_moduli`` reads ||R_y f - f||_2 from a family's
 coefficients, one product per dimension block.  The oracle here is the
 per-pair form: for every member and every y it applies pi(y) - I to each
-coefficient and squares the entries.  Both must agree to roundoff on groups
-whose duals mix dimensions, plain and under a basis twist, in batches, and
-exactly at the identity wherever pi(e) is exactly I.
+coefficient of an independent ``forward_batch`` and squares the entries.
+Both must agree to roundoff on groups whose duals mix dimensions, plain and
+under a basis twist, in batches, and exactly at the identity wherever pi(e)
+is exactly I.  The spectrum's mass table and beyond masses are each
+member's own, bit for bit.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from pego import (
     cyclic,
     dihedral,
     enumerate_dual,
+    forward_batch,
     haar_quadrature,
     identity,
     product,
@@ -32,9 +35,9 @@ from pego import (
 )
 from pego import compactness
 from pego.compactness import _spectral_moduli, _spectrum, default_mesh
-from pego.fourier import slot_table
 from pego.groups import _ball_pool, _rows
 from pego.irreps import _blocks_at
+from pego.norms import beyond_cutoff_mass
 
 # (group, resolution): one block of characters (cyclic, torus), characters
 # and 2-dim irreps (dihedral), one block per spin (su2), mixed products
@@ -48,13 +51,14 @@ GROUPS = {
 }
 
 
-def _oracle_moduli(spectrum, ys):
+def _oracle_moduli(family, labels, ys):
     """The per-pair moduli: for each member (rows) and each y (columns) the
     sum over labels of dim ||(pi(y) - I) coeff(pi)||_F^2 plus four times the
-    mass beyond the cutoff, square-rooted."""
-    coeffs = spectrum.coeffs
+    mass beyond the cutoff, square-rooted, with every member's coefficients
+    against ``labels`` from one ``forward_batch``."""
+    coeffs = forward_batch(family.members, labels)
     table = coeffs[0].table
-    beyond = spectrum.beyond
+    beyond = np.array([beyond_cutoff_mass(f, c) for f, c in zip(family.members, coeffs)])
     acc = np.zeros((len(coeffs), _rows(ys)))
     for b, (d, mats) in enumerate(zip(table.dims, _blocks_at(table.block_labels, ys))):
         act = mats - np.eye(d)  # (ys, n_b, d, d)
@@ -96,7 +100,7 @@ def test_spectral_moduli_match_per_pair_oracle(name, twisted):
         spectrum = _spectrum(family)
         ys = _pool(group)
         got = _spectral_moduli(spectrum, ys)
-        want = _oracle_moduli(spectrum, ys)
+        want = _oracle_moduli(family, spectrum.table.labels, ys)
     assert got.shape == (len(family), _rows(ys))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -110,7 +114,8 @@ def test_spectral_moduli_in_member_batches(name, monkeypatch):
     whole = _spectral_moduli(spectrum, ys)
     monkeypatch.setattr(compactness, "_ACTION_BLOCK_VALUES", 8)
     batched = _spectral_moduli(spectrum, ys)
-    np.testing.assert_allclose(batched, _oracle_moduli(spectrum, ys), rtol=1e-13, atol=0)
+    want = _oracle_moduli(family, spectrum.table.labels, ys)
+    np.testing.assert_allclose(batched, want, rtol=1e-13, atol=0)
     np.testing.assert_allclose(batched, whole, rtol=1e-13, atol=0)
 
 
@@ -121,7 +126,7 @@ def test_spectral_moduli_at_identity_read_twice_the_beyond_tail(name):
     family = _family(name)
     group = family.group
     spectrum = _spectrum(family, shell_subset(group, _band(family.rule) - 1).labels)
-    table = slot_table(spectrum.coeffs[0].labels)
+    table = spectrum.table
     e = coords_of(group, [identity(group)])
     beyond = np.sqrt(spectrum.beyond)
     got = _spectral_moduli(spectrum, e)[:, 0]
@@ -135,7 +140,26 @@ def test_spectral_moduli_at_identity_read_twice_the_beyond_tail(name):
         # the su2 D-matrices at e are I to roundoff only
         assert group.family in ("su2", "product")
         np.testing.assert_allclose(got, 2.0 * beyond, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(got, _oracle_moduli(spectrum, e)[:, 0], rtol=1e-13, atol=0)
+    want = _oracle_moduli(family, table.labels, e)[:, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_spectrum_masses_are_each_members_own_bitwise(name, twisted):
+    """The (members, labels) mass table, read from the family's blocks, is
+    each member's ``label_masses`` bit for bit, and its beyond masses are
+    ``beyond_cutoff_mass``; on products the blocks' layout decides this."""
+    family = _family(name, members=5)
+    twist = (basis_twist(family.group, safe_band(family.rule), seed=4) if twisted
+             else contextlib.nullcontext())
+    with twist:
+        spectrum = _spectrum(family)
+        coeffs = forward_batch(family.members, spectrum.table.labels)
+    for f, c, masses, beyond in zip(family.members, coeffs, spectrum.label_mass,
+                                    spectrum.beyond):
+        assert np.array_equal(masses, c.label_masses())
+        assert beyond == beyond_cutoff_mass(f, c)
 
 
 def _moduli_peak(family, ys):

@@ -77,7 +77,9 @@ each tree, one child process runs through ``pego.cli.main``:
   audit's ball samples, seed 1), twice on one family object, so the second
   net reads the transform the family keeps, then once with the shell
   filtration passed explicitly; the centers, assignments and distances of
-  every net.
+  every net; last, the p = 1.5 decay case: ``compactness.tail_decay_profile``
+  of the seven audit families at p = 1.5 (which no CLI run reaches), one
+  (steps, members) array of tails per family.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -287,7 +289,8 @@ def run_cases(out_dir, workloads):
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
     su2 transform, irrep-matrix, stack, continuity, batched translate, lemma,
-    twisted, convolution, finite-product and net cases, into ``library.npz``."""
+    twisted, convolution, finite-product, net and p = 1.5 decay cases, into
+    ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -338,6 +341,8 @@ def _run_library(out_dir, workloads):
             for part, vals in _net_values(dict(doc, name=name, seed=DIAGNOSE_SEED),
                                           workloads).items():
                 values[f"net-{name}-{part}"] = vals
+    for name, doc, _, _ in workloads.AUDIT_FAMILIES:
+        values[f"decay-p1.5-{name}"] = _decay_values(dict(doc, name=name, seed=DIAGNOSE_SEED))
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -455,6 +460,16 @@ def _continuity_values(doc, ball_samples):
     profile = compactness.equicontinuity_profile(family, ball_samples=ball_samples,
                                                  seed=DIAGNOSE_SEED)
     return profile.per_member
+
+
+def _decay_values(doc):
+    """The p = 1.5 decay case of one audit family: the (steps, members)
+    tails of ``compactness.tail_decay_profile`` at the default filtration."""
+    from pego import compactness, serialize
+
+    family, _ = serialize.family_from_json(doc)
+    profile = compactness.tail_decay_profile(family, p=1.5)
+    return np.stack([step.per_member for step in profile.steps])
 
 
 def _net_values(doc, workloads):
@@ -752,7 +767,8 @@ def _compare_library(old_dir, new_dir):
     cases, of the su2 transform case, of the irrep-matrix case, of the
     stack case, of the continuity case, of the batched translate case, of
     the lemma case, of the twisted case, of the convolution case, of the
-    finite-product case and of the net case of the library section; True
+    finite-product case, of the net case and of the p = 1.5 decay case of
+    the library section; True
     when all are within
     LIBRARY_TOL and the finite-product ones within FINITE_PRODUCT_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
@@ -764,7 +780,8 @@ def _compare_library(old_dir, new_dir):
              "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
              "translate-": "batched translate", "lemma-": "lemma check",
              "twist-": "twisted", "convolve-": "convolution",
-             "finite-product-": "finite-product", "net-": "epsilon-net"}
+             "finite-product-": "finite-product", "net-": "epsilon-net",
+             "decay-p1.5-": "p = 1.5 decay"}
     kind_of = {n: next((k for p, k in kinds.items() if n.startswith(p)), "evaluate_at")
                for n in gaps}
     parts = []
