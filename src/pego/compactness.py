@@ -13,9 +13,9 @@ equivalent to precompactness.  The three criteria are the public stages
 ``boundedness``, ``tail_decay_profile`` and ``equicontinuity_profile``;
 ``pego_verdicts`` calls each once and joins them per epsilon, and
 ``epsilon_net`` builds on ``pego_verdict``.  A family keeps its one forward
-transform at the alias-free band (``FamilySpec._band_spectrum``), so the
-profiles, the verdict and the net of one family transform it once between
-them, as blocks with a leading member axis (``_Spectrum``) read in place.
+transform at the alias-free band (``FamilySpec._band_spectrum``), so its
+profiles at every p, its verdict and its net transform it once between them,
+as blocks with a leading member axis (``_Spectrum``) read in place.
 The two quantitative implications are exposed
 as `lemma31_bound_checks` (equicontinuity controls the tail through a Dirac
 net element) and `lemma32_bound_checks` (a head/tail split controls the
@@ -233,13 +233,6 @@ class _Spectrum:
     label_mass: np.ndarray
     beyond: np.ndarray
 
-    def tails(self, outside):
-        """Per member, the l2 tail outside a subset of the labels, given by
-        the boolean mask ``outside`` over them, or by a (steps, labels) stack
-        of masks for a (steps, members) array: sqrt(beyond + the masses
-        outside), summed as ``norms.plancherel_residual`` sums them."""
-        return norms._summed_tails(self.label_mass, np.asarray(outside)[..., None, :], self.beyond)
-
 
 def _spectrum(family, labels=None):
     """Transform the family once, against ``labels`` (default: the canonical
@@ -323,7 +316,8 @@ def tail_decay_profile(family, filtration=None, p=2.0):
 
     p = 2 tails are Plancherel residuals (``norms.plancherel_residual``,
     beyond-cutoff mass included); other exponents are summed over the
-    computed dual only and the profile is marked truncated.  The default
+    computed dual only, from one (members, labels) table of Schatten norms
+    (``norms._lp_sums``), and the profile is marked truncated.  The default
     filtration reads the family's transform; a custom one transforms
     against its top step.
     """
@@ -335,22 +329,15 @@ def tail_decay_profile(family, filtration=None, p=2.0):
     else:
         spectrum = _spectrum(family, filtration.top.labels)
     table = spectrum.table
+    outside = np.stack([table.outside(subset) for subset in filtration])
     if p == 2.0:
         # every step's tails from one running sum of the masked mass table
-        outside = np.ones((len(filtration), len(table.labels)), dtype=bool)
-        for row, subset in zip(outside, filtration):
-            row[table.positions(subset)] = False
-        tails = spectrum.tails(outside)
-        steps = [DecayStep(s, per, float(per.max())) for s, per in zip(filtration, tails)]
-        return DecayProfile(family.name, p, steps, False)
-    coeffs = [fourier.FourierCoefficients.from_blocks(family.group, table, mats)
-              for mats in zip(*spectrum.blocks)]
-    steps = []
-    for subset in filtration:
-        comp = subset.complement_within(filtration.top.labels)
-        per = np.array([norms.lp_oplus_norm(c, p, comp).value for c in coeffs])
-        steps.append(DecayStep(subset, per, float(per.max())))
-    return DecayProfile(family.name, p, steps, not family.group.is_finite)
+        tails = norms._summed_tails(spectrum.label_mass, outside[:, None], spectrum.beyond)
+    else:
+        schatten = norms._schatten_table(table, spectrum.blocks, p)
+        tails = [norms._lp_sums(table, w, schatten[:, w], p) for w in map(np.flatnonzero, outside)]
+    steps = [DecayStep(s, per, float(per.max())) for s, per in zip(filtration, tails)]
+    return DecayProfile(family.name, p, steps, p != 2.0 and not family.group.is_finite)
 
 
 @dataclass
@@ -399,8 +386,8 @@ def equicontinuity_profile(family, mesh=None, ball_samples=8, p=2.0, seed=0):
 
     The mesh must be strictly decreasing.  The same seed redraws the same
     ball directions at every radius, so the sampled modulus shrinks along
-    rays.  p = 2 takes the spectral path, which reads the family's
-    transform; any other p translates samples ("direct").
+    rays.  p = 2 takes the spectral path and any other p translates samples
+    ("direct"); both read the family's transform.
     """
     if mesh is None:
         mesh = default_mesh(family.group)
@@ -416,7 +403,9 @@ def equicontinuity_profile(family, mesh=None, ball_samples=8, p=2.0, seed=0):
     if p == 2.0:
         per_point = _spectral_moduli(family._band_spectrum, pool)
     else:
-        per_point = np.stack([_translation_moduli(f, pool, [p])[0] for f in family.members])
+        spectrum = family._band_spectrum
+        per_point = np.stack([_translation_moduli(f, pool, [p], spectrum.table, mine)[0]
+                              for f, mine in zip(family.members, zip(*spectrum.blocks))])
     # the points within a radius are a prefix of the pool sorted by
     # distance, so each ball's sup is a running max read at its prefix end
     order = np.argsort(dists, kind="stable")
@@ -471,26 +460,25 @@ def _spectral_moduli(spectrum, ys):
     return np.sqrt(acc + 4.0 * spectrum.beyond[:, None])
 
 
-def _translation_moduli(f, ys, ps, coeffs=None):
+def _translation_moduli(f, ys, ps, table=None, blocks=None):
     """||R_y f - f||_p for every p of ``ps`` (rows) and every row y of the
     coordinate array ``ys`` (columns), in order.
 
-    Translates come from one sweep of ``fourier._translate_values`` a block
-    of elements at a time, at most _TRANSLATE_BLOCK_VALUES sampled values per
-    block, so the translates held at once stay bounded however many elements
-    there are.  Every block shares ``coeffs``, f's transform at the
-    alias-free band, made up front when None and some element does not
-    permute the nodes (``fourier._permutes``).  Each block's difference from
-    f is taken in place and its magnitudes |R_y f - f| once; every
-    exponent's norms are taken from those magnitudes
-    (``norms._magnitude_norms``).
+    Translates come from ``fourier._translate_values`` in blocks of at most
+    _TRANSLATE_BLOCK_VALUES sampled values, so the translates held at once
+    stay bounded, and every block shares f's transform at the alias-free
+    band: its slot table ``table`` and (n_b, d, d) ``blocks``, made up front
+    when None and some element does not permute the nodes.  Each block's
+    |R_y f - f| is taken once, in place, and every exponent's norms are read
+    from it (``norms._magnitude_norms``).
     """
-    if coeffs is None and not fourier._permutes(f.rule, ys).all():
+    if table is None and not fourier._permutes(f.rule, ys).all():
         coeffs = fourier.forward_to_cutoff(f)
+        table, blocks = coeffs.table, coeffs.blocks
     per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
     out = np.empty((len(ps), _rows(ys)))
     for lo in range(0, _rows(ys), per_block):
-        moved = fourier._translate_values(f, _take(ys, slice(lo, lo + per_block)), coeffs)
+        moved = fourier._translate_values(f, _take(ys, slice(lo, lo + per_block)), table, blocks)
         moved -= f.values
         mags = np.abs(moved)
         del moved  # freed before an exponent's copy of the magnitudes is made
@@ -503,29 +491,25 @@ def _translation_moduli(f, ys, ps, coeffs=None):
 
 
 def _lemma_transform(f, cutoff):
-    """(dual, fc, band_fc) of a lemma check: the dual at ``cutoff``
-    (default: the alias-free band), f's transform against it, and that
-    transform again when it is the band's, which the translates share, else
-    None."""
-    band = fourier.safe_band(f.rule)
-    if cutoff is None:
-        cutoff = band
-    dual = irreps.enumerate_dual(f.group, cutoff)
-    if cutoff == band:
-        fc = fourier.forward_to_cutoff(f)
-        return dual, fc, fc
-    return dual, fourier.forward(f, dual), None
+    """(fc, band): f's transform against the dual at ``cutoff`` (default: the
+    alias-free band) and, when that is the band, its slot table and blocks
+    for the translates to share, else (None, None)."""
+    if cutoff not in (None, fourier.safe_band(f.rule)):
+        return fourier.forward(f, irreps.enumerate_dual(f.group, cutoff)), (None, None)
+    fc = fourier.forward_to_cutoff(f)
+    return fc, (fc.table, fc.blocks)
 
 
-def _tail(f, fc, subset, dual, p):
+def _tail(f, fc, subset, p):
     """(tail, truncated): f's l^p tail outside ``subset``.  At p = 2 it is
     ``norms.plancherel_residual``, the mass beyond the cutoff included;
-    otherwise ``fc``'s l^p norm over the rest of ``dual``, truncated on an
-    infinite group."""
+    otherwise ``fc``'s l^p sum over the positions of its other labels,
+    truncated on an infinite group."""
     if p == 2.0:
         return norms.plancherel_residual(f, fc, subset), False
-    comp = subset.complement_within(dual)
-    return norms.lp_oplus_norm(fc, p, comp).value, not f.group.is_finite
+    where = np.flatnonzero(fc.table.outside(subset))
+    per = norms._schatten_table(fc.table, fc.blocks, p, where)
+    return float(norms._lp_sums(fc.table, where, per, p)), not f.group.is_finite
 
 
 @dataclass
@@ -572,18 +556,18 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     if not isinstance(ball, NeighborhoodSpec):
         ball = NeighborhoodSpec(float(ball))
     e_u = fourier.dirac_net_element(f.group, ball, rule)
-    dual, fc, band_fc = _lemma_transform(f, cutoff)
-    ehat = fourier.forward(e_u, dual)
+    fc, band = _lemma_transform(f, cutoff)
+    ehat = fourier.forward(e_u, fc.labels)
     op_norms = norms.schatten_norms(ehat, math.inf)
-    a_labels = [lab for lab, v in zip(dual, op_norms.tolist()) if v > 0.5]
+    a_labels = [lab for lab, v in zip(fc.labels, op_norms.tolist()) if v > 0.5]
     subset = DualSubset.from_labels(f.group, a_labels)
     support = np.nonzero(np.abs(e_u.values) > 0)[0]
     ys = _inverse(rule.group, _take(rule.coords, support))
-    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], band_fc)
+    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], *band)
     out = []
     for pair, row in zip(pairs, moduli):
         q = pair.p_conj
-        tail, truncated = _tail(f, fc, subset, dual, q)
+        tail, truncated = _tail(f, fc, subset, q)
         rhs = 2.0 * float(np.max(row, initial=0.0))
         out.append(Lemma31Check(
             subset,
@@ -636,27 +620,24 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
     moduli at every distinct p' of the cases.  The tail at p is ``_tail``'s.
     """
     cases = [(y, subset, ExponentPair.of(pair)) for y, subset, pair in cases]
-    dual, fc, band_fc = _lemma_transform(f, cutoff)
-    have = set(dual)
+    fc, band = _lemma_transform(f, cutoff)
     for _, subset, _ in cases:
         for lab in subset:
-            if lab not in have:
+            if lab not in fc:
                 raise ValueError(f"head label {lab.name} beyond the computed dual")
     ys = coords_of(f.group, [y for y, _, _ in cases])
     ps = list(dict.fromkeys(pair.p_conj for _, _, pair in cases))
-    moduli = _translation_moduli(f, ys, ps, band_fc)
+    moduli = _translation_moduli(f, ys, ps, *band)
     out = []
     for k, (_, subset, pair) in enumerate(cases):
         lhs = float(moduli[ps.index(pair.p_conj), k])
-        # pi(y) - I on every head label, packed by dimension, so the operator
-        # norms are one Schatten kernel call per block
         table = fourier.slot_table(tuple(subset))
         at_y = irreps._blocks_at(table.block_labels, _take(ys, slice(k, k + 1)))
-        head_sup = max((float(np.max(norms._schatten_stack(mats[0] - np.eye(d), math.inf)))
-                        for d, mats in zip(table.dims, at_y)), default=0.0)
+        act = [mats[0] - np.eye(d) for d, mats in zip(table.dims, at_y)]
+        head_sup = float(np.max(norms._schatten_table(table, act, math.inf), initial=0.0))
         head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
         head_term = head_sup * head_norm
-        tail, truncated = _tail(f, fc, subset, dual, pair.p)
+        tail, truncated = _tail(f, fc, subset, pair.p)
         tail_term = 2.0 * tail
         rhs = head_term + tail_term
         out.append(Lemma32Check(
@@ -912,8 +893,9 @@ def epsilon_net(
     n_real = vecs.shape[1]
     cell = epsilon / math.sqrt(n_real) if n_real else epsilon
     # centered cells: a coordinate that is zero in exact arithmetic snaps to
-    # 0 whatever the sign of its roundoff
-    cells = np.rint(vecs / cell).astype(int)
+    # 0 whatever the sign of its roundoff; the cells stay floats, whatever
+    # their size, and + 0.0 turns -0.0 into 0.0
+    cells = np.rint(vecs / cell) + 0.0
     # distinct cells in lexicographic order, as np.unique(axis=0) orders
     # them, without its structured-dtype sort
     rows = [tuple(r) for r in cells.tolist()]

@@ -10,7 +10,8 @@ Convolution ``(f*g)(x) = integral f(x y^-1) g(y) dm(y)`` transforms to the
 matrix product ``ghat @ fhat`` (order matters on noncommutative groups), and
 the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.  Where the
 nodes form a group, convolution is the quadrature sum over them: one FFT on
-torus grids and node re-indexing on finite groups; elsewhere it is the
+torus grids, and on finite groups the translates of f by the inverse nodes,
+gathered per call, times the weighted samples of g; elsewhere it is the
 coefficient product at the alias-free band.  Right translates come in
 batches (``translate_values``): one mask picks the elements whose x -> x*y
 permutes the grid, which gather the samples through one (m, N) node index;
@@ -192,6 +193,12 @@ class SlotTable:
             return np.array([self.index[lab] for lab in subset], dtype=int)
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0].name} outside computed coverage") from None
+
+    def outside(self, subset):
+        """Boolean mask over ``labels``: True on every label not in ``subset``."""
+        mask = np.ones(len(self.labels), dtype=bool)
+        mask[self.positions(subset)] = False
+        return mask
 
 
 @functools.cache
@@ -827,58 +834,43 @@ def translate_values(f, ys):
     return _translate_values(f, coords_of(f.group, ys))
 
 
-def _translate_values(f, ys, coeffs=None):
+def _translate_values(f, ys, table=None, blocks=None):
     """``translate_values`` at the rows of a coordinate array ``ys``: the rows
     of one ``_permutes`` mask gather the samples, the others take one
-    ``_right_action`` and one synthesis on ``coeffs``, f's transform at the
-    rule's alias-free band (made here if None and needed)."""
+    ``_right_action`` and one synthesis on f's transform at the rule's
+    alias-free band, as a slot table and blocks (made here if None and needed)."""
     m = _rows(ys)
     if m == 0:
         return np.empty((0, len(f.rule)), dtype=complex)
     hit = _permutes(f.rule, ys)
     if hit.all():
         return f.values[_translated_nodes(f.rule, ys)]
-    if coeffs is None:
+    if table is None:
         coeffs = forward_to_cutoff(f)
+        table, blocks = coeffs.table, coeffs.blocks
     if not hit.any():
-        return _inverse_blocks(f.rule, coeffs.table, _right_action(coeffs, ys), m)
+        return _inverse_blocks(f.rule, table, _right_action(table, blocks, ys), m)
     out = np.empty((m, len(f.rule)), dtype=complex)
     out[hit] = f.values[_translated_nodes(f.rule, _take(ys, hit))]
-    blocks = _right_action(coeffs, _take(ys, ~hit))
-    out[~hit] = _inverse_blocks(f.rule, coeffs.table, blocks, m - int(hit.sum()))
+    moved = _right_action(table, blocks, _take(ys, ~hit))
+    out[~hit] = _inverse_blocks(f.rule, table, moved, m - int(hit.sum()))
     return out
 
 
-def _right_action(coeffs, ys):
+def _right_action(table, blocks, ys):
     """pi(y) @ coeff(pi) for every row y of the coordinate array ``ys`` and
-    every label: per dimension block, the (m, n_b, d, d) irrep matrices at
-    the m elements (one ``irreps._blocks_at`` request) times the (n_b, d, d)
-    block, in one batched product."""
-    mats = irreps._blocks_at(coeffs.table.block_labels, ys)
-    return [mat @ block for mat, block in zip(mats, coeffs.blocks)]
+    label of ``table``: per block, the (m, n_b, d, d) irrep matrices at the m
+    elements (one ``irreps._blocks_at`` request) times the (n_b, d, d) block."""
+    mats = irreps._blocks_at(table.block_labels, ys)
+    return [mat @ block for mat, block in zip(mats, blocks)]
 
 
 def translate_spectral(coeffs, y):
     """Coefficient-side right translation: coeff(pi) -> pi(y) @ coeff(pi),
     the block action of ``translate_values`` for one element."""
-    blocks = [b[0] for b in _right_action(coeffs, coords_of(coeffs.group, [y]))]
+    ys = coords_of(coeffs.group, [y])
+    blocks = [b[0] for b in _right_action(coeffs.table, coeffs.blocks, ys)]
     return FourierCoefficients.from_blocks(coeffs.group, coeffs.table, blocks)
-
-
-def _convolve_reindex(f, g):
-    """The quadrature sum of ``convolve`` on the canonical rule of a finite
-    group.
-
-    (f*g)(x) = sum_j w_j g(y_j) f(x y_j^-1); entry (i, j) of the cached index
-    is the node index of x_i y_j^-1, the transposed ``_translated_nodes`` of
-    the inverse nodes, made C-contiguous.
-    """
-    rule = f.rule
-    idx = rule.meta.get("_conv_index")
-    if idx is None:
-        idx = np.ascontiguousarray(_translated_nodes(rule, _inverse(rule.group, rule.coords)).T)
-        rule.meta["_conv_index"] = idx
-    return SampledFunction(rule, f.values[idx] @ (rule.weights * g.values))
 
 
 def _convolve_fft(f, g):
@@ -905,8 +897,9 @@ def convolve(f, g, method="auto"):
     ``method`` chooses the evaluation path.  "direct" is the quadrature sum
     sum_j w_j f(x y_j^-1) g(y_j) over the nodes of a rule whose nodes form a
     group: one FFT on torus grids (``_convolve_fft``) and node re-indexing
-    on the canonical rules of finite groups, finite products included
-    (``_convolve_reindex``).  "spectral" multiplies coefficient matrices
+    on the canonical rules of finite groups, finite products included: the
+    (N, N) translates of f by the inverse nodes (``_translate_values``),
+    made per call and not kept, times w * g.  "spectral" multiplies coefficient matrices
     (ghat @ fhat) at the alias-free band and synthesizes back, the only path
     on SU(2), products with an infinite factor and hand-built rules.
     "auto" picks "direct" where it exists and "spectral" elsewhere.  The two
@@ -922,7 +915,11 @@ def convolve(f, g, method="auto"):
     if method == "direct" and kind == "torus-grid":
         return _convolve_fft(f, g)
     if method == "direct" and finite:
-        return _convolve_reindex(f, g)
+        # entry (i, j) is f(x_i y_j^-1): the translates by the inverse nodes
+        # re-index the samples, transposed and made C-contiguous
+        rule = f.rule
+        moved = np.ascontiguousarray(_translate_values(f, _inverse(rule.group, rule.coords)).T)
+        return SampledFunction(rule, moved @ (rule.weights * g.values))
     if method == "spectral":
         return _convolve_spectral(f, g)
     raise ValueError(f"convolution method {method!r} unavailable on {f.rule.rule_id}")

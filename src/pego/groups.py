@@ -661,11 +661,36 @@ def haar_quadrature(group, resolution=1):
     (exact for bands |k| <= R-1).  SU(2) uses an Euler-angle rule exact for
     matrix entries with 2l <= 2*resolution.  Products combine factor rules at
     the same resolution.  Every call with the same (group, resolution)
-    returns the same rule object.
+    returns the same rule object.  A rule of more than ``_NODE_BUDGET`` nodes
+    (``_node_count``) is refused with ValueError before anything is built.
     """
     if resolution < 1:
         raise ResolutionError("resolution must be >= 1")
+    count = _node_count(group, resolution)
+    if count > _NODE_BUDGET:
+        raise ValueError(f"{group.name} at resolution {resolution} needs {count} quadrature "
+                         f"nodes, more than the budget of {_NODE_BUDGET}")
     return _canonical_rule(group, resolution)
+
+
+# The most nodes a canonical rule may have.  The largest rule the tests,
+# tools, demos and benchmark build is product(torus:1,su2) at resolution 9
+# (63,270 nodes); 2^22 lies 66 times above it and keeps one complex sample
+# at 64 MiB.
+_NODE_BUDGET = 2**22
+
+
+def _node_count(group, resolution):
+    """The node count of the canonical rule, from the group and resolution
+    alone: the group order on finite groups, R^n on torus:n, (2r+1)(r+1)(4r+1)
+    on su2, and the product of the factor counts on products."""
+    if group.family == "torus":
+        return resolution**group.n
+    if group.family == "su2":
+        return (2 * resolution + 1) * (resolution + 1) * (4 * resolution + 1)
+    if group.family == "product":
+        return math.prod(_node_count(f, resolution) for f in group.factors)
+    return group.order
 
 
 @functools.cache

@@ -78,16 +78,16 @@ class NormReport:
 
 
 def _schatten_stack(mats, p):
-    """Schatten p-norms (p >= 1 or inf) of a (k, d, d) stack: Frobenius
+    """Schatten p-norms (p >= 1 or inf) of a (..., d, d) stack: Frobenius
     norms at p = 2, one batched ``svd`` otherwise."""
     if p != math.inf and p < 1:
         raise ValueError("schatten exponent must be >= 1 or inf")
     if p == 2:
-        return np.sqrt(np.sum(np.abs(mats) ** 2, axis=(1, 2)))
+        return np.sqrt(np.sum(np.abs(mats) ** 2, axis=(-2, -1)))
     sv = np.linalg.svd(mats, compute_uv=False)
     if p == math.inf:
-        return sv.max(axis=1, initial=0.0)
-    return np.sum(sv**p, axis=1) ** (1.0 / p)
+        return sv.max(axis=-1, initial=0.0)
+    return np.sum(sv**p, axis=-1) ** (1.0 / p)
 
 
 def schatten_norm(mat, p):
@@ -98,17 +98,36 @@ def schatten_norm(mat, p):
     return float(_schatten_stack(mat[None], p)[0])
 
 
-def schatten_norms(coeffs, p, subset=None):
-    """Schatten p-norms of the coefficient matrices of ``subset`` (default:
-    the full coverage), in its order, one dimension block at a time."""
-    table = coeffs.table
-    where = np.arange(len(coeffs.labels)) if subset is None else table.positions(subset)
-    out = np.empty(len(where))
-    for b, block in enumerate(coeffs.blocks):
+def _schatten_table(table, blocks, p, where=None):
+    """Schatten p-norms of the labels at the positions ``where`` of ``table``
+    (default: all), in that order, as a (..., len(where)) array from the
+    table's (..., n_b, d, d) blocks with any leading axes."""
+    where = np.arange(len(table.labels)) if where is None else where
+    lead = blocks[0].shape[:-3] if blocks else ()
+    out = np.empty(lead + (len(where),))
+    for b, block in enumerate(blocks):
         mine = np.flatnonzero(table.block_of[where] == b)
         if mine.size:
-            out[mine] = _schatten_stack(block[table.pos_of[where[mine]]], p)
+            out[..., mine] = _schatten_stack(block[..., table.pos_of[where[mine]], :, :], p)
     return out
+
+
+def _lp_sums(table, where, per, p):
+    """(sum of dim(pi) per^p)^(1/p) over the last axis of the (k,) or (m, k)
+    Schatten norms ``per`` of the labels at positions ``where`` of ``table``
+    (max at p = inf, 0 over none), each row summed C-contiguous, in ``where``
+    order, and rooted by a scalar power: bitwise that row's sum alone."""
+    if p == math.inf:
+        return per.max(axis=-1, initial=0.0)
+    dims = np.asarray(table.dims)[table.block_of[where]]
+    sums = np.sum(dims * np.ascontiguousarray(per) ** p, axis=-1)
+    return np.array([s ** (1.0 / p) for s in sums.tolist()]) if sums.ndim else sums ** (1.0 / p)
+
+
+def schatten_norms(coeffs, p, subset=None):
+    """Schatten p-norms of the matrices of ``subset`` (default: all), in order."""
+    where = None if subset is None else coeffs.table.positions(subset)
+    return _schatten_table(coeffs.table, coeffs.blocks, p, where)
 
 
 def lp_oplus_norm(coeffs, p, subset=None):
@@ -124,13 +143,7 @@ def lp_oplus_norm(coeffs, p, subset=None):
     defaulted = subset is None
     labels = tuple(coeffs.labels if defaulted else subset)
     per = schatten_norms(coeffs, p, None if defaulted else labels)
-    if not labels:
-        value = 0.0
-    elif p == math.inf:
-        value = float(per.max())
-    else:
-        dims = np.array([lab.dim for lab in labels])
-        value = float(np.sum(dims * per**p) ** (1.0 / p))
+    value = float(_lp_sums(coeffs.table, coeffs.table.positions(labels), per, p))
     truncated = defaulted and not coeffs.group.is_finite
     return NormReport(value, p, tuple(lab.name for lab in labels), truncated)
 
@@ -194,11 +207,9 @@ def plancherel_residual(f, coeffs, subset):
     """The l2 tail of f outside ``subset``: ``_summed_tails`` of the labels of
     the coverage outside it, plus the mass beyond the coverage; the label
     masses are taken once, for both."""
-    outside = np.ones(len(coeffs.labels), dtype=bool)
-    outside[coeffs.table.positions(subset)] = False
     masses = coeffs.label_masses()
     beyond = _beyond_masses(lp_function_norm(f, 2) ** 2, masses)
-    return float(_summed_tails(masses, outside, beyond))
+    return float(_summed_tails(masses, coeffs.table.outside(subset), beyond))
 
 
 @dataclass(frozen=True)

@@ -637,6 +637,12 @@ EXIT_CODES = {
     "non_finite_epsilon": (
         lambda t: ["diagnose", "--family", _file(t, "fam.json", _TWO_CHARS), "--epsilon", "nan"],
         None, 2, "finite"),
+    "family_resolution_beyond_the_node_budget": (
+        lambda t: _family_doc(t, {"group": "torus:1", "resolution": 100000000}),
+        None, 2, "torus:1 at resolution 100000000 needs 100000000 quadrature nodes"),
+    "verify_resolution_beyond_the_node_budget": (
+        lambda t: ["verify", "--suite", "identities", "--group", "su2", "--resolution", "1000"],
+        None, 2, "su2 at resolution 1000 needs 8014007001 quadrature nodes"),
     "cutoff_beyond_band": (
         lambda t: ["transform", "--group", "torus:1", "--resolution", "9", "--cutoff", "8",
                    "--f", "char:1"],

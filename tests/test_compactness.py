@@ -6,6 +6,7 @@ hand: spectral tails are 0/1 indicators, the continuity modulus is
 """
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -181,8 +182,10 @@ def test_equicontinuity_direct_matches_spectral_at_p2(group, res, band):
         name="rand3",
     )
     pool, _ = _ball_pool(group, np.array([0.8, 0.3, 0.1]), 7, seed=1)
-    spec = _spectral_moduli(_spectrum(fam), pool)
-    direct = np.stack([_translation_moduli(f, pool, [2.0])[0] for f in fam.members])
+    spectrum = _spectrum(fam)
+    spec = _spectral_moduli(spectrum, pool)
+    direct = np.stack([_translation_moduli(f, pool, [2.0], spectrum.table, blocks)[0]
+                       for f, blocks in zip(fam.members, zip(*spectrum.blocks))])
     assert spec.shape == (3, _rows(pool))
     npt.assert_allclose(spec, direct, atol=1e-9)
 
@@ -494,6 +497,23 @@ def test_epsilon_net_snaps_exact_zeros_to_zero_centers():
     zero = np.all(np.abs(vecs) < 1e-12, axis=0)
     assert zero.sum() > 0 and not zero.all()
     assert np.all(net.centers[:, zero] == 0.0)
+
+
+def test_epsilon_net_of_large_coefficients_keeps_its_cells_in_range():
+    """Members of size 1e100 give cell indices far beyond int64: the net
+    warns of no cast and its centers are finite and within one cell of
+    their members, up to the float spacing at that size."""
+    rule = haar_quadrature(cyclic(4))
+    fam = builtin_family("scaled_constants", rule, params={"r": 1e100})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        net = epsilon_net(fam, 0.5)
+    assert [str(w.message) for w in caught] == []
+    vecs = np.stack([
+        _embed_coefficients(c) for c in forward_batch(fam.members, net.subset.labels)
+    ])
+    assert np.all(np.isfinite(net.centers))
+    npt.assert_allclose(net.centers[net.assignments], vecs, rtol=1e-15, atol=net.cell)
 
 
 def test_epsilon_net_refuses_ladder():

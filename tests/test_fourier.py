@@ -206,6 +206,21 @@ def test_convolve_direct_on_torus_grids_is_the_quadrature_sum(n, res):
         convolve(f, g, method="fft")
 
 
+@pytest.mark.parametrize("group", [cyclic(12), dihedral(5), product(cyclic(2), dihedral(3))],
+                         ids=str)
+def test_direct_convolution_keeps_no_node_index_on_the_rule(group):
+    """Convolving twice on a finite rule gives the same quadrature sum and
+    leaves nothing in the rule's meta: no N x N node index is held for the
+    life of the rule."""
+    rule = haar_quadrature(group)
+    before = dict(rule.meta)
+    f, g = (random_band_limited_function(rule, 2, seed=s) for s in (1, 2))
+    first = convolve(f, g, method="direct")
+    again = convolve(f, g, method="direct")
+    assert np.array_equal(first.values, again.values)
+    assert "_conv_index" not in rule.meta and rule.meta == before
+
+
 _FINITE_PRODUCTS = [product(cyclic(3), dihedral(3)), product(dihedral(3), dihedral(4))]
 
 

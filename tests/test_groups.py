@@ -29,6 +29,7 @@ from pego import (
     su2,
     torus,
 )
+from pego import groups
 from pego.groups import conjugate
 
 TWO_PI = 2.0 * math.pi
@@ -290,3 +291,25 @@ def test_mixed_group_operations_raise():
     b = point(cyclic(5), 1)
     with pytest.raises(GroupMismatchError):
         multiply(a, b)
+
+
+@pytest.mark.parametrize("name, res", [("cyclic:7", 3), ("dihedral:5", 1), ("torus:1", 9),
+                                       ("torus:2", 5), ("su2", 3), ("product(torus:1,su2)", 2),
+                                       ("product(cyclic:3,dihedral:4)", 1)])
+def test_node_count_is_the_size_of_the_rule(name, res):
+    group = parse_group(name)
+    assert groups._node_count(group, res) == len(haar_quadrature(group, res))
+
+
+def test_rule_beyond_the_node_budget_is_refused_before_it_is_built(monkeypatch):
+    """The count is taken from the group and resolution alone: a rule above
+    the budget raises ValueError naming the group, the resolution and the
+    count, and nothing is built; one at the budget is built."""
+    monkeypatch.setattr(groups, "_NODE_BUDGET", 100)
+    assert len(haar_quadrature(torus(2), 10)) == 100
+    monkeypatch.setattr(groups, "_canonical_rule", lambda *a: pytest.fail("rule was built"))
+    with pytest.raises(ValueError, match="torus:2 at resolution 11 needs 121 quadrature nodes"):
+        haar_quadrature(torus(2), 11)
+    with pytest.raises(ValueError, match="product"):
+        haar_quadrature(product(torus(1), su2()), 3)
+    assert groups._node_count(su2(), 1000) == 2001 * 1001 * 4001

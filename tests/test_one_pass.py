@@ -52,6 +52,20 @@ def _counting_forward(monkeypatch):
     return calls
 
 
+def _counting_from_blocks(monkeypatch):
+    """Record the label count of every ``FourierCoefficients.from_blocks``
+    call, the one way a per-function coefficient view is cut from blocks."""
+    calls = []
+    real = fourier.FourierCoefficients.from_blocks.__func__
+
+    def counted(cls, group, table, blocks):
+        calls.append(len(table.labels))
+        return real(cls, group, table, blocks)
+
+    monkeypatch.setattr(fourier.FourierCoefficients, "from_blocks", classmethod(counted))
+    return calls
+
+
 @pytest.mark.parametrize("group, res", [("torus:2", 9), ("su2", 4), ("dihedral:9", 1)])
 def test_verdict_and_net_transform_the_family_once(monkeypatch, group, res):
     """The family keeps its transform: a verdict, verdicts at three epsilons
@@ -76,16 +90,27 @@ def test_verdicts_build_no_per_member_coefficients(monkeypatch, group, res):
     ``FourierCoefficients`` view is cut from them for any member."""
     rule = haar_quadrature(parse_group(group), res)
     fam = builtin_family("heat_kernel", rule, params={"count": 5})
-    calls = []
-    real = fourier.FourierCoefficients.from_blocks.__func__
-
-    def counted(cls, group, table, blocks):
-        calls.append(len(table.labels))
-        return real(cls, group, table, blocks)
-
-    monkeypatch.setattr(fourier.FourierCoefficients, "from_blocks", classmethod(counted))
+    calls = _counting_from_blocks(monkeypatch)
     pego_verdicts(fam, [0.5, 0.1], ball_samples=3, seed=2)
     assert calls == []
+
+
+@pytest.mark.parametrize("group, res", [("torus:2", 9), ("su2", 4), ("dihedral:9", 1),
+                                        ("product(torus:1,su2)", 4)])
+def test_p15_stages_read_the_family_transform_as_blocks(monkeypatch, group, res):
+    """At p = 1.5 the decay and continuity profiles read the family's one
+    transform: one forward pass for all members (a product's factor passes
+    aside), no per-member coefficient view, and each member's translates
+    from its own slice of the blocks."""
+    rule = haar_quadrature(parse_group(group), res)
+    fam = builtin_family("heat_kernel", rule, params={"count": 5})
+    forwards = _counting_forward(monkeypatch)
+    views = _counting_from_blocks(monkeypatch)
+    compactness.tail_decay_profile(fam, p=1.5)
+    compactness.equicontinuity_profile(fam, p=1.5, ball_samples=3, seed=2)
+    assert views == []
+    if not group.startswith("product"):
+        assert forwards == [len(fam)]
 
 
 def test_verdict_runs_through_its_public_stages(monkeypatch):

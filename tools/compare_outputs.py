@@ -79,7 +79,10 @@ each tree, one child process runs through ``pego.cli.main``:
   filtration passed explicitly; the centers, assignments and distances of
   every net; last, the p = 1.5 decay case: ``compactness.tail_decay_profile``
   of the seven audit families at p = 1.5 (which no CLI run reaches), one
-  (steps, members) array of tails per family.
+  (steps, members) array of tails per family; last, the p = 1.5 continuity
+  case: ``compactness.equicontinuity_profile`` of the seven audit families
+  at p = 1.5 (default mesh, the audit's ball samples, seed 1), one
+  (members, mesh) array of moduli per family.
   Only public functions are called, so both trees run every case.
 
 The workload definitions are read from the ``bench/workloads.py`` beside
@@ -289,8 +292,8 @@ def run_cases(out_dir, workloads):
 def _run_library(out_dir, workloads):
     """The library section: ``evaluate_at`` per case, then the group-law,
     su2 transform, irrep-matrix, stack, continuity, batched translate, lemma,
-    twisted, convolution, finite-product, net and p = 1.5 decay cases, into
-    ``library.npz``."""
+    twisted, convolution, finite-product, net, p = 1.5 decay and p = 1.5
+    continuity cases, into ``library.npz``."""
     from pego import fourier, groups
 
     values = {}
@@ -343,6 +346,9 @@ def _run_library(out_dir, workloads):
                 values[f"net-{name}-{part}"] = vals
     for name, doc, _, _ in workloads.AUDIT_FAMILIES:
         values[f"decay-p1.5-{name}"] = _decay_values(dict(doc, name=name, seed=DIAGNOSE_SEED))
+    for name, doc, _, _ in workloads.AUDIT_FAMILIES:
+        values[f"continuity-p1.5-{name}"] = _continuity_values(
+            dict(doc, name=name, seed=DIAGNOSE_SEED), workloads.AUDIT_BALL_SAMPLES, p=1.5)
     np.savez(os.path.join(out_dir, "library.npz"), **values)
 
 
@@ -451,13 +457,14 @@ def _twisted_values(group_name, res, cutoff, shift, rng):
     return out
 
 
-def _continuity_values(doc, ball_samples):
-    """The continuity case of one audit family: the (members, mesh) moduli
-    of ``compactness.equicontinuity_profile`` at the default mesh."""
+def _continuity_values(doc, ball_samples, p=2.0):
+    """The continuity case of one audit family at exponent ``p``: the
+    (members, mesh) moduli of ``compactness.equicontinuity_profile`` at the
+    default mesh."""
     from pego import compactness, serialize
 
     family, _ = serialize.family_from_json(doc)
-    profile = compactness.equicontinuity_profile(family, ball_samples=ball_samples,
+    profile = compactness.equicontinuity_profile(family, ball_samples=ball_samples, p=p,
                                                  seed=DIAGNOSE_SEED)
     return profile.per_member
 
@@ -767,8 +774,8 @@ def _compare_library(old_dir, new_dir):
     cases, of the su2 transform case, of the irrep-matrix case, of the
     stack case, of the continuity case, of the batched translate case, of
     the lemma case, of the twisted case, of the convolution case, of the
-    finite-product case, of the net case and of the p = 1.5 decay case of
-    the library section; True
+    finite-product case, of the net case, of the p = 1.5 decay case and of
+    the p = 1.5 continuity case of the library section; True
     when all are within
     LIBRARY_TOL and the finite-product ones within FINITE_PRODUCT_TOL."""
     with np.load(old_dir / "library.npz") as old, np.load(new_dir / "library.npz") as new:
@@ -777,7 +784,8 @@ def _compare_library(old_dir, new_dir):
             return False
         gaps = {name: _array_gap(old[name], new[name]) for name in old.files}
     kinds = {"law-": "group-law and translate", "spectral-": "su2 res 16 transform",
-             "irrep-": "irrep-matrix", "stack-": "irrep-stack", "continuity-": "continuity",
+             "irrep-": "irrep-matrix", "stack-": "irrep-stack",
+             "continuity-p1.5-": "p = 1.5 continuity", "continuity-": "continuity",
              "translate-": "batched translate", "lemma-": "lemma check",
              "twist-": "twisted", "convolve-": "convolution",
              "finite-product-": "finite-product", "net-": "epsilon-net",
