@@ -22,32 +22,37 @@ import numpy as np
 from . import serialize as ser
 from .compactness import (
     CoherenceError,
+    _lemma32_batch,
     lemma31_bound_checks,
-    lemma32_bound_checks,
     pego_verdicts,
 )
 from .fourier import (
+    FourierCoefficients,
+    SampledFunction,
+    _cutoff_dual,
     _forward_blocks,
+    _inverse_blocks,
+    _random_band_limited,
+    _right_action,
     convolve,
     forward_to_cutoff,
-    inverse,
-    random_band_limited_function,
     safe_band,
     slot_table,
     translate,
-    translate_spectral,
 )
 from .groups import (
     ResolutionError,
+    coords_of,
     haar_quadrature,
     parse_group,
 )
 from .irreps import _blocks_at, enumerate_dual, shell_subset
 from .norms import (
     ExponentPair,
-    hausdorff_young_checks,
+    _hausdorff_young_batch,
     lp_function_norm,
     lp_oplus_norm,
+    lp_value_norms,
     plancherel_residual,
 )
 
@@ -63,21 +68,21 @@ _BALL_RADII = {"cyclic": [0.5, 1.0], "dihedral": [0.5, 1.0],
 
 
 def _default_rule(group, resolution, cutoff):
-    """Resolve (rule, cutoff) so the cutoff is alias-free for the rule."""
-    if cutoff is None:
-        if group.is_finite:
+    """Resolve (rule, cutoff) so the cutoff is alias-free for the rule.  A
+    finite group's rule does not depend on the cutoff, so it is built first,
+    and ``haar_quadrature`` refuses a group beyond the node budget before
+    the dual is enumerated for the default cutoff."""
+    if group.is_finite:
+        rule = haar_quadrature(group, resolution=1 if resolution is None else resolution)
+        if cutoff is None:
             cutoff = max(lab.shell for lab in enumerate_dual(group, None))
-        else:
-            cutoff = _DEFAULT_CUTOFF.get(group.family, 4)
+        return rule, cutoff
+    if cutoff is None:
+        cutoff = _DEFAULT_CUTOFF.get(group.family, 4)
     if resolution is None:
-        if group.family == "su2":
-            resolution = max(cutoff, 1)  # an su2 rule needs resolution >= 1
-        elif not group.is_finite:
-            resolution = 2 * cutoff + 1
-        else:
-            resolution = 1
-    rule = haar_quadrature(group, resolution=resolution)
-    return rule, cutoff
+        # an su2 rule needs resolution >= 1
+        resolution = max(cutoff, 1) if group.family == "su2" else 2 * cutoff + 1
+    return haar_quadrature(group, resolution=resolution), cutoff
 
 
 def _out_dir(args):
@@ -182,51 +187,68 @@ def _checks(rows, rhs):
 
 
 def _suite_identities(rule, cutoff, samples, seed):
-    band = cutoff
+    """The transform identities on each sample pair (f, g).  All samples
+    are synthesized in one pass and transformed in one; their roundtrip is
+    one synthesis, and their convolutions, translates and linear
+    combinations (one ``convolve`` and one ``translate`` call per sample)
+    share a second forward pass."""
     rng = np.random.default_rng(seed)
+    table = slot_table(tuple(_cutoff_dual(rule, cutoff)))
+    # the f samples, then the g samples
+    seeds = [seed + 17 * k + j for j in (1, 2) for k in range(samples)]
+    values = _random_band_limited(rule, cutoff, seeds)
+    coeffs = _forward_blocks(rule, values, table)
+    fblocks, gblocks = [b[:samples] for b in coeffs], [b[samples:] for b in coeffs]
+    fv = values[:samples]
+    back = _inverse_blocks(rule, table, fblocks, samples)
+    l2s = lp_value_norms(rule.weights, fv, 2)
+    ys, weights = [], []
+    for _ in range(samples):
+        ys += _random_nodes(rule, 1, rng)
+        weights.append(rng.standard_normal(2))
+    fs = [SampledFunction(rule, v) for v in values[:samples]]
+    gs = [SampledFunction(rule, v) for v in values[samples:]]
+    moved = [translate(f, y) for f, y in zip(fs, ys)]
+    second = np.concatenate([
+        [convolve(f, g).values for f, g in zip(fs, gs)],
+        [m.values for m in moved],
+        [f.values * complex(a) + g.values * complex(b) for f, g, (a, b) in zip(fs, gs, weights)],
+    ])
+    hbl, tbl, cbl = zip(*(np.split(b, 3) for b in _forward_blocks(rule, second, table)))
+    ts = _right_action(table, fblocks, coords_of(rule.group, ys))
     rows = []
-    for k in range(samples):
-        f = random_band_limited_function(rule, band, seed=seed + 17 * k + 1)
-        g = random_band_limited_function(rule, band, seed=seed + 17 * k + 2)
-        fc = forward_to_cutoff(f, cutoff=cutoff)
-        gc = forward_to_cutoff(g, cutoff=cutoff)
-        back = inverse(fc, rule)
-        mass = fc.head_mass(fc.labels)
-        l2 = lp_function_norm(f, 2)
-        hc = forward_to_cutoff(convolve(f, g), cutoff=cutoff)
-        y = _random_nodes(rule, 1, rng)[0]
-        moved = translate(f, y)
-        tc = forward_to_cutoff(moved, cutoff=cutoff)
-        ts = translate_spectral(fc, y)
-        a, b = rng.standard_normal(2)
-        combc = forward_to_cutoff(f * a + g * b, cutoff=cutoff)
-        base = rule.integrate(f.values)
-        left = rule.integrate(moved.values)
+    for k, (a, b) in enumerate(weights):
+        fc, gc, hc, tc, tsk, combc = ([blk[k] for blk in part] for part in (
+            fblocks, gblocks, hbl, tbl, ts, cbl))
+        mass = FourierCoefficients.from_blocks(rule.group, table, fc).head_mass(table.labels)
+        l2 = float(l2s[k])
+        base = rule.integrate(fv[k])
+        left = rule.integrate(moved[k].values)
         rows += [
-            ("roundtrip", float(np.max(np.abs(back.values - f.values))), True),
+            ("roundtrip", float(np.max(np.abs(back[k] - fv[k]))), True),
             ("plancherel_rel", abs(mass - l2 ** 2) / l2 ** 2, True),
-            ("convolution", _max_gap(
-                hc.blocks, [gb @ fb for gb, fb in zip(gc.blocks, fc.blocks)]), True),
-            ("translation", _max_gap(tc.blocks, ts.blocks), True),
-            ("linearity", _max_gap(
-                combc.blocks, [a * fb + b * gb for fb, gb in zip(fc.blocks, gc.blocks)]), True),
+            ("convolution", _max_gap(hc, [gb @ fb for gb, fb in zip(gc, fc)]), True),
+            ("translation", _max_gap(tc, tsk), True),
+            ("linearity", _max_gap(combc, [a * fb + b * gb for fb, gb in zip(fc, gc)]), True),
             ("haar_invariance", abs(left - base), True),
         ]
     return _checks(rows, _IDENTITY_TOL)
 
 
-# The three inequality suites loop over samples outermost: each sample is
-# synthesized once and checked at every exponent by one batch call, and
-# gives one (name, margin, ok) row per exponent, which ``_checks`` reduces
-# to the worst margin of each name in sample order.
+# The three inequality suites synthesize all their samples in one pass
+# (``fourier._random_band_limited``).  Hausdorff-Young and Lemma 3.2 then
+# check every sample at every exponent in one batch (one forward pass, and
+# for Lemma 3.2 one sweep of translates); Lemma 3.1 checks each sample at
+# every exponent by one call.  A sample's numbers do not depend on its
+# batch, and every sample gives one (name, margin, ok) row per exponent,
+# which ``_checks`` reduces to the worst margin of each name in sample order.
 
 def _suite_hausdorff_young(rule, cutoff, samples, seed, p_values):
     cases = [(ExponentPair.of(p), direction) for p in p_values
              for direction in ("forward", "reverse")]
+    vals = _random_band_limited(rule, cutoff, [seed + 31 * k for k in range(samples)])
     rows = []
-    for k in range(samples):
-        f = random_band_limited_function(rule, cutoff, seed=seed + 31 * k)
-        chks = hausdorff_young_checks(f, cases, cutoff=cutoff)
+    for chks in _hausdorff_young_batch(rule, vals, cases, cutoff=cutoff):
         for p, fwd, rev in zip(p_values, chks[::2], chks[1::2]):
             m_fwd, m_rev = fwd.lhs - fwd.rhs, rev.lhs - rev.rhs
             rows += [(f"forward_p={p:g}", m_fwd, True), (f"reverse_p={p:g}", m_rev, True)]
@@ -238,11 +260,11 @@ def _suite_hausdorff_young(rule, cutoff, samples, seed, p_values):
 def _suite_lemma31(rule, cutoff, samples, seed, p_values):
     radii = _BALL_RADII[rule.group.family]
     pairs = [ExponentPair.of(p) for p in p_values]
+    vals = _random_band_limited(rule, cutoff, [seed + 13 * k for k in range(samples)])
     rows = []
-    for k in range(samples):
-        f = random_band_limited_function(rule, cutoff, seed=seed + 13 * k)
+    for k, v in enumerate(vals):
         delta = radii[k % len(radii)]
-        chks = lemma31_bound_checks(f, delta, pairs, cutoff=cutoff)
+        chks = lemma31_bound_checks(SampledFunction(rule, v), delta, pairs, cutoff=cutoff)
         rows += [(f"tail_le_2sup_p={p:g}", chk.tail - chk.rhs, chk.satisfied)
                  for p, chk in zip(p_values, chks)]
     return _checks(rows, _LEMMA_SLACK)
@@ -254,13 +276,13 @@ def _suite_lemma32(rule, cutoff, samples, seed, p_values):
     pairs = [ExponentPair.of(p) for p in p_values]
     # the elements are drawn exponent by exponent, sample by sample
     ys = [[_random_nodes(rule, 1, rng)[0] for _ in range(samples)] for _ in pairs]
-    rows = []
+    vals = _random_band_limited(rule, cutoff, [seed + 7 * k for k in range(samples)])
+    cases = []
     for k in range(samples):
-        f = random_band_limited_function(rule, cutoff, seed=seed + 7 * k)
-        shell = min(1 + k % 2, max_shell)
-        A = shell_subset(rule.group, shell, cutoff=cutoff)
-        cases = [(ys[i][k], A, pair) for i, pair in enumerate(pairs)]
-        chks = lemma32_bound_checks(f, cases, cutoff=cutoff)
+        A = shell_subset(rule.group, min(1 + k % 2, max_shell), cutoff=cutoff)
+        cases.append([(ys[i][k], A, pair) for i, pair in enumerate(pairs)])
+    rows = []
+    for chks in _lemma32_batch(rule, vals, cases, cutoff=cutoff):
         rows += [(f"lhs_le_head_plus_tail_p={p:g}",
                   chk.lhs - (chk.head_term + chk.tail_term), chk.satisfied)
                  for p, chk in zip(p_values, chks)]

@@ -462,31 +462,48 @@ def _spectral_moduli(spectrum, ys):
 
 def _translation_moduli(f, ys, ps, table=None, blocks=None):
     """||R_y f - f||_p for every p of ``ps`` (rows) and every row y of the
-    coordinate array ``ys`` (columns), in order.
-
-    Translates come from ``fourier._translate_values`` in blocks of at most
-    _TRANSLATE_BLOCK_VALUES sampled values, so the translates held at once
-    stay bounded, and every block shares f's transform at the alias-free
-    band: its slot table ``table`` and (n_b, d, d) ``blocks``, made up front
-    when None and some element does not permute the nodes.  Each block's
-    |R_y f - f| is taken once, in place, and every exponent's norms are read
-    from it (``norms._magnitude_norms``).
-    """
+    coordinate array ``ys`` (columns), in order: ``_moduli`` of one function
+    f, with f's transform at the alias-free band as its slot table ``table``
+    and (n_b, d, d) ``blocks``, made up front when None and some element
+    does not permute the nodes."""
     if table is None and not fourier._permutes(f.rule, ys).all():
         coeffs = fourier.forward_to_cutoff(f)
         table, blocks = coeffs.table, coeffs.blocks
-    per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(f.rule))
+    return _moduli(f.rule, f.values, ys, ps, table, blocks)
+
+
+def _moduli(rule, vals, ys, ps, table, blocks, owner=None):
+    """||R_y f - f||_p for every p of ``ps`` (rows) and every row y of the
+    coordinate array ``ys`` (columns), in order.  f is the one function of
+    the (N,) samples ``vals``; or, pairwise, given ``owner``, the function
+    of element k is row owner[k] of the (m, N) ``vals``, whose transform is
+    row owner[k] of the (m, n_b, d, d) ``blocks``.
+
+    Translates come from ``fourier._translate_values`` in blocks of at most
+    _TRANSLATE_BLOCK_VALUES sampled values, so the translates held at once
+    stay bounded, and every block shares the transform at the alias-free
+    band (``table`` and ``blocks``, None when every element permutes the
+    nodes).  Each block's |R_y f - f| is taken once, in place, and every
+    exponent's norms are read from it (``norms._magnitude_norms``), row by
+    row, so an element's moduli do not depend on the others.
+    """
+    per_block = max(1, _TRANSLATE_BLOCK_VALUES // len(rule))
     out = np.empty((len(ps), _rows(ys)))
     for lo in range(0, _rows(ys), per_block):
-        moved = fourier._translate_values(f, _take(ys, slice(lo, lo + per_block)), table, blocks)
-        moved -= f.values
+        rows = slice(lo, lo + per_block)
+        f_vals, f_blocks = vals, blocks
+        if owner is not None:
+            f_vals = vals[owner[rows]]
+            f_blocks = None if blocks is None else [b[owner[rows]] for b in blocks]
+        moved = fourier._translate_values(rule, f_vals, _take(ys, rows), table, f_blocks)
+        moved -= f_vals
         mags = np.abs(moved)
         del moved  # freed before an exponent's copy of the magnitudes is made
         for row, p in enumerate(ps):
             # every exponent but the last works on a copy: the norms
             # overwrite the magnitudes they are given
             own = mags if row == len(ps) - 1 else mags.copy()
-            out[row, lo : lo + len(mags)] = norms._magnitude_norms(f.rule.weights, own, p)
+            out[row, lo : lo + len(mags)] = norms._magnitude_norms(rule.weights, own, p)
     return out
 
 
@@ -614,33 +631,70 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
     pair) of ``cases``, in order.
 
     Every case shares one transform of f against the dual at ``cutoff``
-    (``_lemma_transform``) and one sweep of translates over all the elements
-    (``_translation_moduli``), which takes them in bounded blocks, is handed
-    the transform when ``cutoff`` is the alias-free band, and gives the
-    moduli at every distinct p' of the cases.  The tail at p is ``_tail``'s.
+    (the dual of ``_lemma_transform``) and one sweep of translates over all
+    the elements (``_moduli``), which takes them in bounded blocks, is
+    handed the transform when ``cutoff`` is the alias-free band, and gives
+    the moduli at every distinct p' of the cases.  The tail at p is
+    ``_tail``'s.  The one row of ``_lemma32_batch``: a function's checks are
+    the same in any batch.
     """
-    cases = [(y, subset, ExponentPair.of(pair)) for y, subset, pair in cases]
-    fc, band = _lemma_transform(f, cutoff)
-    for _, subset, _ in cases:
+    return _lemma32_batch(f.rule, f.values[None], [cases], cutoff, slack)[0]
+
+
+def _lemma32_batch(rule, vals, cases, cutoff=None, slack=1e-8):
+    """``lemma32_bound_checks`` of every row k of the (m, N) samples ``vals``
+    at its own cases ``cases[k]``, one list of checks per row.
+
+    All rows take one forward pass at ``cutoff``, and the translates of all
+    (row, element) pairs one bounded sweep (``_moduli``, pairwise: the
+    action pi(y) @ C of each element on its own row's coefficients).  The
+    sweep is handed that transform when ``cutoff`` is the alias-free band,
+    and otherwise takes one forward pass of all rows at the band if some
+    element does not permute the nodes.  Each head set's sup of
+    ||pi(y) - I||_op takes one irrep-matrix request for all its elements;
+    the head norm and the tail are the row's own.
+    """
+    cases = [[(y, subset, ExponentPair.of(pair)) for y, subset, pair in row] for row in cases]
+    # the dual of ``_lemma_transform``
+    shared = cutoff in (None, fourier.safe_band(rule))
+    labels = fourier._cutoff_dual(rule) if shared else irreps.enumerate_dual(rule.group, cutoff)
+    table = fourier.slot_table(tuple(labels))
+    blocks = fourier._forward_blocks(rule, vals, table)
+    flat = [(k, y, subset, pair) for k, row in enumerate(cases) for y, subset, pair in row]
+    for _, _, subset, _ in flat:
         for lab in subset:
-            if lab not in fc:
+            if lab not in table.index:
                 raise ValueError(f"head label {lab.name} beyond the computed dual")
-    ys = coords_of(f.group, [y for y, _, _ in cases])
-    ps = list(dict.fromkeys(pair.p_conj for _, _, pair in cases))
-    moduli = _translation_moduli(f, ys, ps, *band)
-    out = []
-    for k, (_, subset, pair) in enumerate(cases):
-        lhs = float(moduli[ps.index(pair.p_conj), k])
-        table = fourier.slot_table(tuple(subset))
-        at_y = irreps._blocks_at(table.block_labels, _take(ys, slice(k, k + 1)))
-        act = [mats[0] - np.eye(d) for d, mats in zip(table.dims, at_y)]
-        head_sup = float(np.max(norms._schatten_table(table, act, math.inf), initial=0.0))
-        head_norm = norms.lp_oplus_norm(fc, pair.p, subset).value
+    ys = coords_of(rule.group, [y for _, y, _, _ in flat])
+    ps = list(dict.fromkeys(pair.p_conj for _, _, _, pair in flat))
+    band = (table, blocks) if shared else (None, None)
+    if not shared and not fourier._permutes(rule, ys).all():
+        band_table = fourier.slot_table(tuple(fourier._cutoff_dual(rule)))
+        band = band_table, fourier._forward_blocks(rule, vals, band_table)
+    owner = np.array([k for k, _, _, _ in flat], dtype=int)
+    moduli = _moduli(rule, vals, ys, ps, *band, owner=owner)
+    head_sups = np.empty(len(flat))
+    by_subset = {}
+    for j, (_, _, subset, _) in enumerate(flat):
+        by_subset.setdefault(tuple(subset), []).append(j)
+    for labs, js in by_subset.items():
+        sub = fourier.slot_table(labs)
+        at_y = irreps._blocks_at(sub.block_labels, _take(ys, np.array(js)))
+        act = [mats - np.eye(d) for d, mats in zip(sub.dims, at_y)]
+        head_sups[js] = np.max(norms._schatten_table(sub, act, math.inf), axis=-1, initial=0.0)
+    fs = [fourier.SampledFunction(rule, v) for v in vals]
+    fcs = [fourier.FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks])
+           for k in range(len(vals))]
+    out = [[] for _ in cases]
+    for j, (k, _, subset, pair) in enumerate(flat):
+        lhs = float(moduli[ps.index(pair.p_conj), j])
+        head_sup = float(head_sups[j])
+        head_norm = norms.lp_oplus_norm(fcs[k], pair.p, subset).value
         head_term = head_sup * head_norm
-        tail, truncated = _tail(f, fc, subset, pair.p)
+        tail, truncated = _tail(fs[k], fcs[k], subset, pair.p)
         tail_term = 2.0 * tail
         rhs = head_term + tail_term
-        out.append(Lemma32Check(
+        out[k].append(Lemma32Check(
             lhs,
             head_term,
             tail_term,

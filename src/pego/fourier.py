@@ -16,7 +16,8 @@ coefficient product at the alias-free band.  Right translates come in
 batches (``translate_values``): one mask picks the elements whose x -> x*y
 permutes the grid, which gather the samples through one (m, N) node index;
 the others share one transform of f, one batched ``pi(y) @ fhat`` per
-dimension block, and one synthesis.
+dimension block, and one synthesis.  Pairwise, each element translates its
+own function, with its own coefficients (``_translate_values``).
 
 Everything is computed against a fixed rule.  For band-limited functions
 whose frequency content fits inside the rule's exactness degree the discrete
@@ -44,10 +45,15 @@ the grid kernels builds an (N, d, d) irrep stack:
 * products, finite ones included: one factor axis at a time, each with its
   factor's own kernel, with the Kronecker entries gathered into (or
   scattered from) the slots;
-* finite rules (cyclic and dihedral) and hand-built rules: one GEMM per
-  label against its irrep stack (``irreps.irrep_stack``) forward, and a
-  synthesis against the stacks of all labels from one ``irreps._blocks_at``
-  request, evaluated per call.
+* finite rules (cyclic and dihedral) and hand-built rules: per label one
+  single-row product per member against its irrep stack
+  (``irreps.irrep_stack``) forward, and a synthesis against the stacks of
+  all labels from one ``irreps._blocks_at`` request, evaluated per call.
+
+Every kernel gives each member of a batch the numbers it gets alone: a row
+of an m-row pass equals the one-row pass bit for bit, so a batch of samples
+never changes a number (the stack kernels take one single-row product per
+member rather than one GEMM of all the rows, whose rounding depends on m).
 
 Off the grid, ``evaluate_at`` on su2 contracts one Euler-angle
 trigonometric tensor per spin parity and builds no D-matrix; every other
@@ -75,8 +81,6 @@ from .groups import (
     NeighborhoodSpec,
     QuadratureRule,
     ResolutionError,
-    _distance,
-    _identity_coords,
     _inverse,
     _multiply,
     _rows,
@@ -375,17 +379,30 @@ def random_band_limited_function(rule, band, seed=0, norm=1.0, name=""):
     Coefficient matrices have iid complex-normal entries (``_random_blocks``,
     labels in shell order), rescaled so that ||f||_2 equals ``norm``.
     Exactly band-limited, hence transform-exact on any rule with
-    safe_band >= band.
+    safe_band >= band.  The one row of ``_random_band_limited(rule, band,
+    [seed], norm)``: a function's values are the same in any batch.
     """
-    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
-    table = slot_table(irreps.shell_subset(rule.group, band).labels)
-    blocks, mass = _random_blocks(table, rng)
-    if norm is not None and mass > 0:
-        scale = norm / math.sqrt(mass)
-        blocks = [b * scale for b in blocks]
-    out = inverse(FourierCoefficients.from_blocks(rule.group, table, blocks), rule)
+    out = SampledFunction(rule, _random_band_limited(rule, band, [seed], norm)[0])
     out.name = name or f"rand(band={band})"
     return out
+
+
+def _random_band_limited(rule, band, seeds, norm=1.0):
+    """The (len(seeds), N) values of ``random_band_limited_function`` at
+    each seed (an integer or a Generator): every seed draws its own blocks
+    from its own stream, and all of them take one synthesis pass, in which
+    a member's values do not depend on the batch."""
+    table = slot_table(irreps.shell_subset(rule.group, band).labels)
+    drawn = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
+        blocks, mass = _random_blocks(table, rng)
+        if norm is not None and mass > 0:
+            scale = norm / math.sqrt(mass)
+            blocks = [b * scale for b in blocks]
+        drawn.append(blocks)
+    stacked = [np.stack(parts) for parts in zip(*drawn)]
+    return _inverse_blocks(rule, table, stacked, len(drawn))
 
 
 def forward(f, dual):
@@ -399,14 +416,20 @@ def forward_to_cutoff(f, cutoff=None):
     Defaults to safe_band(rule), the largest alias-free choice.  Raises
     ResolutionError if the requested cutoff exceeds it.
     """
-    band = safe_band(f.rule)
+    return forward(f, _cutoff_dual(f.rule, cutoff))
+
+
+def _cutoff_dual(rule, cutoff=None):
+    """The canonical dual enumeration of ``forward_to_cutoff``: to ``cutoff``,
+    by default safe_band(rule), and ResolutionError beyond that band."""
+    band = safe_band(rule)
     if cutoff is None:
         cutoff = band
     if band is not None and cutoff > band:
         raise ResolutionError(
-            f"cutoff {cutoff} exceeds alias-free band {band} of {f.rule.rule_id}"
+            f"cutoff {cutoff} exceeds alias-free band {band} of {rule.rule_id}"
         )
-    return forward(f, irreps.enumerate_dual(f.group, cutoff))
+    return irreps.enumerate_dual(rule.group, cutoff)
 
 
 def forward_batch(fs, dual):
@@ -459,14 +482,18 @@ def _kernels(rule):
 
 
 def _stack_forward(vals, table, rule):
-    """Per label one GEMM of conj(w * f) against the stack viewed as
-    (N, d*d); each block is conjugated and transposed back once, so no
-    conjugated copy of a stack is made."""
+    """Per label, one single-row product of each member's conj(w * f)
+    against the stack viewed as (N, d*d), all members in one ``np.matmul``
+    of (m, 1, N) rows over one ``irreps.irrep_stack`` call.  A member's
+    product is the one it gets alone, so its coefficients do not depend on
+    the batch (one GEMM of the m rows would change its rounding with m).
+    Each block is conjugated and transposed back once, so no conjugated copy
+    of a stack is made."""
     n, m = len(rule), len(vals)
-    cwf = np.conj(rule.weights * np.asarray(vals))
+    cwf = np.conj(rule.weights * np.asarray(vals))[:, None, :]
     blocks = []
     for d, labs in zip(table.dims, table.block_labels):
-        raw = np.empty((len(labs), m, d * d), dtype=complex)
+        raw = np.empty((len(labs), m, 1, d * d), dtype=complex)
         for k, lab in enumerate(labs):
             np.matmul(cwf, irreps.irrep_stack(lab, rule).reshape(n, d * d), out=raw[k])
         raw = raw.conj().reshape(len(labs), m, d, d).transpose(1, 0, 3, 2)
@@ -676,14 +703,16 @@ def _synthesize(table, blocks, m, n, mats):
     for m coefficient sets whose blocks are (m, n_b, d, d).
 
     ``mats`` holds per block the matrices at the n evaluation points,
-    (n, n_b, d, d).  tr(C P) = sum_ij C[i, j] P[j, i], so each block is one
-    product of the rows dim(pi) * C transposed and flattened, (m, n_b*d*d),
-    with the flattened (n, n_b*d*d) matrices.
+    (n, n_b, d, d).  tr(C P) = sum_ij C[i, j] P[j, i], so each block is, per
+    member, one single-row product of its row dim(pi) * C transposed and
+    flattened, (n_b*d*d,), with the flattened (n, n_b*d*d) matrices; one
+    ``np.matmul`` of (m, 1, n_b*d*d) rows makes them all, and a member's
+    values are the ones it gets alone, whatever the batch.
     """
     vals = np.zeros((m, n), dtype=complex)
     for d, block, mat in zip(table.dims, blocks, mats):
-        rows = (d * block.transpose(0, 1, 3, 2)).reshape(m, -1)
-        vals += rows @ mat.reshape(n, rows.shape[1]).T
+        rows = (d * block.transpose(0, 1, 3, 2)).reshape(m, 1, -1)
+        vals += np.matmul(rows, mat.reshape(n, rows.shape[2]).T)[:, 0]
     return vals
 
 
@@ -817,7 +846,7 @@ def _translated_nodes(rule, ys):
 def translate(f, y):
     """Right translation (R_y f)(x) = f(x y): the one row of
     ``translate_values(f, [y])``."""
-    return SampledFunction(f.rule, _translate_values(f, coords_of(f.group, [y]))[0])
+    return SampledFunction(f.rule, _translate_values(f.rule, f.values, coords_of(f.group, [y]))[0])
 
 
 def translate_values(f, ys):
@@ -831,36 +860,49 @@ def translate_values(f, ys):
     coefficient-side action per dimension block (``_right_action``) and one
     synthesis, exact for band-limited functions.
     """
-    return _translate_values(f, coords_of(f.group, ys))
+    return _translate_values(f.rule, f.values, coords_of(f.group, ys))
 
 
-def _translate_values(f, ys, table=None, blocks=None):
-    """``translate_values`` at the rows of a coordinate array ``ys``: the rows
-    of one ``_permutes`` mask gather the samples, the others take one
-    ``_right_action`` and one synthesis on f's transform at the rule's
-    alias-free band, as a slot table and blocks (made here if None and needed)."""
+def _translate_values(rule, vals, ys, table=None, blocks=None):
+    """``translate_values`` at the rows of a coordinate array ``ys``, of one
+    function's (N,) samples ``vals``, or pairwise: row k of an (m, N) ``vals``
+    translated by ``ys[k]``.  The rows of one ``_permutes`` mask gather the
+    samples; the others take one ``_right_action`` and one synthesis on the
+    transform at the rule's alias-free band, as a slot table and blocks,
+    (n_b, d, d) for one function and (m, n_b, d, d) pairwise, made here by
+    one ``_forward_blocks`` if None and needed."""
     m = _rows(ys)
     if m == 0:
-        return np.empty((0, len(f.rule)), dtype=complex)
-    hit = _permutes(f.rule, ys)
+        return np.empty((0, len(rule)), dtype=complex)
+
+    def gather(mask):
+        idx = _translated_nodes(rule, _take(ys, mask))
+        return vals[idx] if vals.ndim == 1 else np.take_along_axis(vals[mask], idx, axis=1)
+
+    hit = _permutes(rule, ys)
     if hit.all():
-        return f.values[_translated_nodes(f.rule, ys)]
+        return gather(slice(None))
     if table is None:
-        coeffs = forward_to_cutoff(f)
-        table, blocks = coeffs.table, coeffs.blocks
+        table = slot_table(tuple(_cutoff_dual(rule)))
+        blocks = _forward_blocks(rule, np.atleast_2d(vals), table)
+        blocks = [b[0] for b in blocks] if vals.ndim == 1 else blocks
     if not hit.any():
-        return _inverse_blocks(f.rule, table, _right_action(table, blocks, ys), m)
-    out = np.empty((m, len(f.rule)), dtype=complex)
-    out[hit] = f.values[_translated_nodes(f.rule, _take(ys, hit))]
+        return _inverse_blocks(rule, table, _right_action(table, blocks, ys), m)
+    out = np.empty((m, len(rule)), dtype=complex)
+    out[hit] = gather(hit)
+    if vals.ndim == 2:
+        blocks = [b[~hit] for b in blocks]
     moved = _right_action(table, blocks, _take(ys, ~hit))
-    out[~hit] = _inverse_blocks(f.rule, table, moved, m - int(hit.sum()))
+    out[~hit] = _inverse_blocks(rule, table, moved, m - int(hit.sum()))
     return out
 
 
 def _right_action(table, blocks, ys):
     """pi(y) @ coeff(pi) for every row y of the coordinate array ``ys`` and
     label of ``table``: per block, the (m, n_b, d, d) irrep matrices at the m
-    elements (one ``irreps._blocks_at`` request) times the (n_b, d, d) block."""
+    elements (one ``irreps._blocks_at`` request) times the block, one
+    (n_b, d, d) block for every element, or pairwise an (m, n_b, d, d) one
+    whose row k goes with element k."""
     mats = irreps._blocks_at(table.block_labels, ys)
     return [mat @ block for mat, block in zip(mats, blocks)]
 
@@ -918,7 +960,8 @@ def convolve(f, g, method="auto"):
         # entry (i, j) is f(x_i y_j^-1): the translates by the inverse nodes
         # re-index the samples, transposed and made C-contiguous
         rule = f.rule
-        moved = np.ascontiguousarray(_translate_values(f, _inverse(rule.group, rule.coords)).T)
+        moved = np.ascontiguousarray(
+            _translate_values(rule, f.values, _inverse(rule.group, rule.coords)).T)
         return SampledFunction(rule, moved @ (rule.weights * g.values))
     if method == "spectral":
         return _convolve_spectral(f, g)
@@ -937,7 +980,7 @@ def dirac_net_element(group, spec, rule):
     if not isinstance(spec, NeighborhoodSpec):
         spec = NeighborhoodSpec(float(spec))
     radius = spec.radius
-    mask = _distance(rule.group, _identity_coords(rule.group), rule.coords) <= radius + 1e-12
+    mask = rule._identity_distances <= radius + 1e-12
     mass = float(np.sum(rule.weights[mask]))
     if not mask.any() or mass <= 0.0:
         raise ResolutionError(

@@ -561,6 +561,14 @@ class QuadratureRule:
     def nodes(self):
         return tuple(points_of(self.group, self.coords))
 
+    @functools.cached_property
+    def _identity_distances(self):
+        """Every node's distance to the identity, computed once per rule
+        (``fourier.dirac_net_element`` reads it for each ball)."""
+        dist = _distance(self.group, _identity_coords(self.group), self.coords)
+        dist.setflags(write=False)
+        return dist
+
     def nodes_at(self, idx):
         """The nodes at the indices ``idx``, as a list of GroupPoint, without
         building the others."""

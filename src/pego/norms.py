@@ -77,17 +77,26 @@ class NormReport:
     truncated: bool
 
 
-def _schatten_stack(mats, p):
-    """Schatten p-norms (p >= 1 or inf) of a (..., d, d) stack: Frobenius
-    norms at p = 2, one batched ``svd`` otherwise."""
-    if p != math.inf and p < 1:
+def _schatten_stacks(mats, ps):
+    """Schatten norms of a (..., d, d) stack at each exponent of ``ps``
+    (each >= 1 or inf), in order: Frobenius norms at p = 2, and from one
+    batched ``svd``, shared by the other exponents, otherwise.  Each matrix
+    is reduced on its own, so a matrix's norms do not depend on the stack."""
+    if any(p != math.inf and p < 1 for p in ps):
         raise ValueError("schatten exponent must be >= 1 or inf")
-    if p == 2:
-        return np.sqrt(np.sum(np.abs(mats) ** 2, axis=(-2, -1)))
-    sv = np.linalg.svd(mats, compute_uv=False)
-    if p == math.inf:
-        return sv.max(axis=-1, initial=0.0)
-    return np.sum(sv**p, axis=-1) ** (1.0 / p)
+    sv = None
+    out = []
+    for p in ps:
+        if p == 2:
+            out.append(np.sqrt(np.sum(np.abs(mats) ** 2, axis=(-2, -1))))
+            continue
+        if sv is None:
+            sv = np.linalg.svd(mats, compute_uv=False)
+        if p == math.inf:
+            out.append(sv.max(axis=-1, initial=0.0))
+        else:
+            out.append(np.sum(sv**p, axis=-1) ** (1.0 / p))
+    return out
 
 
 def schatten_norm(mat, p):
@@ -95,20 +104,29 @@ def schatten_norm(mat, p):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("schatten_norm expects a square matrix")
-    return float(_schatten_stack(mat[None], p)[0])
+    return float(_schatten_stacks(mat[None], [p])[0][0])
 
 
 def _schatten_table(table, blocks, p, where=None):
     """Schatten p-norms of the labels at the positions ``where`` of ``table``
-    (default: all), in that order, as a (..., len(where)) array from the
-    table's (..., n_b, d, d) blocks with any leading axes."""
+    (``_schatten_tables`` at the one exponent)."""
+    return _schatten_tables(table, blocks, [p], where)[0]
+
+
+def _schatten_tables(table, blocks, ps, where=None):
+    """Schatten norms at each exponent of ``ps`` of the labels at the
+    positions ``where`` of ``table`` (default: all), in that order, as one
+    (..., len(where)) array per exponent from the table's (..., n_b, d, d)
+    blocks with any leading axes: one ``_schatten_stacks`` pass per block."""
     where = np.arange(len(table.labels)) if where is None else where
     lead = blocks[0].shape[:-3] if blocks else ()
-    out = np.empty(lead + (len(where),))
+    out = [np.empty(lead + (len(where),)) for _ in ps]
     for b, block in enumerate(blocks):
         mine = np.flatnonzero(table.block_of[where] == b)
         if mine.size:
-            out[..., mine] = _schatten_stack(block[..., table.pos_of[where[mine]], :, :], p)
+            per = _schatten_stacks(block[..., table.pos_of[where[mine]], :, :], ps)
+            for dst, src in zip(out, per):
+                dst[..., mine] = src
     return out
 
 
@@ -244,28 +262,53 @@ def hausdorff_young_checks(f, cases, cutoff=None, slack=1e-10):
     the rule's alias-free band), once, and every case reads its norms from
     that one transform.  For band-limited f within that band both sides are
     exact and the inequalities are theorems; the ``truncated`` flag marks
-    dual-side sums that cannot be certified complete.
+    dual-side sums that cannot be certified complete.  The one row of
+    ``_hausdorff_young_batch``: a function's checks are the same in any
+    batch.
+    """
+    return _hausdorff_young_batch(f.rule, f.values[None], cases, cutoff, slack)[0]
+
+
+def _hausdorff_young_batch(rule, vals, cases, cutoff=None, slack=1e-10):
+    """``hausdorff_young_checks`` of every row of the (m, N) samples
+    ``vals``, one list of checks per row.
+
+    All rows take one forward pass; one ``_schatten_tables`` pass per block
+    gives the dual-side norms at every exponent and direction (one
+    singular-value pass, Frobenius norms at p = 2), and each function-side
+    exponent one ``lp_value_norms`` pass.  Every norm is reduced row by row,
+    so a row's checks do not depend on the batch.
     """
     cases = [(ExponentPair.of(pair), direction) for pair, direction in cases]
     if any(direction not in ("forward", "reverse") for _, direction in cases):
         raise ValueError("direction must be 'forward' or 'reverse'")
-    coeffs = fourier.forward_to_cutoff(f, cutoff)
+    table = fourier.slot_table(tuple(fourier._cutoff_dual(rule, cutoff)))
+    blocks = fourier._forward_blocks(rule, vals, table)
+    # (dual-side, function-side) exponents of each case
+    sides = [(pair.p_conj, pair.p) if direction == "forward" else (pair.p, pair.p_conj)
+             for pair, direction in cases]
+    dual_ps = list(dict.fromkeys(dual_p for dual_p, _ in sides))
+    where = np.arange(len(table.labels))
+    dual = {p: _lp_sums(table, where, per, p)
+            for p, per in zip(dual_ps, _schatten_tables(table, blocks, dual_ps))}
+    func = {p: lp_value_norms(rule.weights, vals, p)
+            for p in dict.fromkeys(func_p for _, func_p in sides)}
+    truncated = not rule.group.is_finite
     out = []
-    for pair, direction in cases:
-        if direction == "forward":
-            dual_side = lp_oplus_norm(coeffs, pair.p_conj)
-            lhs, rhs = dual_side.value, lp_function_norm(f, pair.p)
-        else:
-            dual_side = lp_oplus_norm(coeffs, pair.p)
-            lhs, rhs = lp_function_norm(f, pair.p_conj), dual_side.value
-        out.append(HausdorffYoungCheck(
-            direction,
-            pair.p,
-            pair.p_conj,
-            lhs,
-            rhs,
-            slack,
-            lhs <= rhs + slack,
-            dual_side.truncated,
-        ))
+    for k in range(len(vals)):
+        row = []
+        for (pair, direction), (dual_p, func_p) in zip(cases, sides):
+            dual_side, func_side = float(dual[dual_p][k]), float(func[func_p][k])
+            lhs, rhs = (dual_side, func_side) if direction == "forward" else (func_side, dual_side)
+            row.append(HausdorffYoungCheck(
+                direction,
+                pair.p,
+                pair.p_conj,
+                lhs,
+                rhs,
+                slack,
+                lhs <= rhs + slack,
+                truncated,
+            ))
+        out.append(row)
     return out

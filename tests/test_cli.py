@@ -770,3 +770,23 @@ def test_parser_is_built_once_and_commands_are_looked_up_per_call(tmp_path, caps
     assert rc == 0 and out == ""
     assert seen == ["lemma32"]
     assert builds == [1]
+
+
+def test_verify_refuses_a_finite_group_beyond_the_budget_before_its_dual(
+        tmp_path, capsys, monkeypatch):
+    """A finite group's rule does not depend on the cutoff, so it is built
+    first: a group beyond the node budget exits 2 before the dual is
+    enumerated for the default cutoff."""
+    from pego import groups, irreps
+
+    monkeypatch.setattr(groups, "_NODE_BUDGET", 100)
+
+    def refused(*args, **kwargs):
+        pytest.fail("the dual was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_dual", refused)
+    monkeypatch.setattr(irreps, "enumerate_dual", refused)
+    rc, _, err = run(capsys, "verify", "--suite", "identities", "--group", "cyclic:200000",
+                     "--out", str(tmp_path))
+    assert rc == 2
+    assert "cyclic:200000 at resolution 1 needs 200000 quadrature nodes" in err

@@ -19,6 +19,7 @@ from pego import (
     GroupMismatchError,
     NeighborhoodSpec,
     NotPrecompactError,
+    QuadratureRule,
     boundedness,
     builtin_family,
     cyclic,
@@ -30,6 +31,7 @@ from pego import (
     forward_batch,
     haar_quadrature,
     lemma31_bound_check,
+    lemma31_bound_checks,
     lemma32_bound_check,
     lp_function_norm,
     lp_oplus_norm,
@@ -537,3 +539,26 @@ def test_family_spec_validation():
         FamilySpec([f, g], name="mixed")
     with pytest.raises(ValueError):
         FamilySpec([f], name="bad_space", param_space="open")
+
+
+def test_lemma31_checks_on_one_rule_take_the_node_distances_once(monkeypatch):
+    """The Dirac element reads every node's distance to e from its rule,
+    which computes them on first use: two Lemma 3.1 checks at two radii on
+    one fresh rule make one ``groups._distance`` call between them."""
+    from pego import groups
+
+    base = haar_quadrature(product(torus(1), su2()), 5)
+    rule = QuadratureRule(base.group, base.coords, base.weights, base.exactness_degree,
+                          base.resolution, base.meta)
+    f = random_band_limited_function(rule, 2, seed=3)
+    calls = []
+    real = groups._distance
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_distance", counted)
+    for radius in (0.5, 1.0):
+        lemma31_bound_checks(f, radius, [1.0, 2.0], cutoff=2)
+    assert len(calls) == 1

@@ -652,3 +652,81 @@ def test_tail_profile_equals_per_step_plancherel_residual():
     )
     fam = builtin_family("matrix_entry_span", rule, {"shell": 8, "count": 5})
     _assert_profile_is_per_step_residual(fam, filtration)
+
+
+def _hand_built_su2():
+    """An su2 rule built by hand (no kind) on the Euler nodes times a fixed
+    element: it takes the stack kernels."""
+    from pego import QuadratureRule, coords_of
+    from pego.groups import _multiply
+
+    rule = haar_quadrature(su2(), 3)
+    y = coords_of(rule.group, [point(rule.group, (0.6, -0.2, 0.7, 0.3316624790355399))])
+    return QuadratureRule(rule.group, _multiply(rule.group, rule.coords, y), rule.weights,
+                          rule.exactness_degree, rule.resolution)
+
+
+_BATCH_RULES = {
+    "cyclic:7": lambda: haar_quadrature(cyclic(7)),
+    "dihedral:9": lambda: haar_quadrature(dihedral(9)),
+    "torus:2": lambda: haar_quadrature(torus(2), 11),
+    "su2": lambda: haar_quadrature(su2(), 4),
+    "product(torus:1,su2)": lambda: haar_quadrature(product(torus(1), su2()), 5),
+    "product(cyclic:4,dihedral:6)": lambda: haar_quadrature(product(cyclic(4), dihedral(6))),
+    "su2 hand-built": _hand_built_su2,
+}
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("name", list(_BATCH_RULES))
+def test_a_members_transform_does_not_depend_on_its_batch(name, twisted):
+    """Every row of a 7-row ``_forward_blocks`` and ``_inverse_blocks`` call
+    equals the one-row call of that member bit for bit, plain and under
+    basis_twist: the batched verify suites rely on it."""
+    rule = _BATCH_RULES[name]()
+    table = fourier.slot_table(tuple(enumerate_dual(rule.group, safe_band(rule))))
+    rng = np.random.default_rng(21)
+    vals = rng.normal(size=(7, len(rule))) + 1j * rng.normal(size=(7, len(rule)))
+    twist = basis_twist(rule.group, safe_band(rule), 6) if twisted else contextlib.nullcontext()
+    with twist:
+        blocks = fourier._forward_blocks(rule, vals, table)
+        synth = fourier._inverse_blocks(rule, table, blocks, 7)
+        for k in range(7):
+            alone = fourier._forward_blocks(rule, vals[k : k + 1], table)
+            for b, a in zip(blocks, alone):
+                assert np.array_equal(b[k], a[0])
+            one = fourier._inverse_blocks(rule, table, [b[k : k + 1] for b in blocks], 1)
+            assert np.array_equal(synth[k], one[0])
+
+
+@pytest.mark.parametrize("group, res, band", [
+    (product(torus(1), su2()), 5, 2),
+    (product(su2(), cyclic(3)), 3, 2),
+])
+def test_translate_matches_its_spectral_action_off_the_grid_on_products(group, res, band):
+    """hat(R_y f)(pi) = pi(y) @ fhat(pi) at seeded off-grid elements of a
+    product with an su2 factor, and the translate is the synthesis of that
+    action."""
+    from pego import irrep_matrix
+
+    rule = haar_quadrature(group, res)
+    f = random_band_limited_function(rule, band, seed=17)
+    fc = forward_to_cutoff(f)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        parts = []
+        for factor in group.factors:
+            if factor.family == "su2":
+                q = rng.normal(size=4)
+                parts.append(tuple(q / np.linalg.norm(q)))
+            elif factor.family == "torus":
+                parts.append(tuple(rng.uniform(0, 2 * math.pi, size=factor.n)))
+            else:
+                parts.append((int(rng.integers(factor.n)),))
+        y = point(group, tuple(parts))
+        moved = translate(f, y)
+        spectral = translate_spectral(fc, y)
+        npt.assert_allclose(moved.values, inverse_transform(spectral, rule).values, atol=1e-11)
+        lhs = forward_to_cutoff(moved)
+        for lab in fc.labels:
+            npt.assert_allclose(lhs[lab], irrep_matrix(lab, y) @ fc[lab], atol=1e-11)

@@ -12,6 +12,7 @@ from pego import (
     GroupMismatchError,
     NeighborhoodSpec,
     basis_twist,
+    coords_of,
     cyclic,
     dihedral,
     dirac_net_element,
@@ -122,3 +123,23 @@ def test_lemma31_transforms_f_once_per_block_not_per_node(monkeypatch):
     blocks = -(-chk.support_size // per_block)
     assert 1 <= len(calls) <= blocks < chk.support_size
 
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_pairwise_translates_are_each_rows_own_translate(name):
+    """Row k of a pairwise ``_translate_values`` (an (m, N) array of samples
+    with one element per row) is ``translate`` of sample k by element k, bit
+    for bit, though one batch of elements mixes re-indexed grid nodes and
+    off-grid elements."""
+    group, res = GROUPS[name]
+    rule = haar_quadrature(group, res)
+    ys = _elements(rule)
+    fs = [random_band_limited_function(rule, _band(rule), seed=40 + k) for k in range(len(ys))]
+    vals = np.stack([f.values for f in fs])
+    coeffs = fourier.forward_batch(fs, enumerate_dual(group, safe_band(rule)))
+    blocks = [np.stack(parts) for parts in zip(*(c.blocks for c in coeffs))]
+    coords = coords_of(group, ys)
+    for table, blks in ((None, None), (coeffs[0].table, blocks)):
+        got = fourier._translate_values(rule, vals, coords, table, blks)
+        for k, (f, y) in enumerate(zip(fs, ys)):
+            assert np.array_equal(got[k], translate(f, y).values)

@@ -1,10 +1,11 @@
-"""The inequality suites of ``pego verify`` check each sample at every
-exponent in one pass: one synthesis per sample, one transform shared by all
-exponents and directions, and for Lemma 3.1 one sweep of translates over the
-ball.  The oracles here are the suites' exponent-outer loops, which check one
-(exponent, sample) at a time through the single-check functions; the batched
-suites must give the same check lists, and every batch entry must equal its
-single check field by field."""
+"""The inequality suites of ``pego verify`` check every sample at every
+exponent in one batch: one synthesis of all samples, and for
+Hausdorff-Young and Lemma 3.2 one transform of all of them shared by every
+exponent and direction; Lemma 3.1 checks each sample by one call, with one
+sweep of translates over the ball.  The oracles here are the suites'
+exponent-outer loops, which check one (exponent, sample) at a time through
+the single-check functions; the batched suites must give the same check
+lists, and every batch entry must equal its single check field by field."""
 
 import dataclasses
 import importlib.util
@@ -248,26 +249,39 @@ def test_lemma32_batch_takes_its_translates_in_bounded_blocks(monkeypatch, cutof
         _same_fields(chk, lemma32_bound_check(f, y, subset, p, cutoff))
 
 
+def _on(rule, calls):
+    """The recorded calls made on ``rule`` itself, not on a product's factor rules."""
+    return sum(r is rule for r in calls)
+
+
 def test_lemma31_suite_synthesizes_and_transforms_once_per_sample(monkeypatch):
+    """One synthesis of all three samples, and besides it one of each block
+    of a ball's translates; per sample one forward of f and one of the
+    Dirac element, which the sweep shares at the alias-free band."""
     rule, cutoff, _ = _product_case()
-    syntheses = _count(monkeypatch, "inverse_batch")
-    forwards = _count(monkeypatch, "forward_batch")
+    syntheses = _count(monkeypatch, "_inverse_blocks")
+    forwards = _count(monkeypatch, "_forward_blocks")
+    sweeps = _count(monkeypatch, "_translate_values")
     cli._suite_lemma31(rule, cutoff, 3, 7, [1.0, 1.5, 2.0])
-    assert len(syntheses) == 3
-    assert len(forwards) == 2 * 3  # per sample: f and the Dirac element
+    assert _on(rule, syntheses) == 1 + len(sweeps)
+    assert _on(rule, forwards) == 2 * 3
 
 
 def test_lemma32_and_hausdorff_young_suites_share_work_across_exponents(monkeypatch):
+    """Each suite synthesizes its three samples in one pass and transforms
+    them in one.  Lemma 3.2 takes the nine (sample, element) translates in
+    one sweep block (9 x 6930 sampled values fit in one), which makes the
+    one other synthesis; Hausdorff-Young makes none."""
     rule, cutoff, _ = _product_case()
-    syntheses = _count(monkeypatch, "inverse_batch")
-    forwards = _count(monkeypatch, "forward_batch")
+    syntheses = _count(monkeypatch, "_inverse_blocks")
+    forwards = _count(monkeypatch, "_forward_blocks")
     translates = _count(monkeypatch, "_translate_values")
     cli._suite_lemma32(rule, cutoff, 3, 7, [1.0, 1.5, 2.0])
-    assert (len(syntheses), len(forwards), len(translates)) == (3, 3, 3)
+    assert (_on(rule, syntheses), _on(rule, forwards), len(translates)) == (2, 1, 1)
     syntheses.clear()
     forwards.clear()
     cli._suite_hausdorff_young(rule, cutoff, 3, 7, [1.0, 4.0 / 3.0, 2.0])
-    assert (len(syntheses), len(forwards)) == (3, 3)
+    assert (_on(rule, syntheses), _on(rule, forwards)) == (1, 1)
 
 
 # -- sample counts ----------------------------------------------------------------

@@ -11,7 +11,9 @@ each tree, one child process runs through ``pego.cli.main``:
   verify workload's cutoffs, resolutions and samples; then, at seed 1, the
   three inequality suites (hausdorff_young, lemma31, lemma32) with
   ``--p 1.5`` on su2 and product(torus:1,su2), where each sample is checked
-  at one exponent, and lemma32 on su2 with ``--samples 1``;
+  at one exponent, and the four sample suites (identities and the three
+  inequality suites) on the four groups with ``--samples 1`` and with
+  ``--samples 7``, batches of one sample and of more than the workload's;
 * the two commands of acceptance criterion 10 (``verify --suite schur`` on
   dihedral:3 and ``diagnose`` of a dihedral:3 matrix-entry span);
 * the finite-product case: ``verify`` of the five suites on the groups of
@@ -121,8 +123,11 @@ DIAGNOSE_SEED = 1
 # of the grid
 VERIFY_EXTRA = tuple((suite, group, {"--p": "1.5"})
                      for suite in ("hausdorff_young", "lemma31", "lemma32")
-                     for group in ("su2", "product(torus:1,su2)")) + (
-    ("lemma32", "su2", {"--samples": "1"}),)
+                     for group in ("su2", "product(torus:1,su2)"))
+# The suites that draw samples, run at seed 1 on every verify group with
+# each of these sample counts, after ``VERIFY_EXTRA``.
+SAMPLE_SUITES = ("identities", "hausdorff_young", "lemma31", "lemma32")
+SAMPLE_COUNTS = ("1", "7")
 CRITERION10_FAMILY = {"group": "dihedral:3", "kind": "matrix_entry_span",
                       "params": {"shell": 3, "count": 8}}
 # (case name, group, cutoff) of the library section; 64 random points each.
@@ -213,7 +218,9 @@ def _cases(workloads):
             for seed in SEEDS:
                 out.append(("verify", f"{suite}-{group}-s{seed}",
                             verify_argv(suite, group, seed), None))
-    for suite, group, extra in VERIFY_EXTRA:
+    sample_runs = tuple((suite, group, {"--samples": count}) for count in SAMPLE_COUNTS
+                        for group, _, _ in workloads.VERIFY_GROUPS for suite in SAMPLE_SUITES)
+    for suite, group, extra in VERIFY_EXTRA + sample_runs:
         out.append(("verify", f"{suite}-{group}-s1" + "".join(k + v for k, v in extra.items()),
                     verify_argv(suite, group, 1, extra), None))
     out.append(("criterion10", "verify", ["verify", "--suite", "schur", "--group",
