@@ -19,26 +19,30 @@ import sys
 
 import numpy as np
 
+from . import compactness
 from . import serialize as ser
 from .compactness import (
     CoherenceError,
+    _lemma31_batch,
     _lemma32_batch,
-    lemma31_bound_checks,
     pego_verdicts,
 )
 from .fourier import (
     FourierCoefficients,
     SampledFunction,
+    _convolve_blocks,
     _cutoff_dual,
+    _direct_convolution,
     _forward_blocks,
     _inverse_blocks,
+    _permutes,
     _random_band_limited,
     _right_action,
+    _translate_values,
     convolve,
     forward_to_cutoff,
     safe_band,
     slot_table,
-    translate,
 )
 from .groups import (
     ResolutionError,
@@ -186,36 +190,72 @@ def _checks(rows, rhs):
             for name, (lhs, ok) in worst.items()]
 
 
+def _sample_chunks(rule, samples):
+    """The sample indices of a suite in chunks of at most
+    ``compactness._TRANSLATE_BLOCK_VALUES`` sampled values, at least one
+    sample each, so the memory a batch takes does not grow with
+    ``--samples``; a sample's numbers do not depend on its chunk."""
+    per = max(1, compactness._TRANSLATE_BLOCK_VALUES // len(rule))
+    return [range(lo, min(lo + per, samples)) for lo in range(0, samples, per)]
+
+
 def _suite_identities(rule, cutoff, samples, seed):
-    """The transform identities on each sample pair (f, g).  All samples
-    are synthesized in one pass and transformed in one; their roundtrip is
-    one synthesis, and their convolutions, translates and linear
-    combinations (one ``convolve`` and one ``translate`` call per sample)
-    share a second forward pass."""
+    """The transform identities on each sample pair (f, g), with the
+    elements and weights of all samples drawn first, a chunk of samples
+    at a time (``_identity_rows``)."""
     rng = np.random.default_rng(seed)
-    table = slot_table(tuple(_cutoff_dual(rule, cutoff)))
-    # the f samples, then the g samples
-    seeds = [seed + 17 * k + j for j in (1, 2) for k in range(samples)]
-    values = _random_band_limited(rule, cutoff, seeds)
-    coeffs = _forward_blocks(rule, values, table)
-    fblocks, gblocks = [b[:samples] for b in coeffs], [b[samples:] for b in coeffs]
-    fv = values[:samples]
-    back = _inverse_blocks(rule, table, fblocks, samples)
-    l2s = lp_value_norms(rule.weights, fv, 2)
     ys, weights = [], []
     for _ in range(samples):
         ys += _random_nodes(rule, 1, rng)
         weights.append(rng.standard_normal(2))
-    fs = [SampledFunction(rule, v) for v in values[:samples]]
-    gs = [SampledFunction(rule, v) for v in values[samples:]]
-    moved = [translate(f, y) for f, y in zip(fs, ys)]
+    rows = []
+    for chunk in _sample_chunks(rule, samples):
+        # the f samples, then the g samples
+        seeds = [seed + 17 * k + j for j in (1, 2) for k in chunk]
+        rows += _identity_rows(rule, cutoff, seeds, [ys[k] for k in chunk],
+                               [weights[k] for k in chunk])
+    return _checks(rows, _IDENTITY_TOL)
+
+
+def _identity_rows(rule, cutoff, seeds, ys, weights):
+    """The identity rows of the sample pairs (f_k, g_k) drawn from the seeds
+    (the f seeds, then the g seeds) with translate elements ``ys`` and
+    linear weights ``weights``.  All samples are synthesized in one pass
+    and transformed in one.  Their roundtrip is one synthesis; the
+    translates are one pairwise ``fourier._translate_values``, and on
+    spectral rules the convolutions one ``_convolve_blocks``, both on the
+    transform at the alias-free band: the first pass when the cutoff is the
+    band, else one band pass of all samples, taken only when it is needed.
+    The convolutions, translates and linear combinations share a second
+    forward pass."""
+    m = len(ys)
+    table = slot_table(tuple(_cutoff_dual(rule, cutoff)))
+    values = _random_band_limited(rule, cutoff, seeds)
+    coeffs = _forward_blocks(rule, values, table)
+    fblocks, gblocks = [b[:m] for b in coeffs], [b[m:] for b in coeffs]
+    fv, gv = values[:m], values[m:]
+    back = _inverse_blocks(rule, table, fblocks, m)
+    l2s = lp_value_norms(rule.weights, fv, 2)
+    coords = coords_of(rule.group, ys)
+    direct = _direct_convolution(rule)
+    band_table = fband = gband = None
+    if not direct or not _permutes(rule, coords).all():
+        band_table = slot_table(tuple(_cutoff_dual(rule)))
+        band = coeffs if band_table is table else _forward_blocks(rule, values, band_table)
+        fband, gband = [b[:m] for b in band], [b[m:] for b in band]
+    moved = _translate_values(rule, fv, coords, band_table, fband)
+    if direct:
+        convs = [convolve(SampledFunction(rule, f), SampledFunction(rule, g)).values
+                 for f, g in zip(fv, gv)]
+    else:
+        convs = _convolve_blocks(rule, band_table, fband, gband)
     second = np.concatenate([
-        [convolve(f, g).values for f, g in zip(fs, gs)],
-        [m.values for m in moved],
-        [f.values * complex(a) + g.values * complex(b) for f, g, (a, b) in zip(fs, gs, weights)],
+        convs,
+        moved,
+        [f * complex(a) + g * complex(b) for f, g, (a, b) in zip(fv, gv, weights)],
     ])
     hbl, tbl, cbl = zip(*(np.split(b, 3) for b in _forward_blocks(rule, second, table)))
-    ts = _right_action(table, fblocks, coords_of(rule.group, ys))
+    ts = _right_action(table, fblocks, coords)
     rows = []
     for k, (a, b) in enumerate(weights):
         fc, gc, hc, tc, tsk, combc = ([blk[k] for blk in part] for part in (
@@ -223,7 +263,7 @@ def _suite_identities(rule, cutoff, samples, seed):
         mass = FourierCoefficients.from_blocks(rule.group, table, fc).head_mass(table.labels)
         l2 = float(l2s[k])
         base = rule.integrate(fv[k])
-        left = rule.integrate(moved[k].values)
+        left = rule.integrate(moved[k])
         rows += [
             ("roundtrip", float(np.max(np.abs(back[k] - fv[k]))), True),
             ("plancherel_rel", abs(mass - l2 ** 2) / l2 ** 2, True),
@@ -232,41 +272,44 @@ def _suite_identities(rule, cutoff, samples, seed):
             ("linearity", _max_gap(combc, [a * fb + b * gb for fb, gb in zip(fc, gc)]), True),
             ("haar_invariance", abs(left - base), True),
         ]
-    return _checks(rows, _IDENTITY_TOL)
+    return rows
 
 
-# The three inequality suites synthesize all their samples in one pass
-# (``fourier._random_band_limited``).  Hausdorff-Young and Lemma 3.2 then
-# check every sample at every exponent in one batch (one forward pass, and
-# for Lemma 3.2 one sweep of translates); Lemma 3.1 checks each sample at
-# every exponent by one call.  A sample's numbers do not depend on its
-# batch, and every sample gives one (name, margin, ok) row per exponent,
-# which ``_checks`` reduces to the worst margin of each name in sample order.
+# The three inequality suites take their samples a chunk at a time
+# (``_sample_chunks``) and synthesize a chunk in one pass
+# (``fourier._random_band_limited``).  Each then checks every sample of the
+# chunk at every exponent in one batch: one forward pass of the samples,
+# for Lemma 3.2 and Lemma 3.1 one sweep of translates of every (sample,
+# element) pair, and for Lemma 3.1 one Dirac element, transform and set A
+# per distinct ball radius.  A sample's numbers do not depend on its batch,
+# and every sample gives one (name, margin, ok) row per exponent, which
+# ``_checks`` reduces to the worst margin of each name in sample order.
 
 def _suite_hausdorff_young(rule, cutoff, samples, seed, p_values):
     cases = [(ExponentPair.of(p), direction) for p in p_values
              for direction in ("forward", "reverse")]
-    vals = _random_band_limited(rule, cutoff, [seed + 31 * k for k in range(samples)])
     rows = []
-    for chks in _hausdorff_young_batch(rule, vals, cases, cutoff=cutoff):
-        for p, fwd, rev in zip(p_values, chks[::2], chks[1::2]):
-            m_fwd, m_rev = fwd.lhs - fwd.rhs, rev.lhs - rev.rhs
-            rows += [(f"forward_p={p:g}", m_fwd, True), (f"reverse_p={p:g}", m_rev, True)]
-            if p == 2.0:
-                rows.append(("equality_p=2", max(abs(m_fwd), abs(m_rev)), True))
+    for chunk in _sample_chunks(rule, samples):
+        vals = _random_band_limited(rule, cutoff, [seed + 31 * k for k in chunk])
+        for chks in _hausdorff_young_batch(rule, vals, cases, cutoff=cutoff):
+            for p, fwd, rev in zip(p_values, chks[::2], chks[1::2]):
+                m_fwd, m_rev = fwd.lhs - fwd.rhs, rev.lhs - rev.rhs
+                rows += [(f"forward_p={p:g}", m_fwd, True), (f"reverse_p={p:g}", m_rev, True)]
+                if p == 2.0:
+                    rows.append(("equality_p=2", max(abs(m_fwd), abs(m_rev)), True))
     return _checks(rows, _IDENTITY_TOL)
 
 
 def _suite_lemma31(rule, cutoff, samples, seed, p_values):
     radii = _BALL_RADII[rule.group.family]
     pairs = [ExponentPair.of(p) for p in p_values]
-    vals = _random_band_limited(rule, cutoff, [seed + 13 * k for k in range(samples)])
     rows = []
-    for k, v in enumerate(vals):
-        delta = radii[k % len(radii)]
-        chks = lemma31_bound_checks(SampledFunction(rule, v), delta, pairs, cutoff=cutoff)
-        rows += [(f"tail_le_2sup_p={p:g}", chk.tail - chk.rhs, chk.satisfied)
-                 for p, chk in zip(p_values, chks)]
+    for chunk in _sample_chunks(rule, samples):
+        vals = _random_band_limited(rule, cutoff, [seed + 13 * k for k in chunk])
+        balls = [radii[k % len(radii)] for k in chunk]
+        for chks in _lemma31_batch(rule, vals, balls, pairs, cutoff=cutoff):
+            rows += [(f"tail_le_2sup_p={p:g}", chk.tail - chk.rhs, chk.satisfied)
+                     for p, chk in zip(p_values, chks)]
     return _checks(rows, _LEMMA_SLACK)
 
 
@@ -276,16 +319,17 @@ def _suite_lemma32(rule, cutoff, samples, seed, p_values):
     pairs = [ExponentPair.of(p) for p in p_values]
     # the elements are drawn exponent by exponent, sample by sample
     ys = [[_random_nodes(rule, 1, rng)[0] for _ in range(samples)] for _ in pairs]
-    vals = _random_band_limited(rule, cutoff, [seed + 7 * k for k in range(samples)])
-    cases = []
-    for k in range(samples):
-        A = shell_subset(rule.group, min(1 + k % 2, max_shell), cutoff=cutoff)
-        cases.append([(ys[i][k], A, pair) for i, pair in enumerate(pairs)])
     rows = []
-    for chks in _lemma32_batch(rule, vals, cases, cutoff=cutoff):
-        rows += [(f"lhs_le_head_plus_tail_p={p:g}",
-                  chk.lhs - (chk.head_term + chk.tail_term), chk.satisfied)
-                 for p, chk in zip(p_values, chks)]
+    for chunk in _sample_chunks(rule, samples):
+        vals = _random_band_limited(rule, cutoff, [seed + 7 * k for k in chunk])
+        cases = []
+        for k in chunk:
+            A = shell_subset(rule.group, min(1 + k % 2, max_shell), cutoff=cutoff)
+            cases.append([(ys[i][k], A, pair) for i, pair in enumerate(pairs)])
+        for chks in _lemma32_batch(rule, vals, cases, cutoff=cutoff):
+            rows += [(f"lhs_le_head_plus_tail_p={p:g}",
+                      chk.lhs - (chk.head_term + chk.tail_term), chk.satisfied)
+                     for p, chk in zip(p_values, chks)]
     return _checks(rows, _LEMMA_SLACK)
 
 

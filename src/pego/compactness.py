@@ -19,8 +19,10 @@ as blocks with a leading member axis (``_Spectrum``) read in place.
 The two quantitative implications are exposed
 as `lemma31_bound_checks` (equicontinuity controls the tail through a Dirac
 net element) and `lemma32_bound_checks` (a head/tail split controls the
-modulus), with one-case faces `lemma31_bound_check` and `lemma32_bound_check`.
-Their moduli ||R_y f - f|| come from one batched translate sweep
+modulus), with one-case faces `lemma31_bound_check` and `lemma32_bound_check`,
+each the one row of a batch over many functions (``_lemma31_batch``,
+``_lemma32_batch``), which ``pego verify`` calls.  Their moduli
+||R_y f - f|| come from one batched translate sweep
 (``fourier._translate_values``); the continuity profile reads them at p = 2
 from the coefficients by Plancherel instead (``ContinuityProfile.path``).
 The verdict engine requires the sampled flags to agree, raising a diagnostic
@@ -404,7 +406,7 @@ def equicontinuity_profile(family, mesh=None, ball_samples=8, p=2.0, seed=0):
         per_point = _spectral_moduli(family._band_spectrum, pool)
     else:
         spectrum = family._band_spectrum
-        per_point = np.stack([_translation_moduli(f, pool, [p], spectrum.table, mine)[0]
+        per_point = np.stack([_moduli(family.rule, f.values, pool, [p], spectrum.table, mine)[0]
                               for f, mine in zip(family.members, zip(*spectrum.blocks))])
     # the points within a radius are a prefix of the pool sorted by
     # distance, so each ball's sup is a running max read at its prefix end
@@ -460,18 +462,6 @@ def _spectral_moduli(spectrum, ys):
     return np.sqrt(acc + 4.0 * spectrum.beyond[:, None])
 
 
-def _translation_moduli(f, ys, ps, table=None, blocks=None):
-    """||R_y f - f||_p for every p of ``ps`` (rows) and every row y of the
-    coordinate array ``ys`` (columns), in order: ``_moduli`` of one function
-    f, with f's transform at the alias-free band as its slot table ``table``
-    and (n_b, d, d) ``blocks``, made up front when None and some element
-    does not permute the nodes."""
-    if table is None and not fourier._permutes(f.rule, ys).all():
-        coeffs = fourier.forward_to_cutoff(f)
-        table, blocks = coeffs.table, coeffs.blocks
-    return _moduli(f.rule, f.values, ys, ps, table, blocks)
-
-
 def _moduli(rule, vals, ys, ps, table, blocks, owner=None):
     """||R_y f - f||_p for every p of ``ps`` (rows) and every row y of the
     coordinate array ``ys`` (columns), in order.  f is the one function of
@@ -507,14 +497,36 @@ def _moduli(rule, vals, ys, ps, table, blocks, owner=None):
     return out
 
 
-def _lemma_transform(f, cutoff):
-    """(fc, band): f's transform against the dual at ``cutoff`` (default: the
-    alias-free band) and, when that is the band, its slot table and blocks
-    for the translates to share, else (None, None)."""
-    if cutoff not in (None, fourier.safe_band(f.rule)):
-        return fourier.forward(f, irreps.enumerate_dual(f.group, cutoff)), (None, None)
-    fc = fourier.forward_to_cutoff(f)
-    return fc, (fc.table, fc.blocks)
+def _lemma_pass(rule, vals, cutoff):
+    """(table, blocks, band): the one forward pass of the (m, N) samples
+    ``vals`` in both lemma batches, against the canonical dual at ``cutoff``
+    (default: the alias-free band), enumerated and not refused beyond the
+    band; ``band`` is (table, blocks) when that is the band, else None."""
+    shared = cutoff in (None, fourier.safe_band(rule))
+    labels = fourier._cutoff_dual(rule) if shared else irreps.enumerate_dual(rule.group, cutoff)
+    table = fourier.slot_table(tuple(labels))
+    blocks = fourier._forward_blocks(rule, vals, table)
+    return table, blocks, (table, blocks) if shared else None
+
+
+def _swept_moduli(rule, vals, ys, ps, owner, band):
+    """``_moduli`` of every (row owner[k], element ys[k]) pair at every p of
+    ``ps``, on the rows' transform at the alias-free band ``band`` (a slot
+    table and its blocks); when it is None and some element does not permute
+    the nodes, one forward pass of all rows at the band is made here."""
+    if band is None and not fourier._permutes(rule, ys).all():
+        band_table = fourier.slot_table(tuple(fourier._cutoff_dual(rule)))
+        band = band_table, fourier._forward_blocks(rule, vals, band_table)
+    return _moduli(rule, vals, ys, ps, *(band or (None, None)), owner=owner)
+
+
+def _row_coefficients(rule, vals, table, blocks):
+    """Each row of the (m, N) samples ``vals`` as a function and its
+    coefficients, the views ``[k]`` of the (m, n_b, d, d) ``blocks``."""
+    fs = [fourier.SampledFunction(rule, v) for v in vals]
+    fcs = [fourier.FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks])
+           for k in range(len(vals))]
+    return fs, fcs
 
 
 def _tail(f, fc, subset, p):
@@ -563,41 +575,67 @@ def lemma31_bound_checks(f, ball, pairs, cutoff=None, slack=1e-8):
     Dirac element exactly as in the proof; the sup over U is sampled over the
     quadrature nodes supporting e_U, which is the whole discrete ball.  Only
     the final norms depend on the exponent, so every pair shares the Dirac
-    element, its transform and A, one transform of f (``_lemma_transform``,
-    handed to the sweep when ``cutoff`` is the alias-free band), and one
-    sweep of translates over the ball (``_translation_moduli``), which gives
-    the moduli at every p.  The tail at p' is ``_tail``'s.
+    element, its transform and A, one transform of f against the dual at
+    ``cutoff`` and one sweep of translates over the ball, which gives the
+    moduli at every p.  The tail at p' is ``_tail``'s.  The one row of
+    ``_lemma31_batch``: a function's checks are the same in any batch.
+    """
+    return _lemma31_batch(f.rule, f.values[None], [ball], pairs, cutoff, slack)[0]
+
+
+def _lemma31_batch(rule, vals, balls, pairs, cutoff=None, slack=1e-8):
+    """``lemma31_bound_checks`` of every row k of the (m, N) samples ``vals``
+    in its own ball ``balls[k]`` at every exponent pair of ``pairs``, one list
+    of checks per row.
+
+    All rows take one forward pass at ``cutoff`` (``_lemma_pass``).  Each
+    distinct radius takes one Dirac element, one transform of it against
+    that dual, one set A and one support.  The translates of all (row, node
+    of its ball) pairs take one bounded sweep (``_swept_moduli``, pairwise),
+    which gives the moduli at every p; the tail is the row's own.
     """
     pairs = [ExponentPair.of(pair) for pair in pairs]
-    rule = f.rule
-    if not isinstance(ball, NeighborhoodSpec):
-        ball = NeighborhoodSpec(float(ball))
-    e_u = fourier.dirac_net_element(f.group, ball, rule)
-    fc, band = _lemma_transform(f, cutoff)
-    ehat = fourier.forward(e_u, fc.labels)
-    op_norms = norms.schatten_norms(ehat, math.inf)
-    a_labels = [lab for lab, v in zip(fc.labels, op_norms.tolist()) if v > 0.5]
-    subset = DualSubset.from_labels(f.group, a_labels)
-    support = np.nonzero(np.abs(e_u.values) > 0)[0]
-    ys = _inverse(rule.group, _take(rule.coords, support))
-    moduli = _translation_moduli(f, ys, [pair.p for pair in pairs], *band)
+    balls = [b if isinstance(b, NeighborhoodSpec) else NeighborhoodSpec(float(b)) for b in balls]
+    group = rule.group
+    table, blocks, band = _lemma_pass(rule, vals, cutoff)
+    # per radius: A = {pi : ||ehat_U(pi)||_op > 1/2} and the support of e_U
+    per_radius = {}
+    for ball in balls:
+        if ball.radius not in per_radius:
+            e_u = fourier.dirac_net_element(group, ball, rule).values
+            ehat = [b[0] for b in fourier._forward_blocks(rule, e_u[None], table)]
+            op_norms = norms._schatten_table(table, ehat, math.inf)
+            a_labels = [lab for lab, v in zip(table.labels, op_norms.tolist()) if v > 0.5]
+            per_radius[ball.radius] = (DualSubset.from_labels(group, a_labels),
+                                       np.flatnonzero(np.abs(e_u) > 0))
+    supports = [per_radius[ball.radius][1] for ball in balls]
+    sizes = [support.size for support in supports]
+    ys = _inverse(group, _take(rule.coords, np.concatenate(supports)))
+    owner = np.repeat(np.arange(len(vals)), sizes)
+    moduli = _swept_moduli(rule, vals, ys, [pair.p for pair in pairs], owner, band)
+    own = np.split(moduli, np.cumsum(sizes)[:-1], axis=1)
     out = []
-    for pair, row in zip(pairs, moduli):
-        q = pair.p_conj
-        tail, truncated = _tail(f, fc, subset, q)
-        rhs = 2.0 * float(np.max(row, initial=0.0))
-        out.append(Lemma31Check(
-            subset,
-            tail,
-            rhs,
-            slack,
-            tail <= rhs + slack,
-            truncated,
-            pair.p,
-            q,
-            ball.radius,
-            int(support.size),
-        ))
+    for f, fc, ball, size, rows in zip(*_row_coefficients(rule, vals, table, blocks),
+                                       balls, sizes, own):
+        subset = per_radius[ball.radius][0]
+        checks = []
+        for pair, row in zip(pairs, rows):
+            q = pair.p_conj
+            tail, truncated = _tail(f, fc, subset, q)
+            rhs = 2.0 * float(np.max(row, initial=0.0))
+            checks.append(Lemma31Check(
+                subset,
+                tail,
+                rhs,
+                slack,
+                tail <= rhs + slack,
+                truncated,
+                pair.p,
+                q,
+                ball.radius,
+                int(size),
+            ))
+        out.append(checks)
     return out
 
 
@@ -631,12 +669,10 @@ def lemma32_bound_checks(f, cases, cutoff=None, slack=1e-8):
     pair) of ``cases``, in order.
 
     Every case shares one transform of f against the dual at ``cutoff``
-    (the dual of ``_lemma_transform``) and one sweep of translates over all
-    the elements (``_moduli``), which takes them in bounded blocks, is
-    handed the transform when ``cutoff`` is the alias-free band, and gives
-    the moduli at every distinct p' of the cases.  The tail at p is
-    ``_tail``'s.  The one row of ``_lemma32_batch``: a function's checks are
-    the same in any batch.
+    and one sweep of translates over all the elements, which takes them in
+    bounded blocks and gives the moduli at every distinct p' of the cases.
+    The tail at p is ``_tail``'s.  The one row of ``_lemma32_batch``: a
+    function's checks are the same in any batch.
     """
     return _lemma32_batch(f.rule, f.values[None], [cases], cutoff, slack)[0]
 
@@ -645,21 +681,15 @@ def _lemma32_batch(rule, vals, cases, cutoff=None, slack=1e-8):
     """``lemma32_bound_checks`` of every row k of the (m, N) samples ``vals``
     at its own cases ``cases[k]``, one list of checks per row.
 
-    All rows take one forward pass at ``cutoff``, and the translates of all
-    (row, element) pairs one bounded sweep (``_moduli``, pairwise: the
-    action pi(y) @ C of each element on its own row's coefficients).  The
-    sweep is handed that transform when ``cutoff`` is the alias-free band,
-    and otherwise takes one forward pass of all rows at the band if some
-    element does not permute the nodes.  Each head set's sup of
+    All rows take one forward pass at ``cutoff`` (``_lemma_pass``), and the
+    translates of all (row, element) pairs one bounded sweep
+    (``_swept_moduli``, pairwise: the action pi(y) @ C of each element on
+    its own row's coefficients).  Each head set's sup of
     ||pi(y) - I||_op takes one irrep-matrix request for all its elements;
     the head norm and the tail are the row's own.
     """
     cases = [[(y, subset, ExponentPair.of(pair)) for y, subset, pair in row] for row in cases]
-    # the dual of ``_lemma_transform``
-    shared = cutoff in (None, fourier.safe_band(rule))
-    labels = fourier._cutoff_dual(rule) if shared else irreps.enumerate_dual(rule.group, cutoff)
-    table = fourier.slot_table(tuple(labels))
-    blocks = fourier._forward_blocks(rule, vals, table)
+    table, blocks, band = _lemma_pass(rule, vals, cutoff)
     flat = [(k, y, subset, pair) for k, row in enumerate(cases) for y, subset, pair in row]
     for _, _, subset, _ in flat:
         for lab in subset:
@@ -667,12 +697,8 @@ def _lemma32_batch(rule, vals, cases, cutoff=None, slack=1e-8):
                 raise ValueError(f"head label {lab.name} beyond the computed dual")
     ys = coords_of(rule.group, [y for _, y, _, _ in flat])
     ps = list(dict.fromkeys(pair.p_conj for _, _, _, pair in flat))
-    band = (table, blocks) if shared else (None, None)
-    if not shared and not fourier._permutes(rule, ys).all():
-        band_table = fourier.slot_table(tuple(fourier._cutoff_dual(rule)))
-        band = band_table, fourier._forward_blocks(rule, vals, band_table)
     owner = np.array([k for k, _, _, _ in flat], dtype=int)
-    moduli = _moduli(rule, vals, ys, ps, *band, owner=owner)
+    moduli = _swept_moduli(rule, vals, ys, ps, owner, band)
     head_sups = np.empty(len(flat))
     by_subset = {}
     for j, (_, _, subset, _) in enumerate(flat):
@@ -682,9 +708,7 @@ def _lemma32_batch(rule, vals, cases, cutoff=None, slack=1e-8):
         at_y = irreps._blocks_at(sub.block_labels, _take(ys, np.array(js)))
         act = [mats - np.eye(d) for d, mats in zip(sub.dims, at_y)]
         head_sups[js] = np.max(norms._schatten_table(sub, act, math.inf), axis=-1, initial=0.0)
-    fs = [fourier.SampledFunction(rule, v) for v in vals]
-    fcs = [fourier.FourierCoefficients.from_blocks(rule.group, table, [b[k] for b in blocks])
-           for k in range(len(vals))]
+    fs, fcs = _row_coefficients(rule, vals, table, blocks)
     out = [[] for _ in cases]
     for j, (k, _, subset, pair) in enumerate(flat):
         lhs = float(moduli[ps.index(pair.p_conj), j])

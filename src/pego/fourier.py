@@ -12,7 +12,8 @@ the right translation ``(R_y f)(x) = f(x y)`` to ``pi(y) @ fhat``.  Where the
 nodes form a group, convolution is the quadrature sum over them: one FFT on
 torus grids, and on finite groups the translates of f by the inverse nodes,
 gathered per call, times the weighted samples of g; elsewhere it is the
-coefficient product at the alias-free band.  Right translates come in
+coefficient product at the alias-free band, for many pairs at once
+(``_convolve_blocks``).  Right translates come in
 batches (``translate_values``): one mask picks the elements whose x -> x*y
 permutes the grid, which gather the samples through one (m, N) node index;
 the others share one transform of f, one batched ``pi(y) @ fhat`` per
@@ -927,10 +928,26 @@ def _convolve_fft(f, g):
 
 
 def _convolve_spectral(f, g):
-    """ghat @ fhat at the alias-free band, f and g transformed in one batch."""
-    fc, gc = forward_batch([f, g], irreps.enumerate_dual(f.group, safe_band(f.rule)))
-    blocks = [g @ h for g, h in zip(gc.blocks, fc.blocks)]
-    return inverse(FourierCoefficients.from_blocks(f.group, fc.table, blocks), f.rule)
+    """ghat @ fhat at the alias-free band, f and g transformed in one batch:
+    the one pair of ``_convolve_blocks``."""
+    fc, gc = forward_batch([f, g], _cutoff_dual(f.rule))
+    fblocks, gblocks = ([b[None] for b in c.blocks] for c in (fc, gc))
+    return SampledFunction(f.rule, _convolve_blocks(f.rule, fc.table, fblocks, gblocks)[0])
+
+
+def _convolve_blocks(rule, table, fblocks, gblocks):
+    """The (m, N) values of the convolutions f_k * g_k of m pairs from their
+    (m, n_b, d, d) blocks of ``table``: one product ghat @ fhat per block
+    and one synthesis, in which a pair's values do not depend on the batch."""
+    return _inverse_blocks(rule, table, [g @ f for f, g in zip(fblocks, gblocks)], len(fblocks[0]))
+
+
+def _direct_convolution(rule):
+    """Whether ``convolve``'s "direct" quadrature sum exists on the rule,
+    whose nodes then form a group: torus grids and the canonical rules of
+    finite groups, finite products included."""
+    kind = rule.meta.get("kind")
+    return kind == "torus-grid" or (kind is not None and rule.group.is_finite)
 
 
 def convolve(f, g, method="auto"):
@@ -938,7 +955,7 @@ def convolve(f, g, method="auto"):
 
     ``method`` chooses the evaluation path.  "direct" is the quadrature sum
     sum_j w_j f(x y_j^-1) g(y_j) over the nodes of a rule whose nodes form a
-    group: one FFT on torus grids (``_convolve_fft``) and node re-indexing
+    group (``_direct_convolution``): one FFT on torus grids (``_convolve_fft``) and node re-indexing
     on the canonical rules of finite groups, finite products included: the
     (N, N) translates of f by the inverse nodes (``_translate_values``),
     made per call and not kept, times w * g.  "spectral" multiplies coefficient matrices
@@ -950,22 +967,21 @@ def convolve(f, g, method="auto"):
     the top bin).
     """
     _check_same_rule(f, g)
-    kind = f.rule.meta.get("kind")
-    finite = kind is not None and f.group.is_finite
+    rule = f.rule
+    direct = _direct_convolution(rule)
     if method == "auto":
-        method = "direct" if finite or kind == "torus-grid" else "spectral"
-    if method == "direct" and kind == "torus-grid":
+        method = "direct" if direct else "spectral"
+    if method == "direct" and rule.meta.get("kind") == "torus-grid":
         return _convolve_fft(f, g)
-    if method == "direct" and finite:
+    if method == "direct" and direct:
         # entry (i, j) is f(x_i y_j^-1): the translates by the inverse nodes
         # re-index the samples, transposed and made C-contiguous
-        rule = f.rule
         moved = np.ascontiguousarray(
             _translate_values(rule, f.values, _inverse(rule.group, rule.coords)).T)
         return SampledFunction(rule, moved @ (rule.weights * g.values))
     if method == "spectral":
         return _convolve_spectral(f, g)
-    raise ValueError(f"convolution method {method!r} unavailable on {f.rule.rule_id}")
+    raise ValueError(f"convolution method {method!r} unavailable on {rule.rule_id}")
 
 
 def dirac_net_element(group, spec, rule):

@@ -51,9 +51,9 @@ from pego import (
 from pego.compactness import (
     _embed_coefficients,
     _escape_certificate,
+    _moduli,
     _spectral_moduli,
     _spectrum,
-    _translation_moduli,
     default_mesh,
 )
 from pego.groups import _ball_pool, _rows
@@ -186,7 +186,7 @@ def test_equicontinuity_direct_matches_spectral_at_p2(group, res, band):
     pool, _ = _ball_pool(group, np.array([0.8, 0.3, 0.1]), 7, seed=1)
     spectrum = _spectrum(fam)
     spec = _spectral_moduli(spectrum, pool)
-    direct = np.stack([_translation_moduli(f, pool, [2.0], spectrum.table, blocks)[0]
+    direct = np.stack([_moduli(f.rule, f.values, pool, [2.0], spectrum.table, blocks)[0]
                        for f, blocks in zip(fam.members, zip(*spectrum.blocks))])
     assert spec.shape == (3, _rows(pool))
     npt.assert_allclose(spec, direct, atol=1e-9)

@@ -111,13 +111,14 @@ def test_lemma31_rhs_matches_a_per_node_loop_over_several_blocks():
 def test_lemma31_transforms_f_once_per_block_not_per_node(monkeypatch):
     rule, f = _lemma31_case()
     calls = []
-    real = fourier.forward_to_cutoff
+    real = fourier._forward_blocks
 
-    def counted(g, cutoff=None):
-        calls.append(g)
-        return real(g, cutoff)
+    def counted(r, vals, table):
+        if r is rule and np.array_equal(np.asarray(vals)[0], f.values):
+            calls.append(r)
+        return real(r, vals, table)
 
-    monkeypatch.setattr(fourier, "forward_to_cutoff", counted)
+    monkeypatch.setattr(fourier, "_forward_blocks", counted)
     chk = lemma31_bound_check(f, 1.0, 2.0, cutoff=2)
     per_block = _TRANSLATE_BLOCK_VALUES // len(rule)
     blocks = -(-chk.support_size // per_block)

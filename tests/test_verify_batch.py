@@ -1,15 +1,20 @@
-"""The inequality suites of ``pego verify`` check every sample at every
-exponent in one batch: one synthesis of all samples, and for
-Hausdorff-Young and Lemma 3.2 one transform of all of them shared by every
-exponent and direction; Lemma 3.1 checks each sample by one call, with one
-sweep of translates over the ball.  The oracles here are the suites'
-exponent-outer loops, which check one (exponent, sample) at a time through
-the single-check functions; the batched suites must give the same check
-lists, and every batch entry must equal its single check field by field."""
+"""The sample suites of ``pego verify`` check every sample at every
+exponent in one batch: one synthesis of all samples and one transform of
+all of them shared by every exponent and direction; Lemma 3.1 adds one
+Dirac transform per distinct ball radius and, like Lemma 3.2, one sweep of
+the translates of every (sample, element) pair; identities reuses its
+first transform for the translates and the spectral convolutions.  The
+samples are taken in chunks whose memory does not grow with their count.
+The oracles here are the suites' exponent-outer loops, which check one
+(exponent, sample) at a time through the single-check functions; the
+batched suites must give the same check lists, and every batch entry must
+equal its single check field by field."""
 
+import contextlib
 import dataclasses
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +24,7 @@ import pego.cli as cli
 from pego import (
     ExponentPair,
     NeighborhoodSpec,
+    basis_twist,
     enumerate_dual,
     hausdorff_young_check,
     hausdorff_young_checks,
@@ -181,6 +187,32 @@ def test_each_batch_entry_equals_its_single_check(group, cutoff, res):
         _same_fields(chk, lemma32_bound_check(f, y, subset, p, cutoff))
 
 
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("group, cutoff, res", VERIFY_GROUPS)
+def test_each_lemma31_batch_row_equals_its_single_checks(group, cutoff, res, twisted):
+    """Rows in balls of mixed radii share one forward pass, one Dirac
+    transform per radius and one sweep of translates, at the workload's
+    cutoff and, on the continuous groups, one shell below it, where the
+    sweep takes a band pass of its own; plain and under basis_twist."""
+    rule, cutoff = _rule(group, cutoff, res)
+    radii = cli._BALL_RADII[rule.group.family]
+    balls = [radii[k % len(radii)] for k in range(4)]
+    balls[-1] = NeighborhoodSpec(balls[-1], 8)
+    vals = np.stack([random_band_limited_function(rule, cutoff, seed=20 + k).values
+                     for k in range(len(balls))])
+    ps = [1.0, 1.5, 2.0]
+    cutoffs = [cutoff] if rule.group.is_finite else [cutoff, cutoff - 1]
+    twist = basis_twist(rule.group, cutoff, seed=6) if twisted else contextlib.nullcontext()
+    with twist:
+        for cut in cutoffs:
+            rows = compactness._lemma31_batch(rule, vals, balls, ps, cut)
+            assert len(rows) == len(balls)
+            for v, ball, row in zip(vals, balls, rows):
+                f = fourier.SampledFunction(rule, v)
+                for got, want in zip(row, lemma31_bound_checks(f, ball, ps, cut), strict=True):
+                    _same_fields(got, want)
+
+
 def test_batches_validate_before_work():
     rule = haar_quadrature(parse_group("torus:1"), 9)
     f = random_band_limited_function(rule, 2, seed=0)
@@ -199,15 +231,18 @@ def test_batches_validate_before_work():
 # -- work counts ----------------------------------------------------------------
 
 def _count(monkeypatch, name):
-    """Record the first argument of every call of ``fourier.<name>``."""
+    """Record the arguments of every call of ``fourier.<name>``, also where
+    ``pego.cli`` calls it by the name it imported."""
     calls = []
     real = getattr(fourier, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fourier, name, counted)
+    for mod in (fourier, cli):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -223,12 +258,13 @@ def test_lemma31_batch_transforms_f_once_for_its_whole_sweep(monkeypatch, cutoff
     Either way no block of the sweep transforms f again."""
     rule, _, f = _product_case()
     monkeypatch.setattr(compactness, "_TRANSLATE_BLOCK_VALUES", 4 * len(rule))
-    forwards = _count(monkeypatch, "forward_batch")
+    forwards = _count(monkeypatch, "_forward_blocks")
     blocks = _count(monkeypatch, "_translate_values")
     chks = lemma31_bound_checks(f, 1.0, [1.0, 1.5, 2.0], cutoff=cutoff)
     assert len(blocks) == -(-chks[0].support_size // 4) >= 3
-    assert sum(fs[0] is f for fs in forwards) == f_transforms
-    assert len(forwards) == f_transforms + 1  # and the Dirac element, once
+    mine = [np.asarray(vals) for r, vals, _ in forwards if r is rule]
+    assert sum(np.array_equal(vals[0], f.values) for vals in mine) == f_transforms
+    assert len(mine) == f_transforms + 1  # and the Dirac element, once
 
 
 @pytest.mark.parametrize("cutoff", [2, 1])
@@ -251,20 +287,38 @@ def test_lemma32_batch_takes_its_translates_in_bounded_blocks(monkeypatch, cutof
 
 def _on(rule, calls):
     """The recorded calls made on ``rule`` itself, not on a product's factor rules."""
-    return sum(r is rule for r in calls)
+    return sum(args[0] is rule for args in calls)
 
 
-def test_lemma31_suite_synthesizes_and_transforms_once_per_sample(monkeypatch):
+def test_lemma31_suite_transforms_its_samples_once_and_each_radius_once(monkeypatch):
     """One synthesis of all three samples, and besides it one of each block
-    of a ball's translates; per sample one forward of f and one of the
-    Dirac element, which the sweep shares at the alias-free band."""
+    of the translates of every (sample, ball node) pair; one forward pass
+    of the samples, which the sweep shares at the alias-free band, and one
+    of the Dirac element per distinct radius (two here)."""
     rule, cutoff, _ = _product_case()
     syntheses = _count(monkeypatch, "_inverse_blocks")
     forwards = _count(monkeypatch, "_forward_blocks")
     sweeps = _count(monkeypatch, "_translate_values")
     cli._suite_lemma31(rule, cutoff, 3, 7, [1.0, 1.5, 2.0])
+    radii = cli._BALL_RADII["product"]
     assert _on(rule, syntheses) == 1 + len(sweeps)
-    assert _on(rule, forwards) == 2 * 3
+    assert _on(rule, forwards) == 1 + len({radii[k % len(radii)] for k in range(3)}) == 3
+
+
+@pytest.mark.parametrize("group, cutoff, res, passes", [
+    ("su2", 4, 4, 2), ("product(torus:1,su2)", 2, 5, 2),
+    ("su2", 4, 6, 3), ("product(torus:1,su2)", 2, 7, 3)])
+def test_identities_suite_reuses_its_first_forward_pass(monkeypatch, group, cutoff, res, passes):
+    """The translates and the spectral convolutions read the samples' first
+    transform at the alias-free band (the workload's cutoffs), or one band
+    pass of their own below it; besides that, one pass transforms the
+    convolutions, translates and linear combinations, and nothing calls
+    ``forward_batch``.  Two samples are one chunk on every rule here."""
+    rule, cutoff = _rule(group, cutoff, res)
+    forwards = _count(monkeypatch, "_forward_blocks")
+    batches = _count(monkeypatch, "forward_batch")
+    cli._suite_identities(rule, cutoff, 2, 7)
+    assert (_on(rule, forwards), len(batches)) == (passes, 0)
 
 
 def test_lemma32_and_hausdorff_young_suites_share_work_across_exponents(monkeypatch):
@@ -285,6 +339,28 @@ def test_lemma32_and_hausdorff_young_suites_share_work_across_exponents(monkeypa
 
 
 # -- sample counts ----------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", ["identities", "hausdorff_young", "lemma31", "lemma32"])
+def test_a_suites_traced_peak_does_not_grow_with_its_samples(suite):
+    """Samples are taken in chunks of at most _TRANSLATE_BLOCK_VALUES
+    sampled values (9 samples of product(torus:1,su2) at res 5), so the
+    traced peak at 64 samples stays within twice the peak at 8, which is
+    one chunk (a chunk's samples outlive the synthesis of the next); when
+    every sample was one batch it grew about eightfold."""
+    rule, cutoff, _ = _product_case()
+    run = getattr(cli, f"_suite_{suite}")
+    extra = () if suite == "identities" else ([1.0, 2.0],)
+    run(rule, cutoff, 1, 0, *extra)  # caches filled outside the traced runs
+    peaks = []
+    for samples in (8, 64):
+        tracemalloc.start()
+        try:
+            run(rule, cutoff, samples, 0, *extra)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
 
 @pytest.mark.parametrize("suite", ["identities", "hausdorff_young", "lemma31", "lemma32"])
 @pytest.mark.parametrize("samples", ["0", "-2"])

@@ -14,6 +14,8 @@ each tree, one child process runs through ``pego.cli.main``:
   at one exponent, and the four sample suites (identities and the three
   inequality suites) on the four groups with ``--samples 1`` and with
   ``--samples 7``, batches of one sample and of more than the workload's;
+  last, identities and lemma31 at a cutoff below the alias-free band
+  (``BELOW_BAND``), where each suite takes a band pass of its own;
 * the two commands of acceptance criterion 10 (``verify --suite schur`` on
   dihedral:3 and ``diagnose`` of a dihedral:3 matrix-entry span);
 * the finite-product case: ``verify`` of the five suites on the groups of
@@ -128,6 +130,13 @@ VERIFY_EXTRA = tuple((suite, group, {"--p": "1.5"})
 # each of these sample counts, after ``VERIFY_EXTRA``.
 SAMPLE_SUITES = ("identities", "hausdorff_young", "lemma31", "lemma32")
 SAMPLE_COUNTS = ("1", "7")
+# (suite, group name, options) of the below-band runs at seed 1, after the
+# sample-count runs: su2 at res 6 (band 6) and product(torus:1,su2) at res 7
+# (band 3), each with the workload's cutoff.
+BELOW_BAND = tuple((suite, group, {"--resolution": res, "--cutoff": cutoff})
+                   for suite in ("identities", "lemma31")
+                   for group, res, cutoff in (("su2", "6", "4"),
+                                              ("product(torus:1,su2)", "7", "2")))
 CRITERION10_FAMILY = {"group": "dihedral:3", "kind": "matrix_entry_span",
                       "params": {"shell": 3, "count": 8}}
 # (case name, group, cutoff) of the library section; 64 random points each.
@@ -220,7 +229,7 @@ def _cases(workloads):
                             verify_argv(suite, group, seed), None))
     sample_runs = tuple((suite, group, {"--samples": count}) for count in SAMPLE_COUNTS
                         for group, _, _ in workloads.VERIFY_GROUPS for suite in SAMPLE_SUITES)
-    for suite, group, extra in VERIFY_EXTRA + sample_runs:
+    for suite, group, extra in VERIFY_EXTRA + sample_runs + BELOW_BAND:
         out.append(("verify", f"{suite}-{group}-s1" + "".join(k + v for k, v in extra.items()),
                     verify_argv(suite, group, 1, extra), None))
     out.append(("criterion10", "verify", ["verify", "--suite", "schur", "--group",
